@@ -8,6 +8,8 @@ package timecrypt_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/chunk"
@@ -29,13 +31,18 @@ func hotSpec(tb testing.TB) chunk.DigestSpec {
 	return spec
 }
 
-func hotEncryptor(tb testing.TB) *core.Encryptor {
+func hotWalker(tb testing.TB) *core.Walker {
 	tb.Helper()
 	tree, err := core.NewTree(core.NewPRG(core.PRGAES), core.DefaultTreeHeight, core.Node{0x42, 1, 2, 3})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return core.NewEncryptor(tree.NewWalker())
+	return tree.NewWalker()
+}
+
+func hotEncryptor(tb testing.TB) *core.Encryptor {
+	tb.Helper()
+	return core.NewEncryptor(hotWalker(tb))
 }
 
 func hotPoints(i uint64) []chunk.Point {
@@ -46,6 +53,25 @@ func hotPoints(i uint64) []chunk.Point {
 	}
 	return pts
 }
+
+// hotQueryTree is a fanout-64 tree of 400 chunks with every node cached;
+// Query(hotQueryLo, hotQueryHi) decomposes into 130 of them (leaves 1..63,
+// level-1 nodes 1..4, leaves 320..382), about what a random StatRange reads.
+func hotQueryTree(tb testing.TB) *index.Tree {
+	tb.Helper()
+	tree, err := index.Open(kv.NewMemStore(), "hot", index.Config{VectorLen: hotVecLen})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := uint64(0); i < 400; i++ {
+		if err := tree.Append(i, make([]uint64, hotVecLen)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return tree
+}
+
+const hotQueryLo, hotQueryHi = 1, 383
 
 func hotEngine(tb testing.TB, spec chunk.DigestSpec) *server.Engine {
 	tb.Helper()
@@ -88,6 +114,50 @@ func TestHotPathAllocBudgets(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("core keystream derivation: %.1f allocs/chunk, want 0", allocs)
+		}
+	})
+	// The product default codec. PR 6's budgets all ran CompressionNone,
+	// which is how a zlib.NewWriter per chunk (816 KB/op) went unnoticed.
+	// The bytes are mostly the AES and GCM states of the per-chunk key.
+	t.Run("chunk-seal-zlib", func(t *testing.T) {
+		enc := hotEncryptor(t)
+		spec := hotSpec(t)
+		pts := hotPoints(0)
+		pos := uint64(0)
+		seal := func() {
+			if _, err := chunk.Seal(enc, spec, chunk.CompressionZlib, pos, 0, 100, pts); err != nil {
+				t.Fatal(err)
+			}
+			pos++
+		}
+		// With the collector off the pooled deflater stays pooled, so the
+		// figures are the steady state and not a matter of GC timing.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		if allocs := testing.AllocsPerRun(500, seal); allocs > 6 {
+			t.Errorf("zlib seal: %.1f allocs/chunk, want <= 6", allocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 500
+		for i := 0; i < runs; i++ {
+			seal()
+		}
+		runtime.ReadMemStats(&after)
+		if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > 1700 {
+			t.Errorf("zlib seal: %d B/chunk, want <= 1700", perOp)
+		}
+	})
+	t.Run("index-query-hit", func(t *testing.T) {
+		tree := hotQueryTree(t)
+		// The result vector and the closure over it are all a hit-only
+		// query may allocate, however many nodes it reads.
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := tree.Query(hotQueryLo, hotQueryHi); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("cached 130-node Query: %.1f allocs, want <= 2", allocs)
 		}
 	})
 	t.Run("wire-write", func(t *testing.T) {
@@ -170,6 +240,37 @@ func BenchmarkHotPath(b *testing.B) {
 		}
 	})
 
+	// The product default: zlib on the payload (the chunk-seal row above
+	// and the engine rows run CompressionNone).
+	b.Run("seal/zlib", func(b *testing.B) {
+		enc := hotEncryptor(b)
+		spec := hotSpec(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pos := uint64(i)
+			start := int64(pos) * 100
+			if _, err := chunk.Seal(enc, spec, chunk.CompressionZlib, pos, start, start+100, hotPoints(pos)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	b.Run("open/zlib", func(b *testing.B) {
+		sealed, err := chunk.Seal(hotEncryptor(b), hotSpec(b), chunk.CompressionZlib, 0, 0, 100, hotPoints(0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		leaves := hotWalker(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := chunk.Open(leaves, sealed); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
 	b.Run("wire-roundtrip", func(b *testing.B) {
 		msg := &wire.InsertChunk{UUID: "hot", Chunk: bytes.Repeat([]byte{7}, 600)}
 		var sink bytes.Buffer
@@ -202,6 +303,17 @@ func BenchmarkHotPath(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := tree.Append(uint64(i), digest); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	b.Run("index/query-hit", func(b *testing.B) {
+		tree := hotQueryTree(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := tree.Query(hotQueryLo, hotQueryHi); err != nil {
 				b.Fatal(err)
 			}
 		}

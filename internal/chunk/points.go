@@ -22,7 +22,11 @@ type Point struct {
 // zigzag-varint values — the compact integer layout common to time series
 // stores (Gorilla-style). Points must be sorted by timestamp.
 func MarshalPoints(pts []Point) []byte {
-	buf := make([]byte, 0, 2+len(pts)*4)
+	return appendPoints(make([]byte, 0, 2+len(pts)*4), pts)
+}
+
+// appendPoints appends the MarshalPoints encoding of pts to buf.
+func appendPoints(buf []byte, pts []Point) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(pts)))
 	var prevTS, prevDelta int64
 	for i, p := range pts {

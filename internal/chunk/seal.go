@@ -30,9 +30,8 @@ type Sealed struct {
 
 // aad binds the chunk's identity into the AEAD so a malicious store cannot
 // transplant payloads between chunks or streams.
-func aad(index uint64, start, end int64) []byte {
-	buf := make([]byte, 24)
-	binary.BigEndian.PutUint64(buf, index)
+func aad(index uint64, start, end int64) (buf [24]byte) {
+	binary.BigEndian.PutUint64(buf[:], index)
 	binary.BigEndian.PutUint64(buf[8:], uint64(start))
 	binary.BigEndian.PutUint64(buf[16:], uint64(end))
 	return buf
@@ -51,14 +50,9 @@ func Seal(enc *core.Encryptor, spec DigestSpec, comp Compression, index uint64, 
 		}
 	}
 	digest := spec.Compute(pts, nil)
-	encDigest, err := enc.EncryptDigest(index, digest, nil)
+	encDigest, err := enc.EncryptDigest(index, digest, digest) // in place: the plaintext is not needed again
 	if err != nil {
 		return nil, fmt.Errorf("chunk: encrypting digest: %w", err)
-	}
-	raw := MarshalPoints(pts)
-	compressed, err := Compress(comp, raw)
-	if err != nil {
-		return nil, err
 	}
 	key, err := enc.ChunkKeyAt(index)
 	if err != nil {
@@ -68,11 +62,22 @@ func Seal(enc *core.Encryptor, spec DigestSpec, comp Compression, index uint64, 
 	if err != nil {
 		return nil, err
 	}
-	nonce := make([]byte, aead.NonceSize())
-	if _, err := rand.Read(nonce); err != nil {
+	d := deflaters.Get().(*deflater)
+	defer deflaters.Put(d)
+	d.raw = appendPoints(d.raw[:0], pts)
+	compressed, err := d.encode(comp, d.raw)
+	if err != nil {
+		return nil, err
+	}
+	// One allocation of the final size: the nonce is drawn straight into
+	// its place and the AEAD encrypts out of the deflater's buffer.
+	ns := aead.NonceSize()
+	payload := make([]byte, ns, ns+len(compressed)+aead.Overhead())
+	if _, err := rand.Read(payload); err != nil {
 		return nil, fmt.Errorf("chunk: reading nonce: %w", err)
 	}
-	payload := aead.Seal(nonce, nonce, compressed, aad(index, start, end))
+	ad := aad(index, start, end)
+	payload = aead.Seal(payload, payload[:ns], compressed, ad[:])
 	return &Sealed{
 		Index:       index,
 		Start:       start,
@@ -92,8 +97,7 @@ func SealPlain(spec DigestSpec, comp Compression, index uint64, start, end int64
 		return nil, fmt.Errorf("chunk: invalid interval [%d,%d)", start, end)
 	}
 	digest := spec.Compute(pts, nil)
-	raw := MarshalPoints(pts)
-	compressed, err := Compress(comp, raw)
+	compressed, err := Compress(comp, MarshalPoints(pts))
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +120,16 @@ func OpenPlain(s *Sealed) ([]Point, error) {
 	if len(s.Payload) == 0 {
 		return nil, fmt.Errorf("chunk %d: payload deleted (digest-only)", s.Index)
 	}
-	raw, err := Decompress(s.Compression, s.Payload)
+	return unmarshalCompressed(s.Compression, s.Payload)
+}
+
+// unmarshalCompressed decodes a compressed point payload. UnmarshalPoints
+// keeps no reference to its input, so the points are parsed straight out of
+// the pooled inflater's buffer.
+func unmarshalCompressed(c Compression, compressed []byte) ([]Point, error) {
+	in := inflaters.Get().(*inflater)
+	defer in.release()
+	raw, err := in.decode(c, compressed)
 	if err != nil {
 		return nil, err
 	}
@@ -147,15 +160,12 @@ func Open(leaves core.LeafSource, s *Sealed) ([]Point, error) {
 		return nil, fmt.Errorf("chunk %d: payload shorter than nonce", s.Index)
 	}
 	nonce, box := s.Payload[:aead.NonceSize()], s.Payload[aead.NonceSize():]
-	compressed, err := aead.Open(nil, nonce, box, aad(s.Index, s.Start, s.End))
+	ad := aad(s.Index, s.Start, s.End)
+	compressed, err := aead.Open(nil, nonce, box, ad[:])
 	if err != nil {
 		return nil, fmt.Errorf("chunk %d: authentication failed: %w", s.Index, err)
 	}
-	raw, err := Decompress(s.Compression, compressed)
-	if err != nil {
-		return nil, err
-	}
-	return UnmarshalPoints(raw)
+	return unmarshalCompressed(s.Compression, compressed)
 }
 
 // MarshalSealed encodes a sealed chunk for KV storage or the wire.

@@ -582,3 +582,75 @@ func TestSessionBrokenConnFailsAllInFlight(t *testing.T) {
 		t.Fatalf("Do on dead session -> %v", err)
 	}
 }
+
+// gateHandler parks every request until the test feeds it a token.
+type gateHandler struct{ gate chan struct{} }
+
+func (h *gateHandler) Handle(ctx context.Context, req wire.Message) wire.Message {
+	select {
+	case <-h.gate:
+		return &wire.OK{}
+	case <-ctx.Done():
+		return &wire.Error{Code: wire.CodeCanceled, Msg: ctx.Err().Error()}
+	}
+}
+
+// TestFullWindowIsNeverRefused: the session's default window equals the
+// server's default per-connection cap, so a client that keeps its window
+// full — every response is answered by the next request at once — depends
+// on the server having freed a request's slot before the client can see the
+// response. The server used to free it after queueing the response, and a
+// busy box refused such a client CodeBusy now and then.
+func TestFullWindowIsNeverRefused(t *testing.T) {
+	const requests = 10_000
+	h := &gateHandler{gate: make(chan struct{})}
+	sess, err := DialSession(startSessionServer(t, h), SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	ctx := context.Background()
+
+	// Do blocks while DefaultWindow calls are outstanding, so the issuer
+	// refills the window the moment a response frees a slot.
+	calls := make(chan *Call, requests) // holds every call: the issuer never waits on the harvest below
+	go func() {
+		defer close(calls)
+		for i := 0; i < requests; i++ {
+			call, err := sess.Do(ctx, &wire.ListStreams{})
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
+			calls <- call
+		}
+	}()
+	stop := make(chan struct{}) // a refused request takes no token: do not leave the feeder parked
+	defer close(stop)
+	go func() {
+		for i := 0; i < requests; i++ {
+			select {
+			case h.gate <- struct{}{}: // completes one parked request
+			case <-stop:
+				return
+			}
+		}
+	}()
+	var busy, other int
+	for call := range calls {
+		resp, err := call.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e, ok := resp.(*wire.Error); ok {
+			if e.Code == wire.CodeBusy {
+				busy++
+			} else {
+				other++
+			}
+		}
+	}
+	if busy != 0 || other != 0 {
+		t.Errorf("%d of %d requests refused CodeBusy (%d other errors) with the window at the server's cap", busy, requests, other)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -67,6 +68,7 @@ type Writer struct {
 	closed       bool
 	pending      []wire.Message // sealed InsertChunk requests not yet enqueued
 	pendingFirst uint64         // chunk index of pending[0]
+	handedOff    bool           // an append filled a batch; see unlockAppend
 
 	batches    chan ingestBatch
 	senderDone chan struct{}
@@ -148,7 +150,7 @@ func (w *Writer) Append(p chunk.Point) error {
 		return fmt.Errorf("client: writer failed: %w", err)
 	}
 	w.mu.Lock()
-	defer w.mu.Unlock()
+	defer w.unlockAppend()
 	if w.closed {
 		return errors.New("client: writer closed")
 	}
@@ -179,7 +181,7 @@ func (w *Writer) AppendChunk(pts []chunk.Point) error {
 		return fmt.Errorf("client: writer failed: %w", err)
 	}
 	w.mu.Lock()
-	defer w.mu.Unlock()
+	defer w.unlockAppend()
 	if w.closed {
 		return errors.New("client: writer closed")
 	}
@@ -214,14 +216,33 @@ func (w *Writer) stagePendingLocked(msg wire.Message, idx uint64) {
 	w.pending = append(w.pending, msg)
 }
 
-// maybeShipLocked enqueues full batches. Caller holds w.mu.
+// maybeShipLocked enqueues full batches. Caller holds w.mu and releases it
+// with unlockAppend.
 func (w *Writer) maybeShipLocked() error {
 	for len(w.pending) >= w.opts.BatchChunks {
 		if err := w.shipSliceLocked(w.opts.BatchChunks); err != nil {
 			return err
 		}
+		w.handedOff = true
 	}
 	return nil
+}
+
+// unlockAppend releases w.mu at the end of an append and, if the append
+// handed a full batch to the sender, yields the processor once. Appends
+// seal on the caller's goroutine and enqueueing is only a channel send, so
+// a producer that never blocks would otherwise keep its P until the queue
+// pushes back (MaxInFlight batches) or the scheduler's preemption tick:
+// batches would reach the transport in bursts, each waiting behind its
+// burst. One yield per BatchChunks appends lets the sender put the batch
+// on the wire while it is fresh.
+func (w *Writer) unlockAppend() {
+	handedOff := w.handedOff
+	w.handedOff = false
+	w.mu.Unlock()
+	if handedOff {
+		runtime.Gosched()
+	}
 }
 
 // shipLocked enqueues everything pending in BatchChunks-sized envelopes —

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -380,5 +381,62 @@ func TestWriterOverlapsBatchesOnDoer(t *testing.T) {
 	}
 	if got := s.Count(); got != 8 {
 		t.Errorf("acked count = %d, want 8", got)
+	}
+}
+
+// handoffDoer is a multiplexed-transport fake that acknowledges every batch
+// at once and records how far the producer had got when the batch reached
+// the transport.
+type handoffDoer struct {
+	Transport                // RoundTrip and Close of the in-process engine
+	appended    atomic.Int64 // chunks the producer has finished appending
+	submittedAt []int64      // appended, read at each Do (sender goroutine only)
+}
+
+func (d *handoffDoer) Do(ctx context.Context, req wire.Message) (*Call, error) {
+	d.submittedAt = append(d.submittedAt, d.appended.Load())
+	resps := make([]wire.Message, len(req.(*wire.Batch).Reqs))
+	for i := range resps {
+		resps[i] = &wire.OK{}
+	}
+	c := &Call{req: req, done: make(chan struct{}), resp: &wire.BatchResp{Resps: resps}}
+	close(c.done)
+	return c, nil
+}
+
+// TestWriterHandsFullBatchOffPromptly: a producer that appends in a tight
+// loop and never blocks (cheap seals, a transport that never pushes back)
+// must not run whole bursts of batches ahead of the sender. With one P the
+// only way the sender runs is for the producer to give it the processor;
+// counted in chunks, batch k has to reach the transport before the producer
+// finishes the batch after next. Without the yield in unlockAppend the
+// producer runs on until the batch queue is full, and batch 0 is submitted
+// at chunk 79.
+func TestWriterHandsFullBatchOffPromptly(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tr := &handoffDoer{Transport: &InProc{Engine: newWriterEngine(t)}}
+	s := newWriterStream(t, tr, "whand")
+	w, err := s.Writer(context.Background(), WriterOptions{FlushEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batchChunks, batches = 16, 32 // the default batch size
+	for c := 0; c < batchChunks*batches; c++ {
+		start := writerEpoch + int64(c)*1000
+		if err := w.AppendChunk([]chunk.Point{{TS: start, Val: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		tr.appended.Add(1)
+	}
+	if err := w.Close(); err != nil { // waits for the sender: submittedAt is ours now
+		t.Fatal(err)
+	}
+	if len(tr.submittedAt) != batches {
+		t.Fatalf("%d batches submitted, want %d", len(tr.submittedAt), batches)
+	}
+	for k, at := range tr.submittedAt {
+		if limit := int64(batchChunks * (k + 2)); at >= limit {
+			t.Errorf("batch %d reached the transport after %d appends, want fewer than %d", k, at, limit)
+		}
 	}
 }

@@ -6,9 +6,31 @@
 package index
 
 import (
-	"container/list"
+	"math/bits"
 	"sync"
 )
+
+// A cache key names one node of the owning tree: its level in the top
+// levelBits bits, its index in the rest. The cache belongs to one Tree, so
+// the stream ID that prefixes the node's store key would be the same in
+// every entry; a lookup hashes one integer and builds no string.
+const (
+	levelBits = 8
+	idxBits   = 64 - levelBits
+	// maxLevel and maxIdx are the largest level and node index a key can
+	// hold, maxChunks the number of leaf positions; Open and Append refuse
+	// trees that would outgrow them.
+	maxLevel  = 1<<levelBits - 1
+	maxIdx    = 1<<idxBits - 1
+	maxChunks = 1 << idxBits
+)
+
+func cacheKey(level int, idx uint64) uint64 { return uint64(level)<<idxBits | idx }
+
+func keyLevel(key uint64) int { return int(key >> idxBits) }
+
+// hexLen is the number of digits strconv.AppendUint(_, x, 16) writes.
+func hexLen(x uint64) int { return max(1, (bits.Len64(x)+3)/4) }
 
 // lruCache is a byte-budgeted, level-aware cache for index nodes (the
 // paper's in-memory index with an explicit cache size; the Fig. 7 "S"
@@ -21,83 +43,105 @@ import (
 // entries that would have been reused; level-aware eviction keeps the hot
 // top of the tree resident even under tiny budgets.
 type lruCache struct {
-	mu     sync.Mutex
-	budget int64
-	used   int64
-	levels map[int]*list.List // per-level LRU list; front = most recent
-	items  map[string]*list.Element
+	mu      sync.Mutex
+	budget  int64
+	used    int64
+	keyBase int       // store-key bytes shared by every node: "i/<stream>//"
+	levels  []lruList // per-level LRU list, indexed by level
+	items   map[uint64]*lruEntry
 
 	hits   uint64
 	misses uint64
 }
 
+// lruEntry is one cached node, linked into its level's list.
 type lruEntry struct {
-	key   string
-	vec   []uint64
-	size  int64
-	level int
+	key        uint64
+	vec        []uint64
+	prev, next *lruEntry
 }
 
-func newLRUCache(budget int64) *lruCache {
-	return &lruCache{budget: budget, levels: make(map[int]*list.List), items: make(map[string]*list.Element)}
+// lruList is a doubly linked list through the entries themselves; front is
+// the most recently used.
+type lruList struct{ front, back *lruEntry }
+
+func (l *lruList) pushFront(e *lruEntry) {
+	e.prev, e.next = nil, l.front
+	if l.front != nil {
+		l.front.prev = e
+	} else {
+		l.back = e
+	}
+	l.front = e
 }
 
-func entrySize(key string, vec []uint64) int64 {
-	// Key bytes + vector bytes + bookkeeping estimate.
-	return int64(len(key)) + int64(8*len(vec)) + 64
+func (l *lruList) remove(e *lruEntry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		l.front = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		l.back = e.prev
+	}
+	e.prev, e.next = nil, nil
+}
+
+func (l *lruList) moveToFront(e *lruEntry) {
+	if l.front != e {
+		l.remove(e)
+		l.pushFront(e)
+	}
+}
+
+func newLRUCache(budget int64, keyBase int) *lruCache {
+	return &lruCache{budget: budget, keyBase: keyBase, items: make(map[uint64]*lruEntry)}
+}
+
+// entrySize is what an entry counts against the budget: the bytes of the
+// node's store key (which the integer-keyed cache no longer holds, but the
+// budget's meaning — how many nodes a given CacheBytes keeps — must not
+// shift under operators), the vector, and a bookkeeping estimate.
+func (c *lruCache) entrySize(key uint64, vec []uint64) int64 {
+	keyLen := c.keyBase + hexLen(uint64(keyLevel(key))) + hexLen(key&maxIdx)
+	return int64(keyLen) + int64(8*len(vec)) + 64
 }
 
 // get returns a copy-free reference to the cached vector. Callers must not
 // mutate it; use put for read-modify-write.
-func (c *lruCache) get(key string) ([]uint64, bool) {
+func (c *lruCache) get(key uint64) ([]uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	ent, ok := c.items[key]
 	if !ok {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
-	ent := el.Value.(*lruEntry)
-	c.levels[ent.level].MoveToFront(el)
+	c.levels[keyLevel(key)].moveToFront(ent)
 	return ent.vec, true
 }
 
-// put inserts or replaces key's vector (which the cache takes ownership of)
-// at the given tree level, then evicts over-budget entries lowest level
-// first.
-func (c *lruCache) put(key string, level int, vec []uint64) {
+// put inserts or replaces key's vector (which the cache takes ownership
+// of), then evicts over-budget entries lowest level first.
+func (c *lruCache) put(key uint64, vec []uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		ent := el.Value.(*lruEntry)
-		c.used -= ent.size
+	level := keyLevel(key)
+	if ent, ok := c.items[key]; ok {
+		c.used += c.entrySize(key, vec) - c.entrySize(key, ent.vec)
 		ent.vec = vec
-		ent.size = entrySize(key, vec)
-		c.used += ent.size
-		if ent.level != level {
-			// Re-file under the caller's level so eviction priority
-			// follows the declared level, not the original one.
-			c.levels[ent.level].Remove(el)
-			ll := c.levels[level]
-			if ll == nil {
-				ll = list.New()
-				c.levels[level] = ll
-			}
-			ent.level = level
-			c.items[key] = ll.PushFront(ent)
-		} else {
-			c.levels[ent.level].MoveToFront(el)
-		}
+		c.levels[level].moveToFront(ent)
 	} else {
-		ll := c.levels[level]
-		if ll == nil {
-			ll = list.New()
-			c.levels[level] = ll
+		for len(c.levels) <= level {
+			c.levels = append(c.levels, lruList{})
 		}
-		ent := &lruEntry{key: key, vec: vec, size: entrySize(key, vec), level: level}
-		c.items[key] = ll.PushFront(ent)
-		c.used += ent.size
+		ent := &lruEntry{key: key, vec: vec}
+		c.items[key] = ent
+		c.levels[level].pushFront(ent)
+		c.used += c.entrySize(key, vec)
 	}
 	if c.budget > 0 {
 		for c.used > c.budget && len(c.items) > 0 {
@@ -108,31 +152,27 @@ func (c *lruCache) put(key string, level int, vec []uint64) {
 
 // evictOne removes the LRU entry of the lowest non-empty level.
 func (c *lruCache) evictOne() {
-	lowest := -1
-	for level, ll := range c.levels {
-		if ll.Len() > 0 && (lowest < 0 || level < lowest) {
-			lowest = level
+	for level := range c.levels {
+		if back := c.levels[level].back; back != nil {
+			c.drop(back)
+			return
 		}
 	}
-	if lowest < 0 {
-		return
-	}
-	back := c.levels[lowest].Back()
-	ent := back.Value.(*lruEntry)
-	c.levels[lowest].Remove(back)
+}
+
+// drop unlinks an entry and returns its bytes to the budget.
+func (c *lruCache) drop(ent *lruEntry) {
+	c.levels[keyLevel(ent.key)].remove(ent)
 	delete(c.items, ent.key)
-	c.used -= ent.size
+	c.used -= c.entrySize(ent.key, ent.vec)
 }
 
 // remove drops key if present.
-func (c *lruCache) remove(key string) {
+func (c *lruCache) remove(key uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		ent := el.Value.(*lruEntry)
-		c.levels[ent.level].Remove(el)
-		delete(c.items, ent.key)
-		c.used -= ent.size
+	if ent, ok := c.items[key]; ok {
+		c.drop(ent)
 	}
 }
 

@@ -16,7 +16,7 @@ import "runtime"
 // above GOMAXPROCS, capped), so the key → segment mapping never changes
 // and a key's entry lives in exactly one segment.
 type stripedCache struct {
-	mask uint32
+	mask uint64
 	segs []*lruCache
 }
 
@@ -32,8 +32,9 @@ const (
 
 // newStripedCache builds a cache of nextPow2(GOMAXPROCS) segments
 // splitting budget evenly (fewer when the budget is small). budget <= 0
-// means unbounded, as before.
-func newStripedCache(budget int64) *stripedCache {
+// means unbounded. keyBase is the store-key length entries are charged on
+// top of their level and index digits (see lruCache.entrySize).
+func newStripedCache(budget int64, keyBase int) *stripedCache {
 	n := 1
 	for n < runtime.GOMAXPROCS(0) && n < maxCacheStripes {
 		n <<= 1
@@ -41,12 +42,12 @@ func newStripedCache(budget int64) *stripedCache {
 	for budget > 0 && n > 1 && budget/int64(n) < minStripeBudget {
 		n >>= 1
 	}
-	return newStripedCacheN(budget, n)
+	return newStripedCacheN(budget, keyBase, n)
 }
 
 // newStripedCacheN builds a cache with an explicit power-of-two segment
 // count (tests pin it for determinism).
-func newStripedCacheN(budget int64, n int) *stripedCache {
+func newStripedCacheN(budget int64, keyBase, n int) *stripedCache {
 	segBudget := budget
 	if budget > 0 {
 		segBudget = budget / int64(n)
@@ -54,27 +55,23 @@ func newStripedCacheN(budget int64, n int) *stripedCache {
 			segBudget = 1
 		}
 	}
-	c := &stripedCache{mask: uint32(n - 1), segs: make([]*lruCache, n)}
+	c := &stripedCache{mask: uint64(n - 1), segs: make([]*lruCache, n)}
 	for i := range c.segs {
-		c.segs[i] = newLRUCache(segBudget)
+		c.segs[i] = newLRUCache(segBudget, keyBase)
 	}
 	return c
 }
 
-// seg picks the key's segment by FNV-1a hash; the power-of-two mask turns
-// the hash into an index without division.
-func (c *stripedCache) seg(key string) *lruCache {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return c.segs[h&c.mask]
+// seg picks the key's segment from the high bits of a multiplicative
+// (Fibonacci) mix, so that neighbouring indexes of one level — what a range
+// query walks — spread over the segments.
+func (c *stripedCache) seg(key uint64) *lruCache {
+	return c.segs[(key*0x9E3779B97F4A7C15)>>32&c.mask]
 }
 
-func (c *stripedCache) get(key string) ([]uint64, bool)         { return c.seg(key).get(key) }
-func (c *stripedCache) put(key string, level int, vec []uint64) { c.seg(key).put(key, level, vec) }
-func (c *stripedCache) remove(key string)                       { c.seg(key).remove(key) }
+func (c *stripedCache) get(key uint64) ([]uint64, bool) { return c.seg(key).get(key) }
+func (c *stripedCache) put(key uint64, vec []uint64)    { c.seg(key).put(key, vec) }
+func (c *stripedCache) remove(key uint64)               { c.seg(key).remove(key) }
 
 // stats sums the per-segment counters. The sums are not a consistent
 // snapshot across segments — fine for the observability counters these

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -10,12 +9,13 @@ import (
 // A striped cache must behave like one cache: what goes in comes out,
 // removal removes, and the byte budget bounds the total.
 func TestStripedCacheBasics(t *testing.T) {
-	c := newStripedCacheN(0, 8)
+	c := newStripedCacheN(0, 0, 8)
+	key := func(i int) uint64 { return cacheKey(i%4, uint64(i)) }
 	for i := 0; i < 100; i++ {
-		c.put(fmt.Sprintf("k%d", i), i%4, []uint64{uint64(i)})
+		c.put(key(i), []uint64{uint64(i)})
 	}
 	for i := 0; i < 100; i++ {
-		vec, ok := c.get(fmt.Sprintf("k%d", i))
+		vec, ok := c.get(key(i))
 		if !ok || vec[0] != uint64(i) {
 			t.Fatalf("k%d: got %v ok=%v", i, vec, ok)
 		}
@@ -24,13 +24,13 @@ func TestStripedCacheBasics(t *testing.T) {
 	if entries != 100 {
 		t.Fatalf("entries %d, want 100", entries)
 	}
-	c.remove("k42")
-	if _, ok := c.get("k42"); ok {
+	c.remove(key(42))
+	if _, ok := c.get(key(42)); ok {
 		t.Fatal("removed key still cached")
 	}
 	// Replacement under the same key must not duplicate.
-	c.put("k1", 0, []uint64{7, 7, 7})
-	if vec, ok := c.get("k1"); !ok || len(vec) != 3 {
+	c.put(key(1), []uint64{7, 7, 7})
+	if vec, ok := c.get(key(1)); !ok || len(vec) != 3 {
 		t.Fatalf("replaced k1: %v ok=%v", vec, ok)
 	}
 	_, _, _, entries = c.stats()
@@ -43,9 +43,9 @@ func TestStripedCacheBasics(t *testing.T) {
 // stays bounded.
 func TestStripedCacheBudgetBounded(t *testing.T) {
 	const budget = 64 << 10
-	c := newStripedCacheN(budget, 8)
-	for i := 0; i < 4096; i++ {
-		c.put(fmt.Sprintf("key-%d", i), 0, []uint64{1, 2, 3, 4})
+	c := newStripedCacheN(budget, 0, 8)
+	for i := uint64(0); i < 4096; i++ {
+		c.put(cacheKey(0, i), []uint64{1, 2, 3, 4})
 	}
 	_, _, used, entries := c.stats()
 	if used > budget {
@@ -59,11 +59,11 @@ func TestStripedCacheBudgetBounded(t *testing.T) {
 // Tiny budgets fall back toward fewer (down to one) segments rather than
 // splitting into segments too small to hold a node.
 func TestStripedCacheTinyBudgetFallsBack(t *testing.T) {
-	c := newStripedCache(512)
+	c := newStripedCache(512, 0)
 	if len(c.segs) != 1 {
 		t.Fatalf("512-byte budget striped %d ways", len(c.segs))
 	}
-	if u := newStripedCache(0); len(u.segs) < 1 {
+	if u := newStripedCache(0, 0); len(u.segs) < 1 {
 		t.Fatal("unbounded cache has no segments")
 	}
 }
@@ -72,7 +72,7 @@ func TestStripedCacheTinyBudgetFallsBack(t *testing.T) {
 // under -race. The single-lock cache serialized this workload; the
 // striped cache must stay correct while allowing the parallelism.
 func TestStripedCacheConcurrentHammer(t *testing.T) {
-	c := newStripedCacheN(256<<10, 8)
+	c := newStripedCacheN(256<<10, 0, 8)
 	const (
 		workers = 8
 		keys    = 512
@@ -85,15 +85,16 @@ func TestStripedCacheConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b9))
 			for i := 0; i < ops; i++ {
-				k := fmt.Sprintf("node-%d", rng.Uint64N(keys))
+				idx := rng.Uint64N(keys)
+				k := cacheKey(int(idx%5), idx)
 				switch rng.Uint64N(10) {
 				case 0:
 					c.remove(k)
 				case 1, 2, 3:
-					c.put(k, int(rng.Uint64N(5)), []uint64{rng.Uint64(), rng.Uint64()})
+					c.put(k, []uint64{rng.Uint64(), rng.Uint64()})
 				default:
 					if vec, ok := c.get(k); ok && len(vec) != 2 {
-						t.Errorf("key %s: cached vector has %d elems", k, len(vec))
+						t.Errorf("key %#x: cached vector has %d elems", k, len(vec))
 						return
 					}
 				}

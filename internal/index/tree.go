@@ -47,6 +47,9 @@ func (c *Config) applyDefaults() error {
 		}
 		c.MaxLevels = levels
 	}
+	if c.MaxLevels > maxLevel {
+		return fmt.Errorf("index: %d levels, a cache key holds at most %d", c.MaxLevels, maxLevel)
+	}
 	return nil
 }
 
@@ -76,7 +79,8 @@ func Open(store kv.Store, streamID string, cfg Config) (*Tree, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	t := &Tree{store: store, streamID: streamID, cfg: cfg, cache: newStripedCache(cfg.CacheBytes)}
+	t := &Tree{store: store, streamID: streamID, cfg: cfg}
+	t.cache = newStripedCache(cfg.CacheBytes, len("i/")+len(streamID)+len("//"))
 	meta, err := store.Get(t.metaKey())
 	switch {
 	case err == nil:
@@ -84,6 +88,9 @@ func Open(store kv.Store, streamID string, cfg Config) (*Tree, error) {
 			return nil, fmt.Errorf("index: corrupt meta for stream %q", streamID)
 		}
 		t.count = binary.BigEndian.Uint64(meta)
+		if t.count > maxChunks {
+			return nil, fmt.Errorf("index: corrupt meta for stream %q: %d chunks", streamID, t.count)
+		}
 	case errors.Is(err, kv.ErrNotFound):
 		// fresh stream
 	default:
@@ -106,7 +113,9 @@ func (t *Tree) metaKey() string { return "i/" + t.streamID + "/meta" }
 
 // nodeKey builds the storage key for node (level, idx). Identifiers are
 // computed from the node's position alone, so no references are stored
-// (paper §4.6 "we compute the identifier of a node/chunk on-the-fly").
+// (paper §4.6 "we compute the identifier of a node/chunk on-the-fly"). The
+// cache is keyed by the position itself (cacheKey), so a node's string is
+// only built when the store is involved: a cache miss or a write.
 func (t *Tree) nodeKey(level int, idx uint64) string {
 	b := make([]byte, 0, len(t.streamID)+24)
 	b = append(b, 'i', '/')
@@ -140,11 +149,11 @@ func decodeVec(data []byte, want int) ([]uint64, error) {
 // loadNode fetches a node vector through the cache. The returned slice is
 // shared with the cache; callers must copy before mutating.
 func (t *Tree) loadNode(level int, idx uint64) ([]uint64, error) {
-	key := t.nodeKey(level, idx)
+	key := cacheKey(level, idx)
 	if vec, ok := t.cache.get(key); ok {
 		return vec, nil
 	}
-	data, err := t.store.Get(key)
+	data, err := t.store.Get(t.nodeKey(level, idx))
 	if err != nil {
 		return nil, err
 	}
@@ -152,17 +161,28 @@ func (t *Tree) loadNode(level int, idx uint64) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.cache.put(key, level, vec)
+	t.cache.put(key, vec)
 	return vec, nil
 }
 
 // storeNode write-through caches and persists a node.
 func (t *Tree) storeNode(level int, idx uint64, vec []uint64) error {
-	key := t.nodeKey(level, idx)
-	if err := t.store.Put(key, encodeVec(vec)); err != nil {
+	if err := t.store.Put(t.nodeKey(level, idx), encodeVec(vec)); err != nil {
 		return err
 	}
-	t.cache.put(key, level, vec)
+	t.cache.put(cacheKey(level, idx), vec)
+	return nil
+}
+
+// checkAppend validates that the next n digests go at pos and that their
+// node indexes still fit a cache key. Caller holds t.mu.
+func (t *Tree) checkAppend(pos, n uint64) error {
+	if pos != t.count {
+		return fmt.Errorf("index: append at position %d, expected %d", pos, t.count)
+	}
+	if n > maxChunks-pos {
+		return fmt.Errorf("index: stream is full at %d chunks", uint64(maxChunks))
+	}
 	return nil
 }
 
@@ -176,8 +196,8 @@ func (t *Tree) Append(pos uint64, digest []uint64) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if pos != t.count {
-		return fmt.Errorf("index: append at position %d, expected %d", pos, t.count)
+	if err := t.checkAppend(pos, 1); err != nil {
+		return err
 	}
 	leaf := append([]uint64(nil), digest...)
 	if err := t.storeNode(0, pos, leaf); err != nil {
@@ -237,8 +257,8 @@ func (t *Tree) AppendBatch(pos uint64, digests [][]uint64) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if pos != t.count {
-		return fmt.Errorf("index: append at position %d, expected %d", pos, t.count)
+	if err := t.checkAppend(pos, n); err != nil {
+		return err
 	}
 	for i, digest := range digests {
 		leaf := append([]uint64(nil), digest...)
@@ -391,6 +411,9 @@ func (t *Tree) Prune(level int, a, b uint64) error {
 	if level < 1 || level > t.cfg.MaxLevels {
 		return fmt.Errorf("index: prune level %d out of range [1,%d]", level, t.cfg.MaxLevels)
 	}
+	if b > maxChunks {
+		return fmt.Errorf("index: prune range [%d,%d) beyond the %d chunks a stream can hold", a, b, uint64(maxChunks))
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	span := uint64(1)
@@ -398,11 +421,10 @@ func (t *Tree) Prune(level int, a, b uint64) error {
 	for l := 0; l < level; l++ {
 		lo, hi := a/span, b/span // node index range at level l
 		for idx := lo; idx*span < b && idx < hi; idx++ {
-			key := t.nodeKey(l, idx)
-			if err := t.store.Delete(key); err != nil {
+			if err := t.store.Delete(t.nodeKey(l, idx)); err != nil {
 				return err
 			}
-			t.cache.remove(key)
+			t.cache.remove(cacheKey(l, idx))
 		}
 		span *= k
 	}

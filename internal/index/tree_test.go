@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/binary"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -309,17 +310,18 @@ func TestLevelSpan(t *testing.T) {
 	}
 }
 
+// leafKey and the tests below use level-0 keys unless the level matters.
+func leafKey(idx uint64) uint64 { return cacheKey(0, idx) }
+
 func TestLRUCacheEviction(t *testing.T) {
-	c := newLRUCache(300)
-	c.put("a", 0, []uint64{1}) // ~73 bytes
-	c.put("b", 0, []uint64{2}) //
-	c.put("c", 0, []uint64{3}) //
-	c.put("d", 0, []uint64{4}) //
-	c.put("e", 0, []uint64{5}) // must evict oldest
-	if _, ok := c.get("a"); ok {
+	c := newLRUCache(300, 0)
+	for i := uint64(0); i < 5; i++ { // 2+8+64 = 74 bytes each: the fifth must evict the oldest
+		c.put(leafKey(i), []uint64{i})
+	}
+	if _, ok := c.get(leafKey(0)); ok {
 		t.Error("oldest entry survived eviction")
 	}
-	if _, ok := c.get("e"); !ok {
+	if _, ok := c.get(leafKey(4)); !ok {
 		t.Error("newest entry evicted")
 	}
 	_, _, used, entries := c.stats()
@@ -332,9 +334,9 @@ func TestLRUCacheEviction(t *testing.T) {
 }
 
 func TestLRUCacheUnbounded(t *testing.T) {
-	c := newLRUCache(0)
+	c := newLRUCache(0, 0)
 	for i := 0; i < 1000; i++ {
-		c.put(string(rune('a'+i%26))+string(rune('0'+i%10)), i%3, []uint64{uint64(i)})
+		c.put(cacheKey(i%3, uint64(i%260)), []uint64{uint64(i)})
 	}
 	_, _, _, entries := c.stats()
 	if entries == 0 {
@@ -343,15 +345,15 @@ func TestLRUCacheUnbounded(t *testing.T) {
 }
 
 func TestLRUCacheReplaceUpdatesSize(t *testing.T) {
-	c := newLRUCache(0)
-	c.put("k", 0, []uint64{1})
+	c := newLRUCache(0, 0)
+	c.put(leafKey(7), []uint64{1})
 	_, _, used1, _ := c.stats()
-	c.put("k", 0, []uint64{1, 2, 3, 4})
+	c.put(leafKey(7), []uint64{1, 2, 3, 4})
 	_, _, used2, _ := c.stats()
 	if used2 <= used1 {
 		t.Error("replace did not grow size accounting")
 	}
-	c.remove("k")
+	c.remove(leafKey(7))
 	_, _, used3, _ := c.stats()
 	if used3 != 0 {
 		t.Errorf("remove left %d bytes accounted", used3)
@@ -359,17 +361,127 @@ func TestLRUCacheReplaceUpdatesSize(t *testing.T) {
 }
 
 func TestLRUCacheEvictsLowLevelsFirst(t *testing.T) {
-	c := newLRUCache(300)
-	c.put("top", 3, []uint64{9})
-	c.put("a", 0, []uint64{1})
-	c.put("b", 0, []uint64{2})
-	c.put("c", 0, []uint64{3})
-	c.put("d", 0, []uint64{4}) // over budget: a leaf must go, not "top"
-	if _, ok := c.get("top"); !ok {
+	c := newLRUCache(300, 0)
+	c.put(cacheKey(3, 0), []uint64{9})
+	for i := uint64(0); i < 4; i++ { // over budget at the fourth: a leaf must go, not the top
+		c.put(leafKey(i), []uint64{i})
+	}
+	if _, ok := c.get(cacheKey(3, 0)); !ok {
 		t.Error("high-level node evicted while leaves were cached")
 	}
-	if _, ok := c.get("a"); ok {
+	if _, ok := c.get(leafKey(0)); ok {
 		t.Error("oldest leaf survived eviction")
+	}
+}
+
+// The cache is keyed by integers, but an entry must cost what it cost when
+// the key was the node's store-key string (len(key) + 8·len(vec) + 64):
+// CacheBytes is an operator-facing budget, and the benchmark's query-range
+// workload is sized by how many nodes 48 KiB holds.
+func TestCacheBudgetEquivalence(t *testing.T) {
+	const vecLen = 19 // chunk.DefaultSpec
+	oldSize := func(storeKey string) int64 { return int64(len(storeKey)) + 8*vecLen + 64 }
+
+	// Through a Tree: the bytes in use are the old formula summed over
+	// the node keys actually in the store.
+	store := kv.NewMemStore()
+	tree, err := Open(store, "bench-stream-07", Config{VectorLen: vecLen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 300; i++ {
+		if err := tree.Append(i, make([]uint64, vecLen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want int64
+	store.Scan("i/bench-stream-07/", func(key string, _ []byte) bool {
+		if key != tree.metaKey() {
+			want += oldSize(key)
+		}
+		return true
+	})
+	if _, _, used, _ := tree.CacheStats(); used != want {
+		t.Errorf("cache accounts %d bytes for the tree's nodes, the string-keyed cache accounted %d", used, want)
+	}
+
+	// A 48 KiB segment filled with leaves 0..1023 keeps the most recent
+	// ones, all with three-digit indexes: 49152 / (len("i/s/0/3ff")+152+64).
+	const parentHeld = 218
+	if got := (48 << 10) / oldSize("i/s/0/3ff"); got != parentHeld {
+		t.Fatalf("test constant is off: old formula holds %d", got)
+	}
+	c := newStripedCacheN(48<<10, len("i/s//"), 1)
+	for i := uint64(0); i < 1024; i++ {
+		c.put(leafKey(i), make([]uint64, vecLen))
+	}
+	if _, _, _, entries := c.stats(); entries != parentHeld {
+		t.Errorf("48 KiB holds %d DefaultSpec nodes, held %d with string keys", entries, parentHeld)
+	}
+}
+
+// A query whose nodes are all cached must not allocate per node: no key
+// string, no boxed entry. At fanout 64, [1, 383) decomposes into leaves
+// 1..63, level-1 nodes 1..4 and leaves 320..382 — 130 nodes — and [0, 2)
+// into two; both cost the same few allocations (the result vector and the
+// closure over it).
+func TestQueryHitAllocsIndependentOfNodes(t *testing.T) {
+	tree, _ := newTestTree(t, Config{VectorLen: 19})
+	for i := uint64(0); i < 400; i++ {
+		if err := tree.Append(i, make([]uint64, 19)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := func(a, b uint64) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if _, err := tree.Query(a, b); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	_, missesBefore, _, _ := tree.CacheStats()
+	small, large := allocs(0, 2), allocs(1, 383)
+	if _, misses, _, _ := tree.CacheStats(); misses != missesBefore {
+		t.Fatalf("%d cache misses: the test needs every node resident", misses-missesBefore)
+	}
+	if small != large || small > 3 {
+		t.Errorf("Query allocates %.0f times over 2 nodes and %.0f over 130: want the same small constant", small, large)
+	}
+}
+
+func TestKeyPackingBounds(t *testing.T) {
+	store := kv.NewMemStore()
+	if _, err := Open(store, "s", Config{Fanout: 2, VectorLen: 1, MaxLevels: maxLevel + 1}); err == nil {
+		t.Errorf("%d levels accepted: level does not fit a cache key", maxLevel+1)
+	}
+	if _, err := Open(store, "s", Config{Fanout: 2, VectorLen: 1, MaxLevels: maxLevel}); err != nil {
+		t.Errorf("%d levels rejected: %v", maxLevel, err)
+	}
+	// A stream whose recorded count is past the largest packable index is
+	// corrupt; one exactly at it is full and refuses the next append.
+	var meta [8]byte
+	binary.BigEndian.PutUint64(meta[:], maxChunks+1)
+	store.Put("i/over/meta", meta[:])
+	if _, err := Open(store, "over", Config{VectorLen: 1}); err == nil {
+		t.Error("count beyond the packable index range accepted")
+	}
+	binary.BigEndian.PutUint64(meta[:], maxChunks)
+	store.Put("i/full/meta", meta[:])
+	full, err := Open(store, "full", Config{VectorLen: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := full.Append(maxChunks, []uint64{1}); err == nil {
+		t.Error("append past the packable index range accepted")
+	}
+	if err := full.AppendBatch(maxChunks, [][]uint64{{1}}); err == nil {
+		t.Error("batch append past the packable index range accepted")
+	}
+	if err := full.Prune(1, 0, maxChunks+1); err == nil {
+		t.Error("prune past the packable index range accepted")
+	}
+	if cacheKey(maxLevel, maxIdx) != ^uint64(0) || keyLevel(cacheKey(maxLevel, 0)) != maxLevel {
+		t.Error("level and index do not tile the key")
 	}
 }
 

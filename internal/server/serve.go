@@ -261,7 +261,10 @@ func toError(err error) *wire.Error { return WireError(err) }
 
 // DefaultMaxConnInFlight is the default per-connection bound on
 // concurrently executing requests. It matches the client session's default
-// window, so a default client never trips the cap.
+// window, so a default client never trips the cap: a unary request's slot
+// is free again before the first byte of its response is written (see
+// respFrame.slot), so the request a client sends on receiving a response
+// always finds the slot that response held.
 const DefaultMaxConnInFlight = 64
 
 // Server is the TCP front end (wire protocol v3): per connection, a read
@@ -360,6 +363,16 @@ type respFrame struct {
 	id   uint64
 	more bool
 	msg  wire.Message
+	// slot is set on a unary response: the scheduler whose in-flight slot
+	// the request still holds while the response waits in the queue. The
+	// write pump frees it before writing the frame. Freeing it only when
+	// the worker returns — after the queue send — lets the client see the
+	// response, reuse its window slot and get the next request refused
+	// CodeBusy before the worker has run on; freeing it before the queue
+	// send would let a client that does not read its responses pile up
+	// workers blocked on a full queue, which is what the cap exists to
+	// prevent.
+	slot *connSched
 }
 
 func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
@@ -486,9 +499,9 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 			continue
 		}
 		key, _ := wire.RoutingUUID(req)
-		sched.run(key, func() {
+		sched.runHolding(key, func() {
 			defer cancel()
-			out <- respFrame{id: id, msg: s.handler.Handle(reqCtx, req)}
+			out <- respFrame{id: id, msg: s.handler.Handle(reqCtx, req), slot: sched}
 		})
 	}
 	// Unblock in-flight handlers, wait them out, then retire the write
@@ -507,6 +520,9 @@ func (s *Server) writePump(conn net.Conn, out chan respFrame, done chan struct{}
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	broken := false
 	for f := range out {
+		if f.slot != nil {
+			f.slot.free()
+		}
 		if broken {
 			continue
 		}
@@ -554,21 +570,30 @@ func (cs *connSched) tryAcquire() bool {
 	}
 }
 
-// run executes fn on a worker goroutine, after the previous request with
-// the same non-empty key completes. The caller must have acquired a slot.
-func (cs *connSched) run(key string, fn func()) {
-	cs.runReleasing(key, func(func()) { fn() })
+// free returns an in-flight slot claimed by tryAcquire.
+func (cs *connSched) free() { <-cs.sem }
+
+// runHolding executes fn on a worker goroutine, after the previous request
+// with the same non-empty key completes. The caller must have acquired a
+// slot, and the slot stays claimed when fn returns: fn hands it on with its
+// response (respFrame.slot) for the write pump to free.
+func (cs *connSched) runHolding(key string, fn func()) {
+	cs.start(key, true, func(func()) { fn() })
 }
 
-// runReleasing is run for workers that can retire their ordering-chain
-// link early: fn receives a release func that unblocks the next same-key
+// runReleasing is for workers that can retire their ordering-chain link
+// early: fn receives a release func that unblocks the next same-key
 // request before fn itself returns. Streamed queries use it — they must
 // order after same-stream writes that arrived first, but once their
 // iteration bounds are pinned, later same-stream requests have nothing to
 // wait for (a flow-controlled stream may otherwise park for as long as its
 // consumer feels like). release is idempotent and also runs when fn
-// returns.
+// returns, which is also when the in-flight slot is freed.
 func (cs *connSched) runReleasing(key string, fn func(release func())) {
+	cs.start(key, false, fn)
+}
+
+func (cs *connSched) start(key string, holdSlot bool, fn func(release func())) {
 	var prev, done chan struct{}
 	release := func() {}
 	if key != "" {
@@ -592,7 +617,9 @@ func (cs *connSched) runReleasing(key string, fn func(release func())) {
 	cs.wg.Add(1)
 	go func() {
 		defer cs.wg.Done()
-		defer func() { <-cs.sem }()
+		if !holdSlot {
+			defer cs.free()
+		}
 		defer release()
 		if prev != nil {
 			<-prev

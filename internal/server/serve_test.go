@@ -341,3 +341,46 @@ func TestTCPServerSurvivesGarbage(t *testing.T) {
 		t.Fatalf("server died after garbage connection: %v", err)
 	}
 }
+
+// probeConn is the write side of a connection: it reports each Write to the
+// test and swallows the bytes.
+type probeConn struct {
+	net.Conn
+	onWrite func()
+}
+
+func (c *probeConn) Write(p []byte) (int, error) {
+	c.onWrite()
+	return len(p), nil
+}
+
+// TestUnarySlotFreeBeforeResponseWritten pins the order that keeps a client
+// with a full window (client.DefaultWindow == DefaultMaxConnInFlight) from
+// being refused: by the time a unary response's first byte reaches the
+// connection, its request no longer holds an in-flight slot — and until the
+// write pump takes the response off the queue, it still does, so a client
+// that does not read cannot run the server past its cap.
+func TestUnarySlotFreeBeforeResponseWritten(t *testing.T) {
+	srv := NewServer(nil, func(string, ...any) {})
+	cs := newConnSched(1)
+	if !cs.tryAcquire() {
+		t.Fatal("fresh scheduler has no slot")
+	}
+	out := make(chan respFrame, 1)
+	cs.runHolding("", func() {
+		out <- respFrame{id: 1, msg: &wire.OK{}, slot: cs}
+	})
+	cs.wait()
+	if cs.tryAcquire() {
+		t.Fatal("slot free while the response is still queued: a client that never reads could exceed the cap")
+	}
+	heldAtWrite := -1
+	conn := &probeConn{onWrite: func() { heldAtWrite = len(cs.sem) }}
+	done := make(chan struct{})
+	go srv.writePump(conn, out, done)
+	close(out)
+	<-done
+	if heldAtWrite != 0 {
+		t.Fatalf("%d slot(s) held when the response reached the connection, want 0", heldAtWrite)
+	}
+}
