@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/kv"
+	"repro/internal/kv/durable"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
@@ -55,8 +56,10 @@ func hotPoints(i uint64) []chunk.Point {
 }
 
 // hotQueryTree is a fanout-64 tree of 400 chunks with every node cached;
-// Query(hotQueryLo, hotQueryHi) decomposes into 130 of them (leaves 1..63,
-// level-1 nodes 1..4, leaves 320..382), about what a random StatRange reads.
+// Query(hotQueryLo, hotQueryHi) decomposes into 66 of them (leaves 33..63,
+// level-1 nodes 1..4, leaves 320..350) — runs of 31 siblings, the longest
+// that are not shorter read as their parent minus the rest — about what a
+// random StatRange reads on two levels.
 func hotQueryTree(tb testing.TB) *index.Tree {
 	tb.Helper()
 	tree, err := index.Open(kv.NewMemStore(), "hot", index.Config{VectorLen: hotVecLen})
@@ -71,11 +74,17 @@ func hotQueryTree(tb testing.TB) *index.Tree {
 	return tree
 }
 
-const hotQueryLo, hotQueryHi = 1, 383
+const hotQueryLo, hotQueryHi = 33, 351
 
 func hotEngine(tb testing.TB, spec chunk.DigestSpec) *server.Engine {
 	tb.Helper()
-	engine, err := server.New(kv.NewMemStore(), server.Config{})
+	return hotEngineOn(tb, kv.NewMemStore(), spec)
+}
+
+// hotEngineOn is an engine over store holding the empty stream "hot".
+func hotEngineOn(tb testing.TB, store kv.Store, spec chunk.DigestSpec) *server.Engine {
+	tb.Helper()
+	engine, err := server.New(store, server.Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -86,6 +95,22 @@ func hotEngine(tb testing.TB, spec chunk.DigestSpec) *server.Engine {
 		tb.Fatal(err)
 	}
 	return engine
+}
+
+// hotBlobs seals chunks [from, from+n) of the "hot" stream, uncompressed.
+func hotBlobs(tb testing.TB, enc *core.Encryptor, spec chunk.DigestSpec, from, n uint64) [][]byte {
+	tb.Helper()
+	blobs := make([][]byte, n)
+	for j := range blobs {
+		pos := from + uint64(j)
+		start := int64(pos) * 100
+		sealed, err := chunk.Seal(enc, spec, chunk.CompressionNone, pos, start, start+100, hotPoints(pos))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		blobs[j] = chunk.MarshalSealed(sealed)
+	}
+	return blobs
 }
 
 // TestHotPathAllocBudgets pins per-layer allocations/op. The core keystream
@@ -130,9 +155,13 @@ func TestHotPathAllocBudgets(t *testing.T) {
 			}
 			pos++
 		}
-		// With the collector off the pooled deflater stays pooled, so the
-		// figures are the steady state and not a matter of GC timing.
+		// With the collector off and one P the pooled deflater stays
+		// pooled, so the figures are the steady state and not a matter of
+		// GC timing or of which P's pool the goroutine wakes up on (a
+		// second P's first seal builds its own 776 KB deflater: 1 run in
+		// 25 at two Ps).
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		if allocs := testing.AllocsPerRun(500, seal); allocs > 6 {
 			t.Errorf("zlib seal: %.1f allocs/chunk, want <= 6", allocs)
 		}
@@ -147,6 +176,41 @@ func TestHotPathAllocBudgets(t *testing.T) {
 			t.Errorf("zlib seal: %d B/chunk, want <= 1700", perOp)
 		}
 	})
+	// One client batch as the engine sees it: 16 chunks, one store batch.
+	// The per-node write path before it measured 249 allocs and 30,273 B
+	// here; staging in a pooled buffer measures 213 and 24,287. Grouping
+	// the writes must not be bought with garbage.
+	t.Run("engine-insert-batch", func(t *testing.T) {
+		spec := hotSpec(t)
+		engine := hotEngine(t, spec)
+		const batch, runs = 16, 200
+		blobs := hotBlobs(t, hotEncryptor(t), spec, 0, batch*(runs+2))
+		next := 0
+		insert := func() {
+			for _, err := range engine.InsertChunkBatch("hot", blobs[next:next+batch]) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			next += batch
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1)) // keep the stage pooled
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		insert()
+		if allocs := testing.AllocsPerRun(runs/2-1, insert); allocs > 215 {
+			t.Errorf("16-chunk InsertChunkBatch: %.1f allocs, want <= 215", allocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := next
+		for next+batch <= len(blobs) {
+			insert()
+		}
+		runtime.ReadMemStats(&after)
+		if perOp := (after.TotalAlloc - before.TotalAlloc) / uint64((next-start)/batch); perOp > 26000 {
+			t.Errorf("16-chunk InsertChunkBatch: %d B, want <= 26000", perOp)
+		}
+	})
 	t.Run("index-query-hit", func(t *testing.T) {
 		tree := hotQueryTree(t)
 		// The result vector and the closure over it are all a hit-only
@@ -157,7 +221,7 @@ func TestHotPathAllocBudgets(t *testing.T) {
 			}
 		})
 		if allocs > 2 {
-			t.Errorf("cached 130-node Query: %.1f allocs, want <= 2", allocs)
+			t.Errorf("cached 66-node Query: %.1f allocs, want <= 2", allocs)
 		}
 	})
 	t.Run("wire-write", func(t *testing.T) {
@@ -357,6 +421,18 @@ func BenchmarkHotPath(b *testing.B) {
 		}
 	})
 
+	// One client batch (16 chunks) through the engine: the store sees one
+	// batch, a durable store writes one WAL record.
+	b.Run("insert-batch/mem", func(b *testing.B) { benchInsertBatch(b, kv.NewMemStore(), nil) })
+	b.Run("insert-batch/durable-nosync", func(b *testing.B) {
+		st, err := durable.Open(b.TempDir(), durable.Options{Sync: durable.SyncNever})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer st.Close()
+		benchInsertBatch(b, st, func() uint64 { return st.Stats().Records })
+	})
+
 	b.Run("engine-ingest-batch64", func(b *testing.B) {
 		spec := hotSpec(b)
 		engine := hotEngine(b, spec)
@@ -382,6 +458,33 @@ func BenchmarkHotPath(b *testing.B) {
 			}
 		}
 	})
+}
+
+// benchInsertBatch times the engine's 16-chunk InsertChunkBatch — one
+// client batch — over store, sealing outside the timer. records, when set,
+// reads the store's WAL record counter: one per batch.
+func benchInsertBatch(b *testing.B, store kv.Store, records func() uint64) {
+	spec := hotSpec(b)
+	engine := hotEngineOn(b, store, spec)
+	const batch = 16
+	blobs := hotBlobs(b, hotEncryptor(b), spec, 0, uint64(b.N)*batch)
+	var before uint64
+	if records != nil {
+		before = records()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, err := range engine.InsertChunkBatch("hot", blobs[i*batch:(i+1)*batch]) {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	if records != nil {
+		b.ReportMetric(float64(records()-before)/float64(b.N), "wal-records/batch")
+	}
 }
 
 func benchPRG(kind core.PRGKind) func(*testing.B) {

@@ -408,9 +408,17 @@ func runPartitionWindow(t *testing.T, quorum bool) (ackedCut, lost []uint64) {
 		}
 	}
 
-	// The majority side elects b while the old leader is still cut off.
-	if ack, ok := b.node.Handle(ctx, &wire.Promote{
-		Epoch: 2, Leader: b.addr, Members: []string{a.addr, b.addr, c.addr},
+	// The majority side elects a new leader while the old one is still cut
+	// off. A quorum of 3 is the leader plus EITHER follower, so only one of
+	// b and c is sure to hold every acknowledged chunk: the more advanced
+	// one is promoted, as the router's fence-then-promote would have it.
+	next := b
+	_, _, wmB := b.node.Status()
+	if _, _, wmC := c.node.Status(); wmC > wmB {
+		next = c
+	}
+	if ack, ok := next.node.Handle(ctx, &wire.Promote{
+		Epoch: 2, Leader: next.addr, Members: []string{a.addr, b.addr, c.addr},
 	}).(*wire.ReplAck); !ok || ack.Epoch != 2 {
 		t.Fatalf("Promote -> %#v", ack)
 	}
@@ -419,10 +427,10 @@ func runPartitionWindow(t *testing.T, quorum bool) (ackedCut, lost []uint64) {
 	waitUntil(t, "ex-leader rejoined after heal", func() bool {
 		role, epoch, _ := a.node.Status()
 		return role == wire.ReplFollower && epoch >= 2 &&
-			bytes.Equal(statB(t, a.node, "s", 800), statB(t, b.node, "s", 800))
+			bytes.Equal(statB(t, a.node, "s", 800), statB(t, next.node, "s", 800))
 	})
 
-	info, ok := b.node.Handle(ctx, &wire.StreamInfo{UUID: "s"}).(*wire.StreamInfoResp)
+	info, ok := next.node.Handle(ctx, &wire.StreamInfo{UUID: "s"}).(*wire.StreamInfoResp)
 	if !ok {
 		t.Fatalf("StreamInfo on the new leader failed")
 	}
@@ -450,7 +458,7 @@ func runPartitionWindow(t *testing.T, quorum bool) (ackedCut, lost []uint64) {
 			t.Fatalf("control InsertChunk(%d) -> %#v", i, resp)
 		}
 	}
-	if quorum && !bytes.Equal(statB(t, b.node, "s", 800), statB(t, control, "s", 800)) {
+	if quorum && !bytes.Equal(statB(t, next.node, "s", 800), statB(t, control, "s", 800)) {
 		t.Error("healed quorum group differs from the never-partitioned control")
 	}
 	return ackedCut, lost

@@ -120,7 +120,11 @@ func (c *lruCache) get(key uint64) ([]uint64, bool) {
 		return nil, false
 	}
 	c.hits++
-	c.levels[keyLevel(key)].moveToFront(ent)
+	if c.budget > 0 {
+		// An unbounded cache never evicts: it keeps no recency order, and
+		// a hit writes to no entry but the counters.
+		c.levels[keyLevel(key)].moveToFront(ent)
+	}
 	return ent.vec, true
 }
 

@@ -127,14 +127,6 @@ func (t *Tree) nodeKey(level int, idx uint64) string {
 	return string(b)
 }
 
-func encodeVec(vec []uint64) []byte {
-	buf := make([]byte, 8*len(vec))
-	for i, v := range vec {
-		binary.BigEndian.PutUint64(buf[i*8:], v)
-	}
-	return buf
-}
-
 func decodeVec(data []byte, want int) ([]uint64, error) {
 	if len(data) != 8*want {
 		return nil, fmt.Errorf("index: node has %d bytes, want %d", len(data), 8*want)
@@ -165,13 +157,43 @@ func (t *Tree) loadNode(level int, idx uint64) ([]uint64, error) {
 	return vec, nil
 }
 
-// storeNode write-through caches and persists a node.
-func (t *Tree) storeNode(level int, idx uint64, vec []uint64) error {
-	if err := t.store.Put(t.nodeKey(level, idx), encodeVec(vec)); err != nil {
-		return err
+// stage is the scratch one append builds its store batch in: the ops, the
+// encoded node values the ops point into, and the decoded vectors the cache
+// takes once the batch is in the store. Stages are pooled per process — an
+// open stream owns none — and an op's Value is only valid until release.
+type stage struct {
+	ops   []kv.Op
+	buf   []byte
+	nodes []stagedNode
+	idxs  []uint64
+	delta []uint64
+}
+
+type stagedNode struct {
+	key uint64 // cache key
+	vec []uint64
+}
+
+var stagePool = sync.Pool{New: func() any { return new(stage) }}
+
+// put stages the write of one node: a store op now, a cache entry once the
+// batch has committed.
+func (st *stage) put(t *Tree, level int, idx uint64, vec []uint64) {
+	off := len(st.buf)
+	for _, v := range vec {
+		st.buf = binary.BigEndian.AppendUint64(st.buf, v)
 	}
-	t.cache.put(cacheKey(level, idx), vec)
-	return nil
+	st.ops = append(st.ops, kv.Op{Kind: kv.OpPut, Key: t.nodeKey(level, idx), Value: st.buf[off:len(st.buf):len(st.buf)]})
+	st.nodes = append(st.nodes, stagedNode{cacheKey(level, idx), vec})
+}
+
+// release returns the stage to the pool without the keys, values and
+// vectors it pointed at.
+func (st *stage) release() {
+	clear(st.ops)
+	clear(st.nodes)
+	st.ops, st.nodes, st.buf = st.ops[:0], st.nodes[:0], st.buf[:0]
+	stagePool.Put(st)
 }
 
 // checkAppend validates that the next n digests go at pos and that their
@@ -186,70 +208,35 @@ func (t *Tree) checkAppend(pos, n uint64) error {
 	return nil
 }
 
-// Append ingests the encrypted digest for the next chunk position. pos must
-// equal Count() (in-order, append-only, as the paper assumes); digest must
-// have the configured vector length. The leaf is stored and every ancestor
-// on the root path is updated with one homomorphic addition each.
+// Append ingests the encrypted digest for the next chunk position: an
+// AppendBatch of one.
 func (t *Tree) Append(pos uint64, digest []uint64) error {
-	if len(digest) != t.cfg.VectorLen {
-		return fmt.Errorf("index: digest has %d elements, want %d", len(digest), t.cfg.VectorLen)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.checkAppend(pos, 1); err != nil {
-		return err
-	}
-	leaf := append([]uint64(nil), digest...)
-	if err := t.storeNode(0, pos, leaf); err != nil {
-		return err
-	}
-	k := uint64(t.cfg.Fanout)
-	idx := pos
-	for level := 1; level <= t.cfg.MaxLevels; level++ {
-		idx /= k
-		cur, err := t.loadNode(level, idx)
-		var next []uint64
-		switch {
-		case err == nil:
-			next = append([]uint64(nil), cur...)
-			for e := range next {
-				next[e] += digest[e]
-			}
-		case errors.Is(err, kv.ErrNotFound):
-			// A fresh ancestor's value is exactly the digest, which the
-			// leaf slice already holds. Nodes are copy-on-write (updates
-			// always store a fresh slice), so the cache may safely hold
-			// one slice under several keys; this saves a copy per fresh
-			// level on the first append into each subtree.
-			next = leaf
-		default:
-			return err
-		}
-		if err := t.storeNode(level, idx, next); err != nil {
-			return err
-		}
-	}
-	t.count = pos + 1
-	var meta [8]byte
-	binary.BigEndian.PutUint64(meta[:], t.count)
-	return t.store.Put(t.metaKey(), meta[:])
+	return t.AppendBatchWith(pos, [][]uint64{digest}, nil)
 }
 
 // AppendBatch ingests the encrypted digests for the next len(digests)
-// chunk positions in one locked pass. pos must equal Count().
+// chunk positions. pos must equal Count() (in-order, append-only, as the
+// paper assumes); every digest must have the configured vector length.
+func (t *Tree) AppendBatch(pos uint64, digests [][]uint64) error {
+	return t.AppendBatchWith(pos, digests, nil)
+}
+
+// AppendBatchWith is AppendBatch with the caller's own ops (the engine's
+// chunk puts and staged-record deletes) committed in the same store batch
+// as the leaves, the ancestors and the meta key: one store.Batch call per
+// append, whatever its size — on a durable store one WAL record, recovered
+// all or nothing. The cache and Count() advance only after that call
+// returned nil, so a failed append leaves the store and the tree exactly
+// as they were.
 //
-// Where N sequential Appends perform N·MaxLevels ancestor read-modify-write
-// cycles and N meta writes, a batch folds every digest that lands in the
-// same ancestor into one delta first, so each touched ancestor is written
-// once (≈ N/k per level) and the meta key once per batch. The resulting
-// node bytes are identical to N sequential Appends — modular addition is
+// Every digest that lands in the same ancestor is folded into one delta
+// first, so each touched ancestor is read and staged once (≈ N/k per level)
+// and nothing staged is read back inside one call. The resulting node bytes
+// are identical to N appends of one digest — modular addition is
 // associative — which TestHotPathGoldenParity pins against golden store
 // dumps.
-func (t *Tree) AppendBatch(pos uint64, digests [][]uint64) error {
+func (t *Tree) AppendBatchWith(pos uint64, digests [][]uint64, extra []kv.Op) error {
 	n := uint64(len(digests))
-	if n == 0 {
-		return nil
-	}
 	for i, digest := range digests {
 		if len(digest) != t.cfg.VectorLen {
 			return fmt.Errorf("index: digest %d has %d elements, want %d", i, len(digest), t.cfg.VectorLen)
@@ -257,24 +244,30 @@ func (t *Tree) AppendBatch(pos uint64, digests [][]uint64) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if n == 0 {
+		return t.store.Batch(extra) // nothing to index: the caller's ops alone
+	}
 	if err := t.checkAppend(pos, n); err != nil {
 		return err
 	}
+	st := stagePool.Get().(*stage)
+	defer st.release()
+	st.ops = append(st.ops, extra...)
 	for i, digest := range digests {
-		leaf := append([]uint64(nil), digest...)
-		if err := t.storeNode(0, pos+uint64(i), leaf); err != nil {
-			return err
-		}
+		st.put(t, 0, pos+uint64(i), append([]uint64(nil), digest...))
 	}
 	k := uint64(t.cfg.Fanout)
 	// idxs[i] tracks digest i's node index at the current level; dividing
-	// per level (like Append's idx /= k) sidesteps k^level overflow for
-	// tall configured trees.
-	idxs := make([]uint64, n)
-	for i := range idxs {
-		idxs[i] = pos + uint64(i)
+	// per level sidesteps k^level overflow for tall configured trees.
+	idxs := st.idxs[:0]
+	for i := uint64(0); i < n; i++ {
+		idxs = append(idxs, pos+i)
 	}
-	delta := make([]uint64, t.cfg.VectorLen)
+	st.idxs = idxs
+	if cap(st.delta) < t.cfg.VectorLen {
+		st.delta = make([]uint64, t.cfg.VectorLen)
+	}
+	delta := st.delta[:t.cfg.VectorLen]
 	for level := 1; level <= t.cfg.MaxLevels; level++ {
 		for i := range idxs {
 			idxs[i] /= k
@@ -286,7 +279,8 @@ func (t *Tree) AppendBatch(pos uint64, digests [][]uint64) error {
 			}
 			// Fold digests [i, j) — the run landing in node idxs[i] —
 			// into one delta, then apply it with a single
-			// read-modify-write.
+			// read-modify-write. Nodes are copy-on-write: the cache never
+			// sees a vector change under a concurrent Query.
 			copy(delta, digests[i])
 			for x := i + 1; x < j; x++ {
 				d := digests[x]
@@ -307,21 +301,29 @@ func (t *Tree) AppendBatch(pos uint64, digests [][]uint64) error {
 			default:
 				return err
 			}
-			if err := t.storeNode(level, idxs[i], next); err != nil {
-				return err
-			}
+			st.put(t, level, idxs[i], next)
 			i = j
 		}
 	}
+	off := len(st.buf)
+	st.buf = binary.BigEndian.AppendUint64(st.buf, pos+n)
+	st.ops = append(st.ops, kv.Op{Kind: kv.OpPut, Key: t.metaKey(), Value: st.buf[off:]})
+	if err := t.store.Batch(st.ops); err != nil {
+		return err
+	}
+	for _, nd := range st.nodes {
+		t.cache.put(nd.key, nd.vec)
+	}
 	t.count = pos + n
-	var meta [8]byte
-	binary.BigEndian.PutUint64(meta[:], t.count)
-	return t.store.Put(t.metaKey(), meta[:])
+	return nil
 }
 
 // Query returns the homomorphic aggregate over chunk positions [a, b). It
 // decomposes the range into maximal aligned nodes — the paper's
-// O(2(k−1)·log_k n) worst case — touching as few nodes as possible.
+// O(2(k−1)·log_k n) worst case — and reads each level's partial run of
+// siblings whichever way touches fewer nodes: the run itself, or its parent
+// minus the siblings outside the run (digests add modulo 2^64, so they
+// subtract exactly). That halves the worst case to k+1 nodes per level.
 func (t *Tree) Query(a, b uint64) ([]uint64, error) {
 	t.mu.RLock()
 	count := t.count
@@ -332,52 +334,89 @@ func (t *Tree) Query(a, b uint64) ([]uint64, error) {
 	if b > count {
 		return nil, fmt.Errorf("index: query range [%d,%d) beyond ingested data (%d chunks)", a, b, count)
 	}
-	agg := make([]uint64, t.cfg.VectorLen)
+	v := t.cfg.VectorLen
+	buf := make([]uint64, 2*v)
+	agg, scratch := buf[:v:v], buf[v:]
 	k := uint64(t.cfg.Fanout)
-	level := 0
-	addNode := func(level int, idx uint64) error {
-		vec, err := t.loadNode(level, idx)
-		if err != nil {
-			return fmt.Errorf("index: node (%d,%d): %w", level, idx, err)
+	// full is the number of nodes of the current level whose whole span is
+	// below count. Appends only ever touch nodes past that, so everything
+	// read here is immutable: the decomposition selects only nodes inside
+	// [a, b) ⊆ [0, count), and a parent is subtracted from only when it is
+	// itself full (then so are all its children).
+	full := count
+	// addRun adds the sibling nodes [x, y) of one level.
+	addRun := func(level int, x, y uint64) error {
+		if level < t.cfg.MaxLevels && x/k < full/k && k-(y-x)+1 < y-x && t.aroundRun(scratch, level, x, y) {
+			for e := range agg {
+				agg[e] += scratch[e]
+			}
+			return nil
 		}
-		for e := range agg {
-			agg[e] += vec[e]
+		for i := x; i < y; i++ {
+			vec, err := t.loadNode(level, i)
+			if err != nil {
+				return fmt.Errorf("index: node (%d,%d): %w", level, i, err)
+			}
+			for e := range agg {
+				agg[e] += vec[e]
+			}
 		}
 		return nil
 	}
-	// The decomposition only ever selects nodes whose span lies fully
-	// inside [a, b) ⊆ [0, count), so partially-filled trailing nodes are
-	// never read: every selected node holds the complete sum of its span.
-	for a < b {
-		for a%k != 0 && a < b {
-			if err := addNode(level, a); err != nil {
+	for level := 0; a < b; level++ {
+		if level == t.cfg.MaxLevels || a/k == (b-1)/k {
+			// The top level, or one parent's children: one last run.
+			if err := addRun(level, a, b); err != nil {
 				return nil, err
 			}
-			a++
+			break
 		}
-		for b%k != 0 && a < b {
-			b--
-			if err := addNode(level, b); err != nil {
+		if a%k != 0 {
+			end := (a/k + 1) * k
+			if err := addRun(level, a, end); err != nil {
 				return nil, err
 			}
+			a = end
 		}
-		if a >= b {
-			break
-		}
-		if level == t.cfg.MaxLevels {
-			// Cannot climb further; sweep remaining nodes here.
-			for ; a < b; a++ {
-				if err := addNode(level, a); err != nil {
-					return nil, err
-				}
+		if b%k != 0 {
+			start := b / k * k
+			if err := addRun(level, start, b); err != nil {
+				return nil, err
 			}
-			break
+			b = start
 		}
 		a /= k
 		b /= k
-		level++
+		full /= k
 	}
 	return agg, nil
+}
+
+// aroundRun computes the sum of the sibling nodes [x, y) of one level into
+// dst as their parent minus the siblings outside the run. It reports false
+// when a node it needs is missing (a rollup pruned it), leaving the caller
+// to read the run itself.
+func (t *Tree) aroundRun(dst []uint64, level int, x, y uint64) bool {
+	k := uint64(t.cfg.Fanout)
+	p := x / k
+	vec, err := t.loadNode(level+1, p)
+	if err != nil {
+		return false
+	}
+	copy(dst, vec)
+	for i := p * k; i < (p+1)*k; i++ {
+		if i == x {
+			i = y - 1 // skip the run
+			continue
+		}
+		if vec, err = t.loadNode(level, i); err != nil {
+			return false
+		}
+		for e := range dst {
+			dst[e] -= vec[e]
+		}
+	}
+	return true
 }
 
 // QueryWindows aggregates [a, b) into consecutive windows of f chunks and
@@ -408,6 +447,13 @@ func (t *Tree) QueryWindows(a, b, f uint64) ([][]uint64, error) {
 // in the pruned range is gone. a and b should be aligned to k^level or the
 // adjacent partially-covered nodes are preserved.
 func (t *Tree) Prune(level int, a, b uint64) error {
+	return t.PruneWith(level, a, b, nil)
+}
+
+// PruneWith is Prune with the caller's own ops (a rollup's chunk deletes)
+// committed in the same store batch as the node deletes; the cache drops
+// the nodes only after that batch returned nil.
+func (t *Tree) PruneWith(level int, a, b uint64, extra []kv.Op) error {
 	if level < 1 || level > t.cfg.MaxLevels {
 		return fmt.Errorf("index: prune level %d out of range [1,%d]", level, t.cfg.MaxLevels)
 	}
@@ -416,18 +462,25 @@ func (t *Tree) Prune(level int, a, b uint64) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	span := uint64(1)
-	k := uint64(t.cfg.Fanout)
-	for l := 0; l < level; l++ {
-		lo, hi := a/span, b/span // node index range at level l
-		for idx := lo; idx*span < b && idx < hi; idx++ {
-			if err := t.store.Delete(t.nodeKey(l, idx)); err != nil {
-				return err
+	// pruned visits every node the prune removes.
+	pruned := func(visit func(l int, idx uint64)) {
+		span := uint64(1)
+		for l := 0; l < level; l++ {
+			lo, hi := a/span, b/span // node index range at level l
+			for idx := lo; idx*span < b && idx < hi; idx++ {
+				visit(l, idx)
 			}
-			t.cache.remove(cacheKey(l, idx))
+			span *= uint64(t.cfg.Fanout)
 		}
-		span *= k
 	}
+	ops := extra
+	pruned(func(l int, idx uint64) {
+		ops = append(ops, kv.Op{Kind: kv.OpDelete, Key: t.nodeKey(l, idx)})
+	})
+	if err := t.store.Batch(ops); err != nil {
+		return err
+	}
+	pruned(func(l int, idx uint64) { t.cache.remove(cacheKey(l, idx)) })
 	return nil
 }
 

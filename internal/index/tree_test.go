@@ -2,6 +2,7 @@ package index
 
 import (
 	"encoding/binary"
+	"errors"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -422,8 +423,8 @@ func TestCacheBudgetEquivalence(t *testing.T) {
 
 // A query whose nodes are all cached must not allocate per node: no key
 // string, no boxed entry. At fanout 64, [1, 383) decomposes into leaves
-// 1..63, level-1 nodes 1..4 and leaves 320..382 — 130 nodes — and [0, 2)
-// into two; both cost the same few allocations (the result vector and the
+// 33..63, level-1 nodes 1..4 and leaves 320..350 — 66 nodes, neither run
+// shorter by way of its parent — and [0, 2) into two; both cost the same few allocations (the result vector and the
 // closure over it).
 func TestQueryHitAllocsIndependentOfNodes(t *testing.T) {
 	tree, _ := newTestTree(t, Config{VectorLen: 19})
@@ -440,12 +441,12 @@ func TestQueryHitAllocsIndependentOfNodes(t *testing.T) {
 		})
 	}
 	_, missesBefore, _, _ := tree.CacheStats()
-	small, large := allocs(0, 2), allocs(1, 383)
+	small, large := allocs(0, 2), allocs(33, 351)
 	if _, misses, _, _ := tree.CacheStats(); misses != missesBefore {
 		t.Fatalf("%d cache misses: the test needs every node resident", misses-missesBefore)
 	}
 	if small != large || small > 3 {
-		t.Errorf("Query allocates %.0f times over 2 nodes and %.0f over 130: want the same small constant", small, large)
+		t.Errorf("Query allocates %.0f times over 2 nodes and %.0f over 66: want the same small constant", small, large)
 	}
 }
 
@@ -585,5 +586,186 @@ func TestAppendBatchValidation(t *testing.T) {
 	}
 	if tree.Count() != 2 {
 		t.Fatalf("Count = %d, want 2", tree.Count())
+	}
+}
+
+// testStore counts the write calls it sees and refuses them while down.
+type testStore struct {
+	kv.Store
+	down             bool
+	batches, singles int
+}
+
+var errStoreDown = errors.New("store down")
+
+func (f *testStore) Put(key string, value []byte) error {
+	f.singles++
+	if f.down {
+		return errStoreDown
+	}
+	return f.Store.Put(key, value)
+}
+
+func (f *testStore) Delete(key string) error {
+	f.singles++
+	if f.down {
+		return errStoreDown
+	}
+	return f.Store.Delete(key)
+}
+
+func (f *testStore) Batch(ops []kv.Op) error {
+	f.batches++
+	if f.down {
+		return errStoreDown
+	}
+	return f.Store.Batch(ops)
+}
+
+// TestFailedAppendLeavesTreeUntouched: an append is one store batch, and
+// when the store refuses it the tree is exactly as before the call — same
+// Count, same cache, same answers — so the retry folds every digest once.
+func TestFailedAppendLeavesTreeUntouched(t *testing.T) {
+	mem := kv.NewMemStore()
+	store := &testStore{Store: mem}
+	tree, err := Open(store, "s1", Config{Fanout: 4, VectorLen: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 21; i++ {
+		if err := tree.Append(i, []uint64{i + 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := tree.Query(0, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, usedBefore, entriesBefore := tree.CacheStats()
+	keysBefore, putsBefore := mem.Len(), mem.Stats().Puts
+
+	store.down = true
+	batch := [][]uint64{{22}, {23}, {24}, {25}, {26}}
+	extra := []kv.Op{{Kind: kv.OpPut, Key: "c/s1/15", Value: []byte("chunk")}}
+	if err := tree.AppendBatchWith(21, batch, extra); !errors.Is(err, errStoreDown) {
+		t.Fatalf("append on a refusing store: %v", err)
+	}
+	if err := tree.Append(21, []uint64{22}); !errors.Is(err, errStoreDown) {
+		t.Fatalf("single append on a refusing store: %v", err)
+	}
+	if err := tree.Prune(1, 0, 4); !errors.Is(err, errStoreDown) {
+		t.Fatalf("prune on a refusing store: %v", err)
+	}
+	if got := tree.Count(); got != 21 {
+		t.Fatalf("Count = %d after failed appends, want 21", got)
+	}
+	if _, _, used, entries := tree.CacheStats(); used != usedBefore || entries != entriesBefore {
+		t.Fatalf("cache holds %d entries / %d B after failed appends, had %d / %d", entries, used, entriesBefore, usedBefore)
+	}
+	if mem.Len() != keysBefore || mem.Stats().Puts != putsBefore {
+		t.Fatalf("a refused append reached the store")
+	}
+	after, err := tree.Query(0, 21)
+	if err != nil || after[0] != before[0] {
+		t.Fatalf("Query after failed appends = %v, %v; want %v", after, err, before)
+	}
+	if _, err := tree.Query(0, 22); err == nil {
+		t.Fatal("a failed append became queryable")
+	}
+
+	// The retry lands as if nothing had happened: one batch, every ancestor
+	// folded once.
+	store.down = false
+	if err := tree.AppendBatchWith(21, batch, extra); err != nil {
+		t.Fatal(err)
+	}
+	control, _ := newTestTree(t, Config{Fanout: 4, VectorLen: 1})
+	fill(t, control, 26)
+	for _, r := range [][2]uint64{{0, 26}, {3, 25}, {16, 26}, {21, 26}} {
+		got, err := tree.Query(r[0], r[1])
+		want, _ := control.Query(r[0], r[1])
+		if err != nil || got[0] != want[0] {
+			t.Fatalf("Query(%d,%d) after the retry = %v, %v; want %v", r[0], r[1], got, err, want)
+		}
+	}
+	if v, err := mem.Get("c/s1/15"); err != nil || string(v) != "chunk" {
+		t.Fatalf("the caller's op did not ride in the batch: %q, %v", v, err)
+	}
+}
+
+// TestAppendIsOneStoreCall pins the grouping: however many nodes an append
+// touches, the store sees one Batch.
+func TestAppendIsOneStoreCall(t *testing.T) {
+	calls := &testStore{Store: kv.NewMemStore()}
+	tree, err := Open(calls, "s1", Config{Fanout: 4, VectorLen: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Append(0, []uint64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.AppendBatch(1, [][]uint64{{2}, {3}, {4}, {5}, {6}, {7}, {8}, {9}, {10}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Prune(1, 0, 8); err != nil {
+		t.Fatal(err)
+	}
+	if calls.batches != 3 || calls.singles != 0 {
+		t.Fatalf("2 appends and a prune made %d Batch and %d Put/Delete calls, want 3 and 0", calls.batches, calls.singles)
+	}
+}
+
+// TestQueryReadsTheShorterSide: a run of siblings is read directly or as
+// its parent minus the rest, whichever touches fewer nodes, with the same
+// answer either way.
+func TestQueryReadsTheShorterSide(t *testing.T) {
+	tree, _ := newTestTree(t, Config{Fanout: 64, VectorLen: 1})
+	fill(t, tree, 200)
+	reads := func(a, b uint64) uint64 {
+		t.Helper()
+		h0, m0, _, _ := tree.CacheStats()
+		got, err := tree.Query(a, b)
+		if err != nil || got[0] != rangeSum(a, b) {
+			t.Fatalf("Query(%d,%d) = %v, %v; want %d", a, b, got, err, rangeSum(a, b))
+		}
+		h1, m1, _, _ := tree.CacheStats()
+		return h1 + m1 - h0 - m0
+	}
+	for _, c := range []struct{ a, b, nodes uint64 }{
+		{1, 64, 2},     // node (1,0) minus leaf 0, not 63 leaves
+		{0, 63, 2},     // node (1,0) minus leaf 63
+		{3, 60, 8},     // node (1,0) minus leaves 0..2 and 60..63
+		{40, 64, 24},   // 24 leaves: the other side would be 41 nodes
+		{1, 130, 5},    // (1,0)-leaf 0, node (1,1), leaves 128 and 129
+		{129, 200, 10}, // (1,2)-leaf 128; node (1,3) is still filling: its 8 leaves, never it
+		{64, 192, 2},   // nodes (1,1) and (1,2): node (2,0) is still filling
+	} {
+		if got := reads(c.a, c.b); got != c.nodes {
+			t.Errorf("Query(%d,%d) read %d nodes, want %d", c.a, c.b, got, c.nodes)
+		}
+	}
+}
+
+// TestQueryBesidePrunedNodes: when the siblings outside a run are gone (a
+// rollup that was not aligned to the fanout), the run is read directly.
+func TestQueryBesidePrunedNodes(t *testing.T) {
+	tree, _ := newTestTree(t, Config{Fanout: 4, VectorLen: 1})
+	fill(t, tree, 32)
+	if err := tree.Prune(1, 4, 5); err != nil { // removes leaf 4 only
+		t.Fatal(err)
+	}
+	got, err := tree.Query(5, 8) // node (1,1) minus leaf 4 would be shorter
+	if err != nil || got[0] != rangeSum(5, 8) {
+		t.Fatalf("Query(5,8) beside a pruned leaf = %v, %v; want %d", got, err, rangeSum(5, 8))
+	}
+	if _, err := tree.Query(4, 8); err != nil {
+		t.Fatalf("Query(4,8) is node (1,1) and needs no leaf: %v", err)
+	}
+	// Leaf 4 itself is gone, but node (1,1) still counts it.
+	if got, err := tree.Query(4, 7); err == nil && got[0] != rangeSum(4, 7) {
+		t.Fatalf("Query(4,7) = %v, want %d or an error", got, rangeSum(4, 7))
+	}
+	if _, err := tree.Query(4, 5); err == nil {
+		t.Fatal("Query(4,5) answered without leaf 4")
 	}
 }

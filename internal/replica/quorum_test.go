@@ -267,27 +267,45 @@ func TestDeposedMinorityLeaderResyncsAndDiscardsTail(t *testing.T) {
 		t.Fatal("minority leader acked a write without a quorum")
 	}
 
-	// Majority-side failover: b takes the lease with the full membership.
-	ack, ok := b.node.Handle(ctx, &wire.Promote{
-		Epoch: 2, Leader: b.addr, Members: []string{a.addr, b.addr, c.addr},
+	// Majority-side failover. A quorum of 3 is the leader plus EITHER
+	// follower, so only one of b and c is sure to hold the acked prefix:
+	// the more advanced one takes the lease with the full membership, as
+	// the router's fence-then-promote would have it.
+	next, other := b, c
+	_, _, wmB := b.node.Status()
+	if _, _, wmC := c.node.Status(); wmC > wmB {
+		next, other = c, b
+	}
+	ack, ok := next.node.Handle(ctx, &wire.Promote{
+		Epoch: 2, Leader: next.addr, Members: []string{a.addr, b.addr, c.addr},
 	}).(*wire.ReplAck)
 	if !ok || ack.Epoch != 2 {
 		t.Fatalf("Promote -> %#v", ack)
 	}
 	// The new leader writes its OWN chunk 3 (value 99): after the heal
 	// exactly one of the two competing histories may survive.
-	if resp := b.node.Handle(ctx, &wire.InsertChunk{UUID: "s", Chunk: sealChunkVal(t, 3, 99)}); !isOK(resp) {
+	if resp := next.node.Handle(ctx, &wire.InsertChunk{UUID: "s", Chunk: sealChunkVal(t, 3, 99)}); !isOK(resp) {
 		t.Fatalf("InsertChunk on new leader -> %#v", resp)
 	}
-
-	nw.Heal()
-	waitFor(t, "ex-leader resynced to the majority history", func() bool {
-		role, epoch, _ := a.node.Status()
+	// The follower that was passed over catches up with the new leader,
+	// whether or not it held the whole prefix.
+	// sameAsLeader tolerates the errors of a node still mid-resync (busy
+	// installing, or wiped and not yet holding the stream).
+	sameAsLeader := func(tn *testNode) bool {
+		role, epoch, _ := tn.node.Status()
 		if role != wire.ReplFollower || epoch != 2 {
 			return false
 		}
-		return bytes.Equal(statBytes(t, a.node, "s"), statBytes(t, b.node, "s"))
-	})
+		resp := tn.node.Handle(ctx, &wire.StatRange{UUIDs: []string{"s"}, Ts: 0, Te: 1 << 40, WindowChunks: 4})
+		if _, isErr := resp.(*wire.Error); isErr {
+			return false
+		}
+		return bytes.Equal(wire.Marshal(resp), statBytes(t, next.node, "s"))
+	}
+	waitFor(t, "passed-over follower caught up with the new leader", func() bool { return sameAsLeader(other) })
+
+	nw.Heal()
+	waitFor(t, "ex-leader resynced to the majority history", func() bool { return sameAsLeader(a) })
 	if a.node.Installs() == 0 {
 		t.Error("ex-leader rejoined without a snapshot resync")
 	}

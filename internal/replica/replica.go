@@ -123,7 +123,8 @@ type follower struct {
 // server.Handler and server.Subscriber, so it drops into the TCP front
 // end (or a test harness) exactly where a bare engine would.
 type Node struct {
-	store kv.Store
+	store kv.Store    // the node's real store: its own state key, snapshots, wipes
+	frame *frameStore // the view of store every engine of this node runs on
 	cfg   server.Config
 	opts  Options
 
@@ -161,7 +162,8 @@ type Node struct {
 // watermark (forcing a resync), and a node with no state starts
 // standalone, adoptable by any leader's first frame.
 func New(store kv.Store, cfg server.Config, opts Options) (*Node, error) {
-	engine, err := server.New(store, cfg)
+	frame := &frameStore{Store: store}
+	engine, err := server.New(frame, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -173,6 +175,7 @@ func New(store kv.Store, cfg server.Config, opts Options) (*Node, error) {
 	}
 	n := &Node{
 		store:     store,
+		frame:     frame,
 		cfg:       cfg,
 		opts:      opts,
 		engine:    engine,
@@ -512,22 +515,32 @@ func (n *Node) Subscribe(ctx context.Context, req *wire.Subscribe) (sub.Handle, 
 	return engine.Subscribe(ctx, req)
 }
 
-// handleReplAppend applies a leader's record frame. The serve layer
-// chains all replication frames of one connection through
+// handleReplAppend applies a leader's record frame as one unit. The serve
+// layer chains all replication frames of one connection through
 // wire.ReplRoutingKey, so frames from ONE leader session arrive here in
 // shipping order — but nothing serializes this against frames on other
-// connections (a newer leader, a Promote). Every record is therefore
-// applied under n.mu with the epoch revalidated first: a stale leader's
-// in-flight frame stops dead — with nothing applied past the depose point
-// and the watermark untouched — the instant another connection moves the
-// node to a higher epoch.
+// connections (a newer leader, a Promote). n.mu does: every role and epoch
+// transition takes it, and the frame holds it from the epoch check to the
+// watermark update, so a frame lands whole or not at all — a deposed
+// leader's in-flight frame can neither apply past the depose point nor
+// inflate the watermark, because the depose waits for the frame (at most
+// maxShipBytes of records and one store commit) or the frame sees it.
+//
+// The records replay in order through the engine, whose store buffers
+// their writes (frameStore) and commits them as ONE batch at the end: one
+// WAL record and one fsync wait per frame. The watermark advances once,
+// after that commit, and the ack is cumulative. A record that fails to
+// decode or to apply stops the replay: the clean prefix before it is
+// committed and acknowledged by watermark, the error is returned, nothing
+// after it is applied. Atomicity across a process crash is not needed: a
+// restarted follower comes back at watermark 0 and is resynced by snapshot.
 func (n *Node) handleReplAppend(ctx context.Context, m *wire.ReplAppend) wire.Message {
 	if m.Epoch == 0 {
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "replica: epoch 0 is reserved"}
 	}
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if m.Epoch < n.epoch {
-		defer n.mu.Unlock()
 		return &wire.Error{Code: wire.CodeWrongShard, Aux: n.epoch,
 			Msg: fmt.Sprintf("replica: stale replication epoch %d (current %d)", m.Epoch, n.epoch)}
 	}
@@ -539,7 +552,6 @@ func (n *Node) handleReplAppend(ctx context.Context, m *wire.ReplAppend) wire.Me
 	} else if n.role == wire.ReplLeader {
 		// Equal epoch from another claimant: refuse — the sender must
 		// resolve the conflict through a higher epoch, never silently.
-		defer n.mu.Unlock()
 		return &wire.Error{Code: wire.CodeWrongShard, Aux: n.epoch,
 			Msg: "replica: competing leader at the same epoch"}
 	} else if m.Leader != "" && n.leader != m.Leader {
@@ -547,89 +559,78 @@ func (n *Node) handleReplAppend(ctx context.Context, m *wire.ReplAppend) wire.Me
 		// leader address (there is exactly one leader per epoch).
 		n.leader = m.Leader
 	}
-	watermark := n.watermark
-	installing := n.installing
-	n.mu.Unlock()
-
-	if installing {
+	if n.installing {
 		return &wire.Error{Code: wire.CodeBusy, Msg: "replica: snapshot install in progress"}
+	}
+	ack := func() wire.Message {
+		return &wire.ReplAck{Epoch: m.Epoch, Watermark: n.watermark, Mode: n.mode()}
 	}
 	if len(m.Records) == 0 {
 		// Heartbeat: refresh the lease, report the watermark.
-		return &wire.ReplAck{Epoch: m.Epoch, Watermark: watermark, Mode: n.mode()}
+		return ack()
 	}
-	last := m.FirstSeq + uint64(len(m.Records)) - 1
-	if m.FirstSeq > watermark+1 {
+	if m.FirstSeq > n.watermark+1 {
 		// A gap: refuse the whole frame and report how far we actually
 		// got, so the leader reships from there (or falls back to a
 		// snapshot when the log no longer reaches back).
-		return &wire.Error{Code: wire.CodeReplGap, Aux: watermark,
-			Msg: fmt.Sprintf("replica: gap: frame starts at %d, watermark %d", m.FirstSeq, watermark)}
+		return &wire.Error{Code: wire.CodeReplGap, Aux: n.watermark,
+			Msg: fmt.Sprintf("replica: gap: frame starts at %d, watermark %d", m.FirstSeq, n.watermark)}
 	}
-	if last <= watermark {
+	if m.FirstSeq+uint64(len(m.Records))-1 <= n.watermark {
 		// Full duplicate (a retry after a lost ack): acknowledge
 		// idempotently, apply nothing.
-		return &wire.ReplAck{Epoch: m.Epoch, Watermark: watermark, Mode: n.mode()}
+		return ack()
+	}
+	if n.closed {
+		return &wire.Error{Code: wire.CodeBusy, Msg: "replica: node closed"}
 	}
 	replayCtx := wire.ContextWithEpoch(ctx, wire.ReplayEpoch)
+	applied := n.watermark
+	var failed *wire.Error
+	n.frame.begin()
 	for i, rec := range m.Records {
 		seq := m.FirstSeq + uint64(i)
-		if seq <= watermark {
+		if seq <= n.watermark {
 			continue // overlap prefix already applied
 		}
 		req, err := wire.Unmarshal(rec)
 		if err != nil {
-			return &wire.Error{Code: wire.CodeBadRequest,
+			failed = &wire.Error{Code: wire.CodeBadRequest,
 				Msg: fmt.Sprintf("replica: record %d undecodable: %v", seq, err)}
+			break
 		}
 		if !isMutation(req) {
-			return &wire.Error{Code: wire.CodeBadRequest,
+			failed = &wire.Error{Code: wire.CodeBadRequest,
 				Msg: fmt.Sprintf("replica: record %d is not a mutation (%T)", seq, req)}
+			break
 		}
-		// Apply and commit under n.mu, revalidating the epoch first: once
-		// another connection has re-epoch'd this node (Promote, a newer
-		// leader's frame), a deposed leader's in-flight frame must neither
-		// touch the engine nor inflate the watermark. Holding n.mu across
-		// the engine apply makes check-apply-commit one atomic step with
-		// respect to every role/epoch transition (all of which take n.mu);
-		// an epoch change waits at most one record apply.
-		n.mu.Lock()
-		if n.closed || n.epoch != m.Epoch || n.role != wire.ReplFollower {
-			cur := n.epoch
-			n.mu.Unlock()
-			return &wire.Error{Code: wire.CodeWrongShard, Aux: cur,
-				Msg: fmt.Sprintf("replica: deposed mid-frame at record %d (epoch moved to %d)", seq, cur)}
-		}
-		if n.installing {
-			n.mu.Unlock()
-			return &wire.Error{Code: wire.CodeBusy, Msg: "replica: snapshot install in progress"}
-		}
-		if seq <= n.watermark {
-			// Another frame for the same epoch already covered this record.
-			watermark = n.watermark
-			n.mu.Unlock()
-			continue
-		}
-		if seq != n.watermark+1 {
-			wm := n.watermark
-			n.mu.Unlock()
-			return &wire.Error{Code: wire.CodeReplGap, Aux: wm,
-				Msg: fmt.Sprintf("replica: gap mid-frame: record %d, watermark %d", seq, wm)}
-		}
-		resp := n.engine.Handle(replayCtx, req)
-		if errMsg, isErr := resp.(*wire.Error); isErr {
-			n.mu.Unlock()
+		if errMsg, isErr := n.engine.Handle(replayCtx, req).(*wire.Error); isErr {
 			// The leader only ships mutations that succeeded; an error
 			// here means our state has diverged. Refuse loudly and stop
 			// advancing — the leader will resync us by snapshot.
-			return &wire.Error{Code: wire.CodeInternal,
+			failed = &wire.Error{Code: wire.CodeInternal,
 				Msg: fmt.Sprintf("replica: record %d (%T) diverged: %s", seq, req, errMsg.Msg)}
+			break
 		}
-		n.watermark = seq
-		watermark = seq
-		n.mu.Unlock()
+		applied = seq
 	}
-	return &wire.ReplAck{Epoch: m.Epoch, Watermark: watermark, Mode: n.mode()}
+	if err := n.frame.end(); err != nil {
+		// The store refused the frame, so the engine that replayed it is
+		// ahead of the store. Reopen it over what the store does hold —
+		// the state the unmoved watermark describes.
+		n.opts.Logf("replica: committing frame %d..%d: %v", m.FirstSeq, applied, err)
+		if engine, rerr := server.New(n.frame, n.cfg); rerr != nil {
+			n.opts.Logf("replica: reopening engine after a failed frame: %v", rerr)
+		} else {
+			n.engine = engine
+		}
+		return &wire.Error{Code: wire.CodeInternal, Msg: fmt.Sprintf("replica: committing frame: %v", err)}
+	}
+	n.watermark = applied
+	if failed != nil {
+		return failed
+	}
+	return ack()
 }
 
 // handleReplSnapshot installs one page of a leader's full-store snapshot.
@@ -710,7 +711,7 @@ func (n *Node) handleReplSnapshot(ctx context.Context, m *wire.ReplSnapshot) wir
 
 // installStep runs one bounded store operation of a snapshot install with
 // n.mu held, after revalidating that the install at epoch is still the
-// current one. Like the per-record check in handleReplAppend, this makes
+// current one. Like handleReplAppend holding n.mu across a frame, this makes
 // check-then-write atomic with respect to every epoch/role transition: a
 // page from a superseded install can never splice keys into a newer
 // install (or into a live store) — the wipe, every page batch, and the

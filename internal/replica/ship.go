@@ -3,11 +3,11 @@ package replica
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/kv"
+	"repro/internal/server"
 	"repro/internal/wire"
 )
 
@@ -73,9 +73,7 @@ func (n *Node) leaderApply(ctx context.Context, req wire.Message, epoch uint64) 
 // (in order, to stay deadlock-free) for requests without a routing key.
 func (n *Node) lockApply(req wire.Message) func() {
 	if uuid, ok := wire.RoutingUUID(req); ok {
-		h := fnv.New32a()
-		h.Write([]byte(uuid))
-		m := &n.applyMu[h.Sum32()%applyStripes]
+		m := &n.applyMu[server.StripeHash(uuid)%applyStripes]
 		m.Lock()
 		return m.Unlock
 	}

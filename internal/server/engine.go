@@ -93,15 +93,21 @@ type streamStripe struct {
 	_       [32]byte           // pad to one 64-byte cache line per stripe
 }
 
-func (e *Engine) stripeFor(uuid string) *streamStripe {
-	// Inline FNV-1a: hash/fnv's interface value and the []byte
-	// conversion would allocate on every routed request.
+// StripeHash is the FNV-1a hash that maps a stream UUID onto a lock stripe:
+// the stream table's, the fence gates' and the replication plane's apply
+// locks. Inline, because hash/fnv's interface value and the []byte
+// conversion would allocate on every routed request.
+func StripeHash(uuid string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(uuid); i++ {
 		h ^= uint32(uuid[i])
 		h *= 16777619
 	}
-	return &e.stripes[h&e.mask]
+	return h
+}
+
+func (e *Engine) stripeFor(uuid string) *streamStripe {
+	return &e.stripes[StripeHash(uuid)&e.mask]
 }
 
 type stream struct {
@@ -370,66 +376,26 @@ func (e *Engine) StreamInfo(uuid string) (wire.StreamConfig, uint64, error) {
 	return s.cfg, s.tree.Count(), nil
 }
 
-// InsertChunk ingests one sealed chunk: it persists the ciphertext and
-// updates the encrypted index along the root path. Chunks must arrive
-// in order (append-only streams, §4.5).
+// InsertChunk ingests one sealed chunk: an InsertChunkBatch of one. Chunks
+// must arrive in order (append-only streams, §4.5).
 func (e *Engine) InsertChunk(uuid string, sealedBytes []byte) error {
-	s, err := e.lookup(uuid)
-	if err != nil {
-		return err
-	}
-	sealed, err := chunk.UnmarshalSealed(sealedBytes)
-	if err != nil {
-		return fmt.Errorf("server: stream %q: %w", uuid, err)
-	}
-	if len(sealed.Digest) != int(s.cfg.VectorLen) {
-		return fmt.Errorf("server: stream %q: digest has %d elements, stream uses %d",
-			uuid, len(sealed.Digest), s.cfg.VectorLen)
-	}
-	wantStart := s.cfg.Epoch + int64(sealed.Index)*s.cfg.Interval
-	if sealed.Start != wantStart || sealed.End != wantStart+s.cfg.Interval {
-		return fmt.Errorf("server: stream %q: chunk %d interval [%d,%d) does not match stream geometry",
-			uuid, sealed.Index, sealed.Start, sealed.End)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if want := s.tree.Count(); sealed.Index != want {
-		return fmt.Errorf("server: stream %q: chunk %d out of order (expected %d)", uuid, sealed.Index, want)
-	}
-	if err := e.store.Put(chunkKey(uuid, sealed.Index), sealedBytes); err != nil {
-		return err
-	}
-	if err := s.tree.Append(sealed.Index, sealed.Digest); err != nil {
-		return err
-	}
-	// Still under the ingest lock: live views see exactly the append
-	// order, one publish per committed chunk.
-	e.subs.Publish(uuid, sealed.Index, sealed.Digest)
-	// The sealed chunk supersedes its staged real-time records (§4.6). The
-	// staged index names their exact keys, so no store scan is needed.
-	seqs, err := e.takeStaged(uuid, s, sealed.Index)
-	if err != nil {
-		return err
-	}
-	if len(seqs) > 0 {
-		ops := make([]kv.Op, 0, len(seqs))
-		for _, seq := range seqs {
-			ops = append(ops, kv.Op{Kind: kv.OpDelete, Key: stagedKey(uuid, sealed.Index, seq)})
-		}
-		return e.store.Batch(ops)
-	}
-	return nil
+	return e.InsertChunkBatch(uuid, [][]byte{sealedBytes})[0]
 }
 
 // InsertChunkBatch ingests several sealed chunks for one stream under a
 // single stream lock, returning one result per chunk (aligned with
-// sealedBlobs). Valid in-order chunks are folded into the index with one
-// Tree.AppendBatch — log_k(n) ancestor writes for the whole run instead of
-// per chunk — and their staged-record GC coalesces into one store batch.
-// Per-chunk validation matches InsertChunk exactly: a chunk that fails
-// validation gets its own error and does not advance the expected
-// position, so the chunks after it are judged exactly as a sequential
-// insert loop would judge them.
+// sealedBlobs). The valid in-order chunks become ONE store batch: their
+// ciphertexts, the index leaves, each touched ancestor once (log_k(n)
+// ancestor writes for the whole run instead of per chunk), the index meta
+// key and the deletes of the staged records the chunks supersede. On a
+// durable store that is one WAL record and one fsync wait, recovered all or
+// nothing; the index, the live views and the staged-record index advance
+// only after it is in, so a failed or torn insert leaves the store and the
+// engine exactly as before it and the client's retry starts clean.
+//
+// A chunk that fails validation gets its own error and does not advance
+// the expected position, so the chunks after it are judged exactly as a
+// loop of single inserts would judge them.
 func (e *Engine) InsertChunkBatch(uuid string, sealedBlobs [][]byte) []error {
 	errs := make([]error, len(sealedBlobs))
 	s, err := e.lookup(uuid)
@@ -464,9 +430,9 @@ func (e *Engine) InsertChunkBatch(uuid string, sealedBlobs [][]byte) []error {
 	start := s.tree.Count()
 	want := start
 	var (
-		run     []int // indices into sealedBlobs of the accepted chunks
-		puts    []kv.Op
-		digests [][]uint64
+		run     = make([]int, 0, len(parsed)) // indices into sealedBlobs of the accepted chunks
+		ops     = make([]kv.Op, 0, len(parsed))
+		digests = make([][]uint64, 0, len(parsed))
 	)
 	for i, sealed := range parsed {
 		if sealed == nil {
@@ -477,7 +443,7 @@ func (e *Engine) InsertChunkBatch(uuid string, sealedBlobs [][]byte) []error {
 			continue
 		}
 		run = append(run, i)
-		puts = append(puts, kv.Op{Kind: kv.OpPut, Key: chunkKey(uuid, sealed.Index), Value: sealedBlobs[i]})
+		ops = append(ops, kv.Op{Kind: kv.OpPut, Key: chunkKey(uuid, sealed.Index), Value: sealedBlobs[i]})
 		digests = append(digests, sealed.Digest)
 		want++
 	}
@@ -490,34 +456,23 @@ func (e *Engine) InsertChunkBatch(uuid string, sealedBlobs [][]byte) []error {
 		}
 		return errs
 	}
-	if err := e.store.Batch(puts); err != nil {
+	// The sealed chunks supersede their staged real-time records (§4.6). The
+	// staged index names their exact keys, so no store scan is needed.
+	ops, err = e.stagedDeletes(uuid, s, start, want, ops)
+	if err != nil {
 		return fail(err)
 	}
-	if err := s.tree.AppendBatch(start, digests); err != nil {
+	if err := s.tree.AppendBatchWith(start, digests, ops); err != nil {
 		return fail(err)
 	}
-	// Publish the whole accepted run under the ingest lock; views
-	// coalesce per window, so a batch spanning a window boundary still
-	// emits one delta per completed window, not per chunk.
+	// Publish the whole accepted run under the ingest lock: live views see
+	// exactly the append order; they coalesce per window, so a batch
+	// spanning a window boundary still emits one delta per completed
+	// window, not per chunk.
 	for x, digest := range digests {
 		e.subs.Publish(uuid, start+uint64(x), digest)
 	}
-	var gcOps []kv.Op
-	for x, i := range run {
-		seqs, err := e.takeStaged(uuid, s, start+uint64(x))
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		for _, seq := range seqs {
-			gcOps = append(gcOps, kv.Op{Kind: kv.OpDelete, Key: stagedKey(uuid, start+uint64(x), seq)})
-		}
-	}
-	if len(gcOps) > 0 {
-		if err := e.store.Batch(gcOps); err != nil {
-			return fail(err)
-		}
-	}
+	s.forgetStaged(start, want)
 	return errs
 }
 
@@ -555,26 +510,43 @@ func (e *Engine) loadStagedLocked(uuid string, s *stream) error {
 	return nil
 }
 
-// takeStaged removes and returns the staged sequence numbers of one chunk,
-// sorted.
-func (e *Engine) takeStaged(uuid string, s *stream, chunkIndex uint64) ([]uint64, error) {
+// stagedDeletes appends to ops the deletes of every record staged for
+// chunks [lo, hi), in chunk and sequence order. The staged index keeps the
+// entries until forgetStaged: the deletes may yet fail.
+func (e *Engine) stagedDeletes(uuid string, s *stream, lo, hi uint64, ops []kv.Op) ([]kv.Op, error) {
 	s.stagedMu.Lock()
 	defer s.stagedMu.Unlock()
 	if err := e.loadStagedLocked(uuid, s); err != nil {
 		return nil, err
 	}
-	set := s.staged[chunkIndex]
-	if len(set) == 0 {
-		delete(s.staged, chunkIndex)
-		return nil, nil
+	if len(s.staged) == 0 {
+		return ops, nil
 	}
-	delete(s.staged, chunkIndex)
-	seqs := make([]uint64, 0, len(set))
-	for seq := range set {
-		seqs = append(seqs, seq)
+	for idx := lo; idx < hi; idx++ {
+		set := s.staged[idx]
+		if len(set) == 0 {
+			continue
+		}
+		seqs := make([]uint64, 0, len(set))
+		for seq := range set {
+			seqs = append(seqs, seq)
+		}
+		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		for _, seq := range seqs {
+			ops = append(ops, kv.Op{Kind: kv.OpDelete, Key: stagedKey(uuid, idx, seq)})
+		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
+	return ops, nil
+}
+
+// forgetStaged drops the staged index entries of chunks [lo, hi) once the
+// store no longer holds their records.
+func (s *stream) forgetStaged(lo, hi uint64) {
+	s.stagedMu.Lock()
+	defer s.stagedMu.Unlock()
+	for idx := lo; idx < hi && len(s.staged) > 0; idx++ {
+		delete(s.staged, idx)
+	}
 }
 
 // StageRecord stores one real-time encrypted record ahead of its chunk.
@@ -816,7 +788,8 @@ func (e *Engine) aggregate(ctx context.Context, uuids []string, ts, te int64, wi
 }
 
 // DeleteRange drops chunk payloads in [ts, te) while keeping digests and
-// the index intact (Table 1 #7).
+// the index intact (Table 1 #7). The rewritten chunks go to the store as
+// one batch.
 func (e *Engine) DeleteRange(ctx context.Context, uuid string, ts, te int64) error {
 	s, err := e.lookup(uuid)
 	if err != nil {
@@ -826,6 +799,7 @@ func (e *Engine) DeleteRange(ctx context.Context, uuid string, ts, te int64) err
 	if err != nil {
 		return err
 	}
+	var ops []kv.Op
 	for i := a; i < b; i++ {
 		if (i-a)%256 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -848,17 +822,15 @@ func (e *Engine) DeleteRange(ctx context.Context, uuid string, ts, te int64) err
 			continue
 		}
 		sealed.Payload = nil
-		if err := e.store.Put(key, chunk.MarshalSealed(sealed)); err != nil {
-			return err
-		}
+		ops = append(ops, kv.Op{Kind: kv.OpPut, Key: key, Value: chunk.MarshalSealed(sealed)})
 	}
-	return nil
+	return e.store.Batch(ops)
 }
 
 // Rollup ages out [ts, te) to an aggregation granularity of factor chunks:
 // raw chunk ciphertexts are removed and index levels finer than factor are
-// pruned (§4.5 "Data decay"). Statistics at factor granularity and coarser
-// remain queryable.
+// pruned (§4.5 "Data decay"), in one store batch. Statistics at factor
+// granularity and coarser remain queryable.
 func (e *Engine) Rollup(ctx context.Context, uuid string, factor uint64, ts, te int64) error {
 	if factor < 1 {
 		return errors.New("server: rollup factor must be >= 1")
@@ -871,15 +843,14 @@ func (e *Engine) Rollup(ctx context.Context, uuid string, factor uint64, ts, te 
 	if err != nil {
 		return err
 	}
+	ops := make([]kv.Op, 0, b-a)
 	for i := a; i < b; i++ {
 		if (i-a)%256 == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		if err := e.store.Delete(chunkKey(uuid, i)); err != nil {
-			return err
-		}
+		ops = append(ops, kv.Op{Kind: kv.OpDelete, Key: chunkKey(uuid, i)})
 	}
 	// Prune index levels whose span is finer than the rollup factor.
 	level := 0
@@ -890,9 +861,9 @@ func (e *Engine) Rollup(ctx context.Context, uuid string, factor uint64, ts, te 
 		level = 1 // factor between 1 and fanout: leaf digests must go
 	}
 	if level > 0 {
-		return s.tree.Prune(level, a, b)
+		return s.tree.PruneWith(level, a, b, ops)
 	}
-	return nil
+	return e.store.Batch(ops)
 }
 
 // PutGrant stores a wrapped access grant.

@@ -24,15 +24,10 @@ import (
 // afterwards. Fences are in-memory only: a crash mid-drain fails the
 // migration anyway, and the coordinator re-freezes on retry.
 
-// fenceGate returns the gate stripe for a stream (same FNV-1a stripe map
-// as the stream table).
+// fenceGate returns the gate stripe for a stream (the same stripe map as
+// the stream table).
 func (e *Engine) fenceGate(uuid string) *sync.RWMutex {
-	h := uint32(2166136261)
-	for i := 0; i < len(uuid); i++ {
-		h ^= uint32(uuid[i])
-		h *= 16777619
-	}
-	return &e.fenceGates[h&e.mask]
+	return &e.fenceGates[StripeHash(uuid)&e.mask]
 }
 
 // FenceEpoch reports the stream's armed fence epoch, 0 if unfenced.
