@@ -8,6 +8,7 @@ package timecrypt_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/kv/durable"
 	"repro/internal/server"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 const hotVecLen = 19 // digest vector length used across the hot-path harness
@@ -141,39 +143,46 @@ func TestHotPathAllocBudgets(t *testing.T) {
 			t.Errorf("core keystream derivation: %.1f allocs/chunk, want 0", allocs)
 		}
 	})
-	// The product default codec. PR 6's budgets all ran CompressionNone,
-	// which is how a zlib.NewWriter per chunk (816 KB/op) went unnoticed.
-	// The bytes are mostly the AES and GCM states of the per-chunk key.
+	// The product default codec on a payload that deflates (an mHealth
+	// chunk: 500 points, ~1.4 KB serialized, ~460 deflated). PR 6's budgets
+	// all ran CompressionNone, which is how a zlib.NewWriter per chunk
+	// (816 KB/op) went unnoticed. The bytes are the sealed payload and the
+	// AES and GCM states of the per-chunk key: 5 allocs and 2,037 B
+	// measured (6 and 2,061 while the associated data was allocated).
 	t.Run("chunk-seal-zlib", func(t *testing.T) {
-		enc := hotEncryptor(t)
-		spec := hotSpec(t)
-		pts := hotPoints(0)
-		pos := uint64(0)
-		seal := func() {
-			if _, err := chunk.Seal(enc, spec, chunk.CompressionZlib, pos, 0, 100, pts); err != nil {
-				t.Fatal(err)
+		sealBudget(t, workload.NewMHealth(1), 10_000, chunk.CompressionZlib, 5, 2061)
+	})
+	// The benchmark's write workloads: DevOps chunks, 20–26 bytes
+	// serialized, below the deflate gate. No deflater, and the associated
+	// data (a byte longer since it binds the codec) comes out of the
+	// pooled point buffer: 5 allocs and 1,587 B measured, 6 and 1,625
+	// before.
+	t.Run("seal-devops", func(t *testing.T) {
+		sealBudget(t, workload.NewDevOps(1), 60_000, chunk.CompressionNone, 5, 1625)
+	})
+	// One page of a windowed query as the client decrypts it: 64
+	// contiguous windows, projected, in place. Each edge is derived once
+	// and nothing is allocated.
+	t.Run("decrypt-page", func(t *testing.T) {
+		dec := hotEncryptor(t)
+		elems := []uint32{0, 1}
+		page := make([][]uint64, 64)
+		for w := range page {
+			page[w] = make([]uint64, len(elems))
+		}
+		at := uint64(0)
+		decrypt := func() {
+			for w, vec := range page {
+				i := at + uint64(w)*6
+				if _, err := dec.DecryptRangeElems(i, i+6, elems, vec, vec); err != nil {
+					t.Fatal(err)
+				}
 			}
-			pos++
+			at += 64 * 6
 		}
-		// With the collector off and one P the pooled deflater stays
-		// pooled, so the figures are the steady state and not a matter of
-		// GC timing or of which P's pool the goroutine wakes up on (a
-		// second P's first seal builds its own 776 KB deflater: 1 run in
-		// 25 at two Ps).
-		defer debug.SetGCPercent(debug.SetGCPercent(-1))
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		if allocs := testing.AllocsPerRun(500, seal); allocs > 6 {
-			t.Errorf("zlib seal: %.1f allocs/chunk, want <= 6", allocs)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		const runs = 500
-		for i := 0; i < runs; i++ {
-			seal()
-		}
-		runtime.ReadMemStats(&after)
-		if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > 1700 {
-			t.Errorf("zlib seal: %d B/chunk, want <= 1700", perOp)
+		decrypt()
+		if allocs := testing.AllocsPerRun(50, decrypt); allocs != 0 {
+			t.Errorf("64-window page: %.1f allocs, want 0", allocs)
 		}
 	})
 	// One client batch as the engine sees it: 16 chunks, one store batch.
@@ -267,6 +276,49 @@ func TestHotPathAllocBudgets(t *testing.T) {
 	})
 }
 
+// sealBudget seals gen's chunks under the product default (a zlib stream)
+// and holds the steady state to allocs and bytes per chunk; codec is what
+// those chunks must come out stored as. With the collector off and one P
+// the pooled codec state stays pooled, so the figures are the steady state
+// and not a matter of GC timing or of which P's pool the goroutine wakes up
+// on (a second P's first deflating seal builds its own 776 KB deflater: 1
+// run in 25 at two Ps).
+func sealBudget(t *testing.T, gen workload.Generator, interval int64, codec chunk.Compression, maxAllocs float64, maxBytes uint64) {
+	enc := hotEncryptor(t)
+	spec := hotSpec(t)
+	const runs = 500
+	chunks := make([][]chunk.Point, 2*runs+2)
+	for i := range chunks {
+		chunks[i] = gen.Chunk(uint64(i), 0, interval)
+	}
+	pos := uint64(0)
+	seal := func() {
+		start := int64(pos) * interval
+		sealed, err := chunk.Seal(enc, spec, chunk.CompressionZlib, pos, start, start+interval, chunks[pos])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sealed.Compression != codec {
+			t.Fatalf("chunk %d stored as %v, want %v", pos, sealed.Compression, codec)
+		}
+		pos++
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if allocs := testing.AllocsPerRun(runs, seal); allocs > maxAllocs {
+		t.Errorf("%s seal: %.1f allocs/chunk, want <= %.0f", gen.Name(), allocs, maxAllocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		seal()
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > maxBytes {
+		t.Errorf("%s seal: %d B/chunk, want <= %d", gen.Name(), perOp, maxBytes)
+	}
+}
+
 // BenchmarkHotPath is the per-layer micro-benchmark suite backing
 // docs/PERFORMANCE.md's budget table; run with -benchmem.
 func BenchmarkHotPath(b *testing.B) {
@@ -304,32 +356,44 @@ func BenchmarkHotPath(b *testing.B) {
 		}
 	})
 
-	// The product default: zlib on the payload (the chunk-seal row above
-	// and the engine rows run CompressionNone).
-	b.Run("seal/zlib", func(b *testing.B) {
-		enc := hotEncryptor(b)
-		spec := hotSpec(b)
+	// The benchmark's two chunk shapes under the product default codec (the
+	// chunk-seal row above and the engine rows run CompressionNone): DevOps
+	// stays below the deflate gate, mHealth deflates to a third.
+	b.Run("seal/devops", benchSeal(workload.NewDevOps(1), 60_000))
+	b.Run("seal/mhealth", benchSeal(workload.NewMHealth(1), 10_000))
+
+	// Opening them again: the mHealth chunk through a pooled inflater, the
+	// DevOps chunk without one.
+	b.Run("open/zlib", benchOpen(workload.NewMHealth(1), 10_000, chunk.CompressionZlib))
+	b.Run("open/raw", benchOpen(workload.NewDevOps(1), 60_000, chunk.CompressionNone))
+
+	// One page of a windowed query: 64 contiguous 6-chunk windows,
+	// projected to two elements, decrypted in place.
+	b.Run("decrypt/page64", func(b *testing.B) {
+		dec := hotEncryptor(b)
+		elems := []uint32{0, 1}
+		vec := make([]uint64, len(elems))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			pos := uint64(i)
-			start := int64(pos) * 100
-			if _, err := chunk.Seal(enc, spec, chunk.CompressionZlib, pos, start, start+100, hotPoints(pos)); err != nil {
-				b.Fatal(err)
+			at := uint64(i%1000) * 64 * 6
+			for w := uint64(0); w < 64; w++ {
+				if _, err := dec.DecryptRangeElems(at+w*6, at+(w+1)*6, elems, vec, vec); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})
 
-	b.Run("open/zlib", func(b *testing.B) {
-		sealed, err := chunk.Seal(hotEncryptor(b), hotSpec(b), chunk.CompressionZlib, 0, 0, 100, hotPoints(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		leaves := hotWalker(b)
+	// Uniformly random leaves over a 2^17-chunk stream: the edges of
+	// arbitrary query ranges.
+	b.Run("walker/random", func(b *testing.B) {
+		w := hotWalker(b)
+		rng := rand.New(rand.NewPCG(1, 2))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := chunk.Open(leaves, sealed); err != nil {
+			if _, err := w.Leaf(rng.Uint64N(1 << 17)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -484,6 +548,47 @@ func benchInsertBatch(b *testing.B, store kv.Store, records func() uint64) {
 	b.StopTimer()
 	if records != nil {
 		b.ReportMetric(float64(records()-before)/float64(b.N), "wal-records/batch")
+	}
+}
+
+// benchSeal seals gen's chunks in a zlib stream, generation outside the
+// timer.
+func benchSeal(gen workload.Generator, interval int64) func(*testing.B) {
+	return func(b *testing.B) {
+		enc := hotEncryptor(b)
+		spec := hotSpec(b)
+		chunks := make([][]chunk.Point, 256)
+		for i := range chunks {
+			chunks[i] = gen.Chunk(uint64(i), 0, interval)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pos := uint64(i)
+			start := int64(pos) * interval
+			if _, err := chunk.Seal(enc, spec, chunk.CompressionZlib, pos, start, start+interval, chunks[i%len(chunks)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// benchOpen opens one of gen's chunks, sealed in a zlib stream and stored
+// as codec.
+func benchOpen(gen workload.Generator, interval int64, codec chunk.Compression) func(*testing.B) {
+	return func(b *testing.B) {
+		sealed, err := chunk.Seal(hotEncryptor(b), hotSpec(b), chunk.CompressionZlib, 0, 0, interval, gen.Chunk(0, 0, interval))
+		if err != nil || sealed.Compression != codec {
+			b.Fatalf("stored as %v, err %v", sealed.Compression, err)
+		}
+		leaves := hotWalker(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := chunk.OpenInStream(leaves, chunk.CompressionZlib, sealed); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

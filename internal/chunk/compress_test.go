@@ -226,8 +226,12 @@ func TestCodecPoolHammer(t *testing.T) {
 // Opened points must not depend on the inflater's buffer either: Open
 // parses straight out of it.
 func TestOpenResultSurvivesNextOpen(t *testing.T) {
-	a := []Point{{TS: 1, Val: 10}, {TS: 2, Val: 20}, {TS: 3, Val: 30}}
-	b := []Point{{TS: 7, Val: -1}, {TS: 8, Val: -2}, {TS: 9, Val: -3}}
+	// Long and regular enough to be stored deflated.
+	a, b := make([]Point, 40), make([]Point, 40)
+	for i := range a {
+		a[i] = Point{TS: int64(i), Val: 10}
+		b[i] = Point{TS: 100 + int64(i), Val: -3}
+	}
 	sa, err := SealPlain(DefaultSpec(), CompressionZlib, 0, 0, 100, a)
 	if err != nil {
 		t.Fatal(err)
@@ -235,6 +239,9 @@ func TestOpenResultSurvivesNextOpen(t *testing.T) {
 	sb, err := SealPlain(DefaultSpec(), CompressionZlib, 1, 100, 200, b)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if sa.Compression != CompressionZlib || sb.Compression != CompressionZlib {
+		t.Fatalf("chunks stored as %v and %v: the test needs the inflater", sa.Compression, sb.Compression)
 	}
 	gotA, err := OpenPlain(sa)
 	if err != nil {

@@ -18,8 +18,16 @@ type Sealed struct {
 	Start, End int64
 	// Digest is the HEAC ciphertext vector.
 	Digest []uint64
-	// Compression names the codec applied before encryption.
+	// Compression names the codec applied to this chunk's payload before
+	// encryption. It is chosen per chunk: a zlib stream holds raw chunks
+	// wherever deflate would not have shrunk them.
 	Compression Compression
+	// CodecBound says Compression is part of the AEAD's associated data,
+	// so a store that rewrites it fails authentication. Seal sets it;
+	// chunks sealed before the codec was chosen per chunk have it clear
+	// and are opened under the 24-byte associated data they were sealed
+	// with (see OpenInStream for what protects those).
+	CodecBound bool
 	// Payload is nonce || AES-GCM(compressed points). Empty for
 	// digest-only chunks (e.g. after DeleteRange keeps digests, §4.6).
 	Payload []byte
@@ -28,27 +36,36 @@ type Sealed struct {
 	Plain bool
 }
 
-// aad binds the chunk's identity into the AEAD so a malicious store cannot
-// transplant payloads between chunks or streams.
-func aad(index uint64, start, end int64) (buf [24]byte) {
-	binary.BigEndian.PutUint64(buf[:], index)
-	binary.BigEndian.PutUint64(buf[8:], uint64(start))
-	binary.BigEndian.PutUint64(buf[16:], uint64(end))
+// aadSize is the associated data of a codec-bound chunk: the legacy 24
+// bytes and the codec.
+const aadSize = 25
+
+// appendAAD binds the chunk's identity into the AEAD so a malicious store
+// cannot transplant payloads between chunks or streams, and — for chunks
+// with CodecBound — cannot relabel the payload's codec either.
+func appendAAD(buf []byte, s *Sealed) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, s.Index)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(s.Start))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(s.End))
+	if s.CodecBound {
+		buf = append(buf, byte(s.Compression))
+	}
 	return buf
 }
 
 // Seal encrypts a chunk: it computes the plaintext digest per spec,
-// encrypts it with HEAC at the chunk's position, compresses the serialized
-// points, and seals them under the chunk key.
+// encrypts it with HEAC at the chunk's position, encodes the points under
+// the codec comp allows (encodePoints), and seals them under the chunk key
+// with the codec actually used bound into the associated data.
 func Seal(enc *core.Encryptor, spec DigestSpec, comp Compression, index uint64, start, end int64, pts []Point) (*Sealed, error) {
 	if end <= start {
 		return nil, fmt.Errorf("chunk: invalid interval [%d,%d)", start, end)
 	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].TS < pts[i-1].TS {
-			return nil, fmt.Errorf("chunk: points out of order at %d", i)
-		}
+	points, err := encodePoints(comp, pts)
+	if err != nil {
+		return nil, err
 	}
+	defer points.release()
 	digest := spec.Compute(pts, nil)
 	encDigest, err := enc.EncryptDigest(index, digest, digest) // in place: the plaintext is not needed again
 	if err != nil {
@@ -62,52 +79,46 @@ func Seal(enc *core.Encryptor, spec DigestSpec, comp Compression, index uint64, 
 	if err != nil {
 		return nil, err
 	}
-	d := deflaters.Get().(*deflater)
-	defer deflaters.Put(d)
-	d.raw = appendPoints(d.raw[:0], pts)
-	compressed, err := d.encode(comp, d.raw)
-	if err != nil {
-		return nil, err
-	}
-	// One allocation of the final size: the nonce is drawn straight into
-	// its place and the AEAD encrypts out of the deflater's buffer.
-	ns := aead.NonceSize()
-	payload := make([]byte, ns, ns+len(compressed)+aead.Overhead())
-	if _, err := rand.Read(payload); err != nil {
-		return nil, fmt.Errorf("chunk: reading nonce: %w", err)
-	}
-	ad := aad(index, start, end)
-	payload = aead.Seal(payload, payload[:ns], compressed, ad[:])
-	return &Sealed{
+	s := &Sealed{
 		Index:       index,
 		Start:       start,
 		End:         end,
 		Digest:      encDigest,
-		Compression: comp,
-		Payload:     payload,
-	}, nil
+		Compression: points.codec,
+		CodecBound:  true,
+	}
+	// One allocation of the final size: the nonce is drawn straight into
+	// its place and the AEAD encrypts out of the pooled buffer.
+	ns := aead.NonceSize()
+	payload := make([]byte, ns, ns+len(points.data)+aead.Overhead())
+	if _, err := rand.Read(payload); err != nil {
+		return nil, fmt.Errorf("chunk: reading nonce: %w", err)
+	}
+	s.Payload = aead.Seal(payload, payload[:ns], points.data, appendAAD(points.buf.aad[:0], s))
+	return s, nil
 }
 
 // SealPlain builds a plaintext chunk for the insecure baseline the paper
 // compares against: the digest stays in the clear (the server aggregates
-// 64-bit unencrypted values) and the payload is compressed but not
-// encrypted. The storage and wire paths are identical to the secure mode.
+// 64-bit unencrypted values) and the payload is encoded exactly as Seal
+// encodes it but not encrypted. The storage and wire paths are identical
+// to the secure mode.
 func SealPlain(spec DigestSpec, comp Compression, index uint64, start, end int64, pts []Point) (*Sealed, error) {
 	if end <= start {
 		return nil, fmt.Errorf("chunk: invalid interval [%d,%d)", start, end)
 	}
-	digest := spec.Compute(pts, nil)
-	compressed, err := Compress(comp, MarshalPoints(pts))
+	points, err := encodePoints(comp, pts)
 	if err != nil {
 		return nil, err
 	}
+	defer points.release()
 	return &Sealed{
 		Index:       index,
 		Start:       start,
 		End:         end,
-		Digest:      append([]uint64(nil), digest...),
-		Compression: comp,
-		Payload:     compressed,
+		Digest:      spec.Compute(pts, nil),
+		Compression: points.codec,
+		Payload:     append([]byte(nil), points.data...),
 		Plain:       true,
 	}, nil
 }
@@ -120,26 +131,14 @@ func OpenPlain(s *Sealed) ([]Point, error) {
 	if len(s.Payload) == 0 {
 		return nil, fmt.Errorf("chunk %d: payload deleted (digest-only)", s.Index)
 	}
-	return unmarshalCompressed(s.Compression, s.Payload)
-}
-
-// unmarshalCompressed decodes a compressed point payload. UnmarshalPoints
-// keeps no reference to its input, so the points are parsed straight out of
-// the pooled inflater's buffer.
-func unmarshalCompressed(c Compression, compressed []byte) ([]Point, error) {
-	in := inflaters.Get().(*inflater)
-	defer in.release()
-	raw, err := in.decode(c, compressed)
-	if err != nil {
-		return nil, err
-	}
-	return UnmarshalPoints(raw)
+	return decodePoints(s.Compression, s.Payload)
 }
 
 // Open decrypts a sealed chunk's point payload using a principal's key
 // material. The leaf source must cover keystream positions Index and
 // Index+1 (i.e. full-resolution access; resolution-restricted principals
-// cannot open raw chunks).
+// cannot open raw chunks). A reader that knows the stream's configured
+// codec should use OpenInStream.
 func Open(leaves core.LeafSource, s *Sealed) ([]Point, error) {
 	if len(s.Payload) == 0 {
 		return nil, fmt.Errorf("chunk %d: payload deleted (digest-only)", s.Index)
@@ -160,13 +159,34 @@ func Open(leaves core.LeafSource, s *Sealed) ([]Point, error) {
 		return nil, fmt.Errorf("chunk %d: payload shorter than nonce", s.Index)
 	}
 	nonce, box := s.Payload[:aead.NonceSize()], s.Payload[aead.NonceSize():]
-	ad := aad(s.Index, s.Start, s.End)
-	compressed, err := aead.Open(nil, nonce, box, ad[:])
+	var ad [aadSize]byte
+	points, err := aead.Open(nil, nonce, box, appendAAD(ad[:0], s))
 	if err != nil {
 		return nil, fmt.Errorf("chunk %d: authentication failed: %w", s.Index, err)
 	}
-	return unmarshalCompressed(s.Compression, compressed)
+	return decodePoints(s.Compression, points)
 }
+
+// OpenInStream is Open for a reader that knows the codec its stream was
+// created with. Before the codec was chosen per chunk it was not
+// authenticated either, and every chunk carried its stream's: a chunk
+// without CodecBound that names another codec has been relabeled by the
+// store (a deflate stream read as raw points can parse — 0x78 is "120
+// points"), and is refused.
+func OpenInStream(leaves core.LeafSource, stream Compression, s *Sealed) ([]Point, error) {
+	if !s.CodecBound && s.Compression != stream {
+		return nil, fmt.Errorf("chunk %d: unauthenticated codec %v in a %v stream", s.Index, s.Compression, stream)
+	}
+	return Open(leaves, s)
+}
+
+// Bits of MarshalSealed's flags byte. A reader from before flagCodecBound
+// ignores the bit, opens the chunk under the 24-byte associated data and
+// reports an authentication failure.
+const (
+	flagPlain      = 1 << 0
+	flagCodecBound = 1 << 1
+)
 
 // MarshalSealed encodes a sealed chunk for KV storage or the wire.
 func MarshalSealed(s *Sealed) []byte {
@@ -177,7 +197,10 @@ func MarshalSealed(s *Sealed) []byte {
 	buf = append(buf, byte(s.Compression))
 	var flags byte
 	if s.Plain {
-		flags |= 1
+		flags |= flagPlain
+	}
+	if s.CodecBound {
+		flags |= flagCodecBound
 	}
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(len(s.Digest)))
@@ -216,7 +239,8 @@ func UnmarshalSealed(data []byte) (*Sealed, error) {
 		return nil, fmt.Errorf("chunk: truncated compression/flags bytes")
 	}
 	s.Compression = Compression(data[0])
-	s.Plain = data[1]&1 != 0
+	s.Plain = data[1]&flagPlain != 0
+	s.CodecBound = data[1]&flagCodecBound != 0
 	data = data[2:]
 	dn, k := binary.Uvarint(data)
 	if k <= 0 || dn > 1<<24 {

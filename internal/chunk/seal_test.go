@@ -146,7 +146,7 @@ func TestMarshalSealedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Index != sealed.Index || got.Start != sealed.Start || got.End != sealed.End ||
-		got.Compression != sealed.Compression {
+		got.Compression != sealed.Compression || got.CodecBound != sealed.CodecBound || got.Plain != sealed.Plain {
 		t.Error("header mismatch after round trip")
 	}
 	if len(got.Digest) != len(sealed.Digest) {

@@ -2,11 +2,15 @@ package client
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"net"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/chunk"
+	"repro/internal/core"
 	"repro/internal/crypto/hybrid"
 	"repro/internal/kv"
 	"repro/internal/server"
@@ -601,4 +605,95 @@ func TestGrantEncodingRoundTrip(t *testing.T) {
 	if _, err := decodeGrant([]byte{1, 2, 3}); err == nil {
 		t.Error("garbage grant accepted")
 	}
+}
+
+// A chunk sealed before the codec was authenticated carries its stream's
+// codec; a store that relabels one must not get its payload parsed under
+// the other codec. The view knows the stream's codec and refuses it (for a
+// chunk sealed since, the relabeling fails authentication in chunk.Open).
+func TestOpenRejectsFlippedCodecThroughView(t *testing.T) {
+	ctx := context.Background()
+	store := kv.NewMemStore()
+	engine, err := server.New(store, server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := NewOwner(&InProc{Engine: engine})
+	// relabel rewrites the stored chunk idx of s as zlib; legacy first
+	// turns it into what a writer from before the binding stored.
+	relabel := func(s *OwnerStream, idx uint64, legacy bool) {
+		t.Helper()
+		key := "c/" + s.uuid + "/" + strconv.FormatUint(idx, 16)
+		blob, err := store.Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed, err := chunk.UnmarshalSealed(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sealed.Compression != chunk.CompressionNone || !sealed.CodecBound {
+			t.Fatalf("chunk %d stored as %v, bound %v: 5 points should be raw and bound", idx, sealed.Compression, sealed.CodecBound)
+		}
+		if legacy {
+			sealed = resealLegacy(t, s, sealed)
+		}
+		sealed.Compression = chunk.CompressionZlib
+		if err := store.Put(key, chunk.MarshalSealed(sealed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		uuid    string
+		comp    chunk.Compression
+		legacy  bool
+		wantErr string
+	}{
+		{"bound", chunk.CompressionZlib, false, "authentication failed"},
+		{"legacy", chunk.CompressionNone, true, "unauthenticated codec"},
+	} {
+		opts := defaultOpts(tc.uuid)
+		opts.Compression = tc.comp
+		s, err := owner.CreateStream(ctx, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillStream(t, s, 3)
+		epoch := s.opts.Epoch
+		if got, err := s.Points(ctx, epoch, epoch+30_000); err != nil || len(got) != 15 {
+			t.Fatalf("%s: %d points, err %v", tc.uuid, len(got), err)
+		}
+		relabel(s, 1, tc.legacy)
+		if _, err := s.Points(ctx, epoch, epoch+30_000); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s chunk relabeled: err %v, want %q", tc.uuid, err, tc.wantErr)
+		}
+		if got, err := s.Points(ctx, epoch, epoch+10_000); err != nil || len(got) != 5 {
+			t.Errorf("%s: the untouched chunk: %d points, err %v", tc.uuid, len(got), err)
+		}
+	}
+}
+
+// resealLegacy re-encrypts a raw chunk's payload the way writers did before
+// the codec was bound: same key, 24-byte associated data, flag clear.
+func resealLegacy(t *testing.T, s *OwnerStream, sealed *chunk.Sealed) *chunk.Sealed {
+	t.Helper()
+	pts, err := chunk.Open(s.tree.NewWalker(), sealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	li, _ := s.tree.Leaf(sealed.Index)
+	lj, _ := s.tree.Leaf(sealed.Index + 1)
+	aead, err := core.ChunkAEAD(core.ChunkKey(li, lj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ad [24]byte
+	binary.BigEndian.PutUint64(ad[:], sealed.Index)
+	binary.BigEndian.PutUint64(ad[8:], uint64(sealed.Start))
+	binary.BigEndian.PutUint64(ad[16:], uint64(sealed.End))
+	nonce := make([]byte, aead.NonceSize())
+	out := *sealed
+	out.CodecBound = false
+	out.Payload = aead.Seal(nonce, nonce, chunk.MarshalPoints(pts), ad[:])
+	return &out
 }

@@ -22,7 +22,9 @@ type StreamOptions struct {
 	Interval int64
 	// Spec selects the digest statistics; defaults to chunk.DefaultSpec.
 	Spec chunk.DigestSpec
-	// Compression is the point payload codec; defaults to zlib.
+	// Compression is the point payload codec; defaults to zlib, which is
+	// applied per chunk where it shrinks the payload (chunk.Seal). None
+	// means never.
 	Compression chunk.Compression
 	// Fanout is the index arity; defaults to 64.
 	Fanout int

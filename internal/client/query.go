@@ -727,7 +727,7 @@ func (c *Cursor) decodeAggPage(resp *wire.AggRangeResp, windowChunks uint64) ([]
 			i = resp.FromChunk + uint64(w)*windowChunks
 			j = i + windowChunks
 		}
-		pt := append([]uint64(nil), vec...)
+		pt := vec // the response is ours: every member decrypts in place
 		var err error
 		for k, dec := range c.decs {
 			if c.elems != nil {

@@ -13,7 +13,8 @@ import (
 
 // windowDecrypter decrypts one in-range aggregate over chunk positions
 // [i, j). Full-resolution principals use HEAC outer leaves; resolution-
-// restricted principals use envelope-derived outer leaves.
+// restricted principals use envelope-derived outer leaves. The caller
+// gives c up: the result may be c itself, decrypted in place.
 type windowDecrypter interface {
 	DecryptWindow(i, j uint64, c []uint64) ([]uint64, error)
 }
@@ -42,13 +43,13 @@ type encDecrypter struct {
 func (e *encDecrypter) DecryptWindow(i, j uint64, c []uint64) ([]uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.enc.DecryptRange(i, j, c, nil)
+	return e.enc.DecryptRange(i, j, c, c)
 }
 
 func (e *encDecrypter) DecryptWindowElems(i, j uint64, elems []uint32, c []uint64) ([]uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.enc.DecryptRangeElems(i, j, elems, c, nil)
+	return e.enc.DecryptRangeElems(i, j, elems, c, c)
 }
 
 // StatResult is a decrypted statistical answer with its time extent.
@@ -65,11 +66,11 @@ type StatResult struct {
 type identityDecrypter struct{}
 
 func (identityDecrypter) DecryptWindow(_, _ uint64, c []uint64) ([]uint64, error) {
-	return append([]uint64(nil), c...), nil
+	return c, nil
 }
 
 func (identityDecrypter) DecryptWindowElems(_, _ uint64, _ []uint32, c []uint64) ([]uint64, error) {
-	return append([]uint64(nil), c...), nil
+	return c, nil
 }
 
 // view is the shared query machinery for owners and consumers: stream
@@ -192,7 +193,7 @@ func (v *view) points(ctx context.Context, leaves core.LeafSource, ts, te int64)
 		if v.plain {
 			opened, err = chunk.OpenPlain(sealed)
 		} else {
-			opened, err = chunk.Open(leaves, sealed)
+			opened, err = chunk.OpenInStream(leaves, v.comp, sealed)
 		}
 		if err != nil {
 			return nil, err

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"crypto/aes"
+	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
 	"testing"
@@ -108,5 +109,35 @@ func BenchmarkAESStdlibExpand(b *testing.B) {
 		blk, _ := aes.NewCipher(key[:])
 		blk.Encrypt(l[:], l[:])
 		blk.Encrypt(r[:], r[:])
+	}
+}
+
+// The same trade over a whole digest vector, where one key expansion is
+// amortised over 19 block encryptions (ROADMAP 4(e), settled in
+// docs/PERFORMANCE.md): the pooled pure-Go schedule against stdlib AES.
+
+func BenchmarkSubKeysSched(b *testing.B) {
+	leaf := Node{0x5A}
+	dst := make([]uint64, 19)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		leaf[1] = byte(i)
+		SubKeys(leaf, dst)
+	}
+}
+
+func BenchmarkSubKeysStdlib(b *testing.B) {
+	leaf := Node{0x5A}
+	dst := make([]uint64, 19)
+	var in, out [16]byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		leaf[1] = byte(i)
+		blk, _ := aes.NewCipher(leaf[:])
+		for e := range dst {
+			binary.BigEndian.PutUint64(in[8:], uint64(e))
+			blk.Encrypt(out[:], in[:])
+			dst[e] = binary.BigEndian.Uint64(out[:8]) ^ binary.BigEndian.Uint64(out[8:])
+		}
 	}
 }

@@ -167,6 +167,10 @@ func ChunkAEAD(key [ChunkKeySize]byte) (cipher.AEAD, error) {
 // EncryptDigest and ChunkKeyAt at the same position share the cached pair,
 // so a full Seal derives each leaf exactly once.
 //
+// The decrypt path telescopes the same way: the right edge of the last
+// decrypted window is kept, so a page of contiguous windows [i, j), [j, k),
+// … derives each edge once.
+//
 // Not safe for concurrent use; create one per producer goroutine.
 type Encryptor struct {
 	walker       *Walker
@@ -175,7 +179,41 @@ type Encryptor struct {
 	haveCur      bool
 	kiBuf, kjBuf []uint64 // cached subkeys of leafI/leafJ
 	kiN, kjN     int      // valid lengths (-1 = not derived)
-	ki, kj       []uint64 // scratch for the decrypt paths
+
+	// Decrypt path: ki is scratch for a window's left edge; edge is its
+	// right edge, kept for the next window.
+	ki   []uint64
+	edge decryptEdge
+
+	// What the decrypt path has derived, for tests that count instead of
+	// timing.
+	leafDerivations, subKeyExpansions uint64
+}
+
+// decryptEdge is the right edge of the last decrypted window: its leaf and
+// the subkeys expanded from it, which are the left edge of a window that
+// starts where that one ended.
+type decryptEdge struct {
+	ok    bool
+	pos   uint64
+	leaf  Node
+	keys  []uint64 // subkeys of leaf: all of the first len(keys) if !proj, else at elems
+	proj  bool
+	elems []uint32 // own copy of the projection keys was derived at
+}
+
+// matches reports whether the edge's subkeys are the ones a window of n
+// elements under projection elems (nil: none) needs.
+func (d *decryptEdge) matches(n int, elems []uint32) bool {
+	if len(d.keys) != n || d.proj != (elems != nil) {
+		return false
+	}
+	for x, e := range elems {
+		if d.elems[x] != e {
+			return false
+		}
+	}
+	return true
 }
 
 // NewEncryptor returns an Encryptor drawing leaves from the walker
@@ -251,32 +289,10 @@ func (e *Encryptor) EncryptDigest(i uint64, m, dst []uint64) ([]uint64, error) {
 
 // DecryptRange decrypts an aggregate ciphertext covering chunk positions
 // [i, j). It requires the walker's key material to cover leaves i and j.
+// The plaintext is written to dst (allocated if nil; c itself decrypts in
+// place) and returned.
 func (e *Encryptor) DecryptRange(i, j uint64, c, dst []uint64) ([]uint64, error) {
-	if j <= i {
-		return nil, fmt.Errorf("core: invalid decrypt range [%d,%d)", i, j)
-	}
-	leafI, err := e.walker.Leaf(i)
-	if err != nil {
-		return nil, err
-	}
-	leafJ, err := e.walker.Leaf(j)
-	if err != nil {
-		return nil, err
-	}
-	if dst == nil {
-		dst = make([]uint64, len(c))
-	}
-	n := len(c)
-	if cap(e.ki) < n {
-		e.ki = make([]uint64, n)
-		e.kj = make([]uint64, n)
-	}
-	ki := SubKeys(leafI, e.ki[:n])
-	kj := SubKeys(leafJ, e.kj[:n])
-	for x := range c {
-		dst[x] = c[x] - ki[x] + kj[x]
-	}
-	return dst, nil
+	return e.decryptRange(i, j, nil, c, dst)
 }
 
 // DecryptRangeElems decrypts a projected aggregate ciphertext covering
@@ -285,30 +301,54 @@ func (e *Encryptor) DecryptRange(i, j uint64, c, dst []uint64) ([]uint64, error)
 // those original indices (the projection must not shift key positions, or
 // every element would decrypt under the wrong pad).
 func (e *Encryptor) DecryptRangeElems(i, j uint64, elems []uint32, c, dst []uint64) ([]uint64, error) {
-	if j <= i {
-		return nil, fmt.Errorf("core: invalid decrypt range [%d,%d)", i, j)
-	}
 	if len(elems) != len(c) {
 		return nil, fmt.Errorf("core: %d projected elements but %d ciphertext values", len(elems), len(c))
 	}
-	leafI, err := e.walker.Leaf(i)
-	if err != nil {
-		return nil, err
+	return e.decryptRange(i, j, elems, c, dst)
+}
+
+// decryptRange is the shared body; elems nil means the full vector. The
+// window's right edge replaces e.edge, and its left edge is taken from
+// there when the previous window ended at i.
+func (e *Encryptor) decryptRange(i, j uint64, elems []uint32, c, dst []uint64) ([]uint64, error) {
+	if j <= i {
+		return nil, fmt.Errorf("core: invalid decrypt range [%d,%d)", i, j)
+	}
+	n := len(c)
+	edge := &e.edge
+	leafI, reuse := edge.leaf, edge.ok && edge.pos == i
+	if !reuse {
+		var err error
+		if leafI, err = e.walker.Leaf(i); err != nil {
+			return nil, err
+		}
+		e.leafDerivations++
 	}
 	leafJ, err := e.walker.Leaf(j)
 	if err != nil {
 		return nil, err
 	}
+	e.leafDerivations++
+	if reuse && edge.matches(n, elems) {
+		e.ki, edge.keys = edge.keys, e.ki
+	} else {
+		if cap(e.ki) < n {
+			e.ki = make([]uint64, n)
+		}
+		e.ki = subKeysInto(leafI, e.ki[:n], elems)
+		e.subKeyExpansions++
+	}
+	if cap(edge.keys) < n {
+		edge.keys = make([]uint64, n)
+	}
+	edge.keys = subKeysInto(leafJ, edge.keys[:n], elems)
+	e.subKeyExpansions++
+	edge.ok, edge.pos, edge.leaf = true, j, leafJ
+	edge.proj, edge.elems = elems != nil, append(edge.elems[:0], elems...)
 	if dst == nil {
-		dst = make([]uint64, len(c))
+		dst = make([]uint64, n)
 	}
-	n := len(c)
-	if cap(e.ki) < n {
-		e.ki = make([]uint64, n)
-		e.kj = make([]uint64, n)
-	}
-	ki := SubKeysAt(leafI, elems, e.ki[:n])
-	kj := SubKeysAt(leafJ, elems, e.kj[:n])
+	ki, kj := e.ki, edge.keys
 	for x := range c {
 		dst[x] = c[x] - ki[x] + kj[x]
 	}

@@ -301,19 +301,55 @@ func (ks *KeySet) Leaf(i uint64) (Node, error) {
 // O(1) amortized PRG expansions instead of O(h) per leaf. This is the hot
 // path for chunk ingest and for decrypting long per-window query results.
 //
+// Random access — the two edges of an arbitrary query range — is served by
+// a memo of inner nodes at one height above the leaves: a stream's
+// positions share the tree's upper levels, so once the memo is warm a leaf
+// far from the last one costs that height in expansions instead of the
+// ~log2(stream length) below the last common ancestor. The memo holds only
+// nodes this walker derived from the token in hand, so it can serve nothing
+// the walker's tokens could not derive anyway.
+//
 // A Walker is not safe for concurrent use.
 type Walker struct {
 	prg    PRG
 	height int
 	find   func(uint64) (Token, bool)
 
-	// cache of the last derived root-to-leaf path within one token.
+	// cache of the last derived root-to-leaf path within one token:
+	// path[d] is the node d expansions below the token, on the way to
+	// lastLeaf. Every entry is valid except those in [gap, memo level): a
+	// memo hit resumes below entries it did not derive, which still hold
+	// an older leaf's path. gap is noGap when there is no such hole.
 	tok      Token
 	tokOK    bool
-	path     []Node // path[d] = node after d expansions below the token
+	path     []Node
 	lastLeaf uint64
-	valid    int // number of valid entries in path
+	gap      int
+
+	// memo[k] is the inner node at memoHeight above the leaves whose
+	// absolute index (leaf >> memoHeight) is memoBase+k; the zero Node
+	// marks an absent entry (a real all-zero node, one in 2^128, is merely
+	// derived again). A KeySet's tokens do not overlap, so an index names
+	// the one token that can derive it. memoHeight is 0 until the first
+	// jump backwards switches the memo on — a walker that only ever steps
+	// forward (sealing) never has one — then memoMinHeight, and one more
+	// each time the span of positions accessed outgrows memoMaxNodes: the
+	// memo costs in proportion to that span and never more than 16 KiB.
+	memo       []Node
+	memoBase   uint64
+	memoHeight int
 }
+
+const (
+	// memoMinHeight is the height the memo starts at: 32 leaves a node, so
+	// a warm random access costs 5 expansions.
+	memoMinHeight = 5
+	// memoMaxNodes bounds the memo at 1,024 × 16 B. It holds every node of
+	// a 2^15-chunk stream at height 5 and of a 2^17-chunk stream at 7.
+	memoMaxNodes = 1024
+
+	noGap = 1 << 30
+)
 
 // NewWalker returns a sequential-access walker over the owner's tree.
 func (t *Tree) NewWalker() *Walker {
@@ -331,7 +367,7 @@ func (ks *KeySet) NewWalker() *Walker {
 }
 
 // Leaf derives leaf i, reusing the cached path from the previous call where
-// possible.
+// possible and the memo where the path does not reach.
 func (w *Walker) Leaf(i uint64) (Node, error) {
 	tk, ok := w.find(i)
 	if !ok {
@@ -339,23 +375,41 @@ func (w *Walker) Leaf(i uint64) (Node, error) {
 	}
 	steps := w.height - int(tk.Depth)
 	rel := i & ((uint64(1) << uint(steps)) - 1)
+	if w.memoHeight == 0 && w.tokOK && i < w.lastLeaf {
+		w.memoHeight = memoMinHeight
+	}
+	// The memo level as a depth below the token; not positive when the memo
+	// is off or the token spans no more than one memo node.
+	memoDepth := 0
+	if w.memoHeight > 0 {
+		memoDepth = steps - w.memoHeight
+	}
 	start := 0
-	if w.tokOK && w.tok == tk && w.valid > 0 {
+	if w.tokOK && w.tok == tk {
 		// Longest common prefix of rel and lastLeaf within this token.
 		lastRel := w.lastLeaf & ((uint64(1) << uint(steps)) - 1)
 		diff := rel ^ lastRel
-		common := steps
+		start = steps
 		if diff != 0 {
-			common = steps - bits.Len64(diff)
+			start = steps - bits.Len64(diff)
 		}
-		if common > w.valid-1 {
-			common = w.valid - 1
+		if start >= w.gap && start < memoDepth {
+			start = w.gap - 1 // inside the hole: back to the valid prefix
 		}
-		start = common
 	} else {
 		w.tok = tk
 		w.tokOK = true
 		w.path[0] = tk.Key
+		w.gap = noGap
+	}
+	if start < memoDepth {
+		if node, hit := w.memoGet(i >> uint(w.memoHeight)); hit {
+			w.path[memoDepth] = node
+			w.gap = start + 1
+			start = memoDepth
+		} else {
+			w.gap = noGap // derived all the way down: no hole
+		}
 	}
 	node := w.path[start]
 	for d := start; d < steps; d++ {
@@ -366,8 +420,52 @@ func (w *Walker) Leaf(i uint64) (Node, error) {
 			node = r
 		}
 		w.path[d+1] = node
+		if d+1 == memoDepth {
+			w.memoPut(i>>uint(w.memoHeight), node)
+		}
 	}
-	w.valid = steps + 1
 	w.lastLeaf = i
 	return node, nil
+}
+
+// memoGet returns the memoized node with absolute index p, if present.
+func (w *Walker) memoGet(p uint64) (Node, bool) {
+	if k := p - w.memoBase; p >= w.memoBase && k < uint64(len(w.memo)) {
+		return w.memo[k], w.memo[k] != Node{}
+	}
+	return Node{}, false
+}
+
+// memoPut records the node with absolute index p, growing the memo to span
+// p. When that span would exceed memoMaxNodes the memo moves one level up
+// instead — a node cannot be derived from its children, so it starts empty
+// — where the same positions span half as many nodes. It is only called
+// while a leaf is derived all the way down from above the memo level, when
+// the path holds no hole that the new level would have to describe.
+func (w *Walker) memoPut(p uint64, node Node) {
+	if len(w.memo) == 0 {
+		w.memoBase = p
+	}
+	lo := min(p, w.memoBase)
+	span := max(p+1, w.memoBase+uint64(len(w.memo))) - lo
+	if span > memoMaxNodes {
+		clear(w.memo)
+		w.memo = w.memo[:0]
+		w.memoHeight++
+		return
+	}
+	if shift := w.memoBase - lo; shift > 0 || span > uint64(cap(w.memo)) {
+		// Exact while small, so a short stream holds a few entries and
+		// not a table; doubling after.
+		c := span
+		if c > 64 {
+			c = min(max(c, 2*uint64(cap(w.memo))), memoMaxNodes)
+		}
+		grown := make([]Node, span, c)
+		copy(grown[shift:], w.memo)
+		w.memo, w.memoBase = grown, lo
+	} else {
+		w.memo = w.memo[:span] // the tail beyond len was never written: zero
+	}
+	w.memo[p-lo] = node
 }

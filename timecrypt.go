@@ -159,7 +159,8 @@ type (
 	PRGKind = core.PRGKind
 )
 
-// Compression codecs.
+// Compression codecs. Zlib, the default, is applied to the chunks it
+// shrinks; None to none.
 const (
 	CompressionZlib = chunk.CompressionZlib
 	CompressionNone = chunk.CompressionNone
