@@ -1,18 +1,16 @@
 // Command timecrypt-server runs a standalone TimeCrypt server: one or more
-// untrusted engine shards over the in-memory KV store (or a remote storage
-// node), fronted by the TCP protocol.
+// untrusted engine shards over the in-memory KV store, fronted by the TCP
+// protocol.
 //
 // Durability: -data-dir runs the store through a write-ahead log with
 // group commit and compacted snapshots — every acknowledged write
 // survives kill -9 (see docs/OPERATIONS.md, "Durability"). -fsync picks
 // the sync policy: always (default), never, or a duration for periodic
-// syncs. The legacy -snapshot flag instead snapshots the in-memory store
-// periodically (writes between snapshots are lost on crash).
+// syncs. Without -data-dir the store lives in memory only.
 //
 // Usage:
 //
 //	timecrypt-server -addr :7733 -data-dir /var/lib/timecrypt -fsync always
-//	timecrypt-server -addr :7733 -cache 0 -snapshot data.tcsnap -snapshot-every 60s
 //
 // Scale-out: -shards N hosts N engine shards in this process, each over
 // its own partition of the store, with streams placed by consistent
@@ -77,12 +75,8 @@ import (
 func main() {
 	addr := flag.String("addr", ":7733", "listen address")
 	cache := flag.Int64("cache", 0, "index cache budget in bytes per shard (0 = unbounded)")
-	kvAddr := flag.String("kv-addr", "", "remote timecrypt-kvd storage node (default: local in-memory store)")
-	kvPool := flag.Int("kv-pool", 8, "connections to the remote storage node")
 	dataDir := flag.String("data-dir", "", "directory for the durable store (WAL + snapshots); empty = in-memory only")
 	fsync := flag.String("fsync", "always", "WAL sync policy: always, never, or a duration like 500ms (acks may lose up to that much on power loss)")
-	snapshot := flag.String("snapshot", "", "legacy: snapshot file to load at start and write periodically (local in-memory store only)")
-	snapshotEvery := flag.Duration("snapshot-every", time.Minute, "snapshot interval")
 	shards := flag.Int("shards", 1, "engine shards hosted in this process, each over its own store partition (stable across restarts)")
 	peers := flag.String("peers", "", "comma-separated remote timecrypt-server shards to route to initially (reshard to change membership online)")
 	peerWindow := flag.Int("peer-window", 0, "in-flight request window per remote peer shard's multiplexed connection (0 = client default)")
@@ -116,14 +110,7 @@ func main() {
 	var store kv.Store
 	var mem *kv.MemStore
 	var dstore *durable.Store
-	switch {
-	case *dataDir != "":
-		if *kvAddr != "" {
-			log.Fatalf("-data-dir and -kv-addr are mutually exclusive (durability lives on the storage node when one is used)")
-		}
-		if *snapshot != "" {
-			log.Fatalf("-data-dir replaces -snapshot: the durable store manages its own snapshots")
-		}
+	if *dataDir != "" {
 		policy, every, err := durable.ParseSyncPolicy(*fsync)
 		if err != nil {
 			log.Fatalf("bad -fsync: %v", err)
@@ -138,26 +125,8 @@ func main() {
 		}
 		log.Printf("durable store in %s (fsync=%s): %s", *dataDir, policy, dstore.Stats())
 		store = dstore
-	case *kvAddr != "":
-		remote, err := kv.DialRemoteStore(*kvAddr, *kvPool)
-		if err != nil {
-			log.Fatalf("connecting to storage node: %v", err)
-		}
-		log.Printf("using remote storage node %s", *kvAddr)
-		store = remote
-	default:
+	} else {
 		mem = kv.NewMemStore()
-		if *snapshot != "" {
-			if f, err := os.Open(*snapshot); err == nil {
-				if err := kv.ReadSnapshot(f, mem); err != nil {
-					log.Fatalf("loading snapshot: %v", err)
-				}
-				f.Close()
-				log.Printf("loaded snapshot %s (%d keys)", *snapshot, mem.Len())
-			} else if !errors.Is(err, os.ErrNotExist) {
-				log.Fatalf("opening snapshot: %v", err)
-			}
-		}
 		store = mem
 	}
 
@@ -308,35 +277,11 @@ func main() {
 		}()
 	}
 
-	if mem != nil && *snapshot != "" {
-		go func() {
-			ticker := time.NewTicker(*snapshotEvery)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-					if err := kv.WriteSnapshotFile(*snapshot, mem); err != nil {
-						log.Printf("snapshot failed: %v", err)
-					}
-				}
-			}
-		}()
-	}
-
 	if err := srv.Serve(ctx, lis); err != nil && !errors.Is(err, context.Canceled) {
 		log.Printf("serve: %v", err)
 	}
 	if rnode != nil {
 		rnode.Close()
-	}
-	if mem != nil && *snapshot != "" {
-		if err := kv.WriteSnapshotFile(*snapshot, mem); err != nil {
-			log.Printf("final snapshot failed: %v", err)
-		} else {
-			log.Printf("wrote snapshot %s", *snapshot)
-		}
 	}
 	if mem != nil {
 		log.Printf("store stats: %s", mem.Stats())

@@ -1,9 +1,10 @@
 // Package kv provides the storage substrate TimeCrypt persists chunks and
 // index nodes into. The paper's prototype used Cassandra purely as a
-// key-value store; this package supplies the same contract with a sharded
-// in-memory engine plus snapshot persistence, so the rest of the system is
+// key-value store; this package states that contract (Store) and supplies a
+// sharded in-memory engine for it, so the rest of the system is
 // storage-agnostic (paper §4.6, "TimeCrypt can be plugged-in with any
-// scalable key-value store").
+// scalable key-value store"). Durability is kv/durable's, which compacts
+// into this package's snapshot format.
 package kv
 
 import (
@@ -40,9 +41,12 @@ type Store interface {
 	Put(key string, value []byte) error
 	// Delete removes key; deleting a missing key is not an error.
 	Delete(key string) error
-	// Batch applies ops atomically with respect to each individual key
-	// (cross-key atomicity is not guaranteed, mirroring Cassandra's
-	// unlogged batches).
+	// Batch applies ops all-or-nothing across keys: no reader and no
+	// crash image holds some of them without the rest, and once Batch
+	// returns nil a later Get or Scan sees all of them. The engine writes
+	// each mutation (a chunk batch with its index ancestors and meta key)
+	// as one Batch and relies on this to never fold digests twice after a
+	// crash; TestInsertCrashPoints in internal/server depends on it.
 	Batch(ops []Op) error
 	// Scan visits every key with the given prefix in unspecified order
 	// until fn returns false.

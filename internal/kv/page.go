@@ -26,8 +26,7 @@ type Pair struct {
 // stream migrator's frozen final round does exactly that).
 //
 // Values are retained past the Scan callback; every Store in this
-// package hands out safe copies (MemStore copies under its lock, the
-// remote store decodes fresh buffers).
+// package hands out safe copies (MemStore copies under its lock).
 func ScanPage(s Store, prefix, after string, limit int) ([]Pair, bool, error) {
 	if limit <= 0 {
 		limit = 1024

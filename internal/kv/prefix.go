@@ -3,10 +3,10 @@ package kv
 import "strings"
 
 // PrefixStore namespaces a Store under a fixed key prefix, so several
-// engine shards can partition one backing store (one snapshot file, one
-// remote storage node) without key collisions. Len and SizeBytes report
-// only the partition's keys; Close is a no-op because the base store is
-// shared.
+// engine shards can partition one backing store (one in-memory store, or
+// one durable store with a single WAL) without key collisions. Len and
+// SizeBytes report only the partition's keys; Close is a no-op because the
+// base store is shared.
 type PrefixStore struct {
 	base   Store
 	prefix string

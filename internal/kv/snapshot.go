@@ -11,9 +11,10 @@ import (
 )
 
 // Snapshot format: a magic header followed by length-prefixed records and a
-// trailing CRC-32 of everything before it. This gives the in-memory store a
-// durability story (periodic snapshots) without pulling in a full LSM tree,
-// which the paper's evaluation never exercises.
+// trailing CRC-32 of everything before it. It is the durable store's
+// compaction format (kv/durable writes one per compaction and loads the
+// newest on boot), which spares the system a full LSM tree the paper's
+// evaluation never exercises.
 
 var snapshotMagic = [8]byte{'T', 'C', 'K', 'V', 'S', 'N', 'A', '1'}
 
