@@ -228,43 +228,24 @@ func (cs *ConsumerStream) Points(ctx context.Context, ts, te int64) ([]chunk.Poi
 	return cs.view.points(ctx, w, ts, te)
 }
 
-// StatMulti runs an inter-stream statistical query: the server returns one
-// aggregate summed across the streams; decryption peels each stream's
-// outer keys in turn, so it succeeds only with sufficient grants on every
-// stream (§4.3: "a principal can only decrypt the result if she is granted
-// access to all streams involved").
+// StatMulti runs an inter-stream statistical query: the one-window plan
+// streams[0].Query().Streams(streams[1:]...).Range(ts, te). The server
+// returns one aggregate summed across the streams; decryption peels each
+// stream's outer keys in turn, so it succeeds only with a full-resolution
+// grant on every stream (§4.3: "a principal can only decrypt the result
+// if she is granted access to all streams involved"). Like any plan it
+// refuses a stream listed twice rather than counting it twice.
 func (c *Consumer) StatMulti(ctx context.Context, streams []*ConsumerStream, ts, te int64) (StatResult, error) {
 	if len(streams) == 0 {
 		return StatResult{}, errors.New("client: no streams")
 	}
-	uuids := make([]string, len(streams))
-	for i, cs := range streams {
-		if cs.keys == nil {
-			return StatResult{}, fmt.Errorf("client: stream %q lacks a full-resolution grant", cs.uuid)
-		}
-		uuids[i] = cs.uuid
+	rest := make([]Queryable, len(streams)-1)
+	for i, cs := range streams[1:] {
+		rest[i] = cs
 	}
-	resp, err := call[*wire.StatRangeResp](ctx, c.t, &wire.StatRange{UUIDs: uuids, Ts: ts, Te: te})
+	res, err := streams[0].Query().Streams(rest...).Range(ts, te).All(ctx)
 	if err != nil {
 		return StatResult{}, err
 	}
-	if len(resp.Windows) != 1 {
-		return StatResult{}, fmt.Errorf("client: server returned %d windows", len(resp.Windows))
-	}
-	vec := append([]uint64(nil), resp.Windows[0]...)
-	for _, cs := range streams {
-		vec, err = cs.dec.DecryptWindow(resp.FromChunk, resp.ToChunk, vec)
-		if err != nil {
-			return StatResult{}, fmt.Errorf("client: stream %q: %w", cs.uuid, err)
-		}
-	}
-	r, err := streams[0].spec.Interpret(vec)
-	if err != nil {
-		return StatResult{}, err
-	}
-	v0 := streams[0].view
-	return StatResult{
-		Result: r, Start: v0.chunkStart(resp.FromChunk), End: v0.chunkStart(resp.ToChunk),
-		FromChunk: resp.FromChunk, ToChunk: resp.ToChunk,
-	}, nil
+	return res[0], nil
 }

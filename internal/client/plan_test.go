@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -252,43 +253,163 @@ func TestPlanConsumerCombined(t *testing.T) {
 	}
 }
 
-// TestPlanLegacyPathUnchanged: a plan that uses neither Streams nor Stats
-// must execute over the original StatRange path (no AggRange on the wire)
-// and return identical results.
-func TestPlanLegacyPathUnchanged(t *testing.T) {
+// TestUntypedCursorIsAOneMemberPlan: a cursor that uses neither Streams
+// nor Stats is a one-member plan with no projection. It sends only
+// AggRange — unary pages, or one server-push stream on a multiplexed
+// transport — never StatRange or QueryStream, and yields exactly the
+// windows StatRange/StatSeries decrypt over their own path.
+func TestUntypedCursorIsAOneMemberPlan(t *testing.T) {
+	const chunks = 20
+	check := func(t *testing.T, tr Transport, seen *msgRecorder, streamed bool) {
+		ctx := context.Background()
+		s := newWriterStream(t, tr, "untyped")
+		fillDeterministic(t, s, chunks, 7)
+		te := writerEpoch + chunks*1000
+		for _, window := range []uint64{0, 4} {
+			var want []StatResult
+			if window == 0 {
+				r, err := s.StatRange(ctx, writerEpoch, te)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = []StatResult{r}
+			} else {
+				var err error
+				if want, err = s.StatSeries(ctx, writerEpoch, te, window); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seen.reset()
+			it := s.Query().Range(writerEpoch, te).Window(window).PageSize(2).Iter(ctx)
+			var got []Agg
+			for it.Next() {
+				if streamed && window > 0 && it.stream == nil {
+					t.Fatalf("window %d: cursor on a multiplexed transport did not open a stream", window)
+				}
+				got = append(got, it.Agg())
+			}
+			if err := it.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("window %d: cursor yielded %d windows, want %d", window, len(got), len(want))
+			}
+			for i, a := range got {
+				w := want[i]
+				if a.Sum() != w.Sum || a.Count() != w.Count ||
+					a.FromChunk != w.FromChunk || a.ToChunk != w.ToChunk ||
+					a.Start != w.Start || a.End != w.End {
+					t.Errorf("window %d/%d: cursor %d/%d [%d,%d) [%d,%d), reference %d/%d [%d,%d) [%d,%d)",
+						window, i, a.Sum(), a.Count(), a.FromChunk, a.ToChunk, a.Start, a.End,
+						w.Sum, w.Count, w.FromChunk, w.ToChunk, w.Start, w.End)
+				}
+				if a.Stats() != s.spec.AllStats() || a.StreamCount != 1 {
+					t.Errorf("window %d/%d: stats %v streams %d, want %v and 1",
+						window, i, a.Stats(), a.StreamCount, s.spec.AllStats())
+				}
+			}
+			if seen.count(wire.TAggRange) == 0 || seen.count(wire.TStatRange) != 0 || seen.count(wire.TQueryStream) != 0 {
+				t.Errorf("window %d: cursor sent AggRange=%d StatRange=%d QueryStream=%d, want AggRange only",
+					window, seen.count(wire.TAggRange), seen.count(wire.TStatRange), seen.count(wire.TQueryStream))
+			}
+		}
+	}
+	t.Run("InProc", func(t *testing.T) {
+		seen := &msgRecorder{inner: newWriterEngine(t)}
+		check(t, &InProc{Engine: seen}, seen, false)
+	})
+	t.Run("TCPSession", func(t *testing.T) {
+		seen := &msgRecorder{inner: newWriterEngine(t)}
+		sess, err := DialSession(startSessionServer(t, seen), SessionOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		check(t, sess, seen, true)
+	})
+}
+
+// TestStatMultiIsAPlan: StatMulti is the one-window plan over its streams.
+// It sends only AggRange, answers what Query().Streams answers, refuses a
+// member it holds no full-resolution grant for by name, and refuses a
+// stream listed twice instead of summing it twice.
+func TestStatMultiIsAPlan(t *testing.T) {
 	engine := newWriterEngine(t)
 	seen := &msgRecorder{inner: engine}
 	tr := &InProc{Engine: seen}
-	s := newWriterStream(t, tr, "legacy")
 	ctx := context.Background()
-	const chunks = 20
-	fillDeterministic(t, s, chunks, 7)
-	te := writerEpoch + chunks*1000
 
-	want, err := s.StatSeries(ctx, writerEpoch, te, 4)
+	const chunks = 12
+	te := writerEpoch + chunks*1000
+	a := newWriterStream(t, tr, "multi-a")
+	b := newWriterStream(t, tr, "multi-b")
+	r := newWriterStream(t, tr, "multi-restricted")
+	if err := r.EnableResolution(ctx, 4); err != nil {
+		t.Fatal(err)
+	}
+	kp, err := hybrid.GenerateKeyPair()
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen.reset()
-	got, err := s.Query().Range(writerEpoch, te).Window(4).All(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("legacy cursor yielded %d windows, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Sum != want[i].Sum || got[i].Count != want[i].Count ||
-			got[i].FromChunk != want[i].FromChunk || got[i].ToChunk != want[i].ToChunk ||
-			got[i].Start != want[i].Start || got[i].End != want[i].End {
-			t.Errorf("window %d: %+v != %+v", i, got[i], want[i])
+	for i, s := range []*OwnerStream{a, b, r} {
+		fillDeterministic(t, s, chunks, int64(100*(i+1)))
+		factor := uint64(0)
+		if s == r {
+			factor = 4
+		}
+		if _, err := s.Grant(ctx, kp.PublicBytes(), writerEpoch, te, factor); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if seen.count(wire.TAggRange) != 0 {
-		t.Error("legacy single-stream query used AggRange")
+	consumer := NewConsumer(tr, kp)
+	open := func(uuid string) *ConsumerStream {
+		cs, err := consumer.OpenStream(ctx, uuid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cs
 	}
-	if seen.count(wire.TStatRange) == 0 {
-		t.Error("legacy single-stream query issued no StatRange")
+	ca, cb, cr := open("multi-a"), open("multi-b"), open("multi-restricted")
+
+	seen.reset()
+	got, err := consumer.StatMulti(ctx, []*ConsumerStream{ca, cb}, writerEpoch, te)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := seen.count(wire.TAggRange); n != 1 || seen.total() != n {
+		t.Errorf("StatMulti sent %d requests, %d of them AggRange; want one AggRange", seen.total(), n)
+	}
+	it := ca.Query().Streams(cb).Range(writerEpoch, te).Iter(ctx)
+	if !it.Next() {
+		t.Fatalf("plan empty: %v", it.Err())
+	}
+	want := it.Result()
+	if got.Sum != want.Sum || got.Count != want.Count ||
+		got.FromChunk != want.FromChunk || got.ToChunk != want.ToChunk ||
+		got.Start != want.Start || got.End != want.End {
+		t.Errorf("StatMulti %+v, plan %+v", got, want)
+	}
+	wantA, err := a.StatRange(ctx, writerEpoch, te)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantB, err := b.StatRange(ctx, writerEpoch, te)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Sum != wantA.Sum+wantB.Sum || got.Count != wantA.Count+wantB.Count {
+		t.Errorf("StatMulti %d/%d, members sum to %d/%d", got.Sum, got.Count, wantA.Sum+wantB.Sum, wantA.Count+wantB.Count)
+	}
+
+	if _, err := consumer.StatMulti(ctx, []*ConsumerStream{ca, cr}, writerEpoch, te); err == nil {
+		t.Error("member without a full-resolution grant accepted")
+	} else if !strings.Contains(err.Error(), `"multi-restricted"`) {
+		t.Errorf("refusal does not name the ungranted stream: %v", err)
+	}
+	if _, err := consumer.StatMulti(ctx, []*ConsumerStream{ca, cb, ca}, writerEpoch, te); err == nil {
+		t.Error("stream listed twice accepted")
+	} else if !strings.Contains(err.Error(), `"multi-a" appears twice`) {
+		t.Errorf("duplicate refusal does not name the stream: %v", err)
 	}
 }
 
@@ -309,6 +430,16 @@ func (r *msgRecorder) count(t wire.MsgType) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.seen[t]
+}
+
+func (r *msgRecorder) total() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for _, c := range r.seen {
+		n += c
+	}
+	return n
 }
 
 func (r *msgRecorder) Handle(ctx context.Context, req wire.Message) wire.Message {

@@ -88,13 +88,12 @@ func (cs *ConsumerStream) queryMember() member {
 // per-window digests across every member before responding, so a whole
 // population aggregates in one round trip per page. Stats selects typed
 // statistics; the plan then fetches (and decrypts) only the digest
-// elements those statistics need. A plan that uses neither is the
-// degenerate single-stream query and executes exactly as it always has,
-// yielding the monolithic StatResult.
+// elements those statistics need. A plan that uses neither is a
+// one-member plan with no projection: it carries every statistic the
+// stream's digest supports.
 type QueryBuilder struct {
 	members []member
 	stats   chunk.StatSet
-	typed   bool // Streams or Stats was called: execute as a typed plan
 	ts, te  int64
 	window  uint64
 	page    int
@@ -125,7 +124,6 @@ func (cs *ConsumerStream) Query() *QueryBuilder {
 // access to all streams involved). The plan executes over the anchor
 // stream's transport.
 func (q *QueryBuilder) Streams(more ...Queryable) *QueryBuilder {
-	q.typed = true
 	for _, s := range more {
 		if s == nil {
 			q.err = fmt.Errorf("client: nil stream in query plan")
@@ -146,11 +144,10 @@ func (q *QueryBuilder) Streams(more ...Queryable) *QueryBuilder {
 // Stats selects the typed statistics the plan answers; the server projects
 // the encrypted aggregates down to the digest elements those statistics
 // need, so nothing else is shipped or decrypted. With no arguments the
-// plan stays typed but carries every statistic the stream's digest
-// supports. Selecting a statistic the digest cannot answer (e.g. Var on a
-// sum-only stream) fails at iteration.
+// plan carries every statistic the stream's digest supports. Selecting a
+// statistic the digest cannot answer (e.g. Var on a sum-only stream)
+// fails at iteration.
 func (q *QueryBuilder) Stats(stats ...Stat) *QueryBuilder {
-	q.typed = true
 	q.stats |= chunk.NewStatSet(stats...)
 	return q
 }
@@ -260,15 +257,14 @@ func (a Agg) statResult() StatResult {
 }
 
 // Cursor pages the windows of a statistical query lazily, decrypting one
-// page at a time and handing them out one window per Next. On a
-// multiplexed transport (Streamer) it opens a server-push stream
-// (wire.QueryStream, or wire.AggRange with PageWindows for typed plans)
-// and the server pushes successive pages tagged with the cursor's
-// correlation ID — no per-page round trip; on serialized transports each
-// page is one round trip. The iteration bound is pinned to the streams'
-// ingest progress at first use (one batched round trip for multi-stream
-// plans), so a cursor sees a consistent prefix even while ingest
-// continues.
+// page at a time and handing them out one window per Next. Every page is a
+// wire.AggRange. On a multiplexed transport (Streamer) a windowed cursor
+// opens one server-push stream (AggRange with PageWindows) and the server
+// pushes successive pages tagged with the cursor's correlation ID — no
+// per-page round trip; on serialized transports each page is one round
+// trip. The iteration bound is pinned to the streams' ingest progress at
+// first use (one batched round trip for multi-stream plans), so a cursor
+// sees a consistent prefix even while ingest continues.
 type Cursor struct {
 	ctx context.Context
 	q   *QueryBuilder
@@ -277,11 +273,8 @@ type Cursor struct {
 	done    bool
 	err     error
 
-	// Legacy single-stream path.
-	dec windowDecrypter
-
-	// Typed plan path.
-	decs  []elemDecrypter
+	uuids []string // member streams, in plan order
+	decs  []windowDecrypter
 	elems []uint32 // projection; nil = full vectors
 	avail chunk.StatSet
 
@@ -336,140 +329,26 @@ func (c *Cursor) Agg() Agg { return c.page[c.pos] }
 // returns nil.
 func (c *Cursor) Err() error { return c.err }
 
-// start pins the iteration bounds and resolves decrypters: scalar queries
-// resolve to a single aggregate; windowed queries read the streams' ingest
-// progress once and page over the window grid.
+// start resolves the plan and pins the iteration bounds: a scalar query is
+// one AggRange round trip; a windowed query reads the streams' ingest
+// progress once and pages over the window grid.
 func (c *Cursor) start() {
 	c.started = true
 	c.pos = -1
-	if c.q.err != nil {
-		c.err = c.q.err
-		return
-	}
-	if c.q.typed || len(c.q.members) > 1 {
-		c.startPlan()
-		return
-	}
-	c.startLegacy()
-}
-
-// startLegacy is the degenerate one-stream, untyped plan: the exact
-// StatRange/QueryStream execution path this API has always had.
-func (c *Cursor) startLegacy() {
 	q := c.q
-	m := q.members[0]
-	dec, err := m.decFor(c.ctx, q.window)
-	if err != nil {
-		c.err = err
+	if q.err != nil {
+		c.err = q.err
 		return
 	}
-	c.dec = dec
-	v := m.v
-	if q.window == 0 {
-		res, err := v.statRange(c.ctx, dec, q.ts, q.te)
-		if err != nil {
-			c.err = err
-			return
-		}
-		c.page = []Agg{legacyAgg(res, v.spec.AllStats())}
-		c.done = true
+	c.uuids, c.elems, c.decs, c.err = q.resolve(c.ctx)
+	if c.err != nil {
 		return
 	}
-	if q.te <= q.ts {
-		c.err = fmt.Errorf("client: empty query range [%d,%d)", q.ts, q.te)
-		return
-	}
-	info, err := call[*wire.StreamInfoResp](c.ctx, v.t, &wire.StreamInfo{UUID: v.uuid})
-	if err != nil {
-		c.err = err
-		return
-	}
-	if !c.pinBounds(v, info.Count) {
-		return
-	}
-	if st, ok := v.t.(Streamer); ok {
-		// Multiplexed transport: one QueryStream request, the server
-		// pushes every page. The grid-aligned range is sent verbatim.
-		stream, err := st.Stream(c.ctx, &wire.QueryStream{
-			UUID:         v.uuid,
-			Ts:           v.chunkStart(c.next),
-			Te:           v.chunkStart(c.end),
-			WindowChunks: q.window,
-			PageWindows:  uint32(c.pageWindows()),
-		})
-		if err != nil {
-			c.err = err
-			return
-		}
-		c.setStream(stream)
-	}
-}
-
-// startPlan executes a typed plan: geometry validation across members,
-// stat-mask projection, per-member decrypters, and AggRange execution.
-func (c *Cursor) startPlan() {
-	q := c.q
 	anchor := q.members[0].v
-	spec := anchor.spec
-	specBytes, err := spec.MarshalBinary()
-	if err != nil {
-		c.err = err
-		return
-	}
-	seen := make(map[string]bool, len(q.members))
-	for _, m := range q.members {
-		if seen[m.v.uuid] {
-			c.err = fmt.Errorf("client: stream %q appears twice in the plan", m.v.uuid)
-			return
-		}
-		seen[m.v.uuid] = true
-		if m.v.epoch != anchor.epoch || m.v.interval != anchor.interval {
-			c.err = fmt.Errorf("client: stream %q geometry differs from %q (plans need matching epoch/interval)", m.v.uuid, anchor.uuid)
-			return
-		}
-		mb, err := m.v.spec.MarshalBinary()
-		if err != nil {
-			c.err = err
-			return
-		}
-		if !bytes.Equal(mb, specBytes) {
-			c.err = fmt.Errorf("client: stream %q digest spec differs from %q (plans need one digest layout)", m.v.uuid, anchor.uuid)
-			return
-		}
-	}
-	// Map the stat mask onto digest elements. No selection means every
-	// statistic the digest supports, shipped unprojected.
-	if q.stats != 0 {
-		elems, err := spec.ElemsFor(q.stats)
-		if err != nil {
-			c.err = err
-			return
-		}
-		if len(elems) < spec.VectorLen() {
-			c.elems = elems
-		}
-	}
-	c.avail = spec.StatsForElems(c.elems)
-	// Resolve one decrypter per member; all concrete decrypters support
-	// projected windows.
-	c.decs = make([]elemDecrypter, len(q.members))
-	for i, m := range q.members {
-		dec, err := m.decFor(c.ctx, q.window)
-		if err != nil {
-			c.err = fmt.Errorf("client: stream %q: %w", m.v.uuid, err)
-			return
-		}
-		ed, ok := dec.(elemDecrypter)
-		if !ok {
-			c.err = fmt.Errorf("client: stream %q decrypter cannot decrypt projected aggregates", m.v.uuid)
-			return
-		}
-		c.decs[i] = ed
-	}
-	uuids := c.planUUIDs()
+	c.avail = anchor.spec.StatsForElems(c.elems)
 	if q.window == 0 {
 		resp, err := call[*wire.AggRangeResp](c.ctx, anchor.t, &wire.AggRange{
-			UUIDs: uuids, Ts: q.ts, Te: q.te, Elems: c.elems,
+			UUIDs: c.uuids, Ts: q.ts, Te: q.te, Elems: c.elems,
 		})
 		if err != nil {
 			c.err = err
@@ -479,12 +358,7 @@ func (c *Cursor) startPlan() {
 			c.err = fmt.Errorf("client: server returned %d windows for scalar plan", len(resp.Windows))
 			return
 		}
-		page, err := c.decodeAggPage(resp, 0)
-		if err != nil {
-			c.err = err
-			return
-		}
-		c.page = page
+		c.page, c.err = c.decodeAggPage(resp, 0)
 		c.done = true
 		return
 	}
@@ -495,7 +369,7 @@ func (c *Cursor) startPlan() {
 	// Pin the iteration bound to the shortest member's ingest progress —
 	// one round trip even for a 16-stream plan, via a Batch of StreamInfo
 	// sub-requests.
-	count, err := c.minCount(anchor.t, uuids)
+	count, err := c.minCount(anchor.t, c.uuids)
 	if err != nil {
 		c.err = err
 		return
@@ -506,7 +380,7 @@ func (c *Cursor) startPlan() {
 	if st, ok := anchor.t.(Streamer); ok {
 		// Multiplexed transport: one AggRange opens a server-push stream.
 		stream, err := st.Stream(c.ctx, &wire.AggRange{
-			UUIDs:        uuids,
+			UUIDs:        c.uuids,
 			Ts:           anchor.chunkStart(c.next),
 			Te:           anchor.chunkStart(c.end),
 			WindowChunks: q.window,
@@ -521,13 +395,52 @@ func (c *Cursor) startPlan() {
 	}
 }
 
-// planUUIDs lists the member stream UUIDs in plan order.
-func (c *Cursor) planUUIDs() []string {
-	uuids := make([]string, len(c.q.members))
-	for i, m := range c.q.members {
-		uuids[i] = m.v.uuid
+// resolve validates a plan and resolves what executing it needs: the
+// member UUIDs in plan order, the digest elements the stat selection maps
+// onto (nil = full vectors, also when nothing was selected), and one
+// decrypter per member at the plan's window size.
+func (q *QueryBuilder) resolve(ctx context.Context) (uuids []string, elems []uint32, decs []windowDecrypter, err error) {
+	anchor := q.members[0].v
+	spec := anchor.spec
+	specBytes, err := spec.MarshalBinary()
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return uuids
+	uuids = make([]string, len(q.members))
+	seen := make(map[string]bool, len(q.members))
+	for i, m := range q.members {
+		if seen[m.v.uuid] {
+			return nil, nil, nil, fmt.Errorf("client: stream %q appears twice in the plan", m.v.uuid)
+		}
+		seen[m.v.uuid] = true
+		uuids[i] = m.v.uuid
+		if m.v.epoch != anchor.epoch || m.v.interval != anchor.interval {
+			return nil, nil, nil, fmt.Errorf("client: stream %q geometry differs from %q (plans need matching epoch/interval)", m.v.uuid, anchor.uuid)
+		}
+		mb, err := m.v.spec.MarshalBinary()
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if !bytes.Equal(mb, specBytes) {
+			return nil, nil, nil, fmt.Errorf("client: stream %q digest spec differs from %q (plans need one digest layout)", m.v.uuid, anchor.uuid)
+		}
+	}
+	if q.stats != 0 {
+		es, err := spec.ElemsFor(q.stats)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if len(es) < spec.VectorLen() {
+			elems = es
+		}
+	}
+	decs = make([]windowDecrypter, len(q.members))
+	for i, m := range q.members {
+		if decs[i], err = m.decFor(ctx, q.window); err != nil {
+			return nil, nil, nil, fmt.Errorf("client: stream %q: %w", m.v.uuid, err)
+		}
+	}
+	return uuids, elems, decs, nil
 }
 
 // minCount fetches every member's ingest progress in one round trip and
@@ -634,28 +547,16 @@ func (c *Cursor) fetch() {
 	if hi > c.end {
 		hi = c.end
 	}
-	if c.decs != nil {
-		resp, err := call[*wire.AggRangeResp](c.ctx, v.t, &wire.AggRange{
-			UUIDs: c.planUUIDs(), Ts: v.chunkStart(c.next), Te: v.chunkStart(hi),
-			WindowChunks: q.window, Elems: c.elems,
-		})
-		if err != nil {
-			c.err = err
-			return
-		}
-		page, err := c.decodeAggPage(resp, q.window)
-		if err != nil {
-			c.err = err
-			return
-		}
-		c.page = page
-	} else {
-		res, err := v.statSeries(c.ctx, c.dec, v.chunkStart(c.next), v.chunkStart(hi), q.window)
-		if err != nil {
-			c.err = err
-			return
-		}
-		c.page = legacyAggs(res, v.spec.AllStats())
+	resp, err := call[*wire.AggRangeResp](c.ctx, v.t, &wire.AggRange{
+		UUIDs: c.uuids, Ts: v.chunkStart(c.next), Te: v.chunkStart(hi),
+		WindowChunks: q.window, Elems: c.elems,
+	})
+	if err != nil {
+		c.err = err
+		return
+	}
+	if c.page, c.err = c.decodeAggPage(resp, q.window); c.err != nil {
+		return
 	}
 	c.pos = 0
 	c.next = hi
@@ -666,8 +567,6 @@ func (c *Cursor) fetch() {
 
 // fetchStreamed consumes one server-pushed page.
 func (c *Cursor) fetchStreamed() {
-	q := c.q
-	v := q.members[0].v
 	msg, err := c.stream.Recv()
 	if err != nil {
 		if err == io.EOF {
@@ -677,34 +576,15 @@ func (c *Cursor) fetchStreamed() {
 		c.err = err
 		return
 	}
-	if c.decs != nil {
-		page, ok := msg.(*wire.AggRangeResp)
-		if !ok {
-			c.err = fmt.Errorf("client: unexpected stream page %T", msg)
-			c.stream.Close()
-			return
-		}
-		res, err := c.decodeAggPage(page, q.window)
-		if err != nil {
-			c.err = err
-			c.stream.Close()
-			return
-		}
-		c.page = res
-	} else {
-		page, ok := msg.(*wire.StatRangeResp)
-		if !ok {
-			c.err = fmt.Errorf("client: unexpected stream page %T", msg)
-			c.stream.Close()
-			return
-		}
-		res, err := v.decodeWindows(c.dec, page, q.window)
-		if err != nil {
-			c.err = err
-			c.stream.Close()
-			return
-		}
-		c.page = legacyAggs(res, v.spec.AllStats())
+	page, ok := msg.(*wire.AggRangeResp)
+	if !ok {
+		c.err = fmt.Errorf("client: unexpected stream page %T", msg)
+		c.stream.Close()
+		return
+	}
+	if c.page, c.err = c.decodeAggPage(page, c.q.window); c.err != nil {
+		c.stream.Close()
+		return
 	}
 	c.pos = 0
 }
@@ -736,7 +616,7 @@ func (c *Cursor) decodeAggPage(resp *wire.AggRangeResp, windowChunks uint64) ([]
 				pt, err = dec.DecryptWindow(i, j, pt)
 			}
 			if err != nil {
-				return nil, fmt.Errorf("client: window %d, stream %q: %w", w, c.q.members[k].v.uuid, err)
+				return nil, fmt.Errorf("client: window %d, stream %q: %w", w, c.uuids[k], err)
 			}
 		}
 		var r chunk.Result
@@ -756,23 +636,6 @@ func (c *Cursor) decodeAggPage(resp *wire.AggRangeResp, windowChunks uint64) ([]
 		})
 	}
 	return out, nil
-}
-
-// legacyAgg wraps a monolithic StatResult as a single-stream aggregate.
-func legacyAgg(r StatResult, avail chunk.StatSet) Agg {
-	return Agg{
-		Start: r.Start, End: r.End,
-		FromChunk: r.FromChunk, ToChunk: r.ToChunk,
-		StreamCount: 1, res: r.Result, avail: avail,
-	}
-}
-
-func legacyAggs(rs []StatResult, avail chunk.StatSet) []Agg {
-	out := make([]Agg, len(rs))
-	for i, r := range rs {
-		out[i] = legacyAgg(r, avail)
-	}
-	return out
 }
 
 // isClosed reports whether Close ended the cursor.

@@ -11,14 +11,16 @@ import (
 	"repro/internal/wire"
 )
 
-// countingHandler tallies StatRange requests so tests can assert paging.
+// countingHandler tallies statistical requests (StatRange and AggRange)
+// so tests can assert paging.
 type countingHandler struct {
 	inner server.Handler
 	stats atomic.Int64
 }
 
 func (c *countingHandler) Handle(ctx context.Context, req wire.Message) wire.Message {
-	if _, ok := req.(*wire.StatRange); ok {
+	switch req.(type) {
+	case *wire.StatRange, *wire.AggRange:
 		c.stats.Add(1)
 	}
 	return c.inner.Handle(ctx, req)
@@ -110,7 +112,7 @@ func TestQueryCursorMatchesStatSeries(t *testing.T) {
 }
 
 // TestQueryCursorStreamsOverTCP: on a multiplexed transport the cursor
-// opens one wire.QueryStream — the server pushes every page — and yields
+// opens one paged wire.AggRange — the server pushes every page — and yields
 // exactly the windows the paging path materializes. Abandoning the cursor
 // early reclaims the stream's pending-table entry.
 func TestQueryCursorStreamsOverTCP(t *testing.T) {

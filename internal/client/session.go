@@ -53,9 +53,10 @@ type SessionOptions struct {
 //
 // Do issues a call and returns immediately with an awaitable *Call;
 // RoundTrip is the blocking facade (Session implements Transport). Stream
-// opens a streamed response (wire.QueryStream). Canceling a call's context
-// removes it from the pending table without poisoning the connection —
-// the late response is recognized and discarded. Connection breakage fails
+// opens a streamed response (a paged wire.AggRange or a wire.Subscribe).
+// Canceling a call's context removes it from the pending table without
+// poisoning the connection — the late response is recognized and
+// discarded. Connection breakage fails
 // every in-flight call with ErrSessionBroken; the session is then dead and
 // a new one must be dialed (the TCP transport facade does this
 // automatically).
@@ -220,9 +221,10 @@ func (s *Session) RoundTrip(ctx context.Context, req wire.Message) (wire.Message
 	return c.Wait(ctx)
 }
 
-// Stream issues a streamed request (wire.QueryStream): the server pushes
-// successive frames tagged with the call's correlation ID. Read them with
-// Recv; Close abandons the stream early without poisoning the connection.
+// Stream issues a streamed request (a paged wire.AggRange or a
+// wire.Subscribe): the server pushes successive frames tagged with the
+// call's correlation ID. Read them with Recv; Close abandons the stream
+// early without poisoning the connection.
 func (s *Session) Stream(ctx context.Context, req wire.Message) (*Stream, error) {
 	c, err := s.issue(ctx, req, true)
 	if err != nil {

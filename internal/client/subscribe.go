@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -45,56 +44,11 @@ func (q *QueryBuilder) Subscribe(ctx context.Context) (*Subscription, error) {
 	if q.window == 0 {
 		return nil, errors.New("client: subscriptions need Window(n > 0)")
 	}
-	anchor := q.members[0].v
-	spec := anchor.spec
-	specBytes, err := spec.MarshalBinary()
+	uuids, elems, decs, err := q.resolve(ctx)
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[string]bool, len(q.members))
-	uuids := make([]string, len(q.members))
-	for i, m := range q.members {
-		if m.v == nil {
-			return nil, fmt.Errorf("client: nil stream in subscription plan")
-		}
-		if seen[m.v.uuid] {
-			return nil, fmt.Errorf("client: stream %q appears twice in the plan", m.v.uuid)
-		}
-		seen[m.v.uuid] = true
-		uuids[i] = m.v.uuid
-		if m.v.epoch != anchor.epoch || m.v.interval != anchor.interval {
-			return nil, fmt.Errorf("client: stream %q geometry differs from %q (plans need matching epoch/interval)", m.v.uuid, anchor.uuid)
-		}
-		mb, err := m.v.spec.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		if !bytes.Equal(mb, specBytes) {
-			return nil, fmt.Errorf("client: stream %q digest spec differs from %q (plans need one digest layout)", m.v.uuid, anchor.uuid)
-		}
-	}
-	var elems []uint32
-	if q.stats != 0 {
-		es, err := spec.ElemsFor(q.stats)
-		if err != nil {
-			return nil, err
-		}
-		if len(es) < spec.VectorLen() {
-			elems = es
-		}
-	}
-	decs := make([]elemDecrypter, len(q.members))
-	for i, m := range q.members {
-		dec, err := m.decFor(ctx, q.window)
-		if err != nil {
-			return nil, fmt.Errorf("client: stream %q: %w", m.v.uuid, err)
-		}
-		ed, ok := dec.(elemDecrypter)
-		if !ok {
-			return nil, fmt.Errorf("client: stream %q decrypter cannot decrypt projected aggregates", m.v.uuid)
-		}
-		decs[i] = ed
-	}
+	anchor := q.members[0].v
 	streamer, ok := anchor.t.(Streamer)
 	if !ok {
 		return nil, errors.New("client: subscriptions need a multiplexed transport (Session or TCP)")
@@ -126,7 +80,7 @@ func (q *QueryBuilder) Subscribe(ctx context.Context) (*Subscription, error) {
 		st: st, resp: resp,
 		anchor: anchor, members: uuids,
 		decs: decs, elems: elems,
-		avail: spec.StatsForElems(elems),
+		avail: anchor.spec.StatsForElems(elems),
 		wc:    q.window,
 		next:  resp.FirstSeq,
 	}, nil
@@ -166,7 +120,7 @@ type Subscription struct {
 	resp    *wire.SubscribeResp
 	anchor  *view
 	members []string
-	decs    []elemDecrypter
+	decs    []windowDecrypter
 	elems   []uint32
 	avail   chunk.StatSet
 	wc      uint64

@@ -36,8 +36,9 @@ type Doer interface {
 }
 
 // Streamer is the streamed-response face of a multiplexed transport: the
-// server pushes successive frames for one request (wire.QueryStream). The
-// query cursor type-asserts it and falls back to per-page round trips.
+// server pushes successive frames for one request (a wire.AggRange with
+// PageWindows, or a wire.Subscribe). The query cursor type-asserts it and
+// falls back to per-page round trips.
 type Streamer interface {
 	Stream(ctx context.Context, req wire.Message) (*Stream, error)
 }
@@ -67,16 +68,10 @@ type InProc struct {
 	// Engine is any request handler: a *server.Engine or a
 	// cluster.Router over several of them.
 	Engine server.Handler
-	// SkipCodec bypasses the marshal/unmarshal round trip for
-	// microbenchmarks that isolate crypto/index cost.
-	SkipCodec bool
 }
 
 // RoundTrip implements Transport.
 func (p *InProc) RoundTrip(ctx context.Context, req wire.Message) (wire.Message, error) {
-	if p.SkipCodec {
-		return p.Engine.Handle(ctx, req), nil
-	}
 	reqBytes := wire.Marshal(req)
 	decoded, err := wire.Unmarshal(reqBytes)
 	if err != nil {

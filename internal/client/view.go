@@ -15,26 +15,22 @@ import (
 // [i, j). Full-resolution principals use HEAC outer leaves; resolution-
 // restricted principals use envelope-derived outer leaves. The caller
 // gives c up: the result may be c itself, decrypted in place.
-type windowDecrypter interface {
-	DecryptWindow(i, j uint64, c []uint64) ([]uint64, error)
-}
-
-// elemDecrypter additionally decrypts projected aggregates: c[x] is the
+//
+// DecryptWindowElems decrypts a projected aggregate: c[x] is the
 // ciphertext of digest element elems[x] of the stream's full vector, so
-// the canceling subkeys must be derived at those original indices. Every
-// decrypter in this package implements it; typed query plans require it.
+// the canceling subkeys must be derived at those original indices.
 //
 // Removing one stream's keystream from a multi-stream aggregate is the
 // same operation as decrypting (subtract the i pad, add the j pad), so a
 // plan over several streams decrypts by chaining the members' decrypters:
 // the keystream of a sum of streams is the sum of their keystreams.
-type elemDecrypter interface {
-	windowDecrypter
+type windowDecrypter interface {
+	DecryptWindow(i, j uint64, c []uint64) ([]uint64, error)
 	DecryptWindowElems(i, j uint64, elems []uint32, c []uint64) ([]uint64, error)
 }
 
 // encDecrypter adapts core.Encryptor (owner trees and full-resolution key
-// sets) to elemDecrypter.
+// sets) to windowDecrypter.
 type encDecrypter struct {
 	mu  sync.Mutex
 	enc *core.Encryptor
@@ -129,8 +125,8 @@ func (v *view) statSeries(ctx context.Context, dec windowDecrypter, ts, te int64
 	return v.decodeWindows(dec, resp, windowChunks)
 }
 
-// decodeWindows decrypts and interprets every window of one StatRangeResp
-// (a full windowed response, or one pushed page of a streamed query).
+// decodeWindows decrypts and interprets every window of one windowed
+// StatRangeResp.
 func (v *view) decodeWindows(dec windowDecrypter, resp *wire.StatRangeResp, windowChunks uint64) ([]StatResult, error) {
 	out := make([]StatResult, 0, len(resp.Windows))
 	for w, vec := range resp.Windows {

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/kv"
 )
@@ -146,21 +145,14 @@ func readSnapshotFile(path string, dst kv.Store) error {
 }
 
 // compactLoop runs compactions when the committer signals enough WAL
-// growth (and optionally on a timer).
+// growth.
 func (s *Store) compactLoop() {
 	defer close(s.compactDone)
-	var tick <-chan time.Time
-	if s.opts.CompactEvery > 0 {
-		t := time.NewTicker(s.opts.CompactEvery)
-		defer t.Stop()
-		tick = t.C
-	}
 	for {
 		select {
 		case <-s.quit:
 			return
 		case <-s.compactCh:
-		case <-tick:
 		}
 		if err := s.Compact(); err != nil {
 			s.opts.Logf("durable: compaction failed: %v", err)

@@ -72,32 +72,14 @@ type Options struct {
 	// SyncEvery is the max time between fsyncs under SyncInterval
 	// (default 1s; ignored otherwise).
 	SyncEvery time.Duration
-	// CommitInterval is how long the group committer waits for more
-	// writers to join a commit before fsyncing. 0 (the default) is
-	// opportunistic: a commit takes everything queued at that moment and
-	// never adds latency — concurrent callers still coalesce because
-	// they queue behind the in-flight fsync. >0 trades single-writer
-	// latency for bigger groups.
-	CommitInterval time.Duration
-	// MaxBatchOps caps the ops coalesced into one group commit
-	// (default 8192).
-	MaxBatchOps int
 	// SegmentBytes rotates the active WAL segment past this size
 	// (default 64 MiB).
 	SegmentBytes int64
 	// CompactBytes triggers a snapshot + WAL truncation once this many
 	// WAL bytes accumulate past the last snapshot (default 128 MiB).
 	CompactBytes int64
-	// CompactEvery additionally checks for compaction on a timer
-	// (default 0: size-triggered only).
-	CompactEvery time.Duration
 	// Logf receives recovery and compaction diagnostics (default: none).
 	Logf func(string, ...any)
-	// CommitHook, when set, is called after each group commit with the
-	// new committed sequence (monotonic). The replication plane uses it
-	// to watch local durability; it runs on the committer goroutine, so
-	// it must be fast and must not call back into the store.
-	CommitHook func(seq uint64)
 }
 
 func (o *Options) applyDefaults() {
@@ -106,9 +88,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = time.Second
-	}
-	if o.MaxBatchOps <= 0 {
-		o.MaxBatchOps = 8192
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
@@ -393,36 +372,21 @@ func (s *Store) commitLoop() {
 	}
 }
 
-// collect gathers the commit group: everything queued right now, plus —
-// when CommitInterval is set — whatever arrives within that window.
+// maxBatchOps caps the ops coalesced into one group commit.
+const maxBatchOps = 8192
+
+// collect gathers the commit group: everything queued right now, up to
+// maxBatchOps. It never waits for more writers — concurrent callers still
+// coalesce because they queue behind the in-flight fsync.
 func (s *Store) collect(first *request) []*request {
 	group := []*request{first}
-	nops := len(first.ops)
-	var deadline <-chan time.Time
-	var timer *time.Timer
-	if s.opts.CommitInterval > 0 {
-		timer = time.NewTimer(s.opts.CommitInterval)
-		defer timer.Stop()
-		deadline = timer.C
-	}
-	for nops < s.opts.MaxBatchOps {
+	for nops := len(first.ops); nops < maxBatchOps; {
 		select {
 		case r := <-s.reqCh:
 			group = append(group, r)
 			nops += len(r.ops)
 		default:
-			if deadline == nil {
-				return group
-			}
-			select {
-			case r := <-s.reqCh:
-				group = append(group, r)
-				nops += len(r.ops)
-			case <-deadline:
-				return group
-			case <-s.quit:
-				return group
-			}
+			return group
 		}
 	}
 	return group
@@ -483,9 +447,6 @@ func (s *Store) writeGroup(group []*request) error {
 		s.applyOps(r.ops)
 	}
 	s.committedSeq.Store(firstSeq + uint64(len(group)) - 1)
-	if s.opts.CommitHook != nil {
-		s.opts.CommitHook(s.committedSeq.Load())
-	}
 	s.records.Add(uint64(len(group)))
 	s.groupCommits.Add(1)
 	if s.bytesSinceSnap.Add(int64(len(buf))) >= s.opts.CompactBytes {
