@@ -532,7 +532,7 @@ func (rs *ReplicatedShard) Handle(ctx context.Context, req wire.Message) wire.Me
 		if fe := rs.failover(ctx, gen); fe != nil {
 			return &wire.Error{Code: wire.CodeInternal, Msg: fmt.Sprintf("cluster: shard %s: %v (failover: %v)", rs.name, rtErr, fe)}
 		}
-		if !retriable(req) {
+		if wire.KindOf(req) != wire.KindRead {
 			return &wire.Error{Code: wire.CodeInternal, Msg: fmt.Sprintf("cluster: shard %s: %v (failed over; write outcome unknown)", rs.name, rtErr)}
 		}
 	}

@@ -395,9 +395,10 @@ func (r *Router) reclaimTombstone(ctx context.Context, uuid string, moveEpoch ui
 
 // effectiveShard resolves where a stream's requests should go right now:
 // the migration destination once forwarding started, the ring owner
-// otherwise. Fan-out grouping uses it; unlike route it does not hold the
-// move gate, so a racing handoff can surface CodeWrongShard — which the
-// top-level retry absorbs.
+// otherwise. It does not take the move gate: multi-stream queries hold
+// their members' gates (shardGroups) around it; the subscription path
+// does not, so a racing handoff there can surface CodeWrongShard — which
+// the top-level retry absorbs.
 func (r *Router) effectiveShard(rt *routing, uuid string) *shardState {
 	if ms := r.moveOf(uuid); ms != nil {
 		if ms.forwarded.Load() {
@@ -539,8 +540,31 @@ func (r *Router) batch(ctx context.Context, rt *routing, b *wire.Batch) wire.Mes
 }
 
 // shardGroups partitions a query's stream set by the shard currently
-// serving each stream (migration-aware), preserving first-seen order.
-func (r *Router) shardGroups(rt *routing, uuids []string) (order []string, groups map[string][]string, states map[string]*shardState) {
+// serving each stream (migration-aware), preserving first-seen order. Like
+// route, it passes the move gate of every migrating member: the read sides
+// stay held until release is called, so no handoff completes between
+// grouping and the fan-out (which would send a sub-query to a source that
+// already let go). Gates are taken in UUID order, one per distinct stream.
+func (r *Router) shardGroups(rt *routing, uuids []string) (order []string, groups map[string][]string, states map[string]*shardState, release func()) {
+	var held []*moveState
+	if r.movesActive.Load() != 0 {
+		distinct := append([]string(nil), uuids...)
+		sort.Strings(distinct)
+		for i, uuid := range distinct {
+			if i > 0 && uuid == distinct[i-1] {
+				continue
+			}
+			if ms := r.moveOf(uuid); ms != nil {
+				ms.gate.RLock()
+				held = append(held, ms)
+			}
+		}
+	}
+	release = func() {
+		for _, ms := range held {
+			ms.gate.RUnlock()
+		}
+	}
 	groups = make(map[string][]string)
 	states = make(map[string]*shardState)
 	for _, uuid := range uuids {
@@ -551,7 +575,7 @@ func (r *Router) shardGroups(rt *routing, uuids []string) (order []string, group
 		}
 		groups[s.name] = append(groups[s.name], uuid)
 	}
-	return order, groups, states
+	return order, groups, states, release
 }
 
 // clampMulti is the cross-shard pre-pass of a multi-stream query: it
@@ -649,10 +673,14 @@ func (r *Router) statRange(ctx context.Context, rt *routing, m *wire.StatRange) 
 	if len(m.UUIDs) == 0 {
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "server: no streams given"}
 	}
-	groupOrder, groups, states := r.shardGroups(rt, m.UUIDs)
+	groupOrder, groups, states, release := r.shardGroups(rt, m.UUIDs)
 	if len(groupOrder) == 1 {
+		// route takes the gate itself; a second read lock on it in this
+		// goroutine could deadlock against a pending freeze.
+		release()
 		return r.route(ctx, rt, m.UUIDs[0], m)
 	}
+	defer release()
 	te, errResp := r.clampMulti(ctx, rt, m.UUIDs, m.Ts, m.Te)
 	if errResp != nil {
 		return errResp
@@ -717,10 +745,12 @@ func (r *Router) aggRange(ctx context.Context, rt *routing, m *wire.AggRange) wi
 	if len(m.UUIDs) == 0 {
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "server: no streams given"}
 	}
-	groupOrder, groups, states := r.shardGroups(rt, m.UUIDs)
+	groupOrder, groups, states, release := r.shardGroups(rt, m.UUIDs)
 	if len(groupOrder) == 1 {
+		release()
 		return r.route(ctx, rt, m.UUIDs[0], m)
 	}
+	defer release()
 	if resp, ok := r.aggWave(ctx, groupOrder, groups, states, m, m.Te); ok {
 		return resp
 	}

@@ -165,7 +165,10 @@ func (rs *routerSub) Resp() *wire.SubscribeResp { return rs.resp }
 // frontier and desynchronize the merge.
 func (rs *routerSub) establish(ctx context.Context, from uint64) error {
 	rt := rs.r.rt.Load()
-	order, groups, states := rs.r.shardGroups(rt, rs.uuids)
+	// The legs outlive any gate hold; a handoff racing the handshake
+	// surfaces CodeWrongShard and the merge rebuilds.
+	order, groups, states, release := rs.r.shardGroups(rt, rs.uuids)
+	release()
 	handles := make([]sub.Handle, 0, len(order))
 	fail := func(err error) error {
 		for _, h := range handles {

@@ -38,32 +38,6 @@ func NewTCPShard(name, addr string, inflight int) (Shard, error) {
 	return Shard{Name: name, Handler: &tcpShard{addr: addr, conn: conn}}, nil
 }
 
-// retriable reports whether a request is safe to re-execute after an
-// ambiguous transport failure: reads have no effect on the peer, so a
-// first attempt that actually executed costs nothing to repeat. Writes are
-// NOT retried — a broken connection leaves their outcome unknown (an
-// InsertChunk may have been applied before the response was lost, and
-// replaying it would surface a spurious out-of-order error) — so they
-// keep the old surface-the-failure behavior.
-func retriable(req wire.Message) bool {
-	switch r := req.(type) {
-	case *wire.StreamInfo, *wire.StatRange, *wire.GetRange, *wire.ListStreams,
-		*wire.GetGrants, *wire.GetEnvelopes, *wire.GetStaged,
-		*wire.AggRange, *wire.QueryStream,
-		*wire.TopologyInfo, *wire.StreamSnapshot, *wire.LeaseInfo:
-		return true
-	case *wire.Batch:
-		// A batch is as safe as its least safe member.
-		for _, sub := range r.Reqs {
-			if !retriable(sub) {
-				return false
-			}
-		}
-		return len(r.Reqs) > 0
-	}
-	return false
-}
-
 // Handle implements server.Handler by forwarding over TCP: the caller's
 // deadline rides the request envelope to the remote engine, and a canceled
 // context abandons the call (the connection survives). A broken connection
@@ -76,7 +50,7 @@ func (t *tcpShard) Handle(ctx context.Context, req wire.Message) wire.Message {
 		return &wire.Error{Code: wire.CodeInternal, Msg: fmt.Sprintf("cluster: shard %s: closed", t.addr)}
 	}
 	resp, err := t.conn.RoundTrip(ctx, req)
-	if err != nil && errors.Is(err, client.ErrSessionBroken) && retriable(req) && ctx.Err() == nil && !t.closed.Load() {
+	if err != nil && errors.Is(err, client.ErrSessionBroken) && wire.KindOf(req) == wire.KindRead && ctx.Err() == nil && !t.closed.Load() {
 		resp, err = t.conn.RoundTrip(ctx, req)
 	}
 	if err != nil {

@@ -335,10 +335,10 @@ func TestTCPShardConcurrentRedial(t *testing.T) {
 	}
 }
 
-// TestRetriableClassification pins the read-retry list: every read-only
-// request heals transparently across a broken session (redial, leader
-// failover), while anything mutating surfaces the ambiguity to the
-// caller instead of being blindly replayed.
+// TestRetriableClassification pins the read-retry list the shard
+// forwarders use: every read-only request heals transparently across a
+// broken session (redial, leader failover), while anything mutating
+// surfaces the ambiguity to the caller instead of being blindly replayed.
 func TestRetriableClassification(t *testing.T) {
 	reads := []wire.Message{
 		&wire.StreamInfo{}, &wire.StatRange{}, &wire.GetRange{},
@@ -348,7 +348,7 @@ func TestRetriableClassification(t *testing.T) {
 		&wire.Batch{Reqs: []wire.Message{&wire.StatRange{}, &wire.AggRange{}}},
 	}
 	for _, m := range reads {
-		if !retriable(m) {
+		if wire.KindOf(m) != wire.KindRead {
 			t.Errorf("%T not retriable — reads must heal across redials", m)
 		}
 	}
@@ -360,7 +360,7 @@ func TestRetriableClassification(t *testing.T) {
 		&wire.Batch{Reqs: []wire.Message{&wire.StatRange{}, &wire.InsertChunk{}}},
 	}
 	for _, m := range writes {
-		if retriable(m) {
+		if wire.KindOf(m) == wire.KindRead {
 			t.Errorf("%T retriable — a replay after an ambiguous outcome double-applies", m)
 		}
 	}

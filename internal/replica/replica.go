@@ -449,27 +449,6 @@ func (n *Node) currentEngine() (*server.Engine, *wire.Error) {
 	return n.engine, nil
 }
 
-// isMutation reports whether req changes engine state and therefore must
-// be applied through the leader and replicated. Everything else is a read
-// and may be served by any role.
-func isMutation(req wire.Message) bool {
-	switch m := req.(type) {
-	case *wire.CreateStream, *wire.DeleteStream, *wire.InsertChunk,
-		*wire.DeleteRange, *wire.Rollup, *wire.PutGrant, *wire.DeleteGrant,
-		*wire.PutEnvelopes, *wire.StageRecord, *wire.IngestSnapshot,
-		*wire.HandoffComplete, *wire.TopologyUpdate:
-		return true
-	case *wire.Batch:
-		for _, sub := range m.Reqs {
-			if isMutation(sub) {
-				return true
-			}
-		}
-		return false
-	}
-	return false
-}
-
 // Handle implements server.Handler: replication-plane frames are
 // consumed here, client mutations route through the leader path (or are
 // refused with CodeNotLeader), and reads fall through to the wrapped
@@ -485,7 +464,7 @@ func (n *Node) Handle(ctx context.Context, req wire.Message) wire.Message {
 	case *wire.LeaseInfo:
 		return n.handleLeaseInfo()
 	}
-	if isMutation(req) {
+	if wire.KindOf(req) == wire.KindMutation {
 		n.mu.Lock()
 		role, epoch, leader := n.role, n.epoch, n.leader
 		n.mu.Unlock()
@@ -599,7 +578,7 @@ func (n *Node) handleReplAppend(ctx context.Context, m *wire.ReplAppend) wire.Me
 				Msg: fmt.Sprintf("replica: record %d undecodable: %v", seq, err)}
 			break
 		}
-		if !isMutation(req) {
+		if wire.KindOf(req) != wire.KindMutation {
 			failed = &wire.Error{Code: wire.CodeBadRequest,
 				Msg: fmt.Sprintf("replica: record %d is not a mutation (%T)", seq, req)}
 			break

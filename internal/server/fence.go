@@ -68,34 +68,6 @@ func (e *Engine) liftFence(uuid string) {
 	e.fenceMu.Unlock()
 }
 
-// fencedOp reports the stream a mutating client request targets, when that
-// request type is subject to the write fence. Migration machinery
-// (IngestSnapshot, HandoffComplete) is exempt — it is how fences and
-// drains are driven — and CreateStream is not: a fenced stream exists, so
-// creation already fails, and after release the tombstone answers.
-func fencedOp(req wire.Message) (string, bool) {
-	switch m := req.(type) {
-	case *wire.InsertChunk:
-		return m.UUID, true
-	case *wire.DeleteStream:
-		return m.UUID, true
-	case *wire.DeleteRange:
-		return m.UUID, true
-	case *wire.Rollup:
-		return m.UUID, true
-	case *wire.PutGrant:
-		return m.UUID, true
-	case *wire.DeleteGrant:
-		return m.UUID, true
-	case *wire.PutEnvelopes:
-		return m.UUID, true
-	case *wire.StageRecord:
-		return m.UUID, true
-	default:
-		return "", false
-	}
-}
-
 // checkFence returns the rejection for a fenced stream when the sender's
 // epoch predates the fence, nil otherwise. Callers hold the fence gate
 // shared across check and apply.

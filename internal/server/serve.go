@@ -39,7 +39,7 @@ func (e *Engine) Handle(ctx context.Context, req wire.Message) wire.Message {
 	if err := ctx.Err(); err != nil {
 		return toError(err)
 	}
-	if uuid, ok := fencedOp(req); ok {
+	if uuid, ok := wire.FencedUUID(req); ok {
 		// Fenced mutations run with the fence gate held shared across
 		// check and apply, so arming a fence (HandoffFence) can barrier
 		// against every write that passed an unfenced check.

@@ -8,57 +8,59 @@ import (
 // namespace; every request maps to one response type (or Error/OK).
 type MsgType uint8
 
-// Protocol message types. The numbering is part of the wire format.
+// Protocol message types. The numbering is part of the wire format: a code
+// is never reused or renumbered, and a retired code stays here as a
+// "// N reserved: was X" line (TestMsgTypeCodesPinned holds every code).
 const (
-	TError MsgType = iota + 1
-	TOK
-	TCreateStream
-	TDeleteStream
-	TInsertChunk
-	TGetRange
-	TGetRangeResp
-	TStatRange
-	TStatRangeResp
-	TDeleteRange
-	TRollup
-	TPutGrant
-	TGetGrants
-	TGetGrantsResp
-	TDeleteGrant
-	TPutEnvelopes
-	TGetEnvelopes
-	TGetEnvelopesResp
-	TStreamInfo
-	TStreamInfoResp
-	TStageRecord
-	TGetStaged
-	TGetStagedResp
-	TListStreams
-	TListStreamsResp
-	TBatch
-	TBatchResp
-	TQueryStream
-	TAggRange
-	TAggRangeResp
-	TStreamCredit
-	TTopologyInfo
-	TTopologyInfoResp
-	TTopologyUpdate
-	TReshard
-	TStreamSnapshot
-	TSnapshotChunk
-	TIngestSnapshot
-	THandoffComplete
-	TSubscribe
-	TSubscribeResp
-	TSubEvent
-	TUnsubscribe
-	TReplAppend
-	TReplAck
-	TReplSnapshot
-	TPromote
-	TLeaseInfo
-	TLeaseInfoResp
+	TError            MsgType = 1
+	TOK               MsgType = 2
+	TCreateStream     MsgType = 3
+	TDeleteStream     MsgType = 4
+	TInsertChunk      MsgType = 5
+	TGetRange         MsgType = 6
+	TGetRangeResp     MsgType = 7
+	TStatRange        MsgType = 8
+	TStatRangeResp    MsgType = 9
+	TDeleteRange      MsgType = 10
+	TRollup           MsgType = 11
+	TPutGrant         MsgType = 12
+	TGetGrants        MsgType = 13
+	TGetGrantsResp    MsgType = 14
+	TDeleteGrant      MsgType = 15
+	TPutEnvelopes     MsgType = 16
+	TGetEnvelopes     MsgType = 17
+	TGetEnvelopesResp MsgType = 18
+	TStreamInfo       MsgType = 19
+	TStreamInfoResp   MsgType = 20
+	TStageRecord      MsgType = 21
+	TGetStaged        MsgType = 22
+	TGetStagedResp    MsgType = 23
+	TListStreams      MsgType = 24
+	TListStreamsResp  MsgType = 25
+	TBatch            MsgType = 26
+	TBatchResp        MsgType = 27
+	TQueryStream      MsgType = 28
+	TAggRange         MsgType = 29
+	TAggRangeResp     MsgType = 30
+	TStreamCredit     MsgType = 31
+	TTopologyInfo     MsgType = 32
+	TTopologyInfoResp MsgType = 33
+	TTopologyUpdate   MsgType = 34
+	TReshard          MsgType = 35
+	TStreamSnapshot   MsgType = 36
+	TSnapshotChunk    MsgType = 37
+	TIngestSnapshot   MsgType = 38
+	THandoffComplete  MsgType = 39
+	TSubscribe        MsgType = 40
+	TSubscribeResp    MsgType = 41
+	TSubEvent         MsgType = 42
+	TUnsubscribe      MsgType = 43
+	TReplAppend       MsgType = 44
+	TReplAck          MsgType = 45
+	TReplSnapshot     MsgType = 46
+	TPromote          MsgType = 47
+	TLeaseInfo        MsgType = 48
+	TLeaseInfoResp    MsgType = 49
 )
 
 // Message is one protocol message.
@@ -81,11 +83,11 @@ func Unmarshal(data []byte) (Message, error) {
 	if len(data) < 1 {
 		return nil, fmt.Errorf("wire: empty message")
 	}
-	ctor, ok := registry[MsgType(data[0])]
-	if !ok {
-		return nil, fmt.Errorf("wire: unknown message type %d", data[0])
+	t := data[0]
+	if int(t) >= len(messages) || messages[t].new == nil {
+		return nil, fmt.Errorf("wire: unknown message type %d", t)
 	}
-	m := ctor()
+	m := messages[t].new()
 	d := NewDecoder(data[1:])
 	if err := m.decode(d); err != nil {
 		return nil, err
@@ -93,56 +95,116 @@ func Unmarshal(data []byte) (Message, error) {
 	return m, d.Done()
 }
 
-var registry = map[MsgType]func() Message{
-	TError:            func() Message { return &Error{} },
-	TOK:               func() Message { return &OK{} },
-	TCreateStream:     func() Message { return &CreateStream{} },
-	TDeleteStream:     func() Message { return &DeleteStream{} },
-	TInsertChunk:      func() Message { return &InsertChunk{} },
-	TGetRange:         func() Message { return &GetRange{} },
-	TGetRangeResp:     func() Message { return &GetRangeResp{} },
-	TStatRange:        func() Message { return &StatRange{} },
-	TStatRangeResp:    func() Message { return &StatRangeResp{} },
-	TDeleteRange:      func() Message { return &DeleteRange{} },
-	TRollup:           func() Message { return &Rollup{} },
-	TPutGrant:         func() Message { return &PutGrant{} },
-	TGetGrants:        func() Message { return &GetGrants{} },
-	TGetGrantsResp:    func() Message { return &GetGrantsResp{} },
-	TDeleteGrant:      func() Message { return &DeleteGrant{} },
-	TPutEnvelopes:     func() Message { return &PutEnvelopes{} },
-	TGetEnvelopes:     func() Message { return &GetEnvelopes{} },
-	TGetEnvelopesResp: func() Message { return &GetEnvelopesResp{} },
-	TStreamInfo:       func() Message { return &StreamInfo{} },
-	TStreamInfoResp:   func() Message { return &StreamInfoResp{} },
-	TStageRecord:      func() Message { return &StageRecord{} },
-	TGetStaged:        func() Message { return &GetStaged{} },
-	TGetStagedResp:    func() Message { return &GetStagedResp{} },
-	TListStreams:      func() Message { return &ListStreams{} },
-	TListStreamsResp:  func() Message { return &ListStreamsResp{} },
-	TBatch:            func() Message { return &Batch{} },
-	TBatchResp:        func() Message { return &BatchResp{} },
-	TQueryStream:      func() Message { return &QueryStream{} },
-	TAggRange:         func() Message { return &AggRange{} },
-	TAggRangeResp:     func() Message { return &AggRangeResp{} },
-	TStreamCredit:     func() Message { return &StreamCredit{} },
-	TTopologyInfo:     func() Message { return &TopologyInfo{} },
-	TTopologyInfoResp: func() Message { return &TopologyInfoResp{} },
-	TTopologyUpdate:   func() Message { return &TopologyUpdate{} },
-	TReshard:          func() Message { return &Reshard{} },
-	TStreamSnapshot:   func() Message { return &StreamSnapshot{} },
-	TSnapshotChunk:    func() Message { return &SnapshotChunk{} },
-	TIngestSnapshot:   func() Message { return &IngestSnapshot{} },
-	THandoffComplete:  func() Message { return &HandoffComplete{} },
-	TSubscribe:        func() Message { return &Subscribe{} },
-	TSubscribeResp:    func() Message { return &SubscribeResp{} },
-	TSubEvent:         func() Message { return &SubEvent{} },
-	TUnsubscribe:      func() Message { return &Unsubscribe{} },
-	TReplAppend:       func() Message { return &ReplAppend{} },
-	TReplAck:          func() Message { return &ReplAck{} },
-	TReplSnapshot:     func() Message { return &ReplSnapshot{} },
-	TPromote:          func() Message { return &Promote{} },
-	TLeaseInfo:        func() Message { return &LeaseInfo{} },
-	TLeaseInfoResp:    func() Message { return &LeaseInfoResp{} },
+// Kind is what a message is to the layers that replicate, fence and retry
+// it.
+type Kind uint8
+
+const (
+	// KindResponse answers a request.
+	KindResponse Kind = iota
+	// KindRead changes nothing, so it is safe to replay after an ambiguous
+	// failure (a redial, a failover).
+	KindRead
+	// KindMutation changes engine state: it goes through the leader, is
+	// replicated, and is a valid replication record.
+	KindMutation
+	// KindControl is everything else: flow control, subscriptions,
+	// resharding and the replication plane.
+	KindControl
+)
+
+// messages is the one message table, indexed by type code: how to decode
+// each message, its kind, and whether the engine's write fence guards it.
+// The fence guards client data writes; the migration machinery that drives
+// fences (IngestSnapshot, HandoffComplete) is exempt, and so is
+// CreateStream (a fenced stream exists, so creation fails anyway, and after
+// release the tombstone answers). Batch's kind is folded from its members
+// by KindOf.
+var messages = [...]struct {
+	new    func() Message
+	kind   Kind
+	fenced bool
+}{
+	TError:            {func() Message { return &Error{} }, KindResponse, false},
+	TOK:               {func() Message { return &OK{} }, KindResponse, false},
+	TCreateStream:     {func() Message { return &CreateStream{} }, KindMutation, false},
+	TDeleteStream:     {func() Message { return &DeleteStream{} }, KindMutation, true},
+	TInsertChunk:      {func() Message { return &InsertChunk{} }, KindMutation, true},
+	TGetRange:         {func() Message { return &GetRange{} }, KindRead, false},
+	TGetRangeResp:     {func() Message { return &GetRangeResp{} }, KindResponse, false},
+	TStatRange:        {func() Message { return &StatRange{} }, KindRead, false},
+	TStatRangeResp:    {func() Message { return &StatRangeResp{} }, KindResponse, false},
+	TDeleteRange:      {func() Message { return &DeleteRange{} }, KindMutation, true},
+	TRollup:           {func() Message { return &Rollup{} }, KindMutation, true},
+	TPutGrant:         {func() Message { return &PutGrant{} }, KindMutation, true},
+	TGetGrants:        {func() Message { return &GetGrants{} }, KindRead, false},
+	TGetGrantsResp:    {func() Message { return &GetGrantsResp{} }, KindResponse, false},
+	TDeleteGrant:      {func() Message { return &DeleteGrant{} }, KindMutation, true},
+	TPutEnvelopes:     {func() Message { return &PutEnvelopes{} }, KindMutation, true},
+	TGetEnvelopes:     {func() Message { return &GetEnvelopes{} }, KindRead, false},
+	TGetEnvelopesResp: {func() Message { return &GetEnvelopesResp{} }, KindResponse, false},
+	TStreamInfo:       {func() Message { return &StreamInfo{} }, KindRead, false},
+	TStreamInfoResp:   {func() Message { return &StreamInfoResp{} }, KindResponse, false},
+	TStageRecord:      {func() Message { return &StageRecord{} }, KindMutation, true},
+	TGetStaged:        {func() Message { return &GetStaged{} }, KindRead, false},
+	TGetStagedResp:    {func() Message { return &GetStagedResp{} }, KindResponse, false},
+	TListStreams:      {func() Message { return &ListStreams{} }, KindRead, false},
+	TListStreamsResp:  {func() Message { return &ListStreamsResp{} }, KindResponse, false},
+	TBatch:            {func() Message { return &Batch{} }, KindControl, false},
+	TBatchResp:        {func() Message { return &BatchResp{} }, KindResponse, false},
+	TQueryStream:      {func() Message { return &QueryStream{} }, KindRead, false},
+	TAggRange:         {func() Message { return &AggRange{} }, KindRead, false},
+	TAggRangeResp:     {func() Message { return &AggRangeResp{} }, KindResponse, false},
+	TStreamCredit:     {func() Message { return &StreamCredit{} }, KindControl, false},
+	TTopologyInfo:     {func() Message { return &TopologyInfo{} }, KindRead, false},
+	TTopologyInfoResp: {func() Message { return &TopologyInfoResp{} }, KindResponse, false},
+	TTopologyUpdate:   {func() Message { return &TopologyUpdate{} }, KindMutation, false},
+	TReshard:          {func() Message { return &Reshard{} }, KindControl, false},
+	TStreamSnapshot:   {func() Message { return &StreamSnapshot{} }, KindRead, false},
+	TSnapshotChunk:    {func() Message { return &SnapshotChunk{} }, KindResponse, false},
+	TIngestSnapshot:   {func() Message { return &IngestSnapshot{} }, KindMutation, false},
+	THandoffComplete:  {func() Message { return &HandoffComplete{} }, KindMutation, false},
+	TSubscribe:        {func() Message { return &Subscribe{} }, KindControl, false},
+	TSubscribeResp:    {func() Message { return &SubscribeResp{} }, KindResponse, false},
+	TSubEvent:         {func() Message { return &SubEvent{} }, KindResponse, false},
+	TUnsubscribe:      {func() Message { return &Unsubscribe{} }, KindControl, false},
+	TReplAppend:       {func() Message { return &ReplAppend{} }, KindControl, false},
+	TReplAck:          {func() Message { return &ReplAck{} }, KindResponse, false},
+	TReplSnapshot:     {func() Message { return &ReplSnapshot{} }, KindControl, false},
+	TPromote:          {func() Message { return &Promote{} }, KindControl, false},
+	TLeaseInfo:        {func() Message { return &LeaseInfo{} }, KindRead, false},
+	TLeaseInfoResp:    {func() Message { return &LeaseInfoResp{} }, KindResponse, false},
+}
+
+// KindOf reports a message's kind. A Batch folds its members: any mutation
+// makes it a mutation, and it is a read only when it is non-empty and every
+// member is a read; otherwise it is control.
+func KindOf(m Message) Kind {
+	b, ok := m.(*Batch)
+	if !ok {
+		return messages[m.Type()].kind
+	}
+	read := len(b.Reqs) > 0
+	for _, sub := range b.Reqs {
+		if k := KindOf(sub); k == KindMutation {
+			return KindMutation
+		} else if k != KindRead {
+			read = false
+		}
+	}
+	if read {
+		return KindRead
+	}
+	return KindControl
+}
+
+// FencedUUID reports the stream a request targets when the engine's write
+// fence guards its type.
+func FencedUUID(m Message) (string, bool) {
+	if !messages[m.Type()].fenced {
+		return "", false
+	}
+	return RoutingUUID(m)
 }
 
 // Error is the generic failure response. Aux carries structured detail for
@@ -262,7 +324,8 @@ type CreateStream struct {
 	Cfg  StreamConfig
 }
 
-func (*CreateStream) Type() MsgType { return TCreateStream }
+func (*CreateStream) Type() MsgType                { return TCreateStream }
+func (m *CreateStream) routingKey() (string, bool) { return m.UUID, true }
 func (m *CreateStream) encode(e *Encoder) {
 	e.Str(m.UUID)
 	m.Cfg.encode(e)
@@ -276,8 +339,9 @@ func (m *CreateStream) decode(d *Decoder) error {
 // DeleteStream removes a stream and all associated data (Table 1 #2).
 type DeleteStream struct{ UUID string }
 
-func (*DeleteStream) Type() MsgType       { return TDeleteStream }
-func (m *DeleteStream) encode(e *Encoder) { e.Str(m.UUID) }
+func (*DeleteStream) Type() MsgType                { return TDeleteStream }
+func (m *DeleteStream) routingKey() (string, bool) { return m.UUID, true }
+func (m *DeleteStream) encode(e *Encoder)          { e.Str(m.UUID) }
 func (m *DeleteStream) decode(d *Decoder) error {
 	m.UUID = d.Str()
 	return d.Err()
@@ -290,7 +354,8 @@ type InsertChunk struct {
 	Chunk []byte // chunk.MarshalSealed encoding
 }
 
-func (*InsertChunk) Type() MsgType { return TInsertChunk }
+func (*InsertChunk) Type() MsgType                { return TInsertChunk }
+func (m *InsertChunk) routingKey() (string, bool) { return m.UUID, true }
 func (m *InsertChunk) encode(e *Encoder) {
 	e.Str(m.UUID)
 	e.Blob(m.Chunk)
@@ -307,7 +372,8 @@ type GetRange struct {
 	Ts, Te int64
 }
 
-func (*GetRange) Type() MsgType { return TGetRange }
+func (*GetRange) Type() MsgType                { return TGetRange }
+func (m *GetRange) routingKey() (string, bool) { return m.UUID, true }
 func (m *GetRange) encode(e *Encoder) {
 	e.Str(m.UUID)
 	e.I64(m.Ts)
@@ -353,7 +419,8 @@ type StatRange struct {
 	WindowChunks uint64
 }
 
-func (*StatRange) Type() MsgType { return TStatRange }
+func (*StatRange) Type() MsgType                { return TStatRange }
+func (m *StatRange) routingKey() (string, bool) { return soleUUID(m.UUIDs) }
 func (m *StatRange) encode(e *Encoder) {
 	e.U64(uint64(len(m.UUIDs)))
 	for _, u := range m.UUIDs {
@@ -417,7 +484,8 @@ type DeleteRange struct {
 	Ts, Te int64
 }
 
-func (*DeleteRange) Type() MsgType { return TDeleteRange }
+func (*DeleteRange) Type() MsgType                { return TDeleteRange }
+func (m *DeleteRange) routingKey() (string, bool) { return m.UUID, true }
 func (m *DeleteRange) encode(e *Encoder) {
 	e.Str(m.UUID)
 	e.I64(m.Ts)
@@ -438,7 +506,8 @@ type Rollup struct {
 	Ts, Te int64
 }
 
-func (*Rollup) Type() MsgType { return TRollup }
+func (*Rollup) Type() MsgType                { return TRollup }
+func (m *Rollup) routingKey() (string, bool) { return m.UUID, true }
 func (m *Rollup) encode(e *Encoder) {
 	e.Str(m.UUID)
 	e.U64(m.Factor)
@@ -462,7 +531,8 @@ type PutGrant struct {
 	Blob      []byte
 }
 
-func (*PutGrant) Type() MsgType { return TPutGrant }
+func (*PutGrant) Type() MsgType                { return TPutGrant }
+func (m *PutGrant) routingKey() (string, bool) { return m.UUID, true }
 func (m *PutGrant) encode(e *Encoder) {
 	e.Str(m.UUID)
 	e.Str(m.Principal)
@@ -483,7 +553,8 @@ type GetGrants struct {
 	Principal string
 }
 
-func (*GetGrants) Type() MsgType { return TGetGrants }
+func (*GetGrants) Type() MsgType                { return TGetGrants }
+func (m *GetGrants) routingKey() (string, bool) { return m.UUID, true }
 func (m *GetGrants) encode(e *Encoder) {
 	e.Str(m.UUID)
 	e.Str(m.Principal)
@@ -524,7 +595,8 @@ type DeleteGrant struct {
 	GrantID   string // empty = all grants for the principal
 }
 
-func (*DeleteGrant) Type() MsgType { return TDeleteGrant }
+func (*DeleteGrant) Type() MsgType                { return TDeleteGrant }
+func (m *DeleteGrant) routingKey() (string, bool) { return m.UUID, true }
 func (m *DeleteGrant) encode(e *Encoder) {
 	e.Str(m.UUID)
 	e.Str(m.Principal)
@@ -550,7 +622,8 @@ type PutEnvelopes struct {
 	Envs   []WireEnvelope
 }
 
-func (*PutEnvelopes) Type() MsgType { return TPutEnvelopes }
+func (*PutEnvelopes) Type() MsgType                { return TPutEnvelopes }
+func (m *PutEnvelopes) routingKey() (string, bool) { return m.UUID, true }
 func (m *PutEnvelopes) encode(e *Encoder) {
 	e.Str(m.UUID)
 	e.U64(m.Factor)
@@ -581,7 +654,8 @@ type GetEnvelopes struct {
 	Lo, Hi uint64
 }
 
-func (*GetEnvelopes) Type() MsgType { return TGetEnvelopes }
+func (*GetEnvelopes) Type() MsgType                { return TGetEnvelopes }
+func (m *GetEnvelopes) routingKey() (string, bool) { return m.UUID, true }
 func (m *GetEnvelopes) encode(e *Encoder) {
 	e.Str(m.UUID)
 	e.U64(m.Factor)
@@ -632,7 +706,8 @@ type StageRecord struct {
 	Box        []byte // AES-GCM sealed record under the chunk key
 }
 
-func (*StageRecord) Type() MsgType { return TStageRecord }
+func (*StageRecord) Type() MsgType                { return TStageRecord }
+func (m *StageRecord) routingKey() (string, bool) { return m.UUID, true }
 func (m *StageRecord) encode(e *Encoder) {
 	e.Str(m.UUID)
 	e.U64(m.ChunkIndex)
@@ -653,7 +728,8 @@ type GetStaged struct {
 	ChunkIndex uint64
 }
 
-func (*GetStaged) Type() MsgType { return TGetStaged }
+func (*GetStaged) Type() MsgType                { return TGetStaged }
+func (m *GetStaged) routingKey() (string, bool) { return m.UUID, true }
 func (m *GetStaged) encode(e *Encoder) {
 	e.Str(m.UUID)
 	e.U64(m.ChunkIndex)
@@ -689,8 +765,9 @@ func (m *GetStagedResp) decode(d *Decoder) error {
 // StreamInfo requests stream metadata.
 type StreamInfo struct{ UUID string }
 
-func (*StreamInfo) Type() MsgType       { return TStreamInfo }
-func (m *StreamInfo) encode(e *Encoder) { e.Str(m.UUID) }
+func (*StreamInfo) Type() MsgType                { return TStreamInfo }
+func (m *StreamInfo) routingKey() (string, bool) { return m.UUID, true }
+func (m *StreamInfo) encode(e *Encoder)          { e.Str(m.UUID) }
 func (m *StreamInfo) decode(d *Decoder) error {
 	m.UUID = d.Str()
 	return d.Err()
@@ -764,7 +841,8 @@ type QueryStream struct {
 	PageWindows  uint32
 }
 
-func (*QueryStream) Type() MsgType { return TQueryStream }
+func (*QueryStream) Type() MsgType                { return TQueryStream }
+func (m *QueryStream) routingKey() (string, bool) { return m.UUID, true }
 func (m *QueryStream) encode(e *Encoder) {
 	e.Str(m.UUID)
 	e.I64(m.Ts)
@@ -824,7 +902,8 @@ type AggRange struct {
 	PageWindows  uint32
 }
 
-func (*AggRange) Type() MsgType { return TAggRange }
+func (*AggRange) Type() MsgType                { return TAggRange }
+func (m *AggRange) routingKey() (string, bool) { return soleUUID(m.UUIDs) }
 func (m *AggRange) encode(e *Encoder) {
 	e.U64(uint64(len(m.UUIDs)))
 	for _, u := range m.UUIDs {
@@ -1133,7 +1212,8 @@ type StreamSnapshot struct {
 	Push      bool
 }
 
-func (*StreamSnapshot) Type() MsgType { return TStreamSnapshot }
+func (*StreamSnapshot) Type() MsgType                { return TStreamSnapshot }
+func (m *StreamSnapshot) routingKey() (string, bool) { return m.UUID, true }
 func (m *StreamSnapshot) encode(e *Encoder) {
 	e.Str(m.UUID)
 	e.U64(m.FromChunk)
@@ -1206,7 +1286,8 @@ type IngestSnapshot struct {
 	Items []KVItem
 }
 
-func (*IngestSnapshot) Type() MsgType { return TIngestSnapshot }
+func (*IngestSnapshot) Type() MsgType                { return TIngestSnapshot }
+func (m *IngestSnapshot) routingKey() (string, bool) { return m.UUID, true }
 func (m *IngestSnapshot) encode(e *Encoder) {
 	e.Str(m.UUID)
 	encodeKVItems(e, m.Items)
@@ -1261,7 +1342,8 @@ type HandoffComplete struct {
 	Action uint8
 }
 
-func (*HandoffComplete) Type() MsgType { return THandoffComplete }
+func (*HandoffComplete) Type() MsgType                { return THandoffComplete }
+func (m *HandoffComplete) routingKey() (string, bool) { return m.UUID, true }
 func (m *HandoffComplete) encode(e *Encoder) {
 	e.Str(m.UUID)
 	e.U64(m.Epoch)
@@ -1395,95 +1477,45 @@ func PartitionBatch(reqs []Message, key func(Message) (string, bool)) BatchParti
 
 // RoutingUUID extracts the single-stream routing key of a request, when it
 // has one. Requests without a unique key (multi-stream StatRange,
-// ListStreams, Batch) route by fan-out instead.
+// ListStreams, mixed Batch) route by fan-out instead.
 func RoutingUUID(req Message) (string, bool) {
-	switch m := req.(type) {
-	case *CreateStream:
-		return m.UUID, true
-	case *DeleteStream:
-		return m.UUID, true
-	case *InsertChunk:
-		return m.UUID, true
-	case *GetRange:
-		return m.UUID, true
-	case *DeleteRange:
-		return m.UUID, true
-	case *Rollup:
-		return m.UUID, true
-	case *PutGrant:
-		return m.UUID, true
-	case *GetGrants:
-		return m.UUID, true
-	case *DeleteGrant:
-		return m.UUID, true
-	case *PutEnvelopes:
-		return m.UUID, true
-	case *GetEnvelopes:
-		return m.UUID, true
-	case *StreamInfo:
-		return m.UUID, true
-	case *StageRecord:
-		return m.UUID, true
-	case *GetStaged:
-		return m.UUID, true
-	case *QueryStream:
-		return m.UUID, true
-	case *StreamSnapshot:
-		return m.UUID, true
-	case *IngestSnapshot:
-		return m.UUID, true
-	case *HandoffComplete:
-		return m.UUID, true
-	case *StatRange:
-		// A single-stream statistical query routes like any other
-		// single-stream request; multi-stream queries fan out.
-		if len(m.UUIDs) == 1 {
-			return m.UUIDs[0], true
-		}
-		return "", false
-	case *AggRange:
-		// Same single-stream degenerate case for typed query plans.
-		if len(m.UUIDs) == 1 {
-			return m.UUIDs[0], true
-		}
-		return "", false
-	case *Subscribe:
-		// Same single-stream degenerate case for subscriptions: the
-		// subscription handshake orders after earlier same-stream writes
-		// on the connection; multi-stream plans fan out.
-		if len(m.UUIDs) == 1 {
-			return m.UUIDs[0], true
-		}
-		return "", false
-	case *ReplAppend, *ReplSnapshot:
-		// Replication frames must apply in shipping order: a per-connection
-		// sentinel key chains them in arrival order on the follower (a
-		// cluster router never routes them — the leader dials its followers
-		// directly).
-		return ReplRoutingKey, true
-	case *Batch:
-		// A batch whose elements all share one routing key inherits it, so
-		// a multiplexed server connection keeps successive same-stream
-		// ingest batches (the pipelined Writer's output) in arrival order.
-		// Mixed-key batches have no single key and schedule as fan-outs.
-		// PartitionBatch never consults this arm: it filters envelope
-		// types before calling its key func.
-		common := ""
-		for _, sub := range m.Reqs {
-			k, ok := RoutingUUID(sub)
-			if !ok {
-				return "", false
-			}
-			if common == "" {
-				common = k
-			} else if k != common {
-				return "", false
-			}
-		}
-		return common, common != ""
-	default:
-		return "", false
+	if k, ok := req.(interface{ routingKey() (string, bool) }); ok {
+		return k.routingKey()
 	}
+	return "", false
+}
+
+// soleUUID is the routing key of a multi-stream request: one naming a
+// single stream routes like any single-stream request (a subscription
+// handshake then orders after earlier same-stream writes on the
+// connection); larger ones fan out.
+func soleUUID(uuids []string) (string, bool) {
+	if len(uuids) == 1 {
+		return uuids[0], true
+	}
+	return "", false
+}
+
+// routingKey of a batch whose elements all share one routing key is that
+// key, so a multiplexed server connection keeps successive same-stream
+// ingest batches (the pipelined Writer's output) in arrival order.
+// Mixed-key batches have no single key and schedule as fan-outs.
+// PartitionBatch never consults it: it filters envelope types before
+// calling its key func.
+func (m *Batch) routingKey() (string, bool) {
+	common := ""
+	for _, sub := range m.Reqs {
+		k, ok := RoutingUUID(sub)
+		if !ok {
+			return "", false
+		}
+		if common == "" {
+			common = k
+		} else if k != common {
+			return "", false
+		}
+	}
+	return common, common != ""
 }
 
 // Live subscriptions (wire protocol v5).
@@ -1519,7 +1551,8 @@ type Subscribe struct {
 	FromLatest   bool
 }
 
-func (*Subscribe) Type() MsgType { return TSubscribe }
+func (*Subscribe) Type() MsgType                { return TSubscribe }
+func (m *Subscribe) routingKey() (string, bool) { return soleUUID(m.UUIDs) }
 func (m *Subscribe) encode(e *Encoder) {
 	e.U64(uint64(len(m.UUIDs)))
 	for _, u := range m.UUIDs {
@@ -1653,9 +1686,10 @@ func (m *Unsubscribe) decode(d *Decoder) error {
 // Per-shard replication (wire protocol v6).
 
 // ReplRoutingKey is the scheduling key replication frames ride under on a
-// follower connection. It contains a byte no stream UUID produced by this
-// system uses, so replication ordering never collides with a stream's own
-// ordering chain.
+// follower connection, so they apply in shipping order (a cluster router
+// never routes them: the leader dials its followers directly). It contains
+// a byte no stream UUID produced by this system uses, so replication
+// ordering never collides with a stream's own ordering chain.
 const ReplRoutingKey = "\x00repl"
 
 // Replication roles, as reported by LeaseInfoResp.Role.
@@ -1718,7 +1752,8 @@ type ReplAppend struct {
 	Leader   string
 }
 
-func (*ReplAppend) Type() MsgType { return TReplAppend }
+func (*ReplAppend) Type() MsgType              { return TReplAppend }
+func (*ReplAppend) routingKey() (string, bool) { return ReplRoutingKey, true }
 func (m *ReplAppend) encode(e *Encoder) {
 	e.U64(m.Epoch)
 	e.U64(m.FirstSeq)
@@ -1792,7 +1827,8 @@ type ReplSnapshot struct {
 	Leader    string
 }
 
-func (*ReplSnapshot) Type() MsgType { return TReplSnapshot }
+func (*ReplSnapshot) Type() MsgType              { return TReplSnapshot }
+func (*ReplSnapshot) routingKey() (string, bool) { return ReplRoutingKey, true }
 func (m *ReplSnapshot) encode(e *Encoder) {
 	e.U64(m.Epoch)
 	e.U64(m.Watermark)

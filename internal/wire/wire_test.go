@@ -188,6 +188,12 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if _, err := Unmarshal([]byte{0xEE}); err == nil {
 		t.Error("unknown type accepted")
 	}
+	// Codes outside the table, on both sides of it.
+	for _, code := range []byte{0, byte(len(messages)), 255} {
+		if _, err := Unmarshal([]byte{code}); err == nil {
+			t.Errorf("unknown type %d accepted", code)
+		}
+	}
 	// Every message truncated at every boundary must error, not panic.
 	for _, m := range allMessages() {
 		data := Marshal(m)
@@ -316,30 +322,6 @@ func TestResponseEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatchRoutingUUID(t *testing.T) {
-	uniform := &Batch{Reqs: []Message{
-		&InsertChunk{UUID: "s1", Chunk: []byte{1}},
-		&InsertChunk{UUID: "s1", Chunk: []byte{2}},
-	}}
-	if k, ok := RoutingUUID(uniform); !ok || k != "s1" {
-		t.Errorf("uniform batch -> %q, %v", k, ok)
-	}
-	mixed := &Batch{Reqs: []Message{
-		&InsertChunk{UUID: "s1", Chunk: []byte{1}},
-		&StreamInfo{UUID: "s2"},
-	}}
-	if _, ok := RoutingUUID(mixed); ok {
-		t.Error("mixed batch reported a routing key")
-	}
-	fanout := &Batch{Reqs: []Message{&ListStreams{}}}
-	if _, ok := RoutingUUID(fanout); ok {
-		t.Error("fan-out batch reported a routing key")
-	}
-	if _, ok := RoutingUUID(&Batch{}); ok {
-		t.Error("empty batch reported a routing key")
-	}
-}
-
 func TestCodecProperty(t *testing.T) {
 	f := func(u64 uint64, i64 int64, s string, blob []byte, vec []uint64) bool {
 		var e Encoder
@@ -401,6 +383,30 @@ func TestWrongShardCarriesEpoch(t *testing.T) {
 	e, ok := got.(*Error)
 	if !ok || e.Code != CodeWrongShard || e.Aux != 42 {
 		t.Errorf("round trip lost the epoch: %#v", got)
+	}
+}
+
+func TestBatchRoutingUUID(t *testing.T) {
+	uniform := &Batch{Reqs: []Message{
+		&InsertChunk{UUID: "s1", Chunk: []byte{1}},
+		&InsertChunk{UUID: "s1", Chunk: []byte{2}},
+	}}
+	if k, ok := RoutingUUID(uniform); !ok || k != "s1" {
+		t.Errorf("uniform batch -> %q, %v", k, ok)
+	}
+	mixed := &Batch{Reqs: []Message{
+		&InsertChunk{UUID: "s1", Chunk: []byte{1}},
+		&StreamInfo{UUID: "s2"},
+	}}
+	if _, ok := RoutingUUID(mixed); ok {
+		t.Error("mixed batch reported a routing key")
+	}
+	fanout := &Batch{Reqs: []Message{&ListStreams{}}}
+	if _, ok := RoutingUUID(fanout); ok {
+		t.Error("fan-out batch reported a routing key")
+	}
+	if _, ok := RoutingUUID(&Batch{}); ok {
+		t.Error("empty batch reported a routing key")
 	}
 }
 
