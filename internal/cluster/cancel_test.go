@@ -27,7 +27,7 @@ type slowStatHandler struct {
 
 func (s *slowStatHandler) Handle(ctx context.Context, req wire.Message) wire.Message {
 	switch req.(type) {
-	case *wire.StatRange, *wire.StreamInfo:
+	case *wire.StatRange, *wire.AggRange, *wire.StreamInfo:
 		s.sawStat.Add(1)
 		select {
 		case <-ctx.Done():

@@ -15,13 +15,15 @@
 // in-process *server.Engine instances, remote engines reached over the
 // wire protocol (NewTCPShard), or even nested routers.
 //
-// Two operations cross shards. Inter-stream StatRange queries whose UUIDs
-// land on different shards are fanned out per shard and the encrypted
-// aggregates are homomorphically summed by the router — valid because HEAC
-// ciphertext addition is plain uint64 vector addition, exactly what a
-// single engine does across streams. A pre-pass over StreamInfo clamps the
-// query range to the shortest stream so every shard aggregates the same
-// chunk window. ListStreams is fanned out to all shards and merged.
+// Two operations cross shards. Inter-stream queries (AggRange, and
+// StatRange as a full-vector AggRange) whose UUIDs land on different
+// shards are fanned out per shard and the encrypted aggregates are
+// homomorphically summed by the router — valid because HEAC ciphertext
+// addition is plain uint64 vector addition, exactly what a single engine
+// does across streams. When shards clamp to different chunk windows
+// (uneven ingest), a pass over StreamInfo clamps the query range to the
+// shortest stream and the wave repeats. ListStreams is fanned out to all
+// shards and merged.
 //
 // Ring hashing is deterministic (FNV-1a), so any router over the same
 // shard names computes the same placement. Membership is versioned

@@ -297,9 +297,16 @@ func (r *Router) handleOnce(ctx context.Context, req wire.Message) wire.Message 
 func (r *Router) dispatchLocked(ctx context.Context, rt *routing, req wire.Message) wire.Message {
 	switch m := req.(type) {
 	case *wire.StatRange:
-		return r.statRange(ctx, rt, m)
+		// A StatRange is the plan that keeps full vectors (no Elems); across
+		// shards it rides the AggRange wave, and its answer drops the
+		// geometry echo.
+		resp := r.aggRange(ctx, rt, m, wire.AggRange{UUIDs: m.UUIDs, Ts: m.Ts, Te: m.Te, WindowChunks: m.WindowChunks})
+		if a, ok := resp.(*wire.AggRangeResp); ok {
+			return &wire.StatRangeResp{FromChunk: a.FromChunk, ToChunk: a.ToChunk, Windows: a.Windows}
+		}
+		return resp
 	case *wire.AggRange:
-		return r.aggRange(ctx, rt, m)
+		return r.aggRange(ctx, rt, m, *m)
 	case *wire.ListStreams:
 		return r.listStreams(ctx, rt)
 	case *wire.Batch:
@@ -409,30 +416,43 @@ func (r *Router) effectiveShard(rt *routing, uuid string) *shardState {
 	return rt.shards[rt.ring.Owner(uuid)]
 }
 
-// listStreams merges the stream listings of every shard.
-func (r *Router) listStreams(ctx context.Context, rt *routing) wire.Message {
-	type result struct{ resp wire.Message }
-	results := make([]result, len(rt.order))
+// gather runs one fan-out wave: fn(0) … fn(n-1) concurrently, answers in
+// index order. If the caller gives up first it returns the cancellation
+// response instead; the stragglers received the same ctx and abort on
+// their own, and their answers are dropped.
+func gather(ctx context.Context, n int, fn func(i int) wire.Message) ([]wire.Message, *wire.Error) {
+	resps := make([]wire.Message, n)
 	var wg sync.WaitGroup
-	for i, name := range rt.order {
-		wg.Add(1)
-		go func(i int, s *shardState) {
+	wg.Add(n)
+	for i := range n {
+		go func() {
 			defer wg.Done()
-			results[i].resp = r.fanout(ctx, s, &wire.ListStreams{})
-		}(i, rt.shards[name])
+			resps[i] = fn(i)
+		}()
 	}
 	if e := awaitFanout(ctx, &wg); e != nil {
+		return nil, e
+	}
+	return resps, nil
+}
+
+// listStreams merges the stream listings of every shard.
+func (r *Router) listStreams(ctx context.Context, rt *routing) wire.Message {
+	resps, e := gather(ctx, len(rt.order), func(i int) wire.Message {
+		return r.fanout(ctx, rt.shards[rt.order[i]], &wire.ListStreams{})
+	})
+	if e != nil {
 		return e
 	}
 	var uuids []string
-	for _, res := range results {
-		switch m := res.resp.(type) {
+	for _, resp := range resps {
+		switch m := resp.(type) {
 		case *wire.ListStreamsResp:
 			uuids = append(uuids, m.UUIDs...)
 		case *wire.Error:
 			return m
 		default:
-			return &wire.Error{Code: wire.CodeInternal, Msg: fmt.Sprintf("cluster: unexpected listing response %T", res.resp)}
+			return &wire.Error{Code: wire.CodeInternal, Msg: fmt.Sprintf("cluster: unexpected listing response %T", resp)}
 		}
 	}
 	sort.Strings(uuids)
@@ -578,14 +598,11 @@ func (r *Router) shardGroups(rt *routing, uuids []string) (order []string, group
 	return order, groups, states, release
 }
 
-// clampMulti is the cross-shard pre-pass of a multi-stream query: it
-// fetches geometry and ingest progress for every stream so each shard can
-// be handed a range clamped identically — the engine clamps multi-stream
-// queries to the shortest stream, and the router must preserve that across
-// shards. The lookups are independent, so they are fetched concurrently
-// (deduplicated: a UUID may repeat). It returns the clamped te; a non-nil
-// message is the error response.
-func (r *Router) clampMulti(ctx context.Context, rt *routing, uuids []string, ts, te int64) (int64, wire.Message) {
+// memberInfos is the router's one StreamInfo pass over a multi-stream
+// query's members: it fetches the StreamInfo of every distinct member
+// (a UUID may repeat) concurrently from the shard serving it, and returns
+// the distinct members in first-seen order with their answers.
+func (r *Router) memberInfos(ctx context.Context, rt *routing, uuids []string) ([]string, []*wire.StreamInfoResp, *wire.Error) {
 	unique := make([]string, 0, len(uuids))
 	seen := make(map[string]bool, len(uuids))
 	for _, uuid := range uuids {
@@ -594,47 +611,40 @@ func (r *Router) clampMulti(ctx context.Context, rt *routing, uuids []string, ts
 			unique = append(unique, uuid)
 		}
 	}
-	infos := make([]wire.Message, len(unique))
-	var infoWG sync.WaitGroup
-	for i, uuid := range unique {
-		infoWG.Add(1)
-		go func(i int, uuid string) {
-			defer infoWG.Done()
-			// Counted as fan-out traffic: these are internal
-			// sub-requests of the cross-shard query, not directly
-			// routed client requests.
-			infos[i] = r.fanout(ctx, r.effectiveShard(rt, uuid), &wire.StreamInfo{UUID: uuid})
-		}(i, uuid)
+	// Counted as fan-out traffic: these are internal sub-requests of the
+	// cross-shard query, not directly routed client requests.
+	resps, e := gather(ctx, len(unique), func(i int) wire.Message {
+		return r.fanout(ctx, r.effectiveShard(rt, unique[i]), &wire.StreamInfo{UUID: unique[i]})
+	})
+	if e != nil {
+		return nil, nil, e
 	}
-	if e := awaitFanout(ctx, &infoWG); e != nil {
+	infos := make([]*wire.StreamInfoResp, len(resps))
+	for i, resp := range resps {
+		switch m := resp.(type) {
+		case *wire.StreamInfoResp:
+			infos[i] = m
+		case *wire.Error:
+			return nil, nil, m
+		default:
+			return nil, nil, &wire.Error{Code: wire.CodeInternal, Msg: fmt.Sprintf("cluster: unexpected info response %T", resp)}
+		}
+	}
+	return unique, infos, nil
+}
+
+// clampMulti pins a multi-stream query's range across shards: the engine
+// clamps multi-stream queries to the shortest stream, and the router must
+// preserve that, so every shard is handed the same clamped te. It returns
+// the clamped te, or the error response.
+func (r *Router) clampMulti(ctx context.Context, rt *routing, uuids []string, ts, te int64) (int64, *wire.Error) {
+	unique, infos, e := r.memberInfos(ctx, rt, uuids)
+	if e != nil {
 		return 0, e
 	}
-	var (
-		epoch, interval int64
-		vectorLen       uint32
-		minCount        uint64
-	)
-	first := unique[0]
-	for i, resp := range infos {
-		info, ok := resp.(*wire.StreamInfoResp)
-		if !ok {
-			if e, isErr := resp.(*wire.Error); isErr {
-				return 0, e
-			}
-			return 0, &wire.Error{Code: wire.CodeInternal, Msg: fmt.Sprintf("cluster: unexpected info response %T", resp)}
-		}
-		if i == 0 {
-			epoch, interval, vectorLen = info.Cfg.Epoch, info.Cfg.Interval, info.Cfg.VectorLen
-			minCount = info.Count
-			continue
-		}
-		if info.Cfg.Epoch != epoch || info.Cfg.Interval != interval || info.Cfg.VectorLen != vectorLen {
-			return 0, &wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf(
-				"server: stream %q geometry differs from %q (inter-stream queries need matching epoch/interval/digest)", unique[i], first)}
-		}
-		if info.Count < minCount {
-			minCount = info.Count
-		}
+	epoch, interval, minCount, e := server.FoldStreamInfos(unique, infos)
+	if e != nil {
+		return 0, e
 	}
 	if minCount == 0 {
 		return 0, &wire.Error{Code: wire.CodeBadRequest, Msg: "server: no common ingested range across streams"}
@@ -666,127 +676,62 @@ func sumWindows(merged, part [][]uint64) *wire.Error {
 	return nil
 }
 
-// statRange routes a statistical query. Queries whose streams all live on
-// one shard pass straight through; cross-shard queries are clamped to the
-// common ingested range, fanned out per shard, and homomorphically summed.
-func (r *Router) statRange(ctx context.Context, rt *routing, m *wire.StatRange) wire.Message {
-	if len(m.UUIDs) == 0 {
-		return &wire.Error{Code: wire.CodeBadRequest, Msg: "server: no streams given"}
-	}
-	groupOrder, groups, states, release := r.shardGroups(rt, m.UUIDs)
-	if len(groupOrder) == 1 {
-		// route takes the gate itself; a second read lock on it in this
-		// goroutine could deadlock against a pending freeze.
-		release()
-		return r.route(ctx, rt, m.UUIDs[0], m)
-	}
-	defer release()
-	te, errResp := r.clampMulti(ctx, rt, m.UUIDs, m.Ts, m.Te)
-	if errResp != nil {
-		return errResp
-	}
-
-	// Fan out one sub-query per shard; every shard sees the same clamped
-	// range and therefore computes the same chunk window.
-	results := make([]wire.Message, len(groupOrder))
-	var wg sync.WaitGroup
-	for i, owner := range groupOrder {
-		wg.Add(1)
-		go func(i int, s *shardState, uuids []string) {
-			defer wg.Done()
-			results[i] = r.fanout(ctx, s, &wire.StatRange{UUIDs: uuids, Ts: m.Ts, Te: te, WindowChunks: m.WindowChunks})
-		}(i, states[owner], groups[owner])
-	}
-	if e := awaitFanout(ctx, &wg); e != nil {
-		return e
-	}
-
-	var merged *wire.StatRangeResp
-	for _, resp := range results {
-		part, ok := resp.(*wire.StatRangeResp)
-		if !ok {
-			if e, isErr := resp.(*wire.Error); isErr {
-				return e
-			}
-			return &wire.Error{Code: wire.CodeInternal, Msg: fmt.Sprintf("cluster: unexpected stat response %T", resp)}
-		}
-		if merged == nil {
-			merged = &wire.StatRangeResp{FromChunk: part.FromChunk, ToChunk: part.ToChunk, Windows: part.Windows}
-			continue
-		}
-		if part.FromChunk != merged.FromChunk || part.ToChunk != merged.ToChunk || len(part.Windows) != len(merged.Windows) {
-			return &wire.Error{Code: wire.CodeInternal, Msg: fmt.Sprintf(
-				"cluster: shard windows disagree ([%d,%d)x%d vs [%d,%d)x%d)",
-				part.FromChunk, part.ToChunk, len(part.Windows),
-				merged.FromChunk, merged.ToChunk, len(merged.Windows))}
-		}
-		if e := sumWindows(merged.Windows, part.Windows); e != nil {
-			return e
-		}
-	}
-	return merged
-}
-
-// aggRange routes a typed query plan: the stream set is split by owning
-// shard, each shard homomorphically sums (and projects) its own members'
-// digests, and the router combines the partial ciphertext aggregates
-// shard-side — the combine tree mirrors the cluster topology, so a
-// 16-stream plan over 4 shards costs 4 sub-aggregations plus 3 vector
-// additions here, not 16 round trips at the client.
+// aggRange routes a query plan q, which req carries on the wire (an
+// AggRange, or a StatRange as the plan that keeps full vectors). The
+// stream set is split by serving shard, each shard homomorphically sums
+// (and projects) its own members' digests, and the router combines the
+// partial ciphertext aggregates shard-side — the combine tree mirrors the
+// cluster topology, so a 16-stream plan over 4 shards costs 4
+// sub-aggregations plus 3 vector additions here, not 16 round trips at the
+// client. A plan whose members all live on one shard is that shard's to
+// answer: it gets req itself, under the members' move gates.
 //
 // The fan-out is optimistic: the first wave ships the caller's raw range
 // and every shard clamps to its own streams; when all shards report the
 // same chunk range — the common case, populations ingesting in step — the
 // partials combine directly and the query cost one wave. Only on
 // disagreement (or a shard-local clamp error) does the router fall back
-// to the StreamInfo pre-pass that computes the globally clamped range and
+// to the StreamInfo pass that computes the globally clamped range and
 // re-fan out pinned to it.
-func (r *Router) aggRange(ctx context.Context, rt *routing, m *wire.AggRange) wire.Message {
-	if len(m.UUIDs) == 0 {
+func (r *Router) aggRange(ctx context.Context, rt *routing, req wire.Message, q wire.AggRange) wire.Message {
+	if len(q.UUIDs) == 0 {
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "server: no streams given"}
 	}
-	groupOrder, groups, states, release := r.shardGroups(rt, m.UUIDs)
-	if len(groupOrder) == 1 {
-		release()
-		return r.route(ctx, rt, m.UUIDs[0], m)
-	}
+	order, groups, states, release := r.shardGroups(rt, q.UUIDs)
 	defer release()
-	if resp, ok := r.aggWave(ctx, groupOrder, groups, states, m, m.Te); ok {
+	if len(order) == 1 {
+		return r.dispatch(states[order[0]], ctx, req)
+	}
+	if resp, ok := r.aggWave(ctx, order, groups, states, q, q.Te); ok {
 		return resp
 	}
 	// Shards disagreed (uneven ingest) or one failed its local clamp:
 	// compute the common range and retry with every shard pinned to it.
-	te, errResp := r.clampMulti(ctx, rt, m.UUIDs, m.Ts, m.Te)
-	if errResp != nil {
-		return errResp
+	te, e := r.clampMulti(ctx, rt, q.UUIDs, q.Ts, q.Te)
+	if e != nil {
+		return e
 	}
-	resp, _ := r.aggWave(ctx, groupOrder, groups, states, m, te)
+	resp, _ := r.aggWave(ctx, order, groups, states, q, te)
 	return resp
 }
 
-// aggWave runs one fan-out wave of an AggRange with the given end bound
-// and merges the shard partials. ok = false reports a recoverable
+// aggWave runs one fan-out wave of plan q with the given end bound and
+// merges the shard partials. ok = false reports a recoverable
 // disagreement — the shards clamped to different ranges (or one failed
 // its local clamp) and the caller should retry with a pinned common
 // range. Cancellation and non-range errors return ok = true; retrying
 // cannot help those.
-func (r *Router) aggWave(ctx context.Context, groupOrder []string, groups map[string][]string, states map[string]*shardState, m *wire.AggRange, te int64) (wire.Message, bool) {
-	results := make([]wire.Message, len(groupOrder))
-	var wg sync.WaitGroup
-	for i, owner := range groupOrder {
-		wg.Add(1)
-		go func(i int, s *shardState, uuids []string) {
-			defer wg.Done()
-			results[i] = r.fanout(ctx, s, &wire.AggRange{
-				UUIDs: uuids, Ts: m.Ts, Te: te, WindowChunks: m.WindowChunks, Elems: m.Elems})
-		}(i, states[owner], groups[owner])
-	}
-	if e := awaitFanout(ctx, &wg); e != nil {
+func (r *Router) aggWave(ctx context.Context, order []string, groups map[string][]string, states map[string]*shardState, q wire.AggRange, te int64) (wire.Message, bool) {
+	resps, e := gather(ctx, len(order), func(i int) wire.Message {
+		return r.fanout(ctx, states[order[i]], &wire.AggRange{
+			UUIDs: groups[order[i]], Ts: q.Ts, Te: te, WindowChunks: q.WindowChunks, Elems: q.Elems})
+	})
+	if e != nil {
 		return e, true
 	}
 
 	var merged *wire.AggRangeResp
-	for _, resp := range results {
+	for _, resp := range resps {
 		part, ok := resp.(*wire.AggRangeResp)
 		if !ok {
 			if e, isErr := resp.(*wire.Error); isErr {
@@ -807,7 +752,7 @@ func (r *Router) aggWave(ctx context.Context, groupOrder []string, groups map[st
 		if part.Epoch != merged.Epoch || part.Interval != merged.Interval {
 			// Two shards clamped possibly-identical chunk ranges over
 			// DIFFERENT time geometries: the member streams do not form a
-			// combinable set. Never sum these; the geometry pre-pass
+			// combinable set. Never sum these; the StreamInfo pass
 			// produces the canonical bad-request naming the offenders.
 			return &wire.Error{Code: wire.CodeBadRequest,
 				Msg: "cluster: member stream geometries differ"}, false

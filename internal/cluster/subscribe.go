@@ -82,35 +82,18 @@ func (r *Router) Subscribe(ctx context.Context, req *wire.Subscribe) (sub.Handle
 
 // latestSeq resolves the subscribe-time frontier of a cross-shard plan:
 // the window index of the slowest member stream (min chunk count / window
-// size), fetched concurrently like clampMulti's pre-pass.
+// size), from the router's StreamInfo pass. Geometry is not checked here:
+// the legs' handshakes check it.
 func (r *Router) latestSeq(ctx context.Context, uuids []string, wc uint64) (uint64, error) {
-	rt := r.rt.Load()
-	infos := make([]wire.Message, len(uuids))
-	var wg sync.WaitGroup
-	for i, uuid := range uuids {
-		wg.Add(1)
-		go func(i int, uuid string) {
-			defer wg.Done()
-			infos[i] = r.fanout(ctx, r.effectiveShard(rt, uuid), &wire.StreamInfo{UUID: uuid})
-		}(i, uuid)
-	}
-	if e := awaitFanout(ctx, &wg); e != nil {
+	_, infos, e := r.memberInfos(ctx, r.rt.Load(), uuids)
+	if e != nil {
 		return 0, e
 	}
-	min := ^uint64(0)
-	for _, resp := range infos {
-		info, ok := resp.(*wire.StreamInfoResp)
-		if !ok {
-			if e, isErr := resp.(*wire.Error); isErr {
-				return 0, e
-			}
-			return 0, fmt.Errorf("cluster: unexpected info response %T", resp)
-		}
-		if info.Count < min {
-			min = info.Count
-		}
+	count := infos[0].Count
+	for _, info := range infos[1:] {
+		count = min(count, info.Count)
 	}
-	return min / wc, nil
+	return count / wc, nil
 }
 
 // healWrongShard reports whether err is a wrong-shard answer and, when it

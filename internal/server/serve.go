@@ -251,7 +251,8 @@ func WireError(err error) *wire.Error {
 	case strings.Contains(msg, "already exists"):
 		code = wire.CodeExists
 	case strings.Contains(msg, "out of order"), strings.Contains(msg, "range"),
-		strings.Contains(msg, "empty"), strings.Contains(msg, "must be"):
+		strings.Contains(msg, "empty"), strings.Contains(msg, "must be"),
+		strings.Contains(msg, "geometry differs"), strings.Contains(msg, "no data"):
 		code = wire.CodeBadRequest
 	}
 	return &wire.Error{Code: code, Msg: msg}
@@ -708,18 +709,28 @@ func (s *Server) streamMeta(ctx context.Context, uuids []string) (epoch, interva
 			infos[i] = info
 		}
 	}
-	epoch, interval = infos[0].Cfg.Epoch, infos[0].Cfg.Interval
+	epoch, interval, count, e := FoldStreamInfos(uuids, infos)
+	if e != nil {
+		return 0, 0, 0, e
+	}
+	return epoch, interval, count, nil
+}
+
+// FoldStreamInfos folds a multi-stream query's member metadata (infos[i]
+// answers uuids[i]): the members must share epoch, interval and digest
+// length, and the common ingested bound is the smallest chunk count. The
+// refusal names the first member that differs, in the engine's words.
+func FoldStreamInfos(uuids []string, infos []*wire.StreamInfoResp) (epoch, interval int64, count uint64, err *wire.Error) {
+	first := infos[0].Cfg
 	count = infos[0].Count
 	for i, info := range infos[1:] {
-		if info.Cfg.Epoch != epoch || info.Cfg.Interval != interval || info.Cfg.VectorLen != infos[0].Cfg.VectorLen {
+		if info.Cfg.Epoch != first.Epoch || info.Cfg.Interval != first.Interval || info.Cfg.VectorLen != first.VectorLen {
 			return 0, 0, 0, &wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf(
 				"server: stream %q geometry differs from %q (inter-stream queries need matching epoch/interval/digest)", uuids[i+1], uuids[0])}
 		}
-		if info.Count < count {
-			count = info.Count
-		}
+		count = min(count, info.Count)
 	}
-	return epoch, interval, count, nil
+	return first.Epoch, first.Interval, count, nil
 }
 
 // streamWindows serves one streamed query: the windowed range is evaluated
