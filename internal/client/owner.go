@@ -31,8 +31,6 @@ type StreamOptions struct {
 	// TreeHeight sizes the keystream (2^height keys); defaults to 30
 	// (one billion keys, the paper's configuration).
 	TreeHeight int
-	// PRG selects the key tree expansion; defaults to hardware AES.
-	PRG core.PRGKind
 	// Meta is free-form stream metadata (metric, source, …).
 	Meta string
 	// Insecure disables all encryption: plaintext digests and payloads
@@ -128,7 +126,7 @@ func (o *Owner) CreateStream(ctx context.Context, opts StreamOptions) (*OwnerStr
 	if err := opts.applyDefaults(); err != nil {
 		return nil, err
 	}
-	tree, err := core.GenerateTree(core.NewPRG(opts.PRG), opts.TreeHeight)
+	tree, err := core.GenerateTree(core.NewPRG(core.PRGAES), opts.TreeHeight)
 	if err != nil {
 		return nil, err
 	}
@@ -408,7 +406,7 @@ func (s *OwnerStream) grantLocked(ctx context.Context, principalPub []byte, ts, 
 		Epoch:       s.epoch,
 		Interval:    s.interval,
 		TreeHeight:  uint8(s.tree.Height()),
-		PRG:         s.opts.PRG,
+		PRG:         core.PRGAES,
 		DigestSpec:  specBytes,
 		Compression: uint8(s.comp),
 		FromChunk:   a,

@@ -78,11 +78,11 @@ func TestSubscribeReshardE2E(t *testing.T) {
 	// keys to the newcomer), stream b stays put on a different old shard —
 	// one leg of the subscription is guaranteed to die mid-flight and heal.
 	names := router.Shards()
-	oldRing, err := cluster.NewRing(names, 0)
+	oldRing, err := cluster.NewRing(names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newRing, err := cluster.NewRing(append(append([]string(nil), names...), "shard-4"), 0)
+	newRing, err := cluster.NewRing(append(append([]string(nil), names...), "shard-4"))
 	if err != nil {
 		t.Fatal(err)
 	}

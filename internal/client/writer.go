@@ -21,10 +21,10 @@ type WriterOptions struct {
 	// acknowledgements; appends block (backpressure) once the bound is
 	// reached. Default 4.
 	MaxInFlight int
-	// FlushEvery is the background flush interval for a partially filled
+	// flushEvery is the background flush interval for a partially filled
 	// batch, so a slow producer's records still reach the server without
 	// an explicit Flush. Default 100ms; negative disables.
-	FlushEvery time.Duration
+	flushEvery time.Duration
 }
 
 func (o *WriterOptions) applyDefaults() {
@@ -37,8 +37,8 @@ func (o *WriterOptions) applyDefaults() {
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 4
 	}
-	if o.FlushEvery == 0 {
-		o.FlushEvery = 100 * time.Millisecond
+	if o.flushEvery == 0 {
+		o.flushEvery = 100 * time.Millisecond
 	}
 }
 
@@ -105,9 +105,9 @@ func (s *OwnerStream) Writer(ctx context.Context, opts WriterOptions) (*Writer, 
 	}
 	s.writer = w
 	go w.sender()
-	if opts.FlushEvery > 0 {
+	if opts.flushEvery > 0 {
 		w.tickerStop = make(chan struct{})
-		go w.backgroundFlush(opts.FlushEvery)
+		go w.backgroundFlush(opts.flushEvery)
 	}
 	return w, nil
 }

@@ -416,7 +416,7 @@ func TestWriterHandsFullBatchOffPromptly(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	tr := &handoffDoer{Transport: &InProc{Engine: newWriterEngine(t)}}
 	s := newWriterStream(t, tr, "whand")
-	w, err := s.Writer(context.Background(), WriterOptions{FlushEvery: -1})
+	w, err := s.Writer(context.Background(), WriterOptions{flushEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,16 +100,9 @@ type GroupOptions struct {
 	CallTimeout time.Duration
 }
 
-// NewReplicatedShard dials a replication group and returns it as a
-// routable shard bound to the group's current leader. members lists the
-// group's addresses (leader position unknown — it is discovered);
-// inflight bounds in-flight requests per connection as in NewTCPShard.
-// A nil logf discards failover logs.
-func NewReplicatedShard(name string, members []string, inflight int, logf func(string, ...any)) (Shard, error) {
-	return NewReplicatedShardOptions(name, members, GroupOptions{InFlight: inflight, Logf: logf})
-}
-
-// NewReplicatedShardOptions is NewReplicatedShard with full options.
+// NewReplicatedShardOptions dials a replication group and returns it as
+// a routable shard bound to the group's current leader. members lists the
+// group's addresses (leader position unknown — it is discovered).
 func NewReplicatedShardOptions(name string, members []string, o GroupOptions) (Shard, error) {
 	if len(members) == 0 {
 		return Shard{}, fmt.Errorf("cluster: replicated shard %q has no members", name)

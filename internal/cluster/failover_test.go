@@ -69,7 +69,7 @@ func TestReplicatedShardFailsOver(t *testing.T) {
 	follower := startReplMember(t, lease)
 	leader.node.Lead([]string{follower.addr})
 
-	sh, err := NewReplicatedShard("g0", []string{leader.addr, follower.addr}, 0, t.Logf)
+	sh, err := NewReplicatedShardOptions("g0", []string{leader.addr, follower.addr}, GroupOptions{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,7 +171,7 @@ func (r *Router) rebalance(ctx context.Context, newShards []Shard, expectEpoch u
 		}
 		order = append(order, sh.Name)
 	}
-	newRing, err := NewRing(order, r.vnodes)
+	newRing, err := NewRing(order)
 	if err != nil {
 		return nil, err
 	}
@@ -548,7 +548,7 @@ func (r *Router) installMembers(epoch uint64, members []string) (err error) {
 		}
 		order = append(order, name)
 	}
-	ring, err := NewRing(order, r.vnodes)
+	ring, err := NewRing(order)
 	if err != nil {
 		return err
 	}

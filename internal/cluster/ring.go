@@ -42,10 +42,9 @@ import (
 	"sort"
 )
 
-// DefaultVirtualNodes is the per-shard virtual node count. 128 points per
-// shard keeps the expected load imbalance across shards within a few
-// percent.
-const DefaultVirtualNodes = 128
+// virtualNodes is the per-shard virtual node count. 128 points per shard
+// keeps the expected load imbalance across shards within a few percent.
+const virtualNodes = 128
 
 // Ring is a consistent-hash ring mapping keys (stream UUIDs) onto named
 // nodes via virtual nodes. It is immutable after construction and safe for
@@ -77,17 +76,14 @@ func hash64(s string) uint64 {
 	return h
 }
 
-// NewRing places vnodes virtual nodes per node on the ring; vnodes <= 0
-// means DefaultVirtualNodes. Node names must be unique and non-empty.
-func NewRing(nodes []string, vnodes int) (*Ring, error) {
+// NewRing places virtualNodes virtual nodes per node on the ring. Node
+// names must be unique and non-empty.
+func NewRing(nodes []string) (*Ring, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("cluster: ring needs at least one node")
 	}
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
 	seen := make(map[string]bool, len(nodes))
-	r := &Ring{points: make([]ringPoint, 0, len(nodes)*vnodes), nodes: append([]string(nil), nodes...)}
+	r := &Ring{points: make([]ringPoint, 0, len(nodes)*virtualNodes), nodes: append([]string(nil), nodes...)}
 	for _, node := range nodes {
 		if node == "" {
 			return nil, errors.New("cluster: empty node name")
@@ -96,7 +92,7 @@ func NewRing(nodes []string, vnodes int) (*Ring, error) {
 			return nil, fmt.Errorf("cluster: duplicate node %q", node)
 		}
 		seen[node] = true
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", node, v)), node: node})
 		}
 	}

@@ -6,13 +6,13 @@ import (
 )
 
 func TestRingPlacementDeterministic(t *testing.T) {
-	a, err := NewRing([]string{"a", "b", "c"}, 64)
+	a, err := NewRing([]string{"a", "b", "c"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same membership in a different construction order must place every
 	// key identically: placement is pure hashing, not list position.
-	b, err := NewRing([]string{"c", "a", "b"}, 64)
+	b, err := NewRing([]string{"c", "a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestRingPlacementDeterministic(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	nodes := []string{"a", "b", "c", "d"}
-	r, err := NewRing(nodes, 0) // default vnodes
+	r, err := NewRing(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,11 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingConsistency(t *testing.T) {
-	before, err := NewRing([]string{"a", "b", "c"}, 128)
+	before, err := NewRing([]string{"a", "b", "c"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := NewRing([]string{"a", "b", "c", "d"}, 128)
+	after, err := NewRing([]string{"a", "b", "c", "d"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,13 +74,13 @@ func TestRingConsistency(t *testing.T) {
 }
 
 func TestRingValidation(t *testing.T) {
-	if _, err := NewRing(nil, 8); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty ring accepted")
 	}
-	if _, err := NewRing([]string{"a", "a"}, 8); err == nil {
+	if _, err := NewRing([]string{"a", "a"}); err == nil {
 		t.Error("duplicate node accepted")
 	}
-	if _, err := NewRing([]string{""}, 8); err == nil {
+	if _, err := NewRing([]string{""}); err == nil {
 		t.Error("empty node name accepted")
 	}
 }

@@ -24,9 +24,6 @@ type Shard struct {
 
 // Options tunes router construction.
 type Options struct {
-	// VirtualNodes per shard on the consistent-hash ring; <= 0 means
-	// DefaultVirtualNodes.
-	VirtualNodes int
 	// Dial connects a member the router does not know yet, by name.
 	// Required for wire-driven membership changes (wire.Reshard names
 	// members as strings) and for recovering from CodeWrongShard after a
@@ -65,9 +62,8 @@ type routing struct {
 // wire.CodeWrongShard answers by refreshing its topology from the shards
 // (Options.Dial connects members it has not seen).
 type Router struct {
-	rt     atomic.Pointer[routing]
-	vnodes int
-	dial   func(member string) (Shard, error)
+	rt   atomic.Pointer[routing]
+	dial func(member string) (Shard, error)
 
 	// reshardMu serializes membership changes (Rebalance and stale-ring
 	// topology installs); the request path never takes it.
@@ -146,11 +142,11 @@ func NewRouter(shards []Shard, opts Options) (*Router, error) {
 		names = append(names, sh.Name)
 		states[sh.Name] = &shardState{name: sh.Name, handler: sh.Handler}
 	}
-	ring, err := NewRing(names, opts.VirtualNodes)
+	ring, err := NewRing(names)
 	if err != nil {
 		return nil, err
 	}
-	r := &Router{vnodes: opts.VirtualNodes, dial: opts.Dial, moves: make(map[string]*moveState)}
+	r := &Router{dial: opts.Dial, moves: make(map[string]*moveState)}
 	r.rt.Store(&routing{epoch: 1, ring: ring, shards: states, order: names})
 	return r, nil
 }

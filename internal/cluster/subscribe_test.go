@@ -184,11 +184,11 @@ func TestClusterSubscribeHealsAcrossReshard(t *testing.T) {
 	// hashing only reassigns keys to the newcomer), stream b stays put on
 	// a different shard — so one leg of the subscription is guaranteed to
 	// die mid-flight and heal.
-	oldRing, err := NewRing(tc.names, 0)
+	oldRing, err := NewRing(tc.names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newRing, err := NewRing(append(append([]string(nil), tc.names...), "shard-3"), 0)
+	newRing, err := NewRing(append(append([]string(nil), tc.names...), "shard-3"))
 	if err != nil {
 		t.Fatal(err)
 	}

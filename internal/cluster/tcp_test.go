@@ -113,10 +113,30 @@ func TestRebalanceOverTCPShards(t *testing.T) {
 	}
 	defer router.Close()
 
+	// Start the fourth engine first. Placement hashes the random loopback
+	// ports, so twelve streams sometimes all stay put; keep creating
+	// streams until the grown ring hands at least one to the new member.
+	addr4, engine4 := startEngineTCP(t)
+	engines[addr4] = engine4
+	var members []string
+	for _, sh := range shards {
+		members = append(members, sh.Name)
+	}
+	grown, err := NewRing(append(append([]string(nil), members...), addr4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var uuids []string
+	for moves := false; len(uuids) < 12 || !moves; {
+		if len(uuids) == 64 {
+			t.Fatal("64 streams and none placed on the new member")
+		}
+		uuid := fmt.Sprintf("mv-%d", len(uuids))
+		uuids = append(uuids, uuid)
+		moves = moves || grown.Owner(uuid) == addr4
+	}
 	spec := wire.StreamConfig{Epoch: 0, Interval: 100, VectorLen: 2, Fanout: 8}
-	const streams = 12
-	for i := 0; i < streams; i++ {
-		uuid := fmt.Sprintf("mv-%d", i)
+	for _, uuid := range uuids {
 		if resp := router.Handle(context.Background(), &wire.CreateStream{UUID: uuid, Cfg: spec}); !isOK(resp) {
 			t.Fatalf("create %q -> %#v", uuid, resp)
 		}
@@ -129,15 +149,9 @@ func TestRebalanceOverTCPShards(t *testing.T) {
 		}
 	}
 
-	// Grow onto a fourth remote engine via the wire-level admin path (the
+	// Grow onto the fourth remote engine via the wire-level admin path (the
 	// new member resolves through the dialer, exactly like timecrypt-cli
 	// reshard against a router front end).
-	addr4, engine4 := startEngineTCP(t)
-	engines[addr4] = engine4
-	var members []string
-	for _, sh := range shards {
-		members = append(members, sh.Name)
-	}
 	resp := router.Handle(context.Background(), &wire.Reshard{Members: append(members, addr4)})
 	ti, ok := resp.(*wire.TopologyInfoResp)
 	if !ok || ti.Epoch != 2 || len(ti.Members) != 4 {
@@ -156,8 +170,7 @@ func TestRebalanceOverTCPShards(t *testing.T) {
 			res[uuid] = name
 		}
 	}
-	for i := 0; i < streams; i++ {
-		uuid := fmt.Sprintf("mv-%d", i)
+	for _, uuid := range uuids {
 		if want := router.Owner(uuid); res[uuid] != want {
 			t.Errorf("stream %q on %s, ring owner %s", uuid, res[uuid], want)
 		}

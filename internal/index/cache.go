@@ -18,8 +18,9 @@ const (
 	levelBits = 8
 	idxBits   = 64 - levelBits
 	// maxLevel and maxIdx are the largest level and node index a key can
-	// hold, maxChunks the number of leaf positions; Open and Append refuse
-	// trees that would outgrow them.
+	// hold, maxChunks the number of leaf positions. The derived height
+	// stays far below maxLevel even at fanout 2; Open and Append refuse
+	// counts past maxChunks.
 	maxLevel  = 1<<levelBits - 1
 	maxIdx    = 1<<idxBits - 1
 	maxChunks = 1 << idxBits

@@ -22,9 +22,6 @@ type Config struct {
 	VectorLen int
 	// CacheBytes is the LRU node-cache budget; <= 0 means unbounded.
 	CacheBytes int64
-	// MaxLevels caps the tree height above the leaves; 0 picks the
-	// smallest height whose capacity is at least 2^36 chunks.
-	MaxLevels int
 }
 
 func (c *Config) applyDefaults() error {
@@ -37,20 +34,17 @@ func (c *Config) applyDefaults() error {
 	if c.VectorLen < 1 {
 		return fmt.Errorf("index: vector length %d < 1", c.VectorLen)
 	}
-	if c.MaxLevels == 0 {
-		capacity := uint64(1) << 36
-		levels := 1
-		span := uint64(c.Fanout)
-		for span < capacity {
-			span *= uint64(c.Fanout)
-			levels++
-		}
-		c.MaxLevels = levels
-	}
-	if c.MaxLevels > maxLevel {
-		return fmt.Errorf("index: %d levels, a cache key holds at most %d", c.MaxLevels, maxLevel)
-	}
 	return nil
+}
+
+// treeLevels is the tree height above the leaves for a fanout: the
+// smallest whose capacity is at least 2^36 chunks.
+func treeLevels(fanout int) int {
+	levels := 1
+	for span := uint64(fanout); span < 1<<36; span *= uint64(fanout) {
+		levels++
+	}
+	return levels
 }
 
 // Tree is one stream's time-partitioned aggregation tree, persisted in a KV
@@ -65,6 +59,7 @@ type Tree struct {
 	store    kv.Store
 	streamID string
 	cfg      Config
+	levels   int // treeLevels(cfg.Fanout)
 	cache    *stripedCache
 
 	mu    sync.RWMutex
@@ -79,7 +74,7 @@ func Open(store kv.Store, streamID string, cfg Config) (*Tree, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	t := &Tree{store: store, streamID: streamID, cfg: cfg}
+	t := &Tree{store: store, streamID: streamID, cfg: cfg, levels: treeLevels(cfg.Fanout)}
 	t.cache = newStripedCache(cfg.CacheBytes, len("i/")+len(streamID)+len("//"))
 	meta, err := store.Get(t.metaKey())
 	switch {
@@ -268,7 +263,7 @@ func (t *Tree) AppendBatchWith(pos uint64, digests [][]uint64, extra []kv.Op) er
 		st.delta = make([]uint64, t.cfg.VectorLen)
 	}
 	delta := st.delta[:t.cfg.VectorLen]
-	for level := 1; level <= t.cfg.MaxLevels; level++ {
+	for level := 1; level <= t.levels; level++ {
 		for i := range idxs {
 			idxs[i] /= k
 		}
@@ -346,7 +341,7 @@ func (t *Tree) Query(a, b uint64) ([]uint64, error) {
 	full := count
 	// addRun adds the sibling nodes [x, y) of one level.
 	addRun := func(level int, x, y uint64) error {
-		if level < t.cfg.MaxLevels && x/k < full/k && k-(y-x)+1 < y-x && t.aroundRun(scratch, level, x, y) {
+		if level < t.levels && x/k < full/k && k-(y-x)+1 < y-x && t.aroundRun(scratch, level, x, y) {
 			for e := range agg {
 				agg[e] += scratch[e]
 			}
@@ -364,7 +359,7 @@ func (t *Tree) Query(a, b uint64) ([]uint64, error) {
 		return nil
 	}
 	for level := 0; a < b; level++ {
-		if level == t.cfg.MaxLevels || a/k == (b-1)/k {
+		if level == t.levels || a/k == (b-1)/k {
 			// The top level, or one parent's children: one last run.
 			if err := addRun(level, a, b); err != nil {
 				return nil, err
@@ -454,8 +449,8 @@ func (t *Tree) Prune(level int, a, b uint64) error {
 // committed in the same store batch as the node deletes; the cache drops
 // the nodes only after that batch returned nil.
 func (t *Tree) PruneWith(level int, a, b uint64, extra []kv.Op) error {
-	if level < 1 || level > t.cfg.MaxLevels {
-		return fmt.Errorf("index: prune level %d out of range [1,%d]", level, t.cfg.MaxLevels)
+	if level < 1 || level > t.levels {
+		return fmt.Errorf("index: prune level %d out of range [1,%d]", level, t.levels)
 	}
 	if b > maxChunks {
 		return fmt.Errorf("index: prune range [%d,%d) beyond the %d chunks a stream can hold", a, b, uint64(maxChunks))

@@ -72,12 +72,12 @@ type Options struct {
 	// SyncEvery is the max time between fsyncs under SyncInterval
 	// (default 1s; ignored otherwise).
 	SyncEvery time.Duration
-	// SegmentBytes rotates the active WAL segment past this size
+	// segmentBytes rotates the active WAL segment past this size
 	// (default 64 MiB).
-	SegmentBytes int64
-	// CompactBytes triggers a snapshot + WAL truncation once this many
+	segmentBytes int64
+	// compactBytes triggers a snapshot + WAL truncation once this many
 	// WAL bytes accumulate past the last snapshot (default 128 MiB).
-	CompactBytes int64
+	compactBytes int64
 	// Logf receives recovery and compaction diagnostics (default: none).
 	Logf func(string, ...any)
 }
@@ -89,11 +89,11 @@ func (o *Options) applyDefaults() {
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = time.Second
 	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 64 << 20
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = 64 << 20
 	}
-	if o.CompactBytes <= 0 {
-		o.CompactBytes = 128 << 20
+	if o.compactBytes <= 0 {
+		o.compactBytes = 128 << 20
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -410,7 +410,7 @@ func (s *Store) commitGroup(group []*request) {
 // append every request as its own record, one write syscall, sync per
 // policy, then apply to the read path in order.
 func (s *Store) writeGroup(group []*request) error {
-	if s.segSize >= s.opts.SegmentBytes {
+	if s.segSize >= s.opts.segmentBytes {
 		if err := s.rotate(); err != nil {
 			return err
 		}
@@ -449,7 +449,7 @@ func (s *Store) writeGroup(group []*request) error {
 	s.committedSeq.Store(firstSeq + uint64(len(group)) - 1)
 	s.records.Add(uint64(len(group)))
 	s.groupCommits.Add(1)
-	if s.bytesSinceSnap.Add(int64(len(buf))) >= s.opts.CompactBytes {
+	if s.bytesSinceSnap.Add(int64(len(buf))) >= s.opts.compactBytes {
 		select {
 		case s.compactCh <- struct{}{}:
 		default:

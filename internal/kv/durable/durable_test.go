@@ -185,7 +185,7 @@ func TestClosedStoreRejectsWrites(t *testing.T) {
 func TestSegmentRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force rotation every few records.
-	s := mustOpen(t, dir, Options{SegmentBytes: 512, CompactBytes: 1 << 40})
+	s := mustOpen(t, dir, Options{segmentBytes: 512, compactBytes: 1 << 40})
 	val := make([]byte, 64)
 	for i := 0; i < 100; i++ {
 		if err := s.Put(fmt.Sprintf("k/%03d", i), val); err != nil {
@@ -237,7 +237,7 @@ func TestSegmentRotationAndCompaction(t *testing.T) {
 
 func TestCompactionSizeTrigger(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{SegmentBytes: 1 << 10, CompactBytes: 4 << 10})
+	s := mustOpen(t, dir, Options{segmentBytes: 1 << 10, compactBytes: 4 << 10})
 	val := make([]byte, 128)
 	for i := 0; i < 200; i++ {
 		if err := s.Put(fmt.Sprintf("k/%03d", i), val); err != nil {

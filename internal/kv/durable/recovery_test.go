@@ -157,7 +157,7 @@ func TestTornFinalRecordTolerated(t *testing.T) {
 // compaction cleans up.
 func TestCompactionCrashBeforeTruncate(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{SegmentBytes: 512})
+	s := mustOpen(t, dir, Options{segmentBytes: 512})
 	applyScript(t, s, 100)
 	// The crash: snapshot written and renamed, WAL untouched.
 	w := s.committedSeq.Load()
@@ -294,7 +294,7 @@ func TestDuplicateAndRegressingSequencesSkipped(t *testing.T) {
 // that is corruption, not a torn tail, and recovery must refuse to serve.
 func TestCorruptMiddleSegmentFails(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{SegmentBytes: 256})
+	s := mustOpen(t, dir, Options{segmentBytes: 256})
 	for i := 0; i < 60; i++ {
 		if err := s.Put(fmt.Sprintf("k%02d", i), []byte("vvvvvvvv")); err != nil {
 			t.Fatal(err)

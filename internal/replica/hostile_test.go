@@ -212,3 +212,36 @@ func TestHostileSnapshotPageWithoutFirst(t *testing.T) {
 		t.Errorf("watermark adopted %d from a refused page", wm)
 	}
 }
+
+// TestHostileSnapshotPageCarryingState: a snapshot page may not carry the
+// node's own replication state. Installing it would overwrite the durable
+// installing marker, and a crash before Done would restart as a live
+// follower serving the partial image.
+func TestHostileSnapshotPageCarryingState(t *testing.T) {
+	store := kv.NewMemStore()
+	silent := func(string, ...any) {}
+	node, err := New(store, server.Config{}, Options{Self: "a:1", Logf: silent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, ok := node.Handle(ctx, &wire.ReplSnapshot{Epoch: 7, First: true, Leader: "b:1"}).(*wire.ReplAck); !ok {
+		t.Fatal("snapshot first page refused")
+	}
+	var live wire.Encoder
+	live.U64(7)
+	live.U8(wire.ReplFollower)
+	live.U8(0) // not installing
+	wantErr(t, node.Handle(ctx, &wire.ReplSnapshot{
+		Epoch: 7, First: true, Leader: "b:1",
+		Items: []wire.KVItem{{Key: stateKey, Value: live.Bytes()}},
+	}), wire.CodeBadRequest)
+	node.Close()
+
+	reborn, err := New(store, server.Config{}, Options{Self: "a:1", Logf: silent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reborn.Close()
+	wantErr(t, reborn.Handle(ctx, &wire.StreamInfo{UUID: "x"}), wire.CodeBusy)
+}

@@ -63,8 +63,8 @@ type Options struct {
 	// Lease/3, and a router considers the leader dead only after the
 	// lease has lapsed without contact. 0 means DefaultLease.
 	Lease time.Duration
-	// LogBytes is the replication log retention budget (0 = 16 MiB).
-	LogBytes int
+	// logBytes is the replication log retention budget (0 = 16 MiB).
+	logBytes int
 	// StoreSeq reports the durable store's committed sequence for
 	// LeaseInfoResp (nil = always 0); wired to durable.CommittedSeq so
 	// operators can compare replication watermarks against fsync'd
@@ -182,7 +182,7 @@ func New(store kv.Store, cfg server.Config, opts Options) (*Node, error) {
 		role:      wire.ReplStandalone,
 		followers: make(map[string]*follower),
 		changed:   make(chan struct{}),
-		log:       newRecordLog(opts.LogBytes),
+		log:       newRecordLog(opts.logBytes),
 	}
 	if raw, err := store.Get(stateKey); err == nil {
 		d := wire.NewDecoder(raw)
@@ -622,6 +622,13 @@ func (n *Node) handleReplAppend(ctx context.Context, m *wire.ReplAppend) wire.Me
 func (n *Node) handleReplSnapshot(ctx context.Context, m *wire.ReplSnapshot) wire.Message {
 	if m.Epoch == 0 {
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "replica: epoch 0 is reserved"}
+	}
+	for _, it := range m.Items {
+		if it.Key == stateKey {
+			// Installing it would overwrite the durable installing marker, so
+			// a crash before Done could restart unfenced over a partial image.
+			return &wire.Error{Code: wire.CodeBadRequest, Msg: "replica: snapshot page carries the replication state key"}
+		}
 	}
 	n.mu.Lock()
 	if m.Epoch < n.epoch {

@@ -238,7 +238,7 @@ func TestSnapshotResyncFromTrimmedLog(t *testing.T) {
 	// late-joining follower can never catch up from the log.
 	node, err := New(store, server.Config{}, Options{
 		Self: lis.Addr().String(), Lease: 100 * time.Millisecond,
-		LogBytes: 1, Logf: func(string, ...any) {},
+		logBytes: 1, Logf: func(string, ...any) {},
 	})
 	if err != nil {
 		t.Fatal(err)
