@@ -39,54 +39,6 @@ func TestPutGetDelete(t *testing.T) {
 	}
 }
 
-func TestGetReturnsCopy(t *testing.T) {
-	s := NewMemStore()
-	defer s.Close()
-	s.Put("k", []byte{1, 2, 3})
-	v, _ := s.Get("k")
-	v[0] = 99
-	v2, _ := s.Get("k")
-	if v2[0] != 1 {
-		t.Error("Get leaked internal buffer")
-	}
-}
-
-func TestPutCopiesValue(t *testing.T) {
-	s := NewMemStore()
-	defer s.Close()
-	buf := []byte{1, 2, 3}
-	s.Put("k", buf)
-	buf[0] = 99
-	v, _ := s.Get("k")
-	if v[0] != 1 {
-		t.Error("Put aliased caller buffer")
-	}
-}
-
-func TestLenAndSizeBytes(t *testing.T) {
-	s := NewMemStore()
-	defer s.Close()
-	if s.Len() != 0 || s.SizeBytes() != 0 {
-		t.Fatal("fresh store not empty")
-	}
-	s.Put("ab", make([]byte, 10))
-	s.Put("cd", make([]byte, 20))
-	if s.Len() != 2 {
-		t.Errorf("Len = %d, want 2", s.Len())
-	}
-	if got := s.SizeBytes(); got != 2+10+2+20 {
-		t.Errorf("SizeBytes = %d, want 34", got)
-	}
-	s.Put("ab", make([]byte, 5)) // replace must not double count
-	if got := s.SizeBytes(); got != 2+5+2+20 {
-		t.Errorf("SizeBytes after replace = %d, want 29", got)
-	}
-	s.Delete("cd")
-	if got := s.SizeBytes(); got != 2+5 {
-		t.Errorf("SizeBytes after delete = %d, want 7", got)
-	}
-}
-
 func TestScanPrefix(t *testing.T) {
 	s := NewMemStore()
 	defer s.Close()
@@ -126,6 +78,14 @@ func TestScanEarlyStop(t *testing.T) {
 	if n != 10 {
 		t.Errorf("scan visited %d keys after early stop, want 10", n)
 	}
+	n = 0
+	s.ScanShallow("k", func(string, []byte) bool {
+		n++
+		return n < 10
+	})
+	if n != 10 {
+		t.Errorf("shallow scan visited %d keys after early stop, want 10", n)
+	}
 }
 
 func TestScanCallbackMayMutateStore(t *testing.T) {
@@ -144,69 +104,6 @@ func TestScanCallbackMayMutateStore(t *testing.T) {
 	}
 	if s.Len() != 0 {
 		t.Errorf("expected empty store, have %d keys", s.Len())
-	}
-}
-
-func TestScanShallow(t *testing.T) {
-	s := NewMemStore()
-	defer s.Close()
-	for i := 0; i < 50; i++ {
-		s.Put(fmt.Sprintf("x/%02d", i), []byte{byte(i)})
-		s.Put(fmt.Sprintf("y/%02d", i), []byte{byte(i)})
-	}
-	var _ ShallowScanner = s // MemStore advertises the capability
-
-	got := map[string][]byte{}
-	if err := s.ScanShallow("x/", func(k string, v []byte) bool {
-		got[k] = v
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 50 {
-		t.Fatalf("shallow scan matched %d keys, want 50", len(got))
-	}
-	// The captured slices are the store's internals; replacing and deleting
-	// entries must not mutate them (Put installs a fresh buffer).
-	for i := 0; i < 50; i++ {
-		s.Put(fmt.Sprintf("x/%02d", i), []byte{0xAA})
-		s.Delete(fmt.Sprintf("x/%02d", i))
-	}
-	for i := 0; i < 50; i++ {
-		k := fmt.Sprintf("x/%02d", i)
-		if v := got[k]; len(v) != 1 || v[0] != byte(i) {
-			t.Fatalf("captured value for %s mutated: %v", k, v)
-		}
-	}
-
-	// Early stop works like Scan.
-	n := 0
-	s.ScanShallow("y/", func(string, []byte) bool {
-		n++
-		return n < 10
-	})
-	if n != 10 {
-		t.Errorf("shallow scan visited %d keys after early stop, want 10", n)
-	}
-}
-
-func TestBatch(t *testing.T) {
-	s := NewMemStore()
-	defer s.Close()
-	s.Put("stale", []byte("x"))
-	err := s.Batch([]Op{
-		{Kind: OpPut, Key: "a", Value: []byte("1")},
-		{Kind: OpPut, Key: "b", Value: []byte("2")},
-		{Kind: OpDelete, Key: "stale"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get("stale"); err != ErrNotFound {
-		t.Error("batch delete missed")
-	}
-	if v, _ := s.Get("b"); string(v) != "2" {
-		t.Error("batch put missed")
 	}
 }
 
