@@ -188,7 +188,9 @@ func TestHotPathAllocBudgets(t *testing.T) {
 	// One client batch as the engine sees it: 16 chunks, one store batch.
 	// The per-node write path before it measured 249 allocs and 30,273 B
 	// here; staging in a pooled buffer measures 213 and 24,287. Grouping
-	// the writes must not be bought with garbage.
+	// the writes must not be bought with garbage. MemStore's append-only
+	// pages replace its per-value allocations: 171 allocs and 23,439-23,786
+	// B, where the map-of-slices store measured 212-213 and 24,771-25,202 B.
 	t.Run("engine-insert-batch", func(t *testing.T) {
 		spec := hotSpec(t)
 		engine := hotEngine(t, spec)
@@ -206,8 +208,8 @@ func TestHotPathAllocBudgets(t *testing.T) {
 		defer debug.SetGCPercent(debug.SetGCPercent(-1)) // keep the stage pooled
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		insert()
-		if allocs := testing.AllocsPerRun(runs/2-1, insert); allocs > 215 {
-			t.Errorf("16-chunk InsertChunkBatch: %.1f allocs, want <= 215", allocs)
+		if allocs := testing.AllocsPerRun(runs/2-1, insert); allocs > 171 {
+			t.Errorf("16-chunk InsertChunkBatch: %.1f allocs, want <= 171", allocs)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -60,13 +60,14 @@ type Store interface {
 }
 
 // ShallowScanner is an optional Store capability: ScanShallow visits every
-// key with the given prefix like Scan, but hands fn the store's internal
-// value buffers instead of copies. Implementations guarantee those buffers
-// are immutable — a later Put replaces the entry with a fresh slice rather
-// than mutating in place — so callers may retain them read-only. Bulk
-// readers (replication snapshots) use this to capture a consistent image
-// of a quiesced store in O(keys) header copies instead of duplicating
-// every value byte.
+// key with the given prefix like Scan, but hands fn slices of the store's
+// own memory instead of copies. Implementations guarantee those bytes are
+// never written again — MemStore's pages are append-only, a later Put
+// appends the new value elsewhere, and reclaiming space copies live
+// entries out of old pages without touching them — so callers may retain
+// the slices read-only. Bulk readers (replication snapshots) use this to
+// capture a consistent image of a quiesced store in O(keys) header copies
+// instead of duplicating every value byte.
 type ShallowScanner interface {
 	ScanShallow(prefix string, fn func(key string, value []byte) bool) error
 }

@@ -26,7 +26,8 @@ type Pair struct {
 // stream migrator's frozen final round does exactly that).
 //
 // Values are retained past the Scan callback; every Store in this
-// package hands out safe copies (MemStore copies under its lock).
+// package hands out safe copies (MemStore copies out of its pages under
+// its lock).
 func ScanPage(s Store, prefix, after string, limit int) ([]Pair, bool, error) {
 	if limit <= 0 {
 		limit = 1024

@@ -363,10 +363,11 @@ func (n *Node) runShipper(f *follower, epoch uint64) {
 // A consistent instant is mandatory — engine replay is not idempotent and
 // the store scans in no particular order — so the freeze itself can't be
 // avoided; instead it is made cheap. Stores that support ShallowScanner
-// (their internal value buffers are immutable) are captured as slice
-// headers only, no value bytes copied: the freeze costs O(keys) pointer
-// copies and pages marshal straight from the store's own buffers after
-// the stripes are released. Other stores get a defensive deep copy.
+// (bytes they hand out are never written again: MemStore's pages are
+// append-only) are captured as slice headers only, no value bytes copied:
+// the freeze costs O(keys) header copies and pages marshal straight from
+// the store's own memory after the stripes are released, while later
+// writes append elsewhere. Other stores get a defensive deep copy.
 func (n *Node) snapshotDump() ([]wire.KVItem, uint64, error) {
 	unlock := n.lockApply(&wire.TopologyUpdate{}) // no routing key: all stripes
 	defer unlock()
