@@ -224,7 +224,7 @@ func lenAndSizeExact(t *testing.T, s kv.Store) {
 	for round := 0; round < 8; round++ {
 		var ops []kv.Op
 		for i := 0; i < 64; i++ {
-			k := fmt.Sprintf("churn/%02d", i)
+			k := spread("churn", i)
 			if (i+round)%5 == 0 {
 				ops = append(ops, kv.Op{Kind: kv.OpDelete, Key: k})
 				delete(want, k)
@@ -237,6 +237,12 @@ func lenAndSizeExact(t *testing.T, s kv.Store) {
 		mustBatch(t, s, ops)
 		check(fmt.Sprintf("churn round %d", round))
 	}
+}
+
+// spread names the i-th key under prefix in one of eight directories, so
+// a store that picks shards by a key's directory spreads the keys too.
+func spread(prefix string, i int) string {
+	return fmt.Sprintf("%s/%d/%03d", prefix, i%8, i)
 }
 
 // shallowScanImmutable: a ShallowScanner's slices are never written again.
@@ -256,7 +262,7 @@ func shallowScanImmutable(t *testing.T, s kv.Store) {
 		return v
 	}
 	for i := 0; i < captured; i++ {
-		k := fmt.Sprintf("shallow/%02d", i)
+		k := spread("shallow", i)
 		mustPut(t, s, k, value(k, 0, 16+i))
 	}
 	type capture struct{ got, want []byte }
@@ -293,7 +299,7 @@ func shallowScanImmutable(t *testing.T, s kv.Store) {
 		defer close(done)
 		for round := 1; round <= rounds && !stop.Load(); round++ {
 			for i := 0; i < captured; i++ {
-				k := fmt.Sprintf("shallow/%02d", i)
+				k := spread("shallow", i)
 				if err := s.Put(k, value(k, round, 16+i)); err != nil {
 					t.Errorf("Put(%q): %v", k, err)
 					return
@@ -303,7 +309,7 @@ func shallowScanImmutable(t *testing.T, s kv.Store) {
 				}
 			}
 			for i := 0; i < churnKeys; i++ {
-				k := fmt.Sprintf("churn/%03d", i)
+				k := spread("churn", i)
 				if (i+round)%4 == 0 {
 					s.Delete(k)
 					continue
