@@ -2,8 +2,8 @@
 // carries many concurrent requests — each frame tagged with a correlation
 // ID, responses completing out of order — so a slow analytical query never
 // blocks fast ingest sharing the socket, writer batches overlap instead of
-// waiting turn by turn, and a windowed query cursor receives its pages as
-// a server-pushed stream.
+// waiting turn by turn, and a windowed query cursor pages its windows over
+// the same socket.
 package main
 
 import (
@@ -97,9 +97,8 @@ func main() {
 		fmt.Printf("%-19s -> count=%d mean=%.1f\n", a.what, a.res.Count, a.res.Mean)
 	}
 
-	// Streamed cursor: the server pushes successive hourly windows tagged
-	// with the cursor's correlation ID — no request/response turnaround
-	// between pages.
+	// Paged cursor: one AggRange round trip per page of hourly windows,
+	// sharing the connection with everything else.
 	it := stream.Query().Range(epoch, epoch+chunks*10_000).Window(360).Iter(ctx)
 	defer it.Close()
 	hours := 0
@@ -109,5 +108,5 @@ func main() {
 	if err := it.Err(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("streamed %d hourly windows over the same connection\n", hours)
+	fmt.Printf("paged %d hourly windows over the same connection\n", hours)
 }

@@ -6,6 +6,7 @@ package client_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -275,16 +276,31 @@ func TestClusterMatchesSingleEngine(t *testing.T) {
 	}
 }
 
-// countingTransport tallies round trips so tests can prove how many a
-// query plan costs.
+// countingTransport tallies round trips (and the AggRange among them) and
+// opened push streams so tests can prove how many a query plan costs. It
+// is a client.Streamer whenever the wrapped transport is.
 type countingTransport struct {
 	client.Transport
-	trips atomic.Int64
+	trips   atomic.Int64
+	aggs    atomic.Int64
+	streams atomic.Int64
 }
 
 func (c *countingTransport) RoundTrip(ctx context.Context, req wire.Message) (wire.Message, error) {
 	c.trips.Add(1)
+	if _, ok := req.(*wire.AggRange); ok {
+		c.aggs.Add(1)
+	}
 	return c.Transport.RoundTrip(ctx, req)
+}
+
+func (c *countingTransport) Stream(ctx context.Context, req wire.Message) (*client.Stream, error) {
+	c.streams.Add(1)
+	st, ok := c.Transport.(client.Streamer)
+	if !ok {
+		return nil, errors.New("countingTransport: wrapped transport has no streams")
+	}
+	return st.Stream(ctx, req)
 }
 
 // TestClusterPlanParity: a 3-stream server-side aggregate over a 4-shard
@@ -447,8 +463,9 @@ func TestClusterPlanRoundTripsPerPage(t *testing.T) {
 }
 
 // TestClusterPlanStreamedOverTCP drives a multi-stream windowed plan
-// through a real TCP front end over a 4-shard router: the cursor opens one
-// server-push AggRange stream, and the pushed pages match the unary plan.
+// through a real TCP front end over a 4-shard router: the cursor opens no
+// push stream, sends one AggRange per page, and the pages hold the
+// expected sums.
 func TestClusterPlanStreamedOverTCP(t *testing.T) {
 	inproc, _ := newClusterTransport(t, 4)
 	router := inproc.(*client.InProc).Engine
@@ -465,11 +482,12 @@ func TestClusterPlanStreamedOverTCP(t *testing.T) {
 		srv.Close()
 		<-done
 	}()
-	tr, err := client.DialTCP(lis.Addr().String())
+	tcp, err := client.DialTCP(lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
+	defer tcp.Close()
+	tr := &countingTransport{Transport: tcp}
 
 	owner := client.NewOwner(tr)
 	const nChunks = 30
@@ -485,6 +503,7 @@ func TestClusterPlanStreamedOverTCP(t *testing.T) {
 	}
 	te := e2eEpoch + nChunks*e2eInterval
 
+	tr.aggs.Store(0)
 	aggs, err := streams[0].Query().Streams(streams[1], streams[2]).
 		Range(e2eEpoch, te).Window(3).PageSize(4).Stats(chunk.StatSum, chunk.StatCount).
 		Aggs(context.Background())
@@ -492,7 +511,11 @@ func TestClusterPlanStreamedOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(aggs) != nChunks/3 {
-		t.Fatalf("streamed plan yielded %d windows, want %d", len(aggs), nChunks/3)
+		t.Fatalf("plan yielded %d windows, want %d", len(aggs), nChunks/3)
+	}
+	// 10 windows at 4 per page.
+	if n, opened := tr.aggs.Load(), tr.streams.Load(); opened != 0 || n != 3 {
+		t.Errorf("plan opened %d streams and sent %d AggRange, want 0 and 3", opened, n)
 	}
 	var wantSum int64
 	for i := 0; i < 3; i++ { // window 0 covers chunks 0..2 of each stream

@@ -255,14 +255,15 @@ func TestPlanConsumerCombined(t *testing.T) {
 
 // TestUntypedCursorIsAOneMemberPlan: a cursor that uses neither Streams
 // nor Stats is a one-member plan with no projection. It sends only
-// AggRange — unary pages, or one server-push stream on a multiplexed
-// transport — never StatRange or QueryStream, and yields exactly the
-// windows StatRange/StatSeries decrypt over their own path.
+// AggRange, one round trip per page on every transport and never a push
+// stream, never StatRange or QueryStream, and yields exactly the windows
+// StatRange/StatSeries decrypt over their own path.
 func TestUntypedCursorIsAOneMemberPlan(t *testing.T) {
 	const chunks = 20
-	check := func(t *testing.T, tr Transport, seen *msgRecorder, streamed bool) {
+	check := func(t *testing.T, tr Transport, seen *msgRecorder) {
 		ctx := context.Background()
-		s := newWriterStream(t, tr, "untyped")
+		spy := &aggSpy{Transport: tr}
+		s := newWriterStream(t, spy, "untyped")
 		fillDeterministic(t, s, chunks, 7)
 		te := writerEpoch + chunks*1000
 		for _, window := range []uint64{0, 4} {
@@ -280,16 +281,18 @@ func TestUntypedCursorIsAOneMemberPlan(t *testing.T) {
 				}
 			}
 			seen.reset()
+			spy.reset()
 			it := s.Query().Range(writerEpoch, te).Window(window).PageSize(2).Iter(ctx)
 			var got []Agg
 			for it.Next() {
-				if streamed && window > 0 && it.stream == nil {
-					t.Fatalf("window %d: cursor on a multiplexed transport did not open a stream", window)
-				}
 				got = append(got, it.Agg())
 			}
 			if err := it.Err(); err != nil {
 				t.Fatal(err)
+			}
+			if aggs, streams := spy.sent(); streams != 0 || len(aggs) != (len(want)+1)/2 {
+				t.Errorf("window %d: cursor opened %d streams and sent %d AggRange, want 0 and one per page (%d)",
+					window, streams, len(aggs), (len(want)+1)/2)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("window %d: cursor yielded %d windows, want %d", window, len(got), len(want))
@@ -316,7 +319,7 @@ func TestUntypedCursorIsAOneMemberPlan(t *testing.T) {
 	}
 	t.Run("InProc", func(t *testing.T) {
 		seen := &msgRecorder{inner: newWriterEngine(t)}
-		check(t, &InProc{Engine: seen}, seen, false)
+		check(t, &InProc{Engine: seen}, seen)
 	})
 	t.Run("TCPSession", func(t *testing.T) {
 		seen := &msgRecorder{inner: newWriterEngine(t)}
@@ -325,7 +328,7 @@ func TestUntypedCursorIsAOneMemberPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sess.Close()
-		check(t, sess, seen, true)
+		check(t, sess, seen)
 	})
 }
 
@@ -453,8 +456,8 @@ func (r *msgRecorder) Handle(ctx context.Context, req wire.Message) wire.Message
 }
 
 // TestPlanStreamsOverTCP: a multi-stream windowed plan on a multiplexed
-// transport opens one server-push AggRange stream and yields the same
-// windows as the unary paging path.
+// transport opens no push stream: it sends one AggRange round trip per
+// page and yields the client-side merge of the members' series.
 func TestPlanStreamsOverTCP(t *testing.T) {
 	engine := newWriterEngine(t)
 	addr := startSessionServer(t, engine)
@@ -463,35 +466,30 @@ func TestPlanStreamsOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
+	spy := &aggSpy{Transport: tr}
 	ctx := context.Background()
 
 	const chunks = 40
-	a := newWriterStream(t, tr, "tplan-a")
-	b := newWriterStream(t, tr, "tplan-b")
+	a := newWriterStream(t, spy, "tplan-a")
+	b := newWriterStream(t, spy, "tplan-b")
 	fillDeterministic(t, a, chunks, 3)
 	fillDeterministic(t, b, chunks, 9000)
 	te := writerEpoch + chunks*1000
 
-	inproc := &InProc{Engine: engine}
-	ownerA := NewOwner(inproc)
-	_ = ownerA // (unary reference computed over the same engine below)
-
+	spy.reset()
 	it := a.Query().Streams(b).Range(writerEpoch, te).Window(4).PageSize(3).Iter(ctx)
 	var got []Agg
 	for it.Next() {
-		if it.stream == nil {
-			t.Fatal("plan cursor on a multiplexed transport did not open a stream")
-		}
 		got = append(got, it.Agg())
 	}
 	if err := it.Err(); err != nil {
 		t.Fatal(err)
 	}
+	// 10 windows at 3 per page.
+	if aggs, streams := spy.sent(); streams != 0 || len(aggs) != 4 {
+		t.Errorf("plan cursor opened %d streams and sent %d AggRange, want 0 and 4", streams, len(aggs))
+	}
 
-	// Unary reference: the same plan over a non-streaming transport.
-	// (The owner handles hold the keys, so rebuild the page path through
-	// the same streams by clearing the transport's Streamer-ness is not
-	// possible; instead compare against the client-side merge.)
 	wantA, err := a.StatSeries(ctx, writerEpoch, te, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -501,21 +499,119 @@ func TestPlanStreamsOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(wantA) {
-		t.Fatalf("streamed plan yielded %d windows, want %d", len(got), len(wantA))
+		t.Fatalf("plan yielded %d windows, want %d", len(got), len(wantA))
 	}
 	for w := range got {
 		if got[w].Sum() != wantA[w].Sum+wantB[w].Sum || got[w].Count() != wantA[w].Count+wantB[w].Count {
-			t.Errorf("window %d: streamed %d/%d, want %d/%d",
+			t.Errorf("window %d: plan %d/%d, want %d/%d",
 				w, got[w].Sum(), got[w].Count(), wantA[w].Sum+wantB[w].Sum, wantA[w].Count+wantB[w].Count)
 		}
 	}
 }
 
-// TestSlowCursorDoesNotStallSession: a cursor that stops draining its
-// server-push stream exhausts its credit and pauses server-side — while
-// unary calls on the same session keep completing. This is the per-stream
-// flow-control satellite: before credit, a slow consumer wedged the
-// session's reader pump for every call on the connection.
+// TestCursorPageIsCappedAtMaxPageWindows: a page size beyond the protocol
+// bound is capped, so no AggRange a cursor sends spans more than
+// wire.MaxPageWindows windows.
+func TestCursorPageIsCappedAtMaxPageWindows(t *testing.T) {
+	engine := newWriterEngine(t)
+	addr := startSessionServer(t, engine)
+	tr, err := DialTCP(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	spy := &aggSpy{Transport: tr}
+	ctx := context.Background()
+
+	const chunks = wire.MaxPageWindows + 100
+	s := newWriterStream(t, spy, "page-cap")
+	w, err := s.Writer(ctx, WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < chunks; c++ {
+		if err := w.AppendChunk([]chunk.Point{{TS: writerEpoch + int64(c)*1000, Val: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	spy.reset()
+	it := s.Query().Range(writerEpoch, writerEpoch+chunks*1000).Window(1).PageSize(1 << 20).Iter(ctx)
+	n := 0
+	for it.Next() {
+		n++
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n != chunks {
+		t.Fatalf("cursor yielded %d windows, want %d", n, chunks)
+	}
+	aggs, streams := spy.sent()
+	if streams != 0 || len(aggs) != 2 {
+		t.Errorf("cursor opened %d streams and sent %d AggRange, want 0 and 2", streams, len(aggs))
+	}
+	for _, m := range aggs {
+		if windows := (m.Te - m.Ts) / 1000; windows > wire.MaxPageWindows {
+			t.Errorf("AggRange [%d,%d) spans %d windows, over the %d bound", m.Ts, m.Te, windows, wire.MaxPageWindows)
+		}
+	}
+}
+
+// aggSpy wraps a transport and records what cursors send through it: every
+// AggRange (as a round trip or as a stream opener) and the number of push
+// streams opened. It is a Streamer whenever the wrapped transport is.
+type aggSpy struct {
+	Transport
+	mu      sync.Mutex
+	aggs    []*wire.AggRange
+	streams int
+}
+
+func (s *aggSpy) note(req wire.Message, stream bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if m, ok := req.(*wire.AggRange); ok {
+		s.aggs = append(s.aggs, m)
+	}
+	if stream {
+		s.streams++
+	}
+}
+
+func (s *aggSpy) reset() {
+	s.mu.Lock()
+	s.aggs, s.streams = nil, 0
+	s.mu.Unlock()
+}
+
+func (s *aggSpy) sent() ([]*wire.AggRange, int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.aggs, s.streams
+}
+
+func (s *aggSpy) RoundTrip(ctx context.Context, req wire.Message) (wire.Message, error) {
+	s.note(req, false)
+	return s.Transport.RoundTrip(ctx, req)
+}
+
+func (s *aggSpy) Stream(ctx context.Context, req wire.Message) (*Stream, error) {
+	s.note(req, true)
+	st, ok := s.Transport.(Streamer)
+	if !ok {
+		return nil, errors.New("aggSpy: wrapped transport has no streams")
+	}
+	return st.Stream(ctx, req)
+}
+
+// TestSlowCursorDoesNotStallSession: a cursor paused mid-range holds
+// nothing on the session — each page is its own round trip — so unary
+// calls on the same session keep completing, and the resumed cursor
+// yields every window.
 func TestSlowCursorDoesNotStallSession(t *testing.T) {
 	engine := newWriterEngine(t)
 	addr := startSessionServer(t, engine)
@@ -526,8 +622,7 @@ func TestSlowCursorDoesNotStallSession(t *testing.T) {
 	defer tr.Close()
 	ctx := context.Background()
 
-	// Far more pages than the initial credit window: 256 windows at 1 per
-	// page vs wire.StreamInitialCredit = 8.
+	// Far more pages than one: 256 windows at 1 per page.
 	const chunks = 256
 	s := newWriterStream(t, tr, "slow-cursor")
 	w, err := s.Writer(ctx, WriterOptions{})
@@ -549,8 +644,7 @@ func TestSlowCursorDoesNotStallSession(t *testing.T) {
 	if !it.Next() {
 		t.Fatalf("cursor start: %v", it.Err())
 	}
-	// Stop draining. The server may push at most the remaining credit,
-	// then parks this stream. Unary traffic on the same session must keep
+	// Stop draining. Unary traffic on the same session must keep
 	// completing promptly.
 	for i := 0; i < 50; i++ {
 		callCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
@@ -560,7 +654,7 @@ func TestSlowCursorDoesNotStallSession(t *testing.T) {
 		}
 		cancel()
 	}
-	// Resume draining: the stream picks up where it paused and completes.
+	// Resume draining: the cursor picks up where it paused and completes.
 	n := 1
 	for it.Next() {
 		n++

@@ -4,8 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/chunk"
 	"repro/internal/wire"
@@ -257,14 +256,11 @@ func (a Agg) statResult() StatResult {
 }
 
 // Cursor pages the windows of a statistical query lazily, decrypting one
-// page at a time and handing them out one window per Next. Every page is a
-// wire.AggRange. On a multiplexed transport (Streamer) a windowed cursor
-// opens one server-push stream (AggRange with PageWindows) and the server
-// pushes successive pages tagged with the cursor's correlation ID — no
-// per-page round trip; on serialized transports each page is one round
-// trip. The iteration bound is pinned to the streams' ingest progress at
-// first use (one batched round trip for multi-stream plans), so a cursor
-// sees a consistent prefix even while ingest continues.
+// page at a time and handing them out one window per Next. Every page is
+// one wire.AggRange round trip, on every transport. The iteration bound is
+// pinned to the streams' ingest progress at first use (one batched round
+// trip for multi-stream plans), so a cursor sees a consistent prefix even
+// while ingest continues.
 type Cursor struct {
 	ctx context.Context
 	q   *QueryBuilder
@@ -278,23 +274,20 @@ type Cursor struct {
 	elems []uint32 // projection; nil = full vectors
 	avail chunk.StatSet
 
-	stream *Stream // non-nil: server-pushed pages
-
 	page []Agg
 	pos  int
 
 	next uint64 // next chunk position to fetch
 	end  uint64 // iteration bound (window-aligned)
 
-	closeMu sync.Mutex
-	closed  bool
+	closed atomic.Bool
 }
 
 // Next advances to the next window, fetching a page from the server when
 // the current one is exhausted. It returns false at the end of the range,
 // after Close, or on error (check Err).
 func (c *Cursor) Next() bool {
-	if c.err != nil || c.isClosed() {
+	if c.err != nil || c.closed.Load() {
 		return false
 	}
 	if !c.started {
@@ -374,25 +367,7 @@ func (c *Cursor) start() {
 		c.err = err
 		return
 	}
-	if !c.pinBounds(anchor, count) {
-		return
-	}
-	if st, ok := anchor.t.(Streamer); ok {
-		// Multiplexed transport: one AggRange opens a server-push stream.
-		stream, err := st.Stream(c.ctx, &wire.AggRange{
-			UUIDs:        c.uuids,
-			Ts:           anchor.chunkStart(c.next),
-			Te:           anchor.chunkStart(c.end),
-			WindowChunks: q.window,
-			Elems:        c.elems,
-			PageWindows:  uint32(c.pageWindows()),
-		})
-		if err != nil {
-			c.err = err
-			return
-		}
-		c.setStream(stream)
-	}
+	c.pinBounds(anchor, count)
 }
 
 // resolve validates a plan and resolves what executing it needs: the
@@ -481,9 +456,8 @@ func (c *Cursor) minCount(t Transport, uuids []string) (uint64, error) {
 }
 
 // pinBounds maps the query range onto the window grid, clamped to count
-// ingested chunks. It returns false (with done or err set) when no
-// complete window lies in range.
-func (c *Cursor) pinBounds(v *view, count uint64) bool {
+// ingested chunks. It sets done when no complete window lies in range.
+func (c *Cursor) pinBounds(v *view, count uint64) {
 	q := c.q
 	ts := q.ts
 	if ts < v.epoch {
@@ -493,7 +467,7 @@ func (c *Cursor) pinBounds(v *view, count uint64) bool {
 	bInt := (q.te - v.epoch + v.interval - 1) / v.interval
 	if bInt <= 0 {
 		c.done = true // range precedes the epoch entirely
-		return false
+		return
 	}
 	b := uint64(bInt)
 	if b > count {
@@ -505,10 +479,9 @@ func (c *Cursor) pinBounds(v *view, count uint64) bool {
 	b = (b / q.window) * q.window
 	if a >= b {
 		c.done = true // no complete window in range
-		return false
+		return
 	}
 	c.next, c.end = a, b
-	return true
 }
 
 // pageWindows clamps the configured page size to the protocol bound.
@@ -519,31 +492,11 @@ func (c *Cursor) pageWindows() int {
 	return c.q.page
 }
 
-// setStream installs a server-push stream unless the cursor was closed
-// while start was in flight (the race loser reclaims the stream).
-func (c *Cursor) setStream(stream *Stream) {
-	c.closeMu.Lock()
-	if c.closed {
-		c.closeMu.Unlock()
-		stream.Close()
-		c.done = true
-		return
-	}
-	c.stream = stream
-	c.closeMu.Unlock()
-}
-
-// fetch retrieves and decrypts the next page of windows: received from the
-// server-pushed stream when one is open, requested round trip by round
-// trip otherwise.
+// fetch requests and decrypts the next page of windows.
 func (c *Cursor) fetch() {
-	if c.stream != nil {
-		c.fetchStreamed()
-		return
-	}
 	q := c.q
 	v := q.members[0].v
-	hi := c.next + uint64(q.page)*q.window
+	hi := c.next + uint64(c.pageWindows())*q.window
 	if hi > c.end {
 		hi = c.end
 	}
@@ -563,30 +516,6 @@ func (c *Cursor) fetch() {
 	if c.next >= c.end {
 		c.done = true
 	}
-}
-
-// fetchStreamed consumes one server-pushed page.
-func (c *Cursor) fetchStreamed() {
-	msg, err := c.stream.Recv()
-	if err != nil {
-		if err == io.EOF {
-			c.done = true
-			return
-		}
-		c.err = err
-		return
-	}
-	page, ok := msg.(*wire.AggRangeResp)
-	if !ok {
-		c.err = fmt.Errorf("client: unexpected stream page %T", msg)
-		c.stream.Close()
-		return
-	}
-	if c.page, c.err = c.decodeAggPage(page, c.q.window); c.err != nil {
-		c.stream.Close()
-		return
-	}
-	c.pos = 0
 }
 
 // decodeAggPage decrypts and interprets one AggRangeResp: each window's
@@ -638,29 +567,10 @@ func (c *Cursor) decodeAggPage(resp *wire.AggRangeResp, windowChunks uint64) ([]
 	return out, nil
 }
 
-// isClosed reports whether Close ended the cursor.
-func (c *Cursor) isClosed() bool {
-	c.closeMu.Lock()
-	defer c.closeMu.Unlock()
-	return c.closed
-}
-
-// Close releases a cursor abandoned before exhaustion: an open server
-// stream is canceled (the server stops paging) and its in-flight frames
-// discarded, and subsequent Next calls return false. Safe on drained,
-// failed, and never-started cursors; idempotent; and safe concurrently
-// with a final page arriving.
+// Close ends a cursor abandoned before exhaustion: subsequent Next calls
+// return false. Safe on drained, failed, and never-started cursors;
+// idempotent; and safe concurrently with Next.
 func (c *Cursor) Close() error {
-	c.closeMu.Lock()
-	if c.closed {
-		c.closeMu.Unlock()
-		return nil
-	}
-	c.closed = true
-	st := c.stream
-	c.closeMu.Unlock()
-	if st != nil {
-		return st.Close()
-	}
+	c.closed.Store(true)
 	return nil
 }

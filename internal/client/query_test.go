@@ -112,9 +112,9 @@ func TestQueryCursorMatchesStatSeries(t *testing.T) {
 }
 
 // TestQueryCursorStreamsOverTCP: on a multiplexed transport the cursor
-// opens one paged wire.AggRange — the server pushes every page — and yields
-// exactly the windows the paging path materializes. Abandoning the cursor
-// early reclaims the stream's pending-table entry.
+// opens no push stream — it sends one wire.AggRange round trip per page —
+// and yields exactly the windows StatSeries materializes. Abandoning the
+// cursor early leaves nothing in flight on the session.
 func TestQueryCursorStreamsOverTCP(t *testing.T) {
 	engine := newWriterEngine(t)
 	addr := startSessionServer(t, engine)
@@ -123,7 +123,8 @@ func TestQueryCursorStreamsOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	s := newWriterStream(t, tr, "qstream")
+	spy := &aggSpy{Transport: tr}
+	s := newWriterStream(t, spy, "qstream")
 	ctx := context.Background()
 
 	const chunks = 60
@@ -139,30 +140,31 @@ func TestQueryCursorStreamsOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	spy.reset()
 	it := s.Query().Range(writerEpoch, te).Window(4).PageSize(5).Iter(ctx)
 	var got []StatResult
 	for it.Next() {
-		if it.stream == nil {
-			t.Fatal("cursor on a multiplexed transport did not open a query stream")
-		}
 		got = append(got, it.Result())
 	}
 	if err := it.Err(); err != nil {
 		t.Fatal(err)
 	}
+	// 15 windows at 5 per page.
+	if aggs, streams := spy.sent(); streams != 0 || len(aggs) != 3 {
+		t.Errorf("cursor opened %d streams and sent %d AggRange, want 0 and 3", streams, len(aggs))
+	}
 	if len(got) != len(want) {
-		t.Fatalf("streamed cursor yielded %d windows, StatSeries %d", len(got), len(want))
+		t.Fatalf("cursor yielded %d windows, StatSeries %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i].Sum != want[i].Sum || got[i].Count != want[i].Count ||
 			got[i].FromChunk != want[i].FromChunk || got[i].ToChunk != want[i].ToChunk {
-			t.Errorf("window %d: streamed %+v vs series %+v", i, got[i].Result, want[i].Result)
+			t.Errorf("window %d: cursor %+v vs series %+v", i, got[i].Result, want[i].Result)
 		}
 	}
 
 	// Early abandonment: take two windows, close, and verify the
-	// transport's session drains back to zero in-flight (the canceled
-	// stream's entry is reclaimed once its in-flight frames settle).
+	// transport's session has nothing left in flight.
 	it = s.Query().Range(writerEpoch, te).Window(4).PageSize(2).Iter(ctx)
 	if !it.Next() || !it.Next() {
 		t.Fatalf("short iteration failed: %v", it.Err())
@@ -174,7 +176,7 @@ func TestQueryCursorStreamsOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "abandoned stream reclaim", func() bool { return sess.InFlight() == 0 })
+	waitFor(t, "nothing in flight after close", func() bool { return sess.InFlight() == 0 })
 
 	// The connection survived the abandonment: fresh queries still work.
 	res, err := s.Query().Range(writerEpoch, te).Window(4).All(ctx)

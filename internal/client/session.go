@@ -53,7 +53,7 @@ type SessionOptions struct {
 //
 // Do issues a call and returns immediately with an awaitable *Call;
 // RoundTrip is the blocking facade (Session implements Transport). Stream
-// opens a streamed response (a paged wire.AggRange or a wire.Subscribe).
+// opens a streamed response (a wire.Subscribe).
 // Canceling a call's context removes it from the pending table without
 // poisoning the connection — the late response is recognized and
 // discarded. Connection breakage fails
@@ -221,8 +221,7 @@ func (s *Session) RoundTrip(ctx context.Context, req wire.Message) (wire.Message
 	return c.Wait(ctx)
 }
 
-// Stream issues a streamed request (a paged wire.AggRange or a
-// wire.Subscribe): the server pushes successive frames tagged with the
+// Stream issues a streamed request (a wire.Subscribe): the server pushes successive frames tagged with the
 // call's correlation ID. Read them with Recv; Close abandons the stream
 // early without poisoning the connection.
 func (s *Session) Stream(ctx context.Context, req wire.Message) (*Stream, error) {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/crypto/hybrid"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // subHarness serves one engine over real TCP and dials it.
@@ -119,6 +120,55 @@ func TestSubscribeMatchesCursorAcrossResubscribe(t *testing.T) {
 	}
 	compareDeltas(t, phase1, base, 0)
 	compareDeltas(t, phase2, base, 4)
+}
+
+// TestSlowSubscriberDoesNotStallSession: a subscriber that stops draining
+// with more than wire.StreamInitialCredit windows pending exhausts its
+// credit and parks server-side — only its own stream. Unary calls on the
+// same session keep completing while it is parked, and once it drains
+// again it receives every window, in order.
+func TestSlowSubscriberDoesNotStallSession(t *testing.T) {
+	tcp := subHarness(t)
+	s, err := NewOwner(tcp).CreateStream(context.Background(), defaultOpts("slow-sub"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const windows = 4 * wire.StreamInitialCredit // of 3 chunks each
+	fillStream(t, s, windows*3/2)                // half before subscribing
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	sub, err := s.Query().Window(3).Stats(Sum, Count).FromWindow(0).Subscribe(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	fillStream(t, s, windows*3/2) // the other half lands live
+
+	// Undrained, the stream holds what the credit left after the handshake
+	// frame and nothing more: the server parked it with windows pending.
+	parked := wire.StreamInitialCredit - 1
+	waitFor(t, "subscriber parked", func() bool { return len(sub.st.frames) == parked })
+	epoch := s.opts.Epoch
+	te := epoch + windows*3*s.opts.Interval
+	for i := 0; i < 50; i++ {
+		callCtx, cancelCall := context.WithTimeout(ctx, 5*time.Second)
+		_, err := s.StatRange(callCtx, epoch, te)
+		cancelCall()
+		if err != nil {
+			t.Fatalf("unary call %d stalled behind a parked subscriber: %v", i, err)
+		}
+	}
+	if n := len(sub.st.frames); n != parked {
+		t.Fatalf("parked subscriber holds %d frames, want %d", n, parked)
+	}
+
+	deltas := collectDeltas(t, sub, windows)
+	base, err := s.Query().Window(3).Stats(Sum, Count).Range(epoch, te).Aggs(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareDeltas(t, deltas, base, 0)
 }
 
 // FromLatest (the default) skips history; deltas stream as windows

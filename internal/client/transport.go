@@ -36,9 +36,9 @@ type Doer interface {
 }
 
 // Streamer is the streamed-response face of a multiplexed transport: the
-// server pushes successive frames for one request (a wire.AggRange with
-// PageWindows, or a wire.Subscribe). The query cursor type-asserts it and
-// falls back to per-page round trips.
+// server pushes successive frames for one request. Only a wire.Subscribe
+// is answered that way; subscriptions type-assert it and refuse
+// transports without it.
 type Streamer interface {
 	Stream(ctx context.Context, req wire.Message) (*Stream, error)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -569,39 +568,6 @@ func (rs *ReplicatedShard) busyWait(ctx context.Context, gen uint64) bool {
 		return true
 	case <-ctx.Done():
 		return false
-	}
-}
-
-// SnapshotPages implements snapshotSource against the current leader
-// (reshards keep working over replicated groups). No failover retry: a
-// failed export fails the migration, which the coordinator re-runs.
-func (rs *ReplicatedShard) SnapshotPages(ctx context.Context, req *wire.StreamSnapshot, emit func(*wire.SnapshotChunk) error) error {
-	conn, _, err := rs.current()
-	if err != nil {
-		return fmt.Errorf("cluster: shard %s: %w", rs.name, err)
-	}
-	push := *req
-	push.Push = true
-	st, err := conn.Stream(ctx, &push)
-	if err != nil {
-		return fmt.Errorf("cluster: shard %s: %w", rs.name, err)
-	}
-	defer st.Close()
-	for {
-		msg, err := st.Recv()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return fmt.Errorf("cluster: shard %s: %w", rs.name, err)
-		}
-		page, ok := msg.(*wire.SnapshotChunk)
-		if !ok {
-			return fmt.Errorf("cluster: shard %s: unexpected snapshot frame %T", rs.name, msg)
-		}
-		if err := emit(page); err != nil {
-			return err
-		}
 	}
 }
 

@@ -52,14 +52,6 @@ const liveCopyDeltaChunks = 4
 // picks up the rest.
 const maxLiveCopyRounds = 5
 
-// snapshotSource is implemented by shard handlers that can serve a stream
-// export as a credit-flow-controlled push stream (remote shards over the
-// multiplexed transport); everything else falls back to unary cursor
-// paging through Handle.
-type snapshotSource interface {
-	SnapshotPages(ctx context.Context, req *wire.StreamSnapshot, emit func(*wire.SnapshotChunk) error) error
-}
-
 // MoveReport is one migrated stream's outcome.
 type MoveReport struct {
 	UUID       string
@@ -408,43 +400,26 @@ func (r *Router) migrateStream(ctx context.Context, uuid string, src, dst *shard
 // the start of the round.
 func (r *Router) copyRound(ctx context.Context, uuid string, src, dst *shardState, fromChunk uint64, withMeta bool) (count uint64, items int, err error) {
 	req := &wire.StreamSnapshot{UUID: uuid, FromChunk: fromChunk, WithMeta: withMeta, MaxItems: snapshotPageItems}
-	sink := func(page *wire.SnapshotChunk) error {
-		if page.HasCfg {
-			count = page.Count
-		}
-		if len(page.Items) == 0 {
-			return nil
-		}
-		resp := dst.handler.Handle(ctx, &wire.IngestSnapshot{UUID: uuid, Items: page.Items})
-		if !isOK(resp) {
-			return fmt.Errorf("import refused: %v", resp)
-		}
-		items += len(page.Items)
-		return nil
-	}
-	if ss, ok := src.handler.(snapshotSource); ok {
-		// The sink closure mutates count/items, so the call must complete
-		// before they are read — sequence it explicitly rather than
-		// relying on operand evaluation order inside a return statement.
-		err = ss.SnapshotPages(ctx, req, sink)
-		return count, items, err
-	}
-	cursor := ""
 	for {
-		page := *req
-		page.Cursor = cursor
-		resp := src.handler.Handle(ctx, &page)
-		chunkPage, ok := resp.(*wire.SnapshotChunk)
+		resp := src.handler.Handle(ctx, req)
+		page, ok := resp.(*wire.SnapshotChunk)
 		if !ok {
 			return count, items, fmt.Errorf("export failed: %v", resp)
 		}
-		if err := sink(chunkPage); err != nil {
-			return count, items, err
+		if page.HasCfg {
+			count = page.Count
 		}
-		if chunkPage.Done {
+		if len(page.Items) > 0 {
+			resp := dst.handler.Handle(ctx, &wire.IngestSnapshot{UUID: uuid, Items: page.Items})
+			if !isOK(resp) {
+				return count, items, fmt.Errorf("import refused: %v", resp)
+			}
+			items += len(page.Items)
+		}
+		if page.Done {
 			return count, items, nil
 		}
-		cursor = chunkPage.Cursor
+		req.Cursor = page.Cursor
 	}
 }
 

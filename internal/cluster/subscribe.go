@@ -324,7 +324,7 @@ func (rs *routerSub) Close() error {
 
 // Subscribe implements server.Subscriber for a remote shard: the
 // subscription rides the multiplexed connection as a server-push stream
-// (like SnapshotPages), the handshake frame arrives before this returns,
+// (the only request answered that way), the handshake frame arrives before this returns,
 // and every subsequent frame is one window event. The session's credit
 // accounting paces the remote broker to this consumer's speed.
 //

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync/atomic"
 
 	"repro/internal/client"
@@ -60,39 +59,6 @@ func (t *tcpShard) Handle(ctx context.Context, req wire.Message) wire.Message {
 		return &wire.Error{Code: wire.CodeInternal, Msg: fmt.Sprintf("cluster: shard %s: %v", t.addr, err)}
 	}
 	return resp
-}
-
-// SnapshotPages implements snapshotSource: the stream export rides the
-// multiplexed connection as a server-push stream (Push mode), so pages
-// flow without per-page request latency and the client session's credit
-// accounting paces the server to the importer's speed.
-func (t *tcpShard) SnapshotPages(ctx context.Context, req *wire.StreamSnapshot, emit func(*wire.SnapshotChunk) error) error {
-	if t.closed.Load() {
-		return fmt.Errorf("cluster: shard %s: closed", t.addr)
-	}
-	push := *req
-	push.Push = true
-	st, err := t.conn.Stream(ctx, &push)
-	if err != nil {
-		return fmt.Errorf("cluster: shard %s: %w", t.addr, err)
-	}
-	defer st.Close()
-	for {
-		msg, err := st.Recv()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("cluster: shard %s: %w", t.addr, err)
-		}
-		page, ok := msg.(*wire.SnapshotChunk)
-		if !ok {
-			return fmt.Errorf("cluster: shard %s: unexpected snapshot frame %T", t.addr, msg)
-		}
-		if err := emit(page); err != nil {
-			return err
-		}
-	}
 }
 
 // Close closes the shard's connection; in-flight calls fail and the shard

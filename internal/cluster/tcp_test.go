@@ -89,10 +89,9 @@ func TestRouterOverTCPShards(t *testing.T) {
 }
 
 // TestRebalanceOverTCPShards grows a cluster of remote engines reached
-// over the real wire protocol: the stream exports ride the multiplexed
-// connection as credit-flow-controlled push streams (tcpShard implements
-// snapshotSource), and the handoff and topology publish travel as
-// ordinary requests.
+// over the real wire protocol: the stream exports page by cursor, one
+// StreamSnapshot round trip per page, and the handoff and topology
+// publish travel as ordinary requests.
 func TestRebalanceOverTCPShards(t *testing.T) {
 	var shards []Shard
 	engines := make(map[string]*server.Engine)

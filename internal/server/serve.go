@@ -274,8 +274,8 @@ const DefaultMaxConnInFlight = 64
 // execute concurrently on one connection and responses return out of
 // order, each tagged with its request's correlation ID. Requests sharing a
 // routing key (stream UUID) preserve arrival order — chunk inserts must
-// stay ordered — while everything else overlaps. wire.QueryStream requests
-// stream their response: successive StatRangeResp pages pushed under one
+// stay ordered — while everything else overlaps. Every request gets one
+// response frame except wire.Subscribe, whose events are pushed under its
 // correlation ID. It serves any Handler — a single engine or a cluster
 // router.
 type Server struct {
@@ -437,6 +437,13 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 			flows.grant(unsub.ID, 0)
 			continue
 		}
+		if snap, ok := req.(*wire.StreamSnapshot); ok && snap.Push {
+			// Pushed exports are retired. A one-page answer would read to
+			// an older router as the whole export and silently truncate
+			// the move, so refuse it without running anything.
+			out <- respFrame{id: id, msg: &wire.Error{Code: wire.CodeBadRequest, Msg: "server: pushed stream export is not supported; page with StreamSnapshot.Cursor"}}
+			continue
+		}
 		if !sched.tryAcquire() {
 			// The connection already has MaxConnInFlight requests
 			// executing or queued: refuse rather than let one client
@@ -457,18 +464,6 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 		// The sender's epoch (v6 envelope) rides the request context down
 		// to the engine's write-fence check.
 		reqCtx = wire.ContextWithEpoch(reqCtx, epoch)
-		if snap, ok := req.(*wire.StreamSnapshot); ok && snap.Push {
-			// Streamed stream-export for migration: successive
-			// SnapshotChunk pages pushed under one correlation ID,
-			// credit-flow-controlled like query streams.
-			flow := flows.register(id)
-			sched.runReleasing(snap.UUID, func(release func()) {
-				defer cancel()
-				defer flows.unregister(id)
-				s.streamSnapshotPages(reqCtx, id, flow, snap, out, release)
-			})
-			continue
-		}
 		if subReq, ok := req.(*wire.Subscribe); ok {
 			// Live subscription: an open-ended push stream under this
 			// correlation ID. Same-stream ordering holds through the
@@ -484,20 +479,11 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 			})
 			continue
 		}
-		if spec, ok := streamSpecFor(req); ok {
-			// Streamed responses interleave with other requests' frames;
-			// keyed scheduling keeps them ordered after same-stream
-			// writes that arrived first. The flow entry registers before
-			// the worker runs so a credit (or cancel) frame racing ahead
-			// of the first page still lands.
-			flow := flows.register(id)
-			key, _ := wire.RoutingUUID(req)
-			sched.runReleasing(key, func(release func()) {
-				defer cancel()
-				defer flows.unregister(id)
-				s.streamWindows(reqCtx, id, flow, spec, out, release)
-			})
-			continue
+		if qs, ok := req.(*wire.QueryStream); ok {
+			// Retired push query, answered in one frame: a client's Stream
+			// reads a final non-OK frame as the last page, then EOF. (An
+			// AggRange's PageWindows needs no arm: handlers ignore it.)
+			req = &wire.StatRange{UUIDs: []string{qs.UUID}, Ts: qs.Ts, Te: qs.Te, WindowChunks: qs.WindowChunks}
 		}
 		key, _ := wire.RoutingUUID(req)
 		sched.runHolding(key, func() {
@@ -584,12 +570,12 @@ func (cs *connSched) runHolding(key string, fn func()) {
 
 // runReleasing is for workers that can retire their ordering-chain link
 // early: fn receives a release func that unblocks the next same-key
-// request before fn itself returns. Streamed queries use it — they must
-// order after same-stream writes that arrived first, but once their
-// iteration bounds are pinned, later same-stream requests have nothing to
-// wait for (a flow-controlled stream may otherwise park for as long as its
-// consumer feels like). release is idempotent and also runs when fn
-// returns, which is also when the in-flight slot is freed.
+// request before fn itself returns. Subscriptions use it — they must
+// order after same-stream writes that arrived first, but once registered,
+// later same-stream requests have nothing to wait for (a flow-controlled
+// stream may otherwise park for as long as its consumer feels like).
+// release is idempotent and also runs when fn returns, which is also when
+// the in-flight slot is freed.
 func (cs *connSched) runReleasing(key string, fn func(release func())) {
 	cs.start(key, false, fn)
 }
@@ -632,90 +618,6 @@ func (cs *connSched) start(key string, holdSlot bool, fn func(release func())) {
 // wait blocks until every dispatched request has finished.
 func (cs *connSched) wait() { cs.wg.Wait() }
 
-// streamSpec is the transport-independent shape of one streamed query: the
-// member streams, range, and window geometry, plus the per-page request
-// constructor (StatRangeResp pages for wire.QueryStream, AggRangeResp
-// pages for streamed wire.AggRange).
-type streamSpec struct {
-	uuids        []string
-	ts, te       int64
-	windowChunks uint64
-	pageWindows  uint64
-	makeReq      func(ts, te int64) wire.Message
-	isPage       func(wire.Message) bool
-}
-
-// streamSpecFor recognizes requests served in the streamed response mode:
-// every QueryStream, and AggRange frames that opted in with PageWindows.
-func streamSpecFor(req wire.Message) (streamSpec, bool) {
-	switch m := req.(type) {
-	case *wire.QueryStream:
-		return streamSpec{
-			uuids: []string{m.UUID}, ts: m.Ts, te: m.Te,
-			windowChunks: m.WindowChunks, pageWindows: uint64(m.PageWindows),
-			makeReq: func(ts, te int64) wire.Message {
-				return &wire.StatRange{UUIDs: []string{m.UUID}, Ts: ts, Te: te, WindowChunks: m.WindowChunks}
-			},
-			isPage: func(resp wire.Message) bool { _, ok := resp.(*wire.StatRangeResp); return ok },
-		}, true
-	case *wire.AggRange:
-		if m.PageWindows == 0 {
-			return streamSpec{}, false // unary plan: regular Handler dispatch
-		}
-		return streamSpec{
-			uuids: m.UUIDs, ts: m.Ts, te: m.Te,
-			windowChunks: m.WindowChunks, pageWindows: uint64(m.PageWindows),
-			makeReq: func(ts, te int64) wire.Message {
-				return &wire.AggRange{UUIDs: m.UUIDs, Ts: ts, Te: te, WindowChunks: m.WindowChunks, Elems: m.Elems}
-			},
-			isPage: func(resp wire.Message) bool { _, ok := resp.(*wire.AggRangeResp); return ok },
-		}, true
-	default:
-		return streamSpec{}, false
-	}
-}
-
-// streamMeta resolves the shared geometry and the common ingested bound of
-// a streamed query's member streams through the regular Handler (one
-// StreamInfo, or one Batch of them — a single round trip even behind a
-// cluster router). A non-nil message is the error response to send.
-func (s *Server) streamMeta(ctx context.Context, uuids []string) (epoch, interval int64, count uint64, errResp wire.Message) {
-	infos := make([]*wire.StreamInfoResp, len(uuids))
-	if len(uuids) == 1 {
-		resp := s.handler.Handle(ctx, &wire.StreamInfo{UUID: uuids[0]})
-		info, ok := resp.(*wire.StreamInfoResp)
-		if !ok {
-			return 0, 0, 0, resp
-		}
-		infos[0] = info
-	} else {
-		b := &wire.Batch{Reqs: make([]wire.Message, len(uuids))}
-		for i, uuid := range uuids {
-			b.Reqs[i] = &wire.StreamInfo{UUID: uuid}
-		}
-		resp := s.handler.Handle(ctx, b)
-		br, ok := resp.(*wire.BatchResp)
-		if !ok || len(br.Resps) != len(uuids) {
-			if !ok {
-				return 0, 0, 0, resp
-			}
-			return 0, 0, 0, &wire.Error{Code: wire.CodeInternal, Msg: "server: stream metadata batch came back short"}
-		}
-		for i, sub := range br.Resps {
-			info, ok := sub.(*wire.StreamInfoResp)
-			if !ok {
-				return 0, 0, 0, sub
-			}
-			infos[i] = info
-		}
-	}
-	epoch, interval, count, e := FoldStreamInfos(uuids, infos)
-	if e != nil {
-		return 0, 0, 0, e
-	}
-	return epoch, interval, count, nil
-}
-
 // FoldStreamInfos folds a multi-stream query's member metadata (infos[i]
 // answers uuids[i]): the members must share epoch, interval and digest
 // length, and the common ingested bound is the smallest chunk count. The
@@ -731,119 +633,6 @@ func FoldStreamInfos(uuids []string, infos []*wire.StreamInfoResp) (epoch, inter
 		count = min(count, info.Count)
 	}
 	return first.Epoch, first.Interval, count, nil
-}
-
-// streamWindows serves one streamed query: the windowed range is evaluated
-// page by page through the regular Handler (so it works identically over a
-// single engine or a cluster router) and each page is pushed as a frame
-// tagged with the request's correlation ID and FlagMore. A final OK (or
-// the first failure) terminates the stream. Before each push the worker
-// acquires one page of credit from the connection's flow table, so a
-// consumer that stops draining pauses exactly this stream — the rest of
-// the connection keeps flowing. release retires the worker's ordering
-// link once the iteration bounds are pinned: from then on, later
-// same-stream requests need not queue behind a stream that may park on
-// credit indefinitely.
-func (s *Server) streamWindows(ctx context.Context, id uint64, flow *streamFlow, spec streamSpec, out chan<- respFrame, release func()) {
-	final := func(m wire.Message) { out <- respFrame{id: id, msg: m} }
-	if spec.windowChunks == 0 {
-		final(&wire.Error{Code: wire.CodeBadRequest, Msg: "server: streamed query needs a window size"})
-		return
-	}
-	if len(spec.uuids) == 0 {
-		final(&wire.Error{Code: wire.CodeBadRequest, Msg: "server: no streams given"})
-		return
-	}
-	pageWindows := spec.pageWindows
-	if pageWindows == 0 {
-		pageWindows = 64
-	}
-	epoch, interval, count, errResp := s.streamMeta(ctx, spec.uuids)
-	if errResp != nil {
-		final(errResp)
-		return
-	}
-	if interval <= 0 {
-		final(&wire.Error{Code: wire.CodeInternal, Msg: "server: stream has no interval"})
-		return
-	}
-	ts, te := spec.ts, spec.te
-	if ts < epoch {
-		ts = epoch
-	}
-	if maxTe := epoch + int64(count)*interval; te > maxTe {
-		te = maxTe
-	}
-	if te <= ts {
-		final(&wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("server: no ingested chunks in range [%d,%d)", spec.ts, spec.te)})
-		return
-	}
-	// Page over chunk positions; the range is served verbatim (the client
-	// cursor aligns it to the window grid before asking).
-	a := uint64(ts-epoch) / uint64(interval)
-	b := (uint64(te-epoch) + uint64(interval) - 1) / uint64(interval)
-	step := spec.windowChunks * pageWindows
-	if step/pageWindows != spec.windowChunks || step > b-a {
-		step = b - a // oversized or overflowing page: one page covers all
-	}
-	// Bounds pinned: later same-stream requests have nothing to order
-	// after anymore.
-	release()
-	for lo := a; lo < b; lo += step {
-		if err := flow.acquire(ctx); err != nil {
-			final(toError(err))
-			return
-		}
-		hi := lo + step
-		if hi > b {
-			hi = b
-		}
-		resp := s.handler.Handle(ctx, spec.makeReq(epoch+int64(lo)*interval, epoch+int64(hi)*interval))
-		if !spec.isPage(resp) {
-			final(resp) // *wire.Error (or a misbehaving handler) ends the stream
-			return
-		}
-		out <- respFrame{id: id, more: true, msg: resp}
-	}
-	final(&wire.OK{})
-}
-
-// streamSnapshotPages serves one streamed stream export: pages are pulled
-// through the regular Handler (unary StreamSnapshot requests chained by
-// cursor) and pushed as SnapshotChunk frames tagged with the request's
-// correlation ID and FlagMore, terminated by OK (or the first failure).
-// Each page costs one credit, so a stalled importer pauses only its own
-// export. The ordering-chain link retires after the first page — the
-// export round tolerates concurrent same-stream writes by design (the
-// migrator's catch-up rounds collect them), so later writes need not
-// queue behind a potentially long transfer.
-func (s *Server) streamSnapshotPages(ctx context.Context, id uint64, flow *streamFlow, req *wire.StreamSnapshot, out chan<- respFrame, release func()) {
-	final := func(m wire.Message) { out <- respFrame{id: id, msg: m} }
-	cursor := req.Cursor
-	for first := true; ; first = false {
-		if err := flow.acquire(ctx); err != nil {
-			final(toError(err))
-			return
-		}
-		resp := s.handler.Handle(ctx, &wire.StreamSnapshot{
-			UUID: req.UUID, FromChunk: req.FromChunk, WithMeta: req.WithMeta,
-			Cursor: cursor, MaxItems: req.MaxItems,
-		})
-		page, ok := resp.(*wire.SnapshotChunk)
-		if !ok {
-			final(resp) // *wire.Error (or a misbehaving handler) ends the stream
-			return
-		}
-		if first {
-			release()
-		}
-		out <- respFrame{id: id, more: true, msg: page}
-		if page.Done {
-			final(&wire.OK{})
-			return
-		}
-		cursor = page.Cursor
-	}
 }
 
 // streamSubscription serves one live subscription: it opens a sub.Handle
@@ -916,9 +705,9 @@ type streamFlow struct {
 	canceled bool
 	wake     chan struct{} // buffered(1): signaled on grant or cancel
 	// abandon closes when the consumer cancels the stream (zero-page
-	// credit or Unsubscribe). Pagers notice cancellation at their next
-	// acquire; subscription workers parked waiting for the next window
-	// need this level trigger to unwind promptly.
+	// credit or Unsubscribe). A worker notices cancellation at its next
+	// acquire; one parked waiting for the next window needs this level
+	// trigger to unwind promptly.
 	abandon chan struct{}
 }
 
@@ -948,8 +737,8 @@ func (f *streamFlow) acquire(ctx context.Context) error {
 	}
 }
 
-// connFlows tracks the live streamed queries of one connection by
-// correlation ID.
+// connFlows tracks the live push streams (subscriptions) of one
+// connection by correlation ID.
 type connFlows struct {
 	mu sync.Mutex
 	m  map[uint64]*streamFlow
@@ -957,7 +746,7 @@ type connFlows struct {
 
 func newConnFlows() *connFlows { return &connFlows{m: make(map[uint64]*streamFlow)} }
 
-// register creates the flow entry for a new streamed query with the
+// register creates the flow entry for a new push stream with the
 // protocol's initial credit.
 func (cf *connFlows) register(id uint64) *streamFlow {
 	f := &streamFlow{credit: wire.StreamInitialCredit, wake: make(chan struct{}, 1), abandon: make(chan struct{})}

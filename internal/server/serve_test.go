@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -251,9 +252,9 @@ func TestConnInFlightCap(t *testing.T) {
 	}
 }
 
-// TestQueryStreamOverTCP drives the streamed response mode raw: pages
-// arrive as FlagMore StatRangeResp frames under the request's correlation
-// ID, terminated by a clean OK.
+// TestQueryStreamOverTCP: the retired push query is answered raw in one
+// frame — no FlagMore, no OK terminator — carrying exactly the
+// StatRangeResp of the equivalent StatRange; PageWindows is ignored.
 func TestQueryStreamOverTCP(t *testing.T) {
 	h := newHarness(t)
 	h.createStream(t, "qs")
@@ -266,36 +267,26 @@ func TestQueryStreamOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// 10 chunks of 100ms, window 2 -> 5 windows; 3 per page -> pages of
-	// 3 and 2 windows.
+	// 10 chunks of 100ms, window 2 -> 5 windows, in one frame although
+	// the request asks for pages of 3.
 	if err := wire.WriteRequest(conn, 77, 0, &wire.QueryStream{
 		UUID: "qs", Ts: 0, Te: 1000, WindowChunks: 2, PageWindows: 3,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var pageSizes []int
-	for {
-		id, more, resp, err := wire.ReadResponse(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id != 77 {
-			t.Fatalf("stream frame for call %d", id)
-		}
-		if !more {
-			if _, ok := resp.(*wire.OK); !ok {
-				t.Fatalf("stream terminated with %#v", resp)
-			}
-			break
-		}
-		page, ok := resp.(*wire.StatRangeResp)
-		if !ok {
-			t.Fatalf("stream page -> %#v", resp)
-		}
-		pageSizes = append(pageSizes, len(page.Windows))
+	id, more, resp, err := wire.ReadResponse(conn)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(pageSizes) != 2 || pageSizes[0] != 3 || pageSizes[1] != 2 {
-		t.Fatalf("page sizes = %v, want [3 2]", pageSizes)
+	if id != 77 || more {
+		t.Fatalf("answer frame id=%d more=%v", id, more)
+	}
+	want := h.engine.Handle(context.Background(), &wire.StatRange{UUIDs: []string{"qs"}, Ts: 0, Te: 1000, WindowChunks: 2})
+	if _, ok := want.(*wire.StatRangeResp); !ok {
+		t.Fatalf("StatRange -> %#v", want)
+	}
+	if got, ok := resp.(*wire.StatRangeResp); !ok || len(got.Windows) != 5 || !bytes.Equal(wire.Marshal(got), wire.Marshal(want)) {
+		t.Fatalf("QueryStream answer %#v differs from StatRange %#v", resp, want)
 	}
 
 	// Unknown stream: a single terminal error frame.
@@ -304,7 +295,7 @@ func TestQueryStreamOverTCP(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	id, more, resp, err := wire.ReadResponse(conn)
+	id, more, resp, err = wire.ReadResponse(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,6 +304,49 @@ func TestQueryStreamOverTCP(t *testing.T) {
 	}
 	if e, ok := resp.(*wire.Error); !ok || e.Code != wire.CodeNotFound {
 		t.Fatalf("unknown stream -> %#v", resp)
+	}
+}
+
+// TestPushExportRefused: a pushed stream export (StreamSnapshot with Push)
+// gets exactly one frame, a CodeBadRequest refusal, and exports nothing —
+// a single page would read to an older router as the whole export. The
+// connection stays usable.
+func TestPushExportRefused(t *testing.T) {
+	h := newHarness(t)
+	h.createStream(t, "px")
+	h.ingest(t, "px", 10)
+	addr, stop := startTCP(t, h.engine)
+	defer stop()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteRequest(conn, 5, 0, &wire.StreamSnapshot{UUID: "px", WithMeta: true, MaxItems: 4, Push: true}); err != nil {
+		t.Fatal(err)
+	}
+	id, more, resp, err := wire.ReadResponse(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != 5 || more {
+		t.Fatalf("refusal frame id=%d more=%v", id, more)
+	}
+	if e, ok := resp.(*wire.Error); !ok || e.Code != wire.CodeBadRequest {
+		t.Fatalf("pushed export -> %#v, want CodeBadRequest", resp)
+	}
+	// The next frame on the connection answers the next request: nothing
+	// else was sent for the refused one.
+	if err := wire.WriteRequest(conn, 6, 0, &wire.StreamInfo{UUID: "px"}); err != nil {
+		t.Fatal(err)
+	}
+	id, more, resp, err = wire.ReadResponse(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, ok := resp.(*wire.StreamInfoResp); id != 6 || more || !ok || info.Count != 10 {
+		t.Fatalf("after refusal: id=%d more=%v resp=%#v", id, more, resp)
 	}
 }
 

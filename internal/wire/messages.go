@@ -820,20 +820,16 @@ func (m *ListStreamsResp) decode(d *Decoder) error {
 	return d.Err()
 }
 
-// MaxPageWindows bounds how many windows one QueryStream page may carry,
-// keeping each pushed frame (and the server work behind it) bounded.
+// MaxPageWindows bounds how many windows one query page may carry: the
+// client cursor caps each AggRange it sends at this many windows, keeping
+// each response frame (and the server work behind it) bounded.
 const MaxPageWindows = 4096
 
-// QueryStream opens a streamed statistical query (wire protocol v3): the
-// server evaluates the windowed range page by page and pushes each page as
-// a StatRangeResp frame tagged with the request's correlation ID and
-// FlagMore, then terminates the stream with a final OK (or Error) frame.
-// Compared with a cursor issuing one StatRange round trip per page, the
-// successive windows arrive without per-page request latency.
-//
-// The server pages the given range verbatim: callers align Ts/Te to the
-// window grid themselves (the client cursor does), and each page covers
-// PageWindows windows of WindowChunks chunks.
+// QueryStream is the retired streamed single-stream query (wire protocol
+// v3), kept so older clients still get an answer: the server replies with
+// one frame, the StatRangeResp (or Error) of the equivalent StatRange over
+// [Ts, Te) at WindowChunks, and ignores PageWindows. An older client's
+// stream reads that final frame as its last page followed by the end.
 type QueryStream struct {
 	UUID         string
 	Ts, Te       int64
@@ -888,12 +884,9 @@ const MaxAggElems = 1 << 16
 // Elems lists the digest element indices to return (computed client-side
 // from the plan's typed statistic selectors, so the server stays ignorant
 // of the digest layout); empty means the full vector. WindowChunks == 0
-// asks for one aggregate over the whole range. PageWindows > 0 selects the
-// streamed response mode on a multiplexed connection: the server pushes
-// successive AggRangeResp pages of that many windows tagged with the
-// request's correlation ID and FlagMore, terminated by OK or Error;
-// callers must issue such requests through a Streamer. Unary handlers
-// (engines, routers) ignore PageWindows.
+// asks for one aggregate over the whole range. PageWindows is ignored: it
+// once selected a pushed, paged response, and every AggRange is now
+// answered with one frame. Callers page by sending one AggRange per page.
 type AggRange struct {
 	UUIDs        []string
 	Ts, Te       int64
@@ -950,8 +943,7 @@ func (m *AggRange) decode(d *Decoder) error {
 	return d.Err()
 }
 
-// AggRangeResp answers an AggRange (one full response, or one pushed page
-// of a streamed plan): encrypted per-window aggregates summed across the
+// AggRangeResp answers an AggRange: encrypted per-window aggregates summed across the
 // member streams, projected to the request's Elems. StreamCount echoes how
 // many member streams the aggregate combines — a client-side cross-check
 // that no shard's partial sum went missing (decryption would silently
@@ -999,8 +991,8 @@ func (m *AggRangeResp) decode(d *Decoder) error {
 	return d.Err()
 }
 
-// StreamInitialCredit is how many pages of a streamed query the server may
-// push before the consumer acknowledges any: the client-side page buffer
+// StreamInitialCredit is how many frames of a push stream (a subscription)
+// the server may push before the consumer acknowledges any: the client-side page buffer
 // and the server's initial send window are both this constant, so a
 // conforming server can never overflow the client buffer. The consumer
 // replenishes credit as it drains pages (StreamCredit frames).
@@ -1014,8 +1006,8 @@ const MaxStreamCredit = 1 << 20
 // connection-level, not a request: the client sends it with correlation ID
 // 0 and the server answers nothing — the read loop just credits the
 // streamed call named by ID with Pages more pages (the server pauses a
-// stream that runs out of credit, so one slow cursor consumer stalls only
-// its own stream, never the connection). Pages == 0 abandons the stream:
+// stream that runs out of credit, so one slow subscriber stalls only its
+// own stream, never the connection). Pages == 0 abandons the stream:
 // the server stops paging and terminates it with a canceled Error, letting
 // the client reclaim the correlation ID.
 type StreamCredit struct {
@@ -1199,10 +1191,10 @@ func decodeKVItems(d *Decoder) ([]KVItem, error) {
 // index nodes, staged records, grants, and envelopes — the final
 // (write-frozen) round sets it so the copy is consistent. The export is
 // paged: Cursor resumes where the previous page's SnapshotChunk left off
-// (empty = start), MaxItems bounds the page. Push selects the streamed
-// response mode on a multiplexed connection: the server pushes successive
-// SnapshotChunk pages under the request's correlation ID with FlagMore,
-// subject to stream credit, terminated by OK or Error.
+// (empty = start), MaxItems bounds the page. Push once selected a pushed
+// export and is now refused with CodeBadRequest by the TCP front end: a
+// single page would read to an older router as the whole export and
+// truncate the move.
 type StreamSnapshot struct {
 	UUID      string
 	FromChunk uint64
@@ -1525,8 +1517,8 @@ func (m *Batch) routingKey() (string, bool) {
 // streams incrementally as chunks arrive — the HEAC digest sum is
 // homomorphic, so keeping a window current is one ciphertext addition per
 // chunk — and pushes one SubEvent per completed window under the request's
-// correlation ID, governed by the same per-stream credit flow control as
-// streamed queries. The first pushed frame is a SubscribeResp naming the
+// correlation ID, governed by per-stream credit flow control (see
+// StreamCredit). The first pushed frame is a SubscribeResp naming the
 // subscription's start; SubEvent frames follow until the consumer sends
 // Unsubscribe (or a zero-page StreamCredit), the stream fails, or the
 // connection closes.

@@ -106,8 +106,8 @@ type (
 	WriterOptions = client.WriterOptions
 	// QueryBuilder assembles a statistical query plan fluently.
 	QueryBuilder = client.QueryBuilder
-	// Cursor pages a windowed statistical query lazily (server-pushed
-	// pages on a multiplexed transport).
+	// Cursor pages a windowed statistical query lazily (one round trip
+	// per page).
 	Cursor = client.Cursor
 	// Stat is a typed statistic selector for query plans.
 	Stat = client.Stat
