@@ -18,9 +18,9 @@ import (
 // bare store. While one is open, writes are appended to the pending batch
 // and mirrored in an overlay that Get consults first: the engine replaying
 // record i+1 — and a client reading from this follower — sees record i's
-// writes although the real store does not hold them yet. Scan flushes what
-// is pending first (prefix scans are rare inside a mutation), which costs
-// that frame a second batch and nothing else.
+// writes although the real store does not hold them yet. Scan, Len and
+// SizeBytes flush what is pending first (they are rare inside a mutation),
+// which costs that frame a second batch and nothing else.
 //
 // Safe for concurrent use: one frame's records may fan out over goroutines
 // (a Batch envelope applies its streams concurrently) and clients read
@@ -148,17 +148,28 @@ func (s *frameStore) Batch(ops []kv.Op) error {
 	return s.Store.Batch(ops)
 }
 
+// flushOpen moves an open frame's pending writes into the real store, for
+// the calls that read the real store as a whole.
+func (s *frameStore) flushOpen() error {
+	if !s.buffering.Load() {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.flushLocked()
+	return s.err
+}
+
 // Scan implements kv.Store, flushing an open frame's pending writes first
 // so the real store's scan sees them.
 func (s *frameStore) Scan(prefix string, fn func(key string, value []byte) bool) error {
-	if s.buffering.Load() {
-		s.mu.Lock()
-		s.flushLocked()
-		err := s.err
-		s.mu.Unlock()
-		if err != nil {
-			return err
-		}
+	if err := s.flushOpen(); err != nil {
+		return err
 	}
 	return s.Store.Scan(prefix, fn)
 }
+
+// Len and SizeBytes implement kv.Store, counting an open frame's pending
+// writes. A flush failure stays with the frame for end to report.
+func (s *frameStore) Len() int         { s.flushOpen(); return s.Store.Len() }
+func (s *frameStore) SizeBytes() int64 { s.flushOpen(); return s.Store.SizeBytes() }

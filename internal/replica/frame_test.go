@@ -9,6 +9,7 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/kv"
 	"repro/internal/kv/durable"
+	"repro/internal/kv/kvtest"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
@@ -246,4 +247,30 @@ func TestFrameTheStoreRefuses(t *testing.T) {
 	if info, ok := node.Handle(ctx, &wire.StreamInfo{UUID: "s"}).(*wire.StreamInfoResp); !ok || info.Count != 15 {
 		t.Fatalf("StreamInfo after the reshipped frame -> %#v", info)
 	}
+}
+
+// openFrame is a frameStore with a frame open from creation until Close,
+// which commits it first.
+type openFrame struct{ *frameStore }
+
+func (f openFrame) Close() error {
+	if err := f.end(); err != nil {
+		return err
+	}
+	return f.frameStore.Close()
+}
+
+// TestFrameStoreConformance: a frameStore is a kv.Store like any other,
+// whether it passes straight through or buffers an open frame.
+func TestFrameStoreConformance(t *testing.T) {
+	t.Run("pass-through", func(t *testing.T) {
+		kvtest.Conformance(t, func(*testing.T) kv.Store { return &frameStore{Store: kv.NewMemStore()} })
+	})
+	t.Run("open-frame", func(t *testing.T) {
+		kvtest.Conformance(t, func(*testing.T) kv.Store {
+			f := openFrame{&frameStore{Store: kv.NewMemStore()}}
+			f.begin()
+			return f
+		})
+	})
 }

@@ -6,8 +6,10 @@
 //
 // Exactly one node per shard holds the group's epoch'd lease and acts as
 // leader: it applies client mutations locally, appends them to an
-// in-memory record log, and acknowledges a write only once every active
-// follower has applied it (synchronous, statement-level primary-backup).
+// in-memory record log while the engine still holds the stream's order
+// lock (server.Engine.Apply), so the log orders each stream's records as
+// they applied, and acknowledges a write only once every active follower
+// has applied it (synchronous, statement-level primary-backup).
 // Followers apply records strictly in sequence order onto their own
 // durable store — a gap or reordering is refused loudly with CodeReplGap,
 // never applied — and serve reads behind their applied watermark, so a
@@ -47,12 +49,6 @@ import (
 // and from the pre-install wipe, so a node's own role survives both a
 // leader's snapshot and a crash in the middle of installing one.
 const stateKey = "repl/state"
-
-// applyStripes is the number of apply-order locks: the leader holds a
-// stream's stripe across engine apply + log append, so the log's sequence
-// order matches the engine's apply order per stream (followers replay the
-// log single-threaded, which makes cross-stream order irrelevant).
-const applyStripes = 64
 
 // Options parameterizes a replication node.
 type Options struct {
@@ -128,14 +124,16 @@ type Node struct {
 	cfg   server.Config
 	opts  Options
 
-	applyMu [applyStripes]sync.Mutex
+	// applyMu is held shared by a leader's mutation that the engine's
+	// stream order lock orders (see streamOrdered), exclusively by any
+	// other mutation and by snapshotDump's freeze.
+	applyMu sync.RWMutex
 
 	mu         sync.Mutex
 	engine     *server.Engine
 	role       uint8
 	epoch      uint64
 	leader     string // current leader's address ("" when unknown)
-	applied    uint64 // leader: last sequence applied locally
 	watermark  uint64 // follower: last sequence applied from the leader
 	installing bool   // a snapshot install is in progress; reads answer CodeBusy
 	// installEpoch is the epoch of the in-process snapshot install; it is
@@ -333,7 +331,7 @@ func (n *Node) Status() (role uint8, epoch, watermark uint64) {
 
 func (n *Node) watermarkLocked() uint64 {
 	if n.role == wire.ReplLeader {
-		return n.applied
+		return n.log.head() // every applied mutation's record, in apply order
 	}
 	return n.watermark
 }
@@ -373,13 +371,12 @@ func (n *Node) stopShippersLocked() {
 // sequence numbers remain comparable across a promotion: an in-sync
 // follower resumes from the log without a snapshot.
 func (n *Node) becomeLeaderLocked(epoch uint64, members []string) {
-	applied := n.watermarkLocked() // a re-promoted leader keeps its progress
+	next := n.watermarkLocked() + 1 // a re-promoted leader keeps its progress
 	n.stopShippersLocked()
 	n.role = wire.ReplLeader
 	n.epoch = epoch
 	n.leader = n.opts.Self
-	n.applied = applied
-	n.log.reset(n.applied + 1)
+	n.log.reset(next)
 	for _, addr := range members {
 		if addr == n.opts.Self || addr == "" {
 			continue

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -531,5 +532,112 @@ func TestLeaseInfoReportsGroup(t *testing.T) {
 	fli, ok := follower.node.Handle(context.Background(), &wire.LeaseInfo{}).(*wire.LeaseInfoResp)
 	if !ok || fli.Role != wire.ReplFollower || fli.Epoch != 1 {
 		t.Fatalf("follower LeaseInfo -> %#v", fli)
+	}
+}
+
+// parkingStore parks the first batch that puts key until release closes.
+type parkingStore struct {
+	kv.Store
+	key     string
+	once    sync.Once
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (s *parkingStore) Batch(ops []kv.Op) error {
+	for _, op := range ops {
+		if op.Kind == kv.OpPut && op.Key == s.key {
+			s.once.Do(func() {
+				close(s.parked)
+				<-s.release
+			})
+			break
+		}
+	}
+	return s.Store.Batch(ops)
+}
+
+// TestDeposeDuringApplyDoesNotDeadlock: a leader's insert still holds its
+// stream's order lock when a newer leader's frame deposes the node and
+// replays a record of the same stream, holding the node lock while it
+// waits for that order lock. The leader's log append must not need the
+// node lock, or neither request ever finishes.
+func TestDeposeDuringApplyDoesNotDeadlock(t *testing.T) {
+	store := &parkingStore{Store: kv.NewMemStore(), key: "c/s/1",
+		parked: make(chan struct{}), release: make(chan struct{})}
+	node, err := New(store, server.Config{}, Options{Self: "a:1", Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Lead(nil); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, req := range []wire.Message{
+		&wire.CreateStream{UUID: "s", Cfg: testCfg()},
+		&wire.InsertChunk{UUID: "s", Chunk: testSealedChunk(t, 0)},
+	} {
+		if resp := node.Handle(ctx, req); !isOK(resp) {
+			t.Fatalf("%T -> %#v", req, resp)
+		}
+	}
+	applied := make(chan wire.Message, 1)
+	go func() { applied <- node.Handle(ctx, &wire.InsertChunk{UUID: "s", Chunk: testSealedChunk(t, 1)}) }()
+	<-store.parked
+	replayed := make(chan wire.Message, 1)
+	go func() {
+		replayed <- node.Handle(ctx, &wire.ReplAppend{Epoch: 2, FirstSeq: 1, Leader: "b:1",
+			Records: [][]byte{record(&wire.InsertChunk{UUID: "s", Chunk: testSealedChunk(t, 2)})}})
+	}()
+	time.Sleep(20 * time.Millisecond) // let the frame reach the order lock
+	close(store.release)
+	for name, ch := range map[string]chan wire.Message{"leader insert": applied, "deposing frame": replayed} {
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never finished: the two requests deadlocked", name)
+		}
+	}
+	node.Close() // only now: a deadlocked node would never close
+}
+
+// TestMigrationMessagesLogInApplyOrder: a failed migration's HandoffAbort
+// can reach the destination leader while its IngestSnapshot is still being
+// applied, and neither has an order lock to take: the stream has no entry
+// there yet. The abort must wait for the ingest, so the log replays them
+// in the order the leader applied them and followers discard the partial
+// import too.
+func TestMigrationMessagesLogInApplyOrder(t *testing.T) {
+	store := &parkingStore{Store: kv.NewMemStore(), key: "m/s",
+		parked: make(chan struct{}), release: make(chan struct{})}
+	node, err := New(store, server.Config{}, Options{Self: "a:1", Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	if err := node.Lead(nil); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	ingest := &wire.IngestSnapshot{UUID: "s", Items: []wire.KVItem{{Key: "m/s", Value: []byte("meta")}}}
+	abort := &wire.HandoffComplete{UUID: "s", Action: wire.HandoffAbort}
+	ingested := make(chan wire.Message, 1)
+	go func() { ingested <- node.Handle(ctx, ingest) }()
+	<-store.parked
+	aborted := make(chan wire.Message, 1)
+	go func() { aborted <- node.Handle(ctx, abort) }()
+	time.Sleep(20 * time.Millisecond) // an unordered abort applies and logs now
+	close(store.release)
+	for _, ch := range []chan wire.Message{ingested, aborted} {
+		if resp := <-ch; !isOK(resp) {
+			t.Fatalf("%#v", resp)
+		}
+	}
+	_, recs, ok := node.log.from(1, 1<<20)
+	if !ok || len(recs) != 2 || !bytes.Equal(recs[0], record(ingest)) || !bytes.Equal(recs[1], record(abort)) {
+		t.Fatalf("log holds %d records (ok %v), want the ingest then the abort", len(recs), ok)
+	}
+	if _, err := store.Get("m/s"); err == nil {
+		t.Fatal("the abort applied before the ingest it cleans up after")
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/kv"
-	"repro/internal/server"
 	"repro/internal/wire"
 )
 
@@ -22,10 +21,12 @@ const maxSnapshotPageBytes = 1 << 20
 // leaderApply is the leader's mutation path: apply locally, append the
 // marshaled request to the record log, and acknowledge only once the
 // group's durability condition holds — every active follower in
-// availability mode, a write quorum in quorum mode. The stream's apply
-// stripe is held across engine apply + log append so the log's order
-// matches the engine's per-stream apply order (followers replay
-// single-threaded).
+// availability mode, a write quorum in quorum mode. The log append runs
+// inside the engine's apply, under the stream's order lock (Engine.Apply),
+// so the log's order matches the engine's per-stream apply order (followers
+// replay single-threaded). A mutation no order lock orders holds applyMu
+// exclusively instead, and so is ordered against everything (see
+// streamOrdered).
 //
 // Error semantics the clients lean on: a CodeBusy from the quorum gate
 // is returned BEFORE anything is applied (retry freely); a CodeCanceled
@@ -36,24 +37,27 @@ func (n *Node) leaderApply(ctx context.Context, req wire.Message, epoch uint64) 
 	if busy := n.quorumGate(); busy != nil {
 		return busy
 	}
-	unlock := n.lockApply(req)
+	unlock := n.applyMu.RUnlock
+	if streamOrdered(req) {
+		n.applyMu.RLock()
+	} else {
+		n.applyMu.Lock()
+		unlock = n.applyMu.Unlock
+	}
 	engine, busy := n.currentEngine()
 	if busy != nil {
 		unlock()
 		return busy
 	}
-	resp := engine.Handle(ctx, req)
+	// then must not take n.mu: a follower's replay holds n.mu while it
+	// takes order locks.
+	var seq uint64
+	resp := engine.Apply(ctx, req, func() { seq = n.log.append(wire.Marshal(req)) })
 	if _, isErr := resp.(*wire.Error); isErr {
 		// A failed mutation changed nothing; nothing to replicate.
 		unlock()
 		return resp
 	}
-	seq := n.log.append(wire.Marshal(req))
-	n.mu.Lock()
-	if seq > n.applied {
-		n.applied = seq
-	}
-	n.mu.Unlock()
 	unlock()
 	n.notifyShippers()
 	if err := n.waitDurable(ctx, seq, epoch); err != nil {
@@ -69,22 +73,25 @@ func (n *Node) leaderApply(ctx context.Context, req wire.Message, epoch uint64) 
 	return resp
 }
 
-// lockApply takes the request's per-stream apply stripe, or every stripe
-// (in order, to stay deadlock-free) for requests without a routing key.
-func (n *Node) lockApply(req wire.Message) func() {
-	if uuid, ok := wire.RoutingUUID(req); ok {
-		m := &n.applyMu[server.StripeHash(uuid)%applyStripes]
-		m.Lock()
-		return m.Unlock
-	}
-	for i := range n.applyMu {
-		n.applyMu[i].Lock()
-	}
-	return func() {
-		for i := range n.applyMu {
-			n.applyMu[i].Unlock()
+// streamOrdered reports whether the engine's order lock for req's stream
+// orders req against the stream's other mutations. It does not for a
+// request that names no stream (TopologyUpdate, a mixed-stream Batch), nor
+// for the migration messages IngestSnapshot and HandoffComplete: they act
+// on a stream this shard may have no entry for, and so no order lock, and
+// a failed migration's abort can race the ingest it cleans up after.
+func streamOrdered(req wire.Message) bool {
+	switch m := req.(type) {
+	case *wire.IngestSnapshot, *wire.HandoffComplete:
+		return false
+	case *wire.Batch:
+		for _, sub := range m.Reqs {
+			if !streamOrdered(sub) {
+				return false
+			}
 		}
 	}
+	_, keyed := wire.RoutingUUID(req)
+	return keyed
 }
 
 func (n *Node) notifyShippers() {
@@ -155,10 +162,10 @@ func (n *Node) waitDurable(ctx context.Context, seq, epoch uint64) *wire.Error {
 }
 
 // minAckedLocked returns the lowest acknowledged sequence across active
-// followers (the leader's own applied sequence when none are active);
-// the log may trim up to it.
+// followers (the log's head when none are active); the log may trim up to
+// it.
 func (n *Node) minAckedLocked() uint64 {
-	min := n.applied
+	min := n.log.head()
 	for _, f := range n.followers {
 		if f.active && f.acked < min {
 			min = f.acked
@@ -355,10 +362,11 @@ func (n *Node) runShipper(f *follower, epoch uint64) {
 	}
 }
 
-// snapshotDump captures a consistent full-store image: every apply stripe
-// is held, freezing mutations, while keys are captured (the node's own
-// replication state is excluded — roles don't replicate). It returns the
-// image and the applied sequence it corresponds to.
+// snapshotDump captures a consistent full-store image: applyMu is held
+// exclusively, freezing mutations between their engine apply and their log
+// append, while keys are captured (the node's own replication state is
+// excluded — roles don't replicate). It returns the image and the applied
+// sequence it corresponds to.
 //
 // A consistent instant is mandatory — engine replay is not idempotent and
 // the store scans in no particular order — so the freeze itself can't be
@@ -366,11 +374,11 @@ func (n *Node) runShipper(f *follower, epoch uint64) {
 // (bytes they hand out are never written again: MemStore's pages are
 // append-only) are captured as slice headers only, no value bytes copied:
 // the freeze costs O(keys) header copies and pages marshal straight from
-// the store's own memory after the stripes are released, while later
+// the store's own memory after applyMu is released, while later
 // writes append elsewhere. Other stores get a defensive deep copy.
 func (n *Node) snapshotDump() ([]wire.KVItem, uint64, error) {
-	unlock := n.lockApply(&wire.TopologyUpdate{}) // no routing key: all stripes
-	defer unlock()
+	n.applyMu.Lock()
+	defer n.applyMu.Unlock()
 	var items []wire.KVItem
 	var err error
 	if ss, ok := n.store.(kv.ShallowScanner); ok {
@@ -393,10 +401,7 @@ func (n *Node) snapshotDump() ([]wire.KVItem, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	n.mu.Lock()
-	applied := n.applied
-	n.mu.Unlock()
-	return items, applied, nil
+	return items, n.log.head(), nil
 }
 
 // sendSnapshot resyncs one follower with a paged full snapshot and

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/chunk"
 	"repro/internal/index"
@@ -73,12 +74,9 @@ type Engine struct {
 	subs *sub.Broker
 
 	// fences are armed write fences: UUID -> the epoch below which
-	// mutations are rejected (see fence.go). fenceGates stripe the
-	// check-then-apply span so arming can barrier against in-flight
-	// writes; in-memory only by design.
-	fenceMu    sync.RWMutex
-	fences     map[string]uint64
-	fenceGates []sync.RWMutex
+	// mutations are rejected (see fence.go); in-memory only by design.
+	fenceMu sync.RWMutex
+	fences  map[string]uint64
 }
 
 // topology is the engine's stored copy of the cluster membership.
@@ -93,11 +91,10 @@ type streamStripe struct {
 	_       [32]byte           // pad to one 64-byte cache line per stripe
 }
 
-// StripeHash is the FNV-1a hash that maps a stream UUID onto a lock stripe:
-// the stream table's, the fence gates' and the replication plane's apply
-// locks. Inline, because hash/fnv's interface value and the []byte
-// conversion would allocate on every routed request.
-func StripeHash(uuid string) uint32 {
+// stripeHash is the FNV-1a hash that maps a stream UUID onto its
+// stream-table stripe. Inline, because hash/fnv's interface value and the
+// []byte conversion would allocate on every routed request.
+func stripeHash(uuid string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(uuid); i++ {
 		h ^= uint32(uuid[i])
@@ -107,22 +104,82 @@ func StripeHash(uuid string) uint32 {
 }
 
 func (e *Engine) stripeFor(uuid string) *streamStripe {
-	return &e.stripes[StripeHash(uuid)&e.mask]
+	return &e.stripes[stripeHash(uuid)&e.mask]
 }
 
 type stream struct {
 	cfg  wire.StreamConfig
 	tree *index.Tree
-	mu   sync.Mutex // serializes ingest
+
+	// mu is the order lock: every mutation of the stream holds it from its
+	// fence check through its store write (see Apply). It guards the
+	// staged-record index below.
+	mu sync.Mutex
+	// dead marks an entry a delete or handoff release is retiring: lookup
+	// treats it as a miss from before the retiring store write on (reads
+	// take no order lock), and a mutation that waited for mu on it answers
+	// as a lookup miss would. It stays registered until the retiring
+	// request lets go of mu, so the UUID's next incarnation orders after it.
+	dead atomic.Bool
 
 	// Staged-record index: chunk index -> staged sequence numbers. It
 	// names the exact store keys a sealed chunk must garbage-collect,
 	// replacing the O(store-size) prefix scan the engine used to run on
 	// every InsertChunk. Rebuilt lazily from the store on first touch so
 	// restarts recover records staged by a previous instance.
-	stagedMu     sync.Mutex
 	staged       map[uint64]map[uint64]struct{}
 	stagedLoaded bool
+}
+
+// held is one request's hold on a stream's order lock: the entry it
+// locked, nil when no stream was registered under uuid.
+type held struct {
+	uuid string
+	s    *stream
+}
+
+// lockOrder takes uuid's order lock, if a stream is registered under it.
+func (e *Engine) lockOrder(uuid string) held {
+	st := e.stripeFor(uuid)
+	st.mu.RLock()
+	s := st.streams[uuid]
+	st.mu.RUnlock()
+	if s != nil {
+		s.mu.Lock()
+	}
+	return held{uuid: uuid, s: s}
+}
+
+// unlockOrder releases h, first unregistering the entry if h retired it.
+func (e *Engine) unlockOrder(h *held) {
+	if h.s == nil {
+		return
+	}
+	if h.s.dead.Load() {
+		st := e.stripeFor(h.uuid)
+		st.mu.Lock()
+		if st.streams[h.uuid] == h.s {
+			delete(st.streams, h.uuid)
+		}
+		st.mu.Unlock()
+	}
+	h.s.mu.Unlock()
+}
+
+// ordered runs fn under uuid's order lock: the exported mutations' locking.
+func (e *Engine) ordered(uuid string, fn func(h *held) error) error {
+	h := e.lockOrder(uuid)
+	defer e.unlockOrder(&h)
+	return fn(&h)
+}
+
+// live returns the held stream, or the error a lookup miss gives when none
+// is registered or the held one was retired while h waited for its lock.
+func (e *Engine) live(h *held) (*stream, error) {
+	if h.s == nil || h.s.dead.Load() {
+		return nil, e.missing(h.uuid)
+	}
+	return h.s, nil
 }
 
 // New creates an engine over the given store.
@@ -138,8 +195,7 @@ func New(store kv.Store, cfg Config) (*Engine, error) {
 		n++
 	}
 	e := &Engine{store: store, cfg: cfg, stripes: make([]streamStripe, n), mask: uint32(n - 1),
-		moved: make(map[string]uint64), subs: sub.NewBroker(),
-		fences: make(map[string]uint64), fenceGates: make([]sync.RWMutex, n)}
+		moved: make(map[string]uint64), subs: sub.NewBroker(), fences: make(map[string]uint64)}
 	for i := range e.stripes {
 		e.stripes[i].streams = make(map[string]*stream)
 	}
@@ -154,11 +210,12 @@ func New(store kv.Store, cfg Config) (*Engine, error) {
 	// Recover stream metadata persisted by a previous instance.
 	var loadErr error
 	err := store.Scan("m/", func(key string, value []byte) bool {
-		uuid := key[len("m/"):]
-		if _, err := e.openStream(uuid, value); err != nil {
-			loadErr = fmt.Errorf("server: recovering stream %q: %w", uuid, err)
+		h := held{uuid: key[len("m/"):]}
+		if _, err := e.openStream(&h, value); err != nil {
+			loadErr = fmt.Errorf("server: recovering stream %q: %w", h.uuid, err)
 			return false
 		}
+		e.unlockOrder(&h)
 		return true
 	})
 	if err != nil {
@@ -234,13 +291,14 @@ func decodeStreamConfig(data []byte) (wire.StreamConfig, error) {
 }
 
 // openStream builds the in-memory handle for a stream whose meta is known
-// and registers it, failing if the UUID is already registered.
-func (e *Engine) openStream(uuid string, meta []byte) (*stream, error) {
+// and registers it with its order lock held, in h: in place of h's entry
+// if h retired it, failing if another entry is registered.
+func (e *Engine) openStream(h *held, meta []byte) (*stream, error) {
 	cfg, err := decodeStreamConfig(meta)
 	if err != nil {
 		return nil, err
 	}
-	tree, err := index.Open(e.store, uuid, index.Config{
+	tree, err := index.Open(e.store, h.uuid, index.Config{
 		Fanout:     int(cfg.Fanout),
 		VectorLen:  int(cfg.VectorLen),
 		CacheBytes: e.cfg.CacheBytes,
@@ -249,13 +307,19 @@ func (e *Engine) openStream(uuid string, meta []byte) (*stream, error) {
 		return nil, err
 	}
 	s := &stream{cfg: cfg, tree: tree}
-	st := e.stripeFor(uuid)
+	s.mu.Lock()
+	st := e.stripeFor(h.uuid)
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, dup := st.streams[uuid]; dup {
-		return nil, fmt.Errorf("server: stream %q already exists", uuid)
+	if cur, ok := st.streams[h.uuid]; ok && (cur != h.s || !cur.dead.Load()) {
+		st.mu.Unlock()
+		return nil, fmt.Errorf("server: stream %q already exists", h.uuid)
 	}
-	st.streams[uuid] = s
+	st.streams[h.uuid] = s
+	st.mu.Unlock()
+	if h.s != nil {
+		h.s.mu.Unlock() // the retired entry this one replaces
+	}
+	h.s = s
 	return s, nil
 }
 
@@ -264,13 +328,20 @@ func (e *Engine) lookup(uuid string) (*stream, error) {
 	st.mu.RLock()
 	s, ok := st.streams[uuid]
 	st.mu.RUnlock()
-	if !ok {
-		if epoch, moved := e.movedEpoch(uuid); moved {
-			return nil, &movedError{uuid: uuid, epoch: epoch}
-		}
-		return nil, fmt.Errorf("server: stream %q: %w", uuid, errStreamNotFound)
+	if !ok || s.dead.Load() {
+		return nil, e.missing(uuid)
 	}
 	return s, nil
+}
+
+// missing is the error for a UUID with no live stream: not found, or
+// CodeWrongShard with the topology epoch of the move if it migrated away,
+// so a caller holding a stale ring refreshes it.
+func (e *Engine) missing(uuid string) error {
+	if epoch, moved := e.movedEpoch(uuid); moved {
+		return &movedError{uuid: uuid, epoch: epoch}
+	}
+	return fmt.Errorf("server: stream %q: %w", uuid, errStreamNotFound)
 }
 
 var errStreamNotFound = errors.New("stream not found")
@@ -289,6 +360,11 @@ func (e *movedError) Error() string {
 
 // CreateStream registers a stream; it fails if the UUID exists.
 func (e *Engine) CreateStream(uuid string, cfg wire.StreamConfig) error {
+	return e.ordered(uuid, func(h *held) error { return e.createStream(h, cfg) })
+}
+
+func (e *Engine) createStream(h *held, cfg wire.StreamConfig) error {
+	uuid := h.uuid
 	if uuid == "" {
 		return errors.New("server: empty stream UUID")
 	}
@@ -309,30 +385,19 @@ func (e *Engine) CreateStream(uuid string, cfg wire.StreamConfig) error {
 	// Register first (openStream inserts under the stripe write lock, so
 	// concurrent duplicate creates yield exactly one winner), then let
 	// only the winner persist the stream meta — a loser must never
-	// clobber the winner's persisted config.
-	s, err := e.openStream(uuid, encodeStreamConfig(&cfg))
+	// clobber the winner's persisted config. The entry is registered with
+	// its order lock held, so no mutation of it runs before the meta is in.
+	s, err := e.openStream(h, encodeStreamConfig(&cfg))
 	if err != nil {
 		return err
 	}
 	// A freshly created stream cannot have persisted staged records, so
 	// its staged index starts empty instead of paying the first-touch
 	// store scan (which exists for streams recovered from an old store).
-	s.stagedMu.Lock()
-	if !s.stagedLoaded {
-		s.staged = make(map[uint64]map[uint64]struct{})
-		s.stagedLoaded = true
-	}
-	s.stagedMu.Unlock()
+	s.staged = make(map[uint64]map[uint64]struct{})
+	s.stagedLoaded = true
 	if err := e.store.Put(metaKey(uuid), encodeStreamConfig(&cfg)); err != nil {
-		// Roll back our registration — but only if the entry is still
-		// ours: a concurrent delete+recreate may have replaced it with
-		// a live stream that must not be evicted.
-		st := e.stripeFor(uuid)
-		st.mu.Lock()
-		if st.streams[uuid] == s {
-			delete(st.streams, uuid)
-		}
-		st.mu.Unlock()
+		s.dead.Store(true) // unregistered when h is released
 		return err
 	}
 	return nil
@@ -344,8 +409,10 @@ func (e *Engine) ListStreams() []string {
 	for i := range e.stripes {
 		st := &e.stripes[i]
 		st.mu.RLock()
-		for uuid := range st.streams {
-			uuids = append(uuids, uuid)
+		for uuid, s := range st.streams {
+			if !s.dead.Load() {
+				uuids = append(uuids, uuid)
+			}
 		}
 		st.mu.RUnlock()
 	}
@@ -355,16 +422,25 @@ func (e *Engine) ListStreams() []string {
 
 // DeleteStream removes a stream with all chunks, index nodes, grants, and
 // envelopes.
-func (e *Engine) DeleteStream(uuid string) error {
-	if _, err := e.lookup(uuid); err != nil {
+func (e *Engine) DeleteStream(uuid string) error { return e.ordered(uuid, e.deleteStream) }
+
+// deleteStream deletes the stream's keys while it still holds the order
+// lock every other mutation of the stream takes, so none of them lands
+// after the delete. The entry is retired first, so a read that starts
+// while the keys go answers not found rather than from a half-deleted
+// stream; it comes back if the delete fails.
+func (e *Engine) deleteStream(h *held) error {
+	s, err := e.live(h)
+	if err != nil {
 		return err
 	}
-	st := e.stripeFor(uuid)
-	st.mu.Lock()
-	delete(st.streams, uuid)
-	st.mu.Unlock()
-	e.subs.DropStream(uuid, fmt.Errorf("server: stream %q deleted: %w", uuid, errStreamNotFound))
-	return e.store.Batch(e.deleteStreamOps(uuid))
+	s.dead.Store(true)
+	if err := e.store.Batch(e.deleteStreamOps(h.uuid)); err != nil {
+		s.dead.Store(false)
+		return err
+	}
+	e.subs.DropStream(h.uuid, fmt.Errorf("server: stream %q deleted: %w", h.uuid, errStreamNotFound))
+	return nil
 }
 
 // StreamInfo returns stream metadata and ingest progress.
@@ -397,8 +473,15 @@ func (e *Engine) InsertChunk(uuid string, sealedBytes []byte) error {
 // the expected position, so the chunks after it are judged exactly as a
 // loop of single inserts would judge them.
 func (e *Engine) InsertChunkBatch(uuid string, sealedBlobs [][]byte) []error {
+	h := e.lockOrder(uuid)
+	defer e.unlockOrder(&h)
+	return e.insertChunks(&h, sealedBlobs)
+}
+
+func (e *Engine) insertChunks(h *held, sealedBlobs [][]byte) []error {
+	uuid := h.uuid
 	errs := make([]error, len(sealedBlobs))
-	s, err := e.lookup(uuid)
+	s, err := e.live(h)
 	if err != nil {
 		for i := range errs {
 			errs[i] = err
@@ -425,8 +508,6 @@ func (e *Engine) InsertChunkBatch(uuid string, sealedBlobs [][]byte) []error {
 		}
 		parsed[i] = sealed
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	start := s.tree.Count()
 	want := start
 	var (
@@ -465,7 +546,7 @@ func (e *Engine) InsertChunkBatch(uuid string, sealedBlobs [][]byte) []error {
 	if err := s.tree.AppendBatchWith(start, digests, ops); err != nil {
 		return fail(err)
 	}
-	// Publish the whole accepted run under the ingest lock: live views see
+	// Publish the whole accepted run under the order lock: live views see
 	// exactly the append order; they coalesce per window, so a batch
 	// spanning a window boundary still emits one delta per completed
 	// window, not per chunk.
@@ -477,7 +558,7 @@ func (e *Engine) InsertChunkBatch(uuid string, sealedBlobs [][]byte) []error {
 }
 
 // loadStagedLocked rebuilds the staged-record index from the store on the
-// stream's first staged-record touch. Caller holds s.stagedMu.
+// stream's first staged-record touch. Caller holds s.mu.
 func (e *Engine) loadStagedLocked(uuid string, s *stream) error {
 	if s.stagedLoaded {
 		return nil
@@ -514,8 +595,6 @@ func (e *Engine) loadStagedLocked(uuid string, s *stream) error {
 // chunks [lo, hi), in chunk and sequence order. The staged index keeps the
 // entries until forgetStaged: the deletes may yet fail.
 func (e *Engine) stagedDeletes(uuid string, s *stream, lo, hi uint64, ops []kv.Op) ([]kv.Op, error) {
-	s.stagedMu.Lock()
-	defer s.stagedMu.Unlock()
 	if err := e.loadStagedLocked(uuid, s); err != nil {
 		return nil, err
 	}
@@ -542,8 +621,6 @@ func (e *Engine) stagedDeletes(uuid string, s *stream, lo, hi uint64, ops []kv.O
 // forgetStaged drops the staged index entries of chunks [lo, hi) once the
 // store no longer holds their records.
 func (s *stream) forgetStaged(lo, hi uint64) {
-	s.stagedMu.Lock()
-	defer s.stagedMu.Unlock()
 	for idx := lo; idx < hi && len(s.staged) > 0; idx++ {
 		delete(s.staged, idx)
 	}
@@ -552,15 +629,18 @@ func (s *stream) forgetStaged(lo, hi uint64) {
 // StageRecord stores one real-time encrypted record ahead of its chunk.
 // Staged records live only until the sealed chunk arrives.
 func (e *Engine) StageRecord(uuid string, chunkIndex, seq uint64, box []byte) error {
-	s, err := e.lookup(uuid)
+	return e.ordered(uuid, func(h *held) error { return e.stageRecord(h, chunkIndex, seq, box) })
+}
+
+func (e *Engine) stageRecord(h *held, chunkIndex, seq uint64, box []byte) error {
+	uuid := h.uuid
+	s, err := e.live(h)
 	if err != nil {
 		return err
 	}
 	if chunkIndex < s.tree.Count() {
 		return fmt.Errorf("server: stream %q: chunk %d already sealed", uuid, chunkIndex)
 	}
-	s.stagedMu.Lock()
-	defer s.stagedMu.Unlock()
 	if err := e.loadStagedLocked(uuid, s); err != nil {
 		return err
 	}
@@ -791,7 +871,11 @@ func (e *Engine) aggregate(ctx context.Context, uuids []string, ts, te int64, wi
 // the index intact (Table 1 #7). The rewritten chunks go to the store as
 // one batch.
 func (e *Engine) DeleteRange(ctx context.Context, uuid string, ts, te int64) error {
-	s, err := e.lookup(uuid)
+	return e.ordered(uuid, func(h *held) error { return e.deleteRange(ctx, h, ts, te) })
+}
+
+func (e *Engine) deleteRange(ctx context.Context, h *held, ts, te int64) error {
+	s, err := e.live(h)
 	if err != nil {
 		return err
 	}
@@ -806,7 +890,7 @@ func (e *Engine) DeleteRange(ctx context.Context, uuid string, ts, te int64) err
 				return err
 			}
 		}
-		key := chunkKey(uuid, i)
+		key := chunkKey(h.uuid, i)
 		data, err := e.store.Get(key)
 		if errors.Is(err, kv.ErrNotFound) {
 			continue
@@ -832,10 +916,14 @@ func (e *Engine) DeleteRange(ctx context.Context, uuid string, ts, te int64) err
 // pruned (§4.5 "Data decay"), in one store batch. Statistics at factor
 // granularity and coarser remain queryable.
 func (e *Engine) Rollup(ctx context.Context, uuid string, factor uint64, ts, te int64) error {
+	return e.ordered(uuid, func(h *held) error { return e.rollup(ctx, h, factor, ts, te) })
+}
+
+func (e *Engine) rollup(ctx context.Context, h *held, factor uint64, ts, te int64) error {
 	if factor < 1 {
 		return errors.New("server: rollup factor must be >= 1")
 	}
-	s, err := e.lookup(uuid)
+	s, err := e.live(h)
 	if err != nil {
 		return err
 	}
@@ -850,7 +938,7 @@ func (e *Engine) Rollup(ctx context.Context, uuid string, factor uint64, ts, te 
 				return err
 			}
 		}
-		ops = append(ops, kv.Op{Kind: kv.OpDelete, Key: chunkKey(uuid, i)})
+		ops = append(ops, kv.Op{Kind: kv.OpDelete, Key: chunkKey(h.uuid, i)})
 	}
 	// Prune index levels whose span is finer than the rollup factor.
 	level := 0
@@ -868,13 +956,17 @@ func (e *Engine) Rollup(ctx context.Context, uuid string, factor uint64, ts, te 
 
 // PutGrant stores a wrapped access grant.
 func (e *Engine) PutGrant(uuid, principal, grantID string, blob []byte) error {
-	if _, err := e.lookup(uuid); err != nil {
+	return e.ordered(uuid, func(h *held) error { return e.putGrant(h, principal, grantID, blob) })
+}
+
+func (e *Engine) putGrant(h *held, principal, grantID string, blob []byte) error {
+	if _, err := e.live(h); err != nil {
 		return err
 	}
 	if principal == "" || grantID == "" {
 		return errors.New("server: empty principal or grant id")
 	}
-	return e.store.Put(grantKey(uuid, principal, grantID), blob)
+	return e.store.Put(grantKey(h.uuid, principal, grantID), blob)
 }
 
 // GetGrants fetches all grant blobs for a principal on a stream.
@@ -893,14 +985,18 @@ func (e *Engine) GetGrants(uuid, principal string) ([][]byte, error) {
 // DeleteGrant removes one grant, or all of a principal's grants when
 // grantID is empty.
 func (e *Engine) DeleteGrant(uuid, principal, grantID string) error {
-	if _, err := e.lookup(uuid); err != nil {
+	return e.ordered(uuid, func(h *held) error { return e.deleteGrant(h, principal, grantID) })
+}
+
+func (e *Engine) deleteGrant(h *held, principal, grantID string) error {
+	if _, err := e.live(h); err != nil {
 		return err
 	}
 	if grantID != "" {
-		return e.store.Delete(grantKey(uuid, principal, grantID))
+		return e.store.Delete(grantKey(h.uuid, principal, grantID))
 	}
 	var ops []kv.Op
-	e.store.Scan("g/"+uuid+"/"+principal+"/", func(key string, _ []byte) bool {
+	e.store.Scan("g/"+h.uuid+"/"+principal+"/", func(key string, _ []byte) bool {
 		ops = append(ops, kv.Op{Kind: kv.OpDelete, Key: key})
 		return true
 	})
@@ -909,7 +1005,11 @@ func (e *Engine) DeleteGrant(uuid, principal, grantID string) error {
 
 // PutEnvelopes stores resolution key envelopes.
 func (e *Engine) PutEnvelopes(uuid string, factor uint64, envs []wire.WireEnvelope) error {
-	if _, err := e.lookup(uuid); err != nil {
+	return e.ordered(uuid, func(h *held) error { return e.putEnvelopes(h, factor, envs) })
+}
+
+func (e *Engine) putEnvelopes(h *held, factor uint64, envs []wire.WireEnvelope) error {
+	if _, err := e.live(h); err != nil {
 		return err
 	}
 	if factor < 1 {
@@ -917,7 +1017,7 @@ func (e *Engine) PutEnvelopes(uuid string, factor uint64, envs []wire.WireEnvelo
 	}
 	ops := make([]kv.Op, 0, len(envs))
 	for _, env := range envs {
-		ops = append(ops, kv.Op{Kind: kv.OpPut, Key: envKey(uuid, factor, env.Index), Value: env.Box})
+		ops = append(ops, kv.Op{Kind: kv.OpPut, Key: envKey(h.uuid, factor, env.Index), Value: env.Box})
 	}
 	return e.store.Batch(ops)
 }

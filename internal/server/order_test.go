@@ -1,0 +1,239 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/kv"
+	"repro/internal/wire"
+)
+
+// parkingStore parks the first store batch that writes or deletes a key
+// under prefix until release closes, so a test can land another request
+// while a mutation's write is in flight. That batch then fails with fail,
+// if it is set, instead of applying.
+type parkingStore struct {
+	*kv.MemStore
+	prefix  string
+	fail    error
+	once    sync.Once
+	parked  chan struct{} // closed once the batch is parked
+	release chan struct{}
+}
+
+func newParkingStore(prefix string) *parkingStore {
+	return &parkingStore{MemStore: kv.NewMemStore(), prefix: prefix,
+		parked: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (s *parkingStore) Batch(ops []kv.Op) error {
+	for _, op := range ops {
+		if strings.HasPrefix(op.Key, s.prefix) {
+			var err error
+			s.once.Do(func() {
+				close(s.parked)
+				<-s.release
+				err = s.fail
+			})
+			if err != nil {
+				return err
+			}
+			break
+		}
+	}
+	return s.MemStore.Batch(ops)
+}
+
+// TestDeleteStreamWaitsForInFlightInsert: a DeleteStream that arrives while
+// an insert's store write is in flight waits for it on the stream's order
+// lock. Nothing the insert wrote outlives the stream, and a stream
+// re-created under the same UUID starts again at chunk 0.
+func TestDeleteStreamWaitsForInFlightInsert(t *testing.T) {
+	store := newParkingStore(chunkKey("s", 4))
+	e, err := New(store, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cfg := newHarness(t).cfg
+	ss := newStreamSealer(t, 7)
+	blobs := make([][]byte, 5)
+	for i := range blobs {
+		blobs[i] = ss.sealed(t, uint64(i))
+	}
+	wantOK := func(what string, resp wire.Message) {
+		t.Helper()
+		if _, ok := resp.(*wire.OK); !ok {
+			t.Fatalf("%s: %v", what, resp)
+		}
+	}
+	wantOK("create", e.Handle(ctx, &wire.CreateStream{UUID: "s", Cfg: cfg}))
+	for i := 0; i < 4; i++ {
+		wantOK("insert", e.Handle(ctx, &wire.InsertChunk{UUID: "s", Chunk: blobs[i]}))
+	}
+
+	inserted := make(chan wire.Message, 1)
+	go func() { inserted <- e.Handle(ctx, &wire.InsertChunk{UUID: "s", Chunk: blobs[4]}) }()
+	<-store.parked
+	deleted := make(chan wire.Message, 1)
+	go func() { deleted <- e.Handle(ctx, &wire.DeleteStream{UUID: "s"}) }()
+	// An unordered delete finishes well inside this; an ordered one waits
+	// for the parked insert.
+	var del wire.Message
+	select {
+	case del = <-deleted:
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(store.release)
+	wantOK("insert in flight", <-inserted)
+	if del == nil {
+		del = <-deleted
+	}
+	wantOK("delete", del)
+
+	for _, prefix := range []string{"c/s/", "i/s/", "m/s", "r/s/"} {
+		var left []string
+		store.Scan(prefix, func(key string, _ []byte) bool {
+			left = append(left, key)
+			return true
+		})
+		if len(left) > 0 {
+			t.Errorf("keys under %q outlived the stream: %v", prefix, left)
+		}
+	}
+	wantOK("re-create", e.Handle(ctx, &wire.CreateStream{UUID: "s", Cfg: cfg}))
+	wantOK("chunk 0 of the re-created stream", e.Handle(ctx, &wire.InsertChunk{UUID: "s", Chunk: blobs[0]}))
+}
+
+// TestRetiredEntryAnswersAsAMiss: a mutation that waits on the order lock
+// of an entry a delete or a handoff release retires answers exactly as a
+// lookup miss would: CodeNotFound after a delete, CodeWrongShard with the
+// move's epoch after a release.
+func TestRetiredEntryAnswersAsAMiss(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		retire func(e *Engine, h *held) error
+		code   uint32
+		aux    uint64
+	}{
+		{"delete", func(e *Engine, h *held) error { return e.deleteStream(h) }, wire.CodeNotFound, 0},
+		{"release", func(e *Engine, h *held) error { return e.handoffRelease(h, 7) }, wire.CodeWrongShard, 7},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := newHarness(t)
+			h.createStream(t, "s")
+			held := h.engine.lockOrder("s")
+			waited := make(chan wire.Message, 1)
+			go func() {
+				waited <- h.engine.Handle(context.Background(), &wire.PutGrant{UUID: "s", Principal: "p", GrantID: "g", Blob: []byte("x")})
+			}()
+			// Whether the grant is parked on the lock or has not looked the
+			// stream up yet, it must get the miss answer.
+			time.Sleep(10 * time.Millisecond)
+			if err := c.retire(h.engine, &held); err != nil {
+				t.Fatal(err)
+			}
+			h.engine.unlockOrder(&held)
+			resp, ok := (<-waited).(*wire.Error)
+			if !ok || resp.Code != c.code || resp.Aux != c.aux {
+				t.Fatalf("grant on a retired stream -> %#v, want code %d aux %d", resp, c.code, c.aux)
+			}
+			if n := h.store.Len(); n > 1 { // a release leaves its tombstone
+				t.Errorf("%d keys left after the stream was retired", n)
+			}
+		})
+	}
+}
+
+// TestReadDuringRetirementIsAMiss: reads take no order lock, so a read that
+// arrives while a delete or a handoff release is deleting the stream's keys
+// must already answer as a miss — CodeNotFound, or CodeWrongShard with the
+// move's epoch — not from a half-deleted stream.
+func TestReadDuringRetirementIsAMiss(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		retire wire.Message
+		code   uint32
+		aux    uint64
+	}{
+		{"delete", &wire.DeleteStream{UUID: "s"}, wire.CodeNotFound, 0},
+		{"release", &wire.HandoffComplete{UUID: "s", Epoch: 7, Action: wire.HandoffRelease}, wire.CodeWrongShard, 7},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := newHarness(t)
+			store := newParkingStore(metaKey("s")) // only the retiring batch deletes the meta
+			var err error
+			if h.engine, err = New(store, Config{}); err != nil {
+				t.Fatal(err)
+			}
+			h.createStream(t, "s")
+			h.ingest(t, "s", 3)
+			ctx := context.Background()
+			retired := make(chan wire.Message, 1)
+			go func() { retired <- h.engine.Handle(ctx, c.retire) }()
+			<-store.parked
+			for _, read := range []wire.Message{
+				&wire.GetRange{UUID: "s", Ts: 0, Te: 300},
+				&wire.StreamInfo{UUID: "s"},
+			} {
+				resp, ok := h.engine.Handle(ctx, read).(*wire.Error)
+				if !ok || resp.Code != c.code || resp.Aux != c.aux {
+					t.Errorf("%T while the stream is retired -> %#v, want code %d aux %d", read, resp, c.code, c.aux)
+				}
+			}
+			close(store.release)
+			if resp, ok := (<-retired).(*wire.OK); !ok {
+				t.Fatalf("%s: %#v", c.name, resp)
+			}
+		})
+	}
+}
+
+// TestFailedReleaseKeepsTheStreamFenced: a handoff release whose store
+// batch fails leaves the source stream as it found it: served, and still
+// behind its drain fence, so a write from a router on the old ring gets
+// CodeWrongShard rather than landing on a source the destination has
+// already taken over from. The coordinator's retry then goes through.
+func TestFailedReleaseKeepsTheStreamFenced(t *testing.T) {
+	h := newHarness(t)
+	store := newParkingStore(metaKey("s"))
+	store.fail = errors.New("store unavailable")
+	close(store.release)
+	var err error
+	if h.engine, err = New(store, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	e := h.engine
+	h.createStream(t, "s")
+	blobs := sealBlobs(t, h, 3)
+	for _, blob := range blobs[:2] {
+		if err := e.InsertChunk("s", blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.HandoffComplete("s", 5, wire.HandoffFence); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.HandoffComplete("s", 5, wire.HandoffRelease); err == nil {
+		t.Fatal("release over a failing store succeeded")
+	}
+	stale := wire.ContextWithEpoch(context.Background(), 4)
+	resp, ok := e.Handle(stale, &wire.InsertChunk{UUID: "s", Chunk: blobs[2]}).(*wire.Error)
+	if !ok || resp.Code != wire.CodeWrongShard || resp.Aux != 5 {
+		t.Fatalf("stale-epoch insert after a failed release -> %#v, want CodeWrongShard aux 5", resp)
+	}
+	if _, count, err := e.StreamInfo("s"); err != nil || count != 2 {
+		t.Fatalf("source stream after a failed release: count %d, %v", count, err)
+	}
+	if err := e.HandoffComplete("s", 5, wire.HandoffRelease); err != nil {
+		t.Fatalf("retried release: %v", err)
+	}
+	resp, ok = e.Handle(context.Background(), &wire.StreamInfo{UUID: "s"}).(*wire.Error)
+	if !ok || resp.Code != wire.CodeWrongShard || resp.Aux != 5 {
+		t.Fatalf("released stream -> %#v, want CodeWrongShard aux 5", resp)
+	}
+}

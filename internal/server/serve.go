@@ -36,29 +36,53 @@ type Handler interface {
 // by in-process clients (benchmarks exercise the full message codec either
 // way).
 func (e *Engine) Handle(ctx context.Context, req wire.Message) wire.Message {
+	return e.Apply(ctx, req, nil)
+}
+
+// Apply is Handle that exposes the engine's per-stream order. A mutation
+// that names a stream runs under the stream's order lock, from its fence
+// check through its store write, and if it succeeds (its response is not a
+// *wire.Error) then runs before the lock is let go: what then records is
+// ordered as the stream's mutations applied. A batch of one stream holds
+// that lock across the batch and then; any other batch, like a mutation
+// naming no stream, runs then after everything, under no stream's lock.
+func (e *Engine) Apply(ctx context.Context, req wire.Message, then func()) wire.Message {
+	if err := ctx.Err(); err != nil {
+		return toError(err)
+	}
+	if b, ok := req.(*wire.Batch); ok {
+		return e.handleBatch(ctx, b, then)
+	}
+	var h held
+	if uuid, ok := wire.RoutingUUID(req); ok && wire.KindOf(req) == wire.KindMutation {
+		h = e.lockOrder(uuid)
+		defer e.unlockOrder(&h)
+	}
+	resp := e.dispatch(ctx, &h, req)
+	if _, failed := resp.(*wire.Error); !failed && then != nil {
+		then()
+	}
+	return resp
+}
+
+// dispatch answers one non-batch request. A mutation naming a stream runs
+// with h holding that stream's order lock.
+func (e *Engine) dispatch(ctx context.Context, h *held, req wire.Message) wire.Message {
 	if err := ctx.Err(); err != nil {
 		return toError(err)
 	}
 	if uuid, ok := wire.FencedUUID(req); ok {
-		// Fenced mutations run with the fence gate held shared across
-		// check and apply, so arming a fence (HandoffFence) can barrier
-		// against every write that passed an unfenced check.
-		g := e.fenceGate(uuid)
-		g.RLock()
-		defer g.RUnlock()
 		if errMsg := e.checkFence(ctx, uuid); errMsg != nil {
 			return errMsg
 		}
 	}
 	switch m := req.(type) {
-	case *wire.Batch:
-		return e.handleBatch(ctx, m)
 	case *wire.CreateStream:
-		return respond(e.CreateStream(m.UUID, m.Cfg))
+		return respond(e.createStream(h, m.Cfg))
 	case *wire.DeleteStream:
-		return respond(e.DeleteStream(m.UUID))
+		return respond(e.deleteStream(h))
 	case *wire.InsertChunk:
-		return respond(e.InsertChunk(m.UUID, m.Chunk))
+		return respond(e.insertChunks(h, [][]byte{m.Chunk})[0])
 	case *wire.GetRange:
 		chunks, err := e.GetRange(ctx, m.UUID, m.Ts, m.Te)
 		if err != nil {
@@ -88,11 +112,11 @@ func (e *Engine) Handle(ctx context.Context, req wire.Message) wire.Message {
 		// them before reaching a handler.
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "server: subscription outside a streaming connection"}
 	case *wire.DeleteRange:
-		return respond(e.DeleteRange(ctx, m.UUID, m.Ts, m.Te))
+		return respond(e.deleteRange(ctx, h, m.Ts, m.Te))
 	case *wire.Rollup:
-		return respond(e.Rollup(ctx, m.UUID, m.Factor, m.Ts, m.Te))
+		return respond(e.rollup(ctx, h, m.Factor, m.Ts, m.Te))
 	case *wire.PutGrant:
-		return respond(e.PutGrant(m.UUID, m.Principal, m.GrantID, m.Blob))
+		return respond(e.putGrant(h, m.Principal, m.GrantID, m.Blob))
 	case *wire.GetGrants:
 		blobs, err := e.GetGrants(m.UUID, m.Principal)
 		if err != nil {
@@ -100,9 +124,9 @@ func (e *Engine) Handle(ctx context.Context, req wire.Message) wire.Message {
 		}
 		return &wire.GetGrantsResp{Blobs: blobs}
 	case *wire.DeleteGrant:
-		return respond(e.DeleteGrant(m.UUID, m.Principal, m.GrantID))
+		return respond(e.deleteGrant(h, m.Principal, m.GrantID))
 	case *wire.PutEnvelopes:
-		return respond(e.PutEnvelopes(m.UUID, m.Factor, m.Envs))
+		return respond(e.putEnvelopes(h, m.Factor, m.Envs))
 	case *wire.GetEnvelopes:
 		envs, err := e.GetEnvelopes(m.UUID, m.Factor, m.Lo, m.Hi)
 		if err != nil {
@@ -110,7 +134,7 @@ func (e *Engine) Handle(ctx context.Context, req wire.Message) wire.Message {
 		}
 		return &wire.GetEnvelopesResp{Envs: envs}
 	case *wire.StageRecord:
-		return respond(e.StageRecord(m.UUID, m.ChunkIndex, m.Seq, m.Box))
+		return respond(e.stageRecord(h, m.ChunkIndex, m.Seq, m.Box))
 	case *wire.GetStaged:
 		boxes, err := e.GetStaged(m.UUID, m.ChunkIndex)
 		if err != nil {
@@ -132,9 +156,9 @@ func (e *Engine) Handle(ctx context.Context, req wire.Message) wire.Message {
 		}
 		return page
 	case *wire.IngestSnapshot:
-		return respond(e.IngestSnapshot(m.UUID, m.Items))
+		return respond(e.ingestSnapshot(h, m.Items))
 	case *wire.HandoffComplete:
-		return respond(e.HandoffComplete(m.UUID, m.Epoch, m.Action))
+		return respond(e.handoffComplete(h, m.Epoch, m.Action))
 	case *wire.TopologyInfo:
 		epoch, members := e.Topology()
 		return &wire.TopologyInfoResp{Epoch: epoch, Members: members}
@@ -155,71 +179,82 @@ func (e *Engine) Handle(ctx context.Context, req wire.Message) wire.Message {
 
 // handleBatch executes a batch's sub-requests: requests for the same stream
 // run sequentially in batch order (chunk inserts must stay ordered), while
-// different streams proceed concurrently on their own lock stripes. The
-// response carries one element per sub-request, in order.
-func (e *Engine) handleBatch(ctx context.Context, b *wire.Batch) wire.Message {
+// different streams proceed concurrently. The response carries one element
+// per sub-request, in order; then runs as Apply describes.
+func (e *Engine) handleBatch(ctx context.Context, b *wire.Batch, then func()) wire.Message {
 	resps := make([]wire.Message, len(b.Reqs))
 	p := wire.PartitionBatch(b.Reqs, wire.RoutingUUID)
 	for _, i := range p.Nested {
 		resps[i] = &wire.Error{Code: wire.CodeBadRequest, Msg: "nested batch envelope"}
 	}
+	if len(p.Order) == 1 && len(p.Singles) == 0 {
+		e.runGroup(ctx, p.Order[0], b.Reqs, p.Groups[p.Order[0]], resps, then)
+		return &wire.BatchResp{Resps: resps}
+	}
 	var wg sync.WaitGroup
-	for _, uuid := range p.Order {
-		idxs := p.Groups[uuid]
+	run := func(uuid string, idxs []int) {
 		wg.Add(1)
-		go func(uuid string, idxs []int) {
+		go func() {
 			defer wg.Done()
-			// Runs of chunk inserts for one stream take the batched
-			// ingest path: one stream lock and one index root-path
-			// update for the whole run, with per-sub-request results
-			// preserved.
-			for x := 0; x < len(idxs); {
-				if _, ok := b.Reqs[idxs[x]].(*wire.InsertChunk); !ok {
-					resps[idxs[x]] = e.Handle(ctx, b.Reqs[idxs[x]])
-					x++
-					continue
-				}
-				y := x
-				var blobs [][]byte
-				for ; y < len(idxs); y++ {
-					ic, ok := b.Reqs[idxs[y]].(*wire.InsertChunk)
-					if !ok {
-						break
-					}
-					blobs = append(blobs, ic.Chunk)
-				}
-				if len(blobs) == 1 {
-					resps[idxs[x]] = e.Handle(ctx, b.Reqs[idxs[x]])
-				} else {
-					// The coalesced path bypasses Handle, so it takes the
-					// fence gate itself (never nested with Handle's: each
-					// sub-request acquires the gate only for its own span).
-					g := e.fenceGate(uuid)
-					g.RLock()
-					if errMsg := e.checkFence(ctx, uuid); errMsg != nil {
-						for k := range blobs {
-							resps[idxs[x+k]] = errMsg
-						}
-					} else {
-						for k, err := range e.InsertChunkBatch(uuid, blobs) {
-							resps[idxs[x+k]] = respond(err)
-						}
-					}
-					g.RUnlock()
-				}
-				x = y
-			}
-		}(uuid, idxs)
+			e.runGroup(ctx, uuid, b.Reqs, idxs, resps, nil)
+		}()
+	}
+	for _, uuid := range p.Order {
+		run(uuid, p.Groups[uuid])
 	}
 	for _, i := range p.Singles {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resps[i] = e.Handle(ctx, b.Reqs[i])
-		}(i)
+		run("", []int{i}) // keyless: no order lock, a goroutine each
 	}
 	wg.Wait()
+	if then != nil {
+		then()
+	}
 	return &wire.BatchResp{Resps: resps}
+}
+
+// runGroup runs one stream's sub-requests (reqs[idxs]) in batch order,
+// holding its order lock across them and then if any is a mutation. Runs
+// of chunk inserts take the batched ingest path: one index root-path
+// update for the whole run, with per-sub-request results preserved.
+func (e *Engine) runGroup(ctx context.Context, uuid string, reqs []wire.Message, idxs []int, resps []wire.Message, then func()) {
+	mutates := false
+	for _, i := range idxs {
+		mutates = mutates || wire.KindOf(reqs[i]) == wire.KindMutation
+	}
+	var h held
+	if mutates {
+		h = e.lockOrder(uuid)
+		defer e.unlockOrder(&h)
+	}
+	for x := 0; x < len(idxs); {
+		if _, ok := reqs[idxs[x]].(*wire.InsertChunk); !ok {
+			resps[idxs[x]] = e.dispatch(ctx, &h, reqs[idxs[x]])
+			x++
+			continue
+		}
+		y := x
+		var blobs [][]byte
+		for ; y < len(idxs); y++ {
+			ic, ok := reqs[idxs[y]].(*wire.InsertChunk)
+			if !ok {
+				break
+			}
+			blobs = append(blobs, ic.Chunk)
+		}
+		if errMsg := e.checkFence(ctx, uuid); errMsg != nil {
+			for k := range blobs {
+				resps[idxs[x+k]] = errMsg
+			}
+		} else {
+			for k, err := range e.insertChunks(&h, blobs) {
+				resps[idxs[x+k]] = respond(err)
+			}
+		}
+		x = y
+	}
+	if then != nil {
+		then()
+	}
 }
 
 func respond(err error) wire.Message {

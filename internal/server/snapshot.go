@@ -230,14 +230,15 @@ func snapshotKeyAllowed(uuid, key string) bool {
 // commits it, so a half-copied stream is never served. Refused while the
 // stream is live on this shard (that would corrupt a serving stream).
 func (e *Engine) IngestSnapshot(uuid string, items []wire.KVItem) error {
+	return e.ordered(uuid, func(h *held) error { return e.ingestSnapshot(h, items) })
+}
+
+func (e *Engine) ingestSnapshot(h *held, items []wire.KVItem) error {
+	uuid := h.uuid
 	if uuid == "" {
 		return errors.New("server: empty stream UUID")
 	}
-	st := e.stripeFor(uuid)
-	st.mu.RLock()
-	_, live := st.streams[uuid]
-	st.mu.RUnlock()
-	if live {
+	if _, err := e.live(h); err == nil {
 		return fmt.Errorf("server: stream %q is live on this shard; refusing snapshot import", uuid)
 	}
 	ops := make([]kv.Op, 0, len(items))
@@ -253,17 +254,25 @@ func (e *Engine) IngestSnapshot(uuid string, items []wire.KVItem) error {
 // HandoffComplete finishes (or aborts) one stream's migration on this
 // shard; see the wire.Handoff* action docs.
 func (e *Engine) HandoffComplete(uuid string, epoch uint64, action uint8) error {
+	return e.ordered(uuid, func(h *held) error { return e.handoffComplete(h, epoch, action) })
+}
+
+func (e *Engine) handoffComplete(h *held, epoch uint64, action uint8) error {
 	switch action {
 	case wire.HandoffCommit:
-		return e.handoffCommit(uuid)
+		return e.handoffCommit(h)
 	case wire.HandoffRelease:
-		return e.handoffRelease(uuid, epoch)
+		return e.handoffRelease(h, epoch)
 	case wire.HandoffAbort:
-		return e.handoffAbort(uuid)
+		return e.handoffAbort(h)
 	case wire.HandoffReclaim:
-		return e.handoffReclaim(uuid)
+		return e.handoffReclaim(h)
 	case wire.HandoffFence:
-		return e.handoffFence(uuid, epoch)
+		if h.uuid == "" {
+			return fmt.Errorf("server: fence needs a stream uuid")
+		}
+		e.setFence(h.uuid, epoch)
+		return nil
 	default:
 		return fmt.Errorf("server: unknown handoff action %d", action)
 	}
@@ -273,81 +282,74 @@ func (e *Engine) HandoffComplete(uuid string, epoch uint64, action uint8) error 
 // created here again (the stream moved away, was deleted on its new
 // owner, and ring ownership later returned to this shard). Refused for a
 // live stream — a registered stream has no tombstone to reclaim.
-func (e *Engine) handoffReclaim(uuid string) error {
-	st := e.stripeFor(uuid)
-	st.mu.RLock()
-	_, live := st.streams[uuid]
-	st.mu.RUnlock()
-	if live {
-		return fmt.Errorf("server: stream %q is live on this shard; nothing to reclaim", uuid)
+func (e *Engine) handoffReclaim(h *held) error {
+	if _, err := e.live(h); err == nil {
+		return fmt.Errorf("server: stream %q is live on this shard; nothing to reclaim", h.uuid)
 	}
-	return e.clearMoved(uuid)
+	return e.clearMoved(h.uuid)
 }
 
 // handoffCommit registers an imported stream: the destination side of a
 // migration starts serving. Clears any tombstone from an earlier move in
 // the other direction.
-func (e *Engine) handoffCommit(uuid string) error {
-	meta, err := e.store.Get(metaKey(uuid))
+func (e *Engine) handoffCommit(h *held) error {
+	meta, err := e.store.Get(metaKey(h.uuid))
 	if errors.Is(err, kv.ErrNotFound) {
-		return fmt.Errorf("server: stream %q has no imported meta to commit", uuid)
+		return fmt.Errorf("server: stream %q has no imported meta to commit", h.uuid)
 	}
 	if err != nil {
 		return err
 	}
-	if _, err := e.openStream(uuid, meta); err != nil {
+	if _, err := e.openStream(h, meta); err != nil {
 		return err
 	}
-	return e.clearMoved(uuid)
+	return e.clearMoved(h.uuid)
 }
 
-// handoffRelease retires a migrated stream on the source: the in-memory
-// registration goes first (behind the tombstone, so no request window
-// sees "neither side"), then the persisted data is deleted and the
-// tombstone written. Re-releasing an already-tombstoned stream at the
-// same epoch is a no-op, so a coordinator retry after a lost response
-// converges.
-func (e *Engine) handoffRelease(uuid string, epoch uint64) error {
-	// The tombstone takes over rejection duty from any armed drain fence.
-	e.liftFence(uuid)
-	st := e.stripeFor(uuid)
-	st.mu.Lock()
-	_, live := st.streams[uuid]
-	if live {
-		// Tombstone before unregistering: a concurrent lookup either
-		// still sees the live stream or already sees the tombstone.
-		e.setMoved(uuid, epoch)
-		delete(st.streams, uuid)
-	}
-	st.mu.Unlock()
-	if live {
-		// Live views on the departing stream die with the move; their
-		// subscribers see CodeWrongShard (epoch attached) and
-		// resubscribe on the new owner.
-		e.subs.DropStream(uuid, &movedError{uuid: uuid, epoch: epoch})
-	}
-	if !live {
+// handoffRelease retires a migrated stream on the source, under its order
+// lock. The tombstone goes up in memory and the entry is retired before
+// the persisted data is deleted and the tombstone written, so no request
+// window sees "neither side": a read that starts from then on, and a
+// mutation that waited for the lock, answer CodeWrongShard. If that batch
+// fails, the stream comes back, still behind its drain fence, and a
+// coordinator retry finds it. Re-releasing an already-tombstoned stream at
+// the same epoch is a no-op, so a retry after a lost response converges.
+func (e *Engine) handoffRelease(h *held, epoch uint64) error {
+	uuid := h.uuid
+	s, err := e.live(h)
+	if err != nil {
+		e.setFence(uuid, 0) // nothing here for a fence to guard
 		if prev, moved := e.movedEpoch(uuid); moved && prev == epoch {
 			return nil // idempotent retry
 		}
 		return fmt.Errorf("server: stream %q: %w", uuid, errStreamNotFound)
 	}
-	ops := e.deleteStreamOps(uuid)
-	ops = append(ops, kv.Op{Kind: kv.OpPut, Key: movedKey(uuid), Value: encodeMovedEpoch(epoch)})
-	return e.store.Batch(ops)
+	e.setMoved(uuid, epoch)
+	s.dead.Store(true)
+	ops := append(e.deleteStreamOps(uuid), kv.Op{Kind: kv.OpPut, Key: movedKey(uuid), Value: encodeMovedEpoch(epoch)})
+	if err := e.store.Batch(ops); err != nil {
+		s.dead.Store(false)
+		e.movedMu.Lock()
+		delete(e.moved, uuid) // a live stream has no tombstone
+		e.movedMu.Unlock()
+		return err
+	}
+	// The tombstone takes over rejection duty from any armed drain fence.
+	e.setFence(uuid, 0)
+	// Live views on the departing stream die with the move; their
+	// subscribers see CodeWrongShard (epoch attached) and resubscribe on
+	// the new owner.
+	e.subs.DropStream(uuid, &movedError{uuid: uuid, epoch: epoch})
+	return nil
 }
 
 // handoffAbort discards a partial import: the migration failed before
 // commit and the stream stays with the source. Refused for a live stream.
-func (e *Engine) handoffAbort(uuid string) error {
-	st := e.stripeFor(uuid)
-	st.mu.RLock()
-	_, live := st.streams[uuid]
-	st.mu.RUnlock()
-	if live {
-		return fmt.Errorf("server: stream %q is live on this shard; refusing import abort", uuid)
+func (e *Engine) handoffAbort(h *held) error {
+	if _, err := e.live(h); err == nil {
+		return fmt.Errorf("server: stream %q is live on this shard; refusing import abort", h.uuid)
 	}
-	return e.store.Batch(e.deleteStreamOps(uuid))
+	return e.store.Batch(e.deleteStreamOps(h.uuid))
 }
 
 // deleteStreamOps collects the store deletions removing every persisted
