@@ -191,6 +191,10 @@ func TestHotPathAllocBudgets(t *testing.T) {
 	// the writes must not be bought with garbage. MemStore's append-only
 	// pages replace its per-value allocations: 171 allocs and 23,439-23,786
 	// B, where the map-of-slices store measured 212-213 and 24,771-25,202 B.
+	// The index cache copies vectors into slot slabs instead of keeping a
+	// boxed entry and a vector per node: 134-135 allocs and 21,548-24,375 B
+	// over 190 runs (the spread is the cache map's growth, which depends on
+	// the hash seed).
 	t.Run("engine-insert-batch", func(t *testing.T) {
 		spec := hotSpec(t)
 		engine := hotEngine(t, spec)
@@ -208,8 +212,8 @@ func TestHotPathAllocBudgets(t *testing.T) {
 		defer debug.SetGCPercent(debug.SetGCPercent(-1)) // keep the stage pooled
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		insert()
-		if allocs := testing.AllocsPerRun(runs/2-1, insert); allocs > 171 {
-			t.Errorf("16-chunk InsertChunkBatch: %.1f allocs, want <= 171", allocs)
+		if allocs := testing.AllocsPerRun(runs/2-1, insert); allocs > 135 {
+			t.Errorf("16-chunk InsertChunkBatch: %.1f allocs, want <= 135", allocs)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -218,8 +222,8 @@ func TestHotPathAllocBudgets(t *testing.T) {
 			insert()
 		}
 		runtime.ReadMemStats(&after)
-		if perOp := (after.TotalAlloc - before.TotalAlloc) / uint64((next-start)/batch); perOp > 26000 {
-			t.Errorf("16-chunk InsertChunkBatch: %d B, want <= 26000", perOp)
+		if perOp := (after.TotalAlloc - before.TotalAlloc) / uint64((next-start)/batch); perOp > 25000 {
+			t.Errorf("16-chunk InsertChunkBatch: %d B, want <= 25000", perOp)
 		}
 	})
 	t.Run("index-query-hit", func(t *testing.T) {

@@ -43,141 +43,209 @@ func hexLen(x uint64) int { return max(1, (bits.Len64(x)+3)/4) }
 // queries, so a plain LRU lets one-shot leaf traffic flush exactly the
 // entries that would have been reused; level-aware eviction keeps the hot
 // top of the tree resident even under tiny budgets.
+//
+// No entry holds a Go pointer. A node lives in a slot: its vector in a
+// slab's vecs, its key and recency links in the slab's meta, and the map
+// names it by slot id. The collector marks a segment's slabs, not its
+// entries, though an ingest caches a leaf and its ancestors per chunk.
+// Vectors are copied in by put and out by get under the segment's lock,
+// so no reference escapes and a slot is reused as soon as it is freed.
 type lruCache struct {
 	mu      sync.Mutex
 	budget  int64
 	used    int64
 	keyBase int       // store-key bytes shared by every node: "i/<stream>//"
-	levels  []lruList // per-level LRU list, indexed by level
-	items   map[uint64]*lruEntry
+	vecLen  int       // elements per node vector
+	levels  []lruList // per-level LRU list, indexed by level; bounded only
+	items   map[uint64]int32
+	slabs   []slab
+	slots   int   // slots in all slabs
+	free    int32 // free slots, linked through meta.next
 
 	hits   uint64
 	misses uint64
 }
 
-// lruEntry is one cached node, linked into its level's list.
-type lruEntry struct {
+// A slot id is its slab's number above slotBits and its offset in the slab
+// below. A new slab holds a sixteenth of the slots so far, between minSlab
+// and 1<<slotBits: as with MemStore's pages, the unfilled slab costs at
+// most ~6 % over the cached nodes, and a segment of a few hundred nodes (a
+// query-range or mixed-fig7 stream) does not pay for a full-size slab.
+// docs/PERFORMANCE.md has the sizings measured against this one.
+const (
+	slotBits     = 10
+	minSlab      = 8
+	slabFraction = 16
+	noSlot       = int32(-1)
+)
+
+// slab holds the vectors and the bookkeeping of a run of slots.
+type slab struct {
+	vecs []uint64 // vecLen elements per slot
+	meta []slotMeta
+}
+
+// slotMeta is a slot's key and its links in its level's list (or, for a
+// free slot, in the free list).
+type slotMeta struct {
 	key        uint64
-	vec        []uint64
-	prev, next *lruEntry
+	prev, next int32
 }
 
-// lruList is a doubly linked list through the entries themselves; front is
-// the most recently used.
-type lruList struct{ front, back *lruEntry }
+// lruList is a doubly linked list through the slots; front is the most
+// recently used.
+type lruList struct{ front, back int32 }
 
-func (l *lruList) pushFront(e *lruEntry) {
-	e.prev, e.next = nil, l.front
-	if l.front != nil {
-		l.front.prev = e
+func newLRUCache(budget int64, keyBase, vecLen int) *lruCache {
+	return &lruCache{budget: budget, keyBase: keyBase, vecLen: vecLen, items: make(map[uint64]int32), free: noSlot}
+}
+
+func (c *lruCache) meta(id int32) *slotMeta {
+	return &c.slabs[id>>slotBits].meta[id&(1<<slotBits-1)]
+}
+
+func (c *lruCache) vec(id int32) []uint64 {
+	off := int(id&(1<<slotBits-1)) * c.vecLen
+	return c.slabs[id>>slotBits].vecs[off : off+c.vecLen : off+c.vecLen]
+}
+
+// alloc takes a free slot, adding a slab when there is none.
+func (c *lruCache) alloc() int32 {
+	if c.free == noSlot {
+		n := min(max(c.slots/slabFraction, minSlab), 1<<slotBits)
+		s := slab{vecs: make([]uint64, n*c.vecLen), meta: make([]slotMeta, n)}
+		base := int32(len(c.slabs)) << slotBits
+		for i := range s.meta {
+			s.meta[i].next = base | int32(i+1)
+		}
+		s.meta[n-1].next = noSlot
+		c.slabs = append(c.slabs, s)
+		c.slots += n
+		c.free = base
+	}
+	id := c.free
+	c.free = c.meta(id).next
+	return id
+}
+
+func (c *lruCache) pushFront(l *lruList, id int32) {
+	m := c.meta(id)
+	m.prev, m.next = noSlot, l.front
+	if l.front != noSlot {
+		c.meta(l.front).prev = id
 	} else {
-		l.back = e
+		l.back = id
 	}
-	l.front = e
+	l.front = id
 }
 
-func (l *lruList) remove(e *lruEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+func (c *lruCache) unlink(l *lruList, id int32) {
+	m := c.meta(id)
+	if m.prev != noSlot {
+		c.meta(m.prev).next = m.next
 	} else {
-		l.front = e.next
+		l.front = m.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if m.next != noSlot {
+		c.meta(m.next).prev = m.prev
 	} else {
-		l.back = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (l *lruList) moveToFront(e *lruEntry) {
-	if l.front != e {
-		l.remove(e)
-		l.pushFront(e)
+		l.back = m.prev
 	}
 }
 
-func newLRUCache(budget int64, keyBase int) *lruCache {
-	return &lruCache{budget: budget, keyBase: keyBase, items: make(map[uint64]*lruEntry)}
+func (c *lruCache) moveToFront(l *lruList, id int32) {
+	if l.front != id {
+		c.unlink(l, id)
+		c.pushFront(l, id)
+	}
 }
 
 // entrySize is what an entry counts against the budget: the bytes of the
 // node's store key (which the integer-keyed cache no longer holds, but the
 // budget's meaning — how many nodes a given CacheBytes keeps — must not
 // shift under operators), the vector, and a bookkeeping estimate.
-func (c *lruCache) entrySize(key uint64, vec []uint64) int64 {
+func (c *lruCache) entrySize(key uint64) int64 {
 	keyLen := c.keyBase + hexLen(uint64(keyLevel(key))) + hexLen(key&maxIdx)
-	return int64(keyLen) + int64(8*len(vec)) + 64
+	return int64(keyLen) + int64(8*c.vecLen) + 64
 }
 
-// get returns a copy-free reference to the cached vector. Callers must not
-// mutate it; use put for read-modify-write.
-func (c *lruCache) get(key uint64) ([]uint64, bool) {
+// get copies key's vector into dst (vecLen elements) and reports whether
+// it was cached.
+func (c *lruCache) get(key uint64, dst []uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ent, ok := c.items[key]
+	id, ok := c.items[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		return false
 	}
 	c.hits++
 	if c.budget > 0 {
-		// An unbounded cache never evicts: it keeps no recency order, and
-		// a hit writes to no entry but the counters.
-		c.levels[keyLevel(key)].moveToFront(ent)
+		c.moveToFront(&c.levels[keyLevel(key)], id)
 	}
-	return ent.vec, true
+	copy(dst, c.vec(id))
+	return true
 }
 
-// put inserts or replaces key's vector (which the cache takes ownership
-// of), then evicts over-budget entries lowest level first.
+// put inserts or replaces key's vector (copying vec, vecLen elements),
+// then evicts over-budget entries lowest level first.
 func (c *lruCache) put(key uint64, vec []uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	level := keyLevel(key)
-	if ent, ok := c.items[key]; ok {
-		c.used += c.entrySize(key, vec) - c.entrySize(key, ent.vec)
-		ent.vec = vec
-		c.levels[level].moveToFront(ent)
-	} else {
-		for len(c.levels) <= level {
-			c.levels = append(c.levels, lruList{})
-		}
-		ent := &lruEntry{key: key, vec: vec}
-		c.items[key] = ent
-		c.levels[level].pushFront(ent)
-		c.used += c.entrySize(key, vec)
+	id, ok := c.items[key]
+	if !ok {
+		id = c.alloc()
+		c.meta(id).key = key
+		c.items[key] = id
+		c.used += c.entrySize(key)
 	}
-	if c.budget > 0 {
-		for c.used > c.budget && len(c.items) > 0 {
-			c.evictOne()
-		}
+	copy(c.vec(id), vec)
+	if c.budget <= 0 {
+		return // unbounded: never evicts, so it keeps no recency order
+	}
+	level := keyLevel(key)
+	for len(c.levels) <= level {
+		c.levels = append(c.levels, lruList{noSlot, noSlot})
+	}
+	if ok {
+		c.moveToFront(&c.levels[level], id)
+	} else {
+		c.pushFront(&c.levels[level], id)
+	}
+	for c.used > c.budget && len(c.items) > 0 {
+		c.evictOne()
 	}
 }
 
 // evictOne removes the LRU entry of the lowest non-empty level.
 func (c *lruCache) evictOne() {
 	for level := range c.levels {
-		if back := c.levels[level].back; back != nil {
+		if back := c.levels[level].back; back != noSlot {
 			c.drop(back)
 			return
 		}
 	}
 }
 
-// drop unlinks an entry and returns its bytes to the budget.
-func (c *lruCache) drop(ent *lruEntry) {
-	c.levels[keyLevel(ent.key)].remove(ent)
-	delete(c.items, ent.key)
-	c.used -= c.entrySize(ent.key, ent.vec)
+// drop unlinks an entry, returns its bytes to the budget and its slot to
+// the free list.
+func (c *lruCache) drop(id int32) {
+	m := c.meta(id)
+	if c.budget > 0 {
+		c.unlink(&c.levels[keyLevel(m.key)], id)
+	}
+	delete(c.items, m.key)
+	c.used -= c.entrySize(m.key)
+	m.next = c.free
+	c.free = id
 }
 
 // remove drops key if present.
 func (c *lruCache) remove(key uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ent, ok := c.items[key]; ok {
-		c.drop(ent)
+	if id, ok := c.items[key]; ok {
+		c.drop(id)
 	}
 }
 

@@ -33,8 +33,9 @@ const (
 // newStripedCache builds a cache of nextPow2(GOMAXPROCS) segments
 // splitting budget evenly (fewer when the budget is small). budget <= 0
 // means unbounded. keyBase is the store-key length entries are charged on
-// top of their level and index digits (see lruCache.entrySize).
-func newStripedCache(budget int64, keyBase int) *stripedCache {
+// top of their level and index digits (see lruCache.entrySize); vecLen is
+// the length of every cached vector.
+func newStripedCache(budget int64, keyBase, vecLen int) *stripedCache {
 	n := 1
 	for n < runtime.GOMAXPROCS(0) && n < maxCacheStripes {
 		n <<= 1
@@ -42,12 +43,12 @@ func newStripedCache(budget int64, keyBase int) *stripedCache {
 	for budget > 0 && n > 1 && budget/int64(n) < minStripeBudget {
 		n >>= 1
 	}
-	return newStripedCacheN(budget, keyBase, n)
+	return newStripedCacheN(budget, keyBase, vecLen, n)
 }
 
 // newStripedCacheN builds a cache with an explicit power-of-two segment
 // count (tests pin it for determinism).
-func newStripedCacheN(budget int64, keyBase, n int) *stripedCache {
+func newStripedCacheN(budget int64, keyBase, vecLen, n int) *stripedCache {
 	segBudget := budget
 	if budget > 0 {
 		segBudget = budget / int64(n)
@@ -57,7 +58,7 @@ func newStripedCacheN(budget int64, keyBase, n int) *stripedCache {
 	}
 	c := &stripedCache{mask: uint64(n - 1), segs: make([]*lruCache, n)}
 	for i := range c.segs {
-		c.segs[i] = newLRUCache(segBudget, keyBase)
+		c.segs[i] = newLRUCache(segBudget, keyBase, vecLen)
 	}
 	return c
 }
@@ -69,9 +70,9 @@ func (c *stripedCache) seg(key uint64) *lruCache {
 	return c.segs[(key*0x9E3779B97F4A7C15)>>32&c.mask]
 }
 
-func (c *stripedCache) get(key uint64) ([]uint64, bool) { return c.seg(key).get(key) }
-func (c *stripedCache) put(key uint64, vec []uint64)    { c.seg(key).put(key, vec) }
-func (c *stripedCache) remove(key uint64)               { c.seg(key).remove(key) }
+func (c *stripedCache) get(key uint64, dst []uint64) bool { return c.seg(key).get(key, dst) }
+func (c *stripedCache) put(key uint64, vec []uint64)      { c.seg(key).put(key, vec) }
+func (c *stripedCache) remove(key uint64)                 { c.seg(key).remove(key) }
 
 // stats sums the per-segment counters. The sums are not a consistent
 // snapshot across segments — fine for the observability counters these

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -75,7 +76,7 @@ func Open(store kv.Store, streamID string, cfg Config) (*Tree, error) {
 		return nil, err
 	}
 	t := &Tree{store: store, streamID: streamID, cfg: cfg, levels: treeLevels(cfg.Fanout)}
-	t.cache = newStripedCache(cfg.CacheBytes, len("i/")+len(streamID)+len("//"))
+	t.cache = newStripedCache(cfg.CacheBytes, len("i/")+len(streamID)+len("//"), cfg.VectorLen)
 	meta, err := store.Get(t.metaKey())
 	switch {
 	case err == nil:
@@ -122,72 +123,62 @@ func (t *Tree) nodeKey(level int, idx uint64) string {
 	return string(b)
 }
 
-func decodeVec(data []byte, want int) ([]uint64, error) {
-	if len(data) != 8*want {
-		return nil, fmt.Errorf("index: node has %d bytes, want %d", len(data), 8*want)
-	}
-	vec := make([]uint64, want)
-	for i := range vec {
-		vec[i] = binary.BigEndian.Uint64(data[i*8:])
-	}
-	return vec, nil
-}
-
-// loadNode fetches a node vector through the cache. The returned slice is
-// shared with the cache; callers must copy before mutating.
-func (t *Tree) loadNode(level int, idx uint64) ([]uint64, error) {
+// loadNode reads node (level, idx) into dst (VectorLen elements) through
+// the cache, decoding a miss from the store straight into dst.
+func (t *Tree) loadNode(level int, idx uint64, dst []uint64) error {
 	key := cacheKey(level, idx)
-	if vec, ok := t.cache.get(key); ok {
-		return vec, nil
+	if t.cache.get(key, dst) {
+		return nil
 	}
 	data, err := t.store.Get(t.nodeKey(level, idx))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	vec, err := decodeVec(data, t.cfg.VectorLen)
-	if err != nil {
-		return nil, err
+	if len(data) != 8*len(dst) {
+		return fmt.Errorf("index: node has %d bytes, want %d", len(data), 8*len(dst))
 	}
-	t.cache.put(key, vec)
-	return vec, nil
+	for i := range dst {
+		dst[i] = binary.BigEndian.Uint64(data[i*8:])
+	}
+	t.cache.put(key, dst)
+	return nil
 }
 
 // stage is the scratch one append builds its store batch in: the ops, the
-// encoded node values the ops point into, and the decoded vectors the cache
-// takes once the batch is in the store. Stages are pooled per process — an
-// open stream owns none — and an op's Value is only valid until release.
+// encoded node values the ops point into, and the ancestor sums the cache
+// copies once the batch is in the store. Stages are pooled per process —
+// an open stream owns none — and an op's Value is only valid until
+// release.
 type stage struct {
 	ops   []kv.Op
 	buf   []byte
 	nodes []stagedNode
+	vecs  []uint64 // the staged ancestors' vectors, back to back
 	idxs  []uint64
 	delta []uint64
 }
 
 type stagedNode struct {
 	key uint64 // cache key
-	vec []uint64
+	off int    // the vector's offset in vecs
 }
 
 var stagePool = sync.Pool{New: func() any { return new(stage) }}
 
-// put stages the write of one node: a store op now, a cache entry once the
-// batch has committed.
+// put stages the store write of one node.
 func (st *stage) put(t *Tree, level int, idx uint64, vec []uint64) {
 	off := len(st.buf)
 	for _, v := range vec {
 		st.buf = binary.BigEndian.AppendUint64(st.buf, v)
 	}
 	st.ops = append(st.ops, kv.Op{Kind: kv.OpPut, Key: t.nodeKey(level, idx), Value: st.buf[off:len(st.buf):len(st.buf)]})
-	st.nodes = append(st.nodes, stagedNode{cacheKey(level, idx), vec})
 }
 
-// release returns the stage to the pool without the keys, values and
-// vectors it pointed at.
+// release returns the stage to the pool without the keys and values it
+// pointed at.
 func (st *stage) release() {
 	clear(st.ops)
-	clear(st.nodes)
-	st.ops, st.nodes, st.buf = st.ops[:0], st.nodes[:0], st.buf[:0]
+	st.ops, st.nodes, st.vecs, st.buf = st.ops[:0], st.nodes[:0], st.vecs[:0], st.buf[:0]
 	stagePool.Put(st)
 }
 
@@ -249,7 +240,7 @@ func (t *Tree) AppendBatchWith(pos uint64, digests [][]uint64, extra []kv.Op) er
 	defer st.release()
 	st.ops = append(st.ops, extra...)
 	for i, digest := range digests {
-		st.put(t, 0, pos+uint64(i), append([]uint64(nil), digest...))
+		st.put(t, 0, pos+uint64(i), digest)
 	}
 	k := uint64(t.cfg.Fanout)
 	// idxs[i] tracks digest i's node index at the current level; dividing
@@ -259,10 +250,11 @@ func (t *Tree) AppendBatchWith(pos uint64, digests [][]uint64, extra []kv.Op) er
 		idxs = append(idxs, pos+i)
 	}
 	st.idxs = idxs
-	if cap(st.delta) < t.cfg.VectorLen {
-		st.delta = make([]uint64, t.cfg.VectorLen)
+	v := t.cfg.VectorLen
+	if cap(st.delta) < v {
+		st.delta = make([]uint64, v)
 	}
-	delta := st.delta[:t.cfg.VectorLen]
+	delta := st.delta[:v]
 	for level := 1; level <= t.levels; level++ {
 		for i := range idxs {
 			idxs[i] /= k
@@ -274,8 +266,7 @@ func (t *Tree) AppendBatchWith(pos uint64, digests [][]uint64, extra []kv.Op) er
 			}
 			// Fold digests [i, j) — the run landing in node idxs[i] —
 			// into one delta, then apply it with a single
-			// read-modify-write. Nodes are copy-on-write: the cache never
-			// sees a vector change under a concurrent Query.
+			// read-modify-write into the stage's own copy of the node.
 			copy(delta, digests[i])
 			for x := i + 1; x < j; x++ {
 				d := digests[x]
@@ -283,20 +274,21 @@ func (t *Tree) AppendBatchWith(pos uint64, digests [][]uint64, extra []kv.Op) er
 					delta[e] += d[e]
 				}
 			}
-			cur, err := t.loadNode(level, idxs[i])
-			var next []uint64
-			switch {
+			off := len(st.vecs)
+			st.vecs = slices.Grow(st.vecs, v)[:off+v]
+			next := st.vecs[off:]
+			switch err := t.loadNode(level, idxs[i], next); {
 			case err == nil:
-				next = make([]uint64, len(cur))
-				for e := range cur {
-					next[e] = cur[e] + delta[e]
+				for e := range next {
+					next[e] += delta[e]
 				}
 			case errors.Is(err, kv.ErrNotFound):
-				next = append([]uint64(nil), delta...)
+				copy(next, delta)
 			default:
 				return err
 			}
 			st.put(t, level, idxs[i], next)
+			st.nodes = append(st.nodes, stagedNode{cacheKey(level, idxs[i]), off})
 			i = j
 		}
 	}
@@ -306,8 +298,11 @@ func (t *Tree) AppendBatchWith(pos uint64, digests [][]uint64, extra []kv.Op) er
 	if err := t.store.Batch(st.ops); err != nil {
 		return err
 	}
+	for i, digest := range digests {
+		t.cache.put(cacheKey(0, pos+uint64(i)), digest)
+	}
 	for _, nd := range st.nodes {
-		t.cache.put(nd.key, nd.vec)
+		t.cache.put(nd.key, st.vecs[nd.off:nd.off+v])
 	}
 	t.count = pos + n
 	return nil
@@ -330,30 +325,29 @@ func (t *Tree) Query(a, b uint64) ([]uint64, error) {
 		return nil, fmt.Errorf("index: query range [%d,%d) beyond ingested data (%d chunks)", a, b, count)
 	}
 	v := t.cfg.VectorLen
-	buf := make([]uint64, 2*v)
-	agg, scratch := buf[:v:v], buf[v:]
+	buf := make([]uint64, 3*v)
+	agg, scratch, node := buf[:v:v], buf[v:2*v:2*v], buf[2*v:]
 	k := uint64(t.cfg.Fanout)
 	// full is the number of nodes of the current level whose whole span is
-	// below count. Appends only ever touch nodes past that, so everything
-	// read here is immutable: the decomposition selects only nodes inside
+	// below count. Appends only ever touch nodes past that, so every node
+	// read here is final: the decomposition selects only nodes inside
 	// [a, b) ⊆ [0, count), and a parent is subtracted from only when it is
 	// itself full (then so are all its children).
 	full := count
 	// addRun adds the sibling nodes [x, y) of one level.
 	addRun := func(level int, x, y uint64) error {
-		if level < t.levels && x/k < full/k && k-(y-x)+1 < y-x && t.aroundRun(scratch, level, x, y) {
+		if level < t.levels && x/k < full/k && k-(y-x)+1 < y-x && t.aroundRun(scratch, node, level, x, y) {
 			for e := range agg {
 				agg[e] += scratch[e]
 			}
 			return nil
 		}
 		for i := x; i < y; i++ {
-			vec, err := t.loadNode(level, i)
-			if err != nil {
+			if err := t.loadNode(level, i, node); err != nil {
 				return fmt.Errorf("index: node (%d,%d): %w", level, i, err)
 			}
 			for e := range agg {
-				agg[e] += vec[e]
+				agg[e] += node[e]
 			}
 		}
 		return nil
@@ -388,27 +382,25 @@ func (t *Tree) Query(a, b uint64) ([]uint64, error) {
 }
 
 // aroundRun computes the sum of the sibling nodes [x, y) of one level into
-// dst as their parent minus the siblings outside the run. It reports false
-// when a node it needs is missing (a rollup pruned it), leaving the caller
-// to read the run itself.
-func (t *Tree) aroundRun(dst []uint64, level int, x, y uint64) bool {
+// dst as their parent minus the siblings outside the run, reading each
+// sibling into node. It reports false when a node it needs is missing (a
+// rollup pruned it), leaving the caller to read the run itself.
+func (t *Tree) aroundRun(dst, node []uint64, level int, x, y uint64) bool {
 	k := uint64(t.cfg.Fanout)
 	p := x / k
-	vec, err := t.loadNode(level+1, p)
-	if err != nil {
+	if t.loadNode(level+1, p, dst) != nil {
 		return false
 	}
-	copy(dst, vec)
 	for i := p * k; i < (p+1)*k; i++ {
 		if i == x {
 			i = y - 1 // skip the run
 			continue
 		}
-		if vec, err = t.loadNode(level, i); err != nil {
+		if t.loadNode(level, i, node) != nil {
 			return false
 		}
 		for e := range dst {
-			dst[e] -= vec[e]
+			dst[e] -= node[e]
 		}
 	}
 	return true

@@ -315,14 +315,15 @@ func TestLevelSpan(t *testing.T) {
 func leafKey(idx uint64) uint64 { return cacheKey(0, idx) }
 
 func TestLRUCacheEviction(t *testing.T) {
-	c := newLRUCache(300, 0)
+	c := newLRUCache(300, 0, 1)
 	for i := uint64(0); i < 5; i++ { // 2+8+64 = 74 bytes each: the fifth must evict the oldest
 		c.put(leafKey(i), []uint64{i})
 	}
-	if _, ok := c.get(leafKey(0)); ok {
+	vec := make([]uint64, 1)
+	if c.get(leafKey(0), vec) {
 		t.Error("oldest entry survived eviction")
 	}
-	if _, ok := c.get(leafKey(4)); !ok {
+	if !c.get(leafKey(4), vec) || vec[0] != 4 {
 		t.Error("newest entry evicted")
 	}
 	_, _, used, entries := c.stats()
@@ -335,7 +336,7 @@ func TestLRUCacheEviction(t *testing.T) {
 }
 
 func TestLRUCacheUnbounded(t *testing.T) {
-	c := newLRUCache(0, 0)
+	c := newLRUCache(0, 0, 1)
 	for i := 0; i < 1000; i++ {
 		c.put(cacheKey(i%3, uint64(i%260)), []uint64{uint64(i)})
 	}
@@ -345,14 +346,20 @@ func TestLRUCacheUnbounded(t *testing.T) {
 	}
 }
 
+// Every vector has the cache's length, so a replacement costs what the
+// entry cost: the accounting neither grows nor shrinks, and the new vector
+// is what a get copies out.
 func TestLRUCacheReplaceUpdatesSize(t *testing.T) {
-	c := newLRUCache(0, 0)
-	c.put(leafKey(7), []uint64{1})
+	c := newLRUCache(0, 0, 4)
+	c.put(leafKey(7), []uint64{1, 1, 1, 1})
 	_, _, used1, _ := c.stats()
 	c.put(leafKey(7), []uint64{1, 2, 3, 4})
-	_, _, used2, _ := c.stats()
-	if used2 <= used1 {
-		t.Error("replace did not grow size accounting")
+	_, _, used2, entries := c.stats()
+	if used2 != used1 || entries != 1 {
+		t.Errorf("replace moved the accounting from %d B to %d B, %d entries", used1, used2, entries)
+	}
+	if vec := make([]uint64, 4); !c.get(leafKey(7), vec) || vec[3] != 4 {
+		t.Errorf("replaced entry reads %v", vec)
 	}
 	c.remove(leafKey(7))
 	_, _, used3, _ := c.stats()
@@ -362,15 +369,16 @@ func TestLRUCacheReplaceUpdatesSize(t *testing.T) {
 }
 
 func TestLRUCacheEvictsLowLevelsFirst(t *testing.T) {
-	c := newLRUCache(300, 0)
+	c := newLRUCache(300, 0, 1)
 	c.put(cacheKey(3, 0), []uint64{9})
 	for i := uint64(0); i < 4; i++ { // over budget at the fourth: a leaf must go, not the top
 		c.put(leafKey(i), []uint64{i})
 	}
-	if _, ok := c.get(cacheKey(3, 0)); !ok {
+	vec := make([]uint64, 1)
+	if !c.get(cacheKey(3, 0), vec) {
 		t.Error("high-level node evicted while leaves were cached")
 	}
-	if _, ok := c.get(leafKey(0)); ok {
+	if c.get(leafKey(0), vec) {
 		t.Error("oldest leaf survived eviction")
 	}
 }
@@ -412,7 +420,7 @@ func TestCacheBudgetEquivalence(t *testing.T) {
 	if got := (48 << 10) / oldSize("i/s/0/3ff"); got != parentHeld {
 		t.Fatalf("test constant is off: old formula holds %d", got)
 	}
-	c := newStripedCacheN(48<<10, len("i/s//"), 1)
+	c := newStripedCacheN(48<<10, len("i/s//"), vecLen, 1)
 	for i := uint64(0); i < 1024; i++ {
 		c.put(leafKey(i), make([]uint64, vecLen))
 	}
