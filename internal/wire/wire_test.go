@@ -2,9 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"io"
 	"math"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -171,6 +174,52 @@ func TestEveryMessageRoundTrips(t *testing.T) {
 		}
 		if !reflect.DeepEqual(normalize(got), normalize(m)) {
 			t.Errorf("%T round trip mismatch:\n got %#v\nwant %#v", m, got, m)
+		}
+	}
+}
+
+// messagesGolden holds Marshal of every allMessages entry, one hex line
+// each, in order. It pins each message's field layout in both directions: a
+// field order that is wrong in the encoder and the decoder alike still
+// round-trips, but it no longer matches these bytes. Regenerate it with
+// TIMECRYPT_UPDATE_GOLDEN=1 only for a deliberate wire change.
+const messagesGolden = "testdata/messages.golden"
+
+func TestEveryMessageMatchesGolden(t *testing.T) {
+	msgs := allMessages()
+	if os.Getenv("TIMECRYPT_UPDATE_GOLDEN") == "1" {
+		var b strings.Builder
+		for _, m := range msgs {
+			b.WriteString(hex.EncodeToString(Marshal(m)) + "\n")
+		}
+		if err := os.WriteFile(messagesGolden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(messagesGolden)
+	if err != nil {
+		t.Fatalf("reading golden file (run with TIMECRYPT_UPDATE_GOLDEN=1 to capture): %v", err)
+	}
+	lines := strings.Fields(string(raw))
+	if len(lines) != len(msgs) {
+		t.Fatalf("%s has %d lines, allMessages has %d entries", messagesGolden, len(lines), len(msgs))
+	}
+	for i, m := range msgs {
+		want, err := hex.DecodeString(lines[i])
+		if err != nil {
+			t.Fatalf("line %d: %v", i+1, err)
+		}
+		if got := Marshal(m); !bytes.Equal(got, want) {
+			t.Errorf("line %d %T encodes as\n %x\nwant\n %x", i+1, m, got, want)
+		}
+		// Decoding the golden bytes and encoding the result must give them
+		// back: a decoder that reads two fields in swapped order fails here.
+		dm, err := Unmarshal(want)
+		if err != nil {
+			t.Errorf("line %d %T: %v", i+1, m, err)
+		} else if got := Marshal(dm); !bytes.Equal(got, want) {
+			t.Errorf("line %d %T decodes to %#v", i+1, m, dm)
 		}
 	}
 }
