@@ -411,7 +411,12 @@ func hostileServer(t *testing.T, respond func(conn net.Conn, id uint64, req wire
 			return
 		}
 		for {
-			id, _, _, req, err := wire.ReadRequest(conn)
+			payload, err := wire.ReadFrame(conn)
+			if err != nil {
+				conn.Close()
+				return
+			}
+			id, _, _, req, err := wire.DecodeRequest(payload)
 			if err != nil {
 				conn.Close()
 				return

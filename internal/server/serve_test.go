@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -113,7 +114,7 @@ func roundTripRaw(t *testing.T, conn net.Conn, id uint64, req wire.Message) wire
 	if err := wire.WriteRequest(conn, id, 0, req); err != nil {
 		t.Fatal(err)
 	}
-	gotID, more, resp, err := wire.ReadResponse(conn)
+	gotID, more, resp, err := readResponse(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestTCPServerConcurrentClients(t *testing.T) {
 					errs <- err
 					return
 				}
-				id, _, resp, err := wire.ReadResponse(conn)
+				id, _, resp, err := readResponse(conn)
 				if err != nil {
 					errs <- err
 					return
@@ -240,7 +241,7 @@ func TestConnInFlightCap(t *testing.T) {
 		}
 	}
 	// Requests 1 and 2 are parked; 3 overflows and must be refused first.
-	id, more, resp, err := wire.ReadResponse(conn)
+	id, more, resp, err := readResponse(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestQueryStreamOverTCP(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	id, more, resp, err := wire.ReadResponse(conn)
+	id, more, resp, err := readResponse(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestQueryStreamOverTCP(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	id, more, resp, err = wire.ReadResponse(conn)
+	id, more, resp, err = readResponse(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestPushExportRefused(t *testing.T) {
 	if err := wire.WriteRequest(conn, 5, 0, &wire.StreamSnapshot{UUID: "px", WithMeta: true, MaxItems: 4, Push: true}); err != nil {
 		t.Fatal(err)
 	}
-	id, more, resp, err := wire.ReadResponse(conn)
+	id, more, resp, err := readResponse(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +342,7 @@ func TestPushExportRefused(t *testing.T) {
 	if err := wire.WriteRequest(conn, 6, 0, &wire.StreamInfo{UUID: "px"}); err != nil {
 		t.Fatal(err)
 	}
-	id, more, resp, err = wire.ReadResponse(conn)
+	id, more, resp, err = readResponse(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +372,7 @@ func TestTCPServerSurvivesGarbage(t *testing.T) {
 	if err := wire.WriteRequest(conn2, 1, 0, &wire.CreateStream{UUID: "x", Cfg: h.cfg}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := wire.ReadResponse(conn2); err != nil {
+	if _, _, _, err := readResponse(conn2); err != nil {
 		t.Fatalf("server died after garbage connection: %v", err)
 	}
 }
@@ -417,4 +418,13 @@ func TestUnarySlotFreeBeforeResponseWritten(t *testing.T) {
 	if heldAtWrite != 0 {
 		t.Fatalf("%d slot(s) held when the response reached the connection, want 0", heldAtWrite)
 	}
+}
+
+// readResponse reads one framed response envelope.
+func readResponse(r io.Reader) (uint64, bool, wire.Message, error) {
+	payload, err := wire.ReadFrame(r)
+	if err != nil {
+		return 0, false, nil, err
+	}
+	return wire.DecodeResponse(payload)
 }

@@ -138,25 +138,15 @@ func WriteRequestEpoch(w io.Writer, id uint64, timeoutMS int64, epoch uint64, m 
 	e.I64(timeoutMS)
 	e.U64(epoch)
 	e.U8(uint8(m.Type()))
-	m.encode(e)
+	m.codec(Codec{e: e})
 	err := writeFramed(w, e)
 	putEncoder(e)
 	return err
 }
 
-// ReadRequest reads one framed request, returning the correlation ID, the
-// envelope time budget (ms, 0 = none), the sender's epoch (0 = none
+// DecodeRequest splits a request frame payload into the correlation ID,
+// the envelope time budget (ms, 0 = none), the sender's epoch (0 = none
 // asserted), and the message.
-func ReadRequest(r io.Reader) (uint64, int64, uint64, Message, error) {
-	payload, err := ReadFrame(r)
-	if err != nil {
-		return 0, 0, 0, nil, err
-	}
-	return DecodeRequest(payload)
-}
-
-// DecodeRequest splits a request frame payload into envelope header and
-// message (exported for fuzzing the envelope without a stream).
 func DecodeRequest(payload []byte) (uint64, int64, uint64, Message, error) {
 	d := NewDecoder(payload)
 	version := d.U8()
@@ -197,23 +187,14 @@ func WriteResponse(w io.Writer, id uint64, more bool, m Message) error {
 		e.U8(0)
 	}
 	e.U8(uint8(m.Type()))
-	m.encode(e)
+	m.codec(Codec{e: e})
 	err := writeFramed(w, e)
 	putEncoder(e)
 	return err
 }
 
-// ReadResponse reads one framed response envelope.
-func ReadResponse(r io.Reader) (uint64, bool, Message, error) {
-	payload, err := ReadFrame(r)
-	if err != nil {
-		return 0, false, nil, err
-	}
-	return DecodeResponse(payload)
-}
-
 // DecodeResponse splits a response frame payload into correlation ID, the
-// more-frames-follow flag, and the message (exported for fuzzing).
+// more-frames-follow flag, and the message.
 func DecodeResponse(payload []byte) (uint64, bool, Message, error) {
 	d := NewDecoder(payload)
 	id := d.U64()

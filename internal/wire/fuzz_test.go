@@ -2,8 +2,15 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"maps"
 	"math/rand/v2"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -51,6 +58,115 @@ func TestUnmarshalMutatedMessages(t *testing.T) {
 			if got, err := Unmarshal(data); err == nil {
 				Marshal(got)
 			}
+		}
+	}
+}
+
+// FuzzUnmarshal feeds the decoder arbitrary bytes. Decoding must never
+// panic, and whatever it accepts must re-marshal to bytes it accepts again
+// and that marshal the same way. That is idempotence, not Marshal(m) == b:
+// a clamped field (a page size, a credit grant) re-encodes as its clamp.
+// The seeds, one per allMessages entry plus the message bodies of the
+// hot-path golden frames, run in every plain go test; fuzz with
+//
+//	go test -run '^$' -fuzz FuzzUnmarshal -fuzztime 30s ./internal/wire/
+func FuzzUnmarshal(f *testing.F) {
+	for _, m := range allMessages() {
+		f.Add(Marshal(m))
+	}
+	for _, body := range goldenFrameBodies(f) {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := Unmarshal(b)
+		if err != nil {
+			return
+		}
+		first := Marshal(m)
+		again, err := Unmarshal(first)
+		if err != nil {
+			t.Fatalf("%T re-marshals to bytes it refuses: %v\n% x", m, err, first)
+		}
+		if second := Marshal(again); !bytes.Equal(second, first) {
+			t.Fatalf("%T re-marshals unstably:\n% x\n% x", m, first, second)
+		}
+	})
+}
+
+// goldenFrameBodies returns the messages inside the wire frames of the
+// root package's hot-path golden file, envelopes stripped.
+func goldenFrameBodies(f *testing.F) [][]byte {
+	raw, err := os.ReadFile("../../testdata/hotpath_golden.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var golden struct{ Frames map[string]string }
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		f.Fatal(err)
+	}
+	var bodies [][]byte
+	for _, name := range slices.Sorted(maps.Keys(golden.Frames)) {
+		frame, err := hex.DecodeString(golden.Frames[name])
+		if err != nil || len(frame) < 4 {
+			f.Fatalf("golden frame %s: %v", name, err)
+		}
+		var m Message
+		if strings.HasPrefix(name, "req_") {
+			_, _, _, m, err = DecodeRequest(frame[4:])
+		} else {
+			_, _, m, err = DecodeResponse(frame[4:])
+		}
+		if err != nil {
+			f.Fatalf("golden frame %s: %v", name, err)
+		}
+		bodies = append(bodies, Marshal(m))
+	}
+	if len(bodies) == 0 {
+		f.Fatal("no frames in the hot-path golden file")
+	}
+	return bodies
+}
+
+// TestHostileCountsAllocateLittle sends each list-carrying message a count
+// at its cap with no elements behind it. Every element takes at least one
+// byte, so the count cannot be met: the decoder must refuse it before it
+// allocates for the claimed elements (a 5-byte GetRangeResp once made it
+// allocate 384 MiB).
+func TestHostileCountsAllocateLittle(t *testing.T) {
+	frame := func(typ MsgType, head func(e *Encoder), count uint64) []byte {
+		var e Encoder
+		e.U8(uint8(typ))
+		if head != nil {
+			head(&e)
+		}
+		e.U64(count)
+		return e.Bytes()
+	}
+	uuid := func(e *Encoder) { e.Str("s") }
+	twoU64 := func(e *Encoder) { e.U64(1); e.U64(2) }
+	for name, b := range map[string][]byte{
+		"GetRangeResp":     frame(TGetRangeResp, nil, maxList),
+		"StatRange":        frame(TStatRange, nil, MaxAggStreams),
+		"StatRangeResp":    frame(TStatRangeResp, twoU64, maxList),
+		"GetGrantsResp":    frame(TGetGrantsResp, nil, 1<<20),
+		"PutEnvelopes":     frame(TPutEnvelopes, func(e *Encoder) { e.Str("s"); e.U64(6) }, maxList),
+		"GetEnvelopesResp": frame(TGetEnvelopesResp, nil, maxList),
+		"GetStagedResp":    frame(TGetStagedResp, nil, maxList),
+		"ListStreamsResp":  frame(TListStreamsResp, nil, maxList),
+		"IngestSnapshot":   frame(TIngestSnapshot, uuid, MaxSnapshotItems),
+		"ReplAppend":       frame(TReplAppend, twoU64, MaxReplRecords),
+		"TopologyUpdate":   frame(TTopologyUpdate, func(e *Encoder) { e.U64(1) }, MaxMembers),
+		"Batch":            frame(TBatch, nil, MaxBatch),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Unmarshal(b)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: count with no elements accepted", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Errorf("%s: a %d-byte frame allocated %d bytes before refusal", name, len(b), n)
 		}
 	}
 }
@@ -113,6 +229,22 @@ func TestBatchDecodeHostileInputs(t *testing.T) {
 		t.Error("garbage batch element accepted")
 	}
 
+	// A batch element is any message, so a request frame reaches every
+	// decoder: one whose digest vector claims 2^61 words is refused, not a
+	// panic that takes the server down.
+	var e5 Encoder
+	e5.U8(ProtoVersion)
+	e5.U64(1) // correlation ID
+	e5.I64(0) // time budget
+	e5.U64(0) // epoch
+	e5.U8(uint8(TBatch))
+	e5.U64(1)
+	e5.buf = append(e5.buf, 0, 0, 0, 14, uint8(TSubEvent), 0, 0, 0, 0)
+	e5.U64(1 << 61)
+	if _, _, _, _, err := DecodeRequest(e5.Bytes()); err == nil {
+		t.Error("batch element with a 2^61-word vector accepted")
+	}
+
 	// A count beyond MaxBatch is rejected before any allocation.
 	var e4 Encoder
 	e4.U8(uint8(TBatch))
@@ -159,7 +291,7 @@ func TestRequestEnvelopeHostileInputs(t *testing.T) {
 	if err := WriteRequest(&buf, 9, 30_000, &StreamInfo{UUID: "s"}); err != nil {
 		t.Fatal(err)
 	}
-	id, timeout, epoch, m, err := ReadRequest(&buf)
+	id, timeout, epoch, m, err := readRequest(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +309,7 @@ func TestRequestEnvelopeHostileInputs(t *testing.T) {
 		if err := WriteRequest(&buf, hostile, 0, &OK{}); err != nil {
 			t.Fatal(err)
 		}
-		if id, _, _, _, err := ReadRequest(&buf); err != nil || id != hostile {
+		if id, _, _, _, err := readRequest(&buf); err != nil || id != hostile {
 			t.Errorf("correlation ID %d -> %d, %v", hostile, id, err)
 		}
 	}
@@ -188,7 +320,7 @@ func TestRequestEnvelopeHostileInputs(t *testing.T) {
 	if err := WriteRequest(&buf, 1, 1<<60, &StreamInfo{UUID: "s"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, timeout, _, _, err = ReadRequest(&buf); err != nil || timeout != MaxTimeoutMS {
+	if _, timeout, _, _, err = readRequest(&buf); err != nil || timeout != MaxTimeoutMS {
 		t.Errorf("oversized timeout -> %d, %v (want clamp to %d)", timeout, err, int64(MaxTimeoutMS))
 	}
 
@@ -793,7 +925,7 @@ func TestEnvelopeEpochHostileInputs(t *testing.T) {
 		if err := WriteRequestEpoch(&buf, 5, 100, epoch, &OK{}); err != nil {
 			t.Fatal(err)
 		}
-		_, _, got, _, err := ReadRequest(&buf)
+		_, _, got, _, err := readRequest(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}

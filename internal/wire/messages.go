@@ -63,23 +63,27 @@ const (
 	TLeaseInfoResp    MsgType = 49
 )
 
-// Message is one protocol message.
+// Message is one protocol message. Its codec method names each field once,
+// in wire order; the same method encodes and decodes it.
 type Message interface {
 	Type() MsgType
-	encode(e *Encoder)
-	decode(d *Decoder) error
+	codec(c Codec)
 }
 
 // Marshal encodes a message as type byte + payload.
 func Marshal(m Message) []byte {
 	var e Encoder
 	e.U8(uint8(m.Type()))
-	m.encode(&e)
+	m.codec(Codec{e: &e})
 	return e.Bytes()
 }
 
 // Unmarshal decodes a message produced by Marshal.
-func Unmarshal(data []byte) (Message, error) {
+func Unmarshal(data []byte) (Message, error) { return unmarshal(new(Decoder), data) }
+
+// unmarshal is Unmarshal through d, which it resets first: a batch decodes
+// every element through one Decoder instead of allocating one per element.
+func unmarshal(d *Decoder, data []byte) (Message, error) {
 	if len(data) < 1 {
 		return nil, fmt.Errorf("wire: empty message")
 	}
@@ -88,11 +92,12 @@ func Unmarshal(data []byte) (Message, error) {
 		return nil, fmt.Errorf("wire: unknown message type %d", t)
 	}
 	m := messages[t].new()
-	d := NewDecoder(data[1:])
-	if err := m.decode(d); err != nil {
+	*d = Decoder{buf: data[1:]}
+	m.codec(Codec{d: d})
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	return m, d.Done()
+	return m, nil
 }
 
 // Kind is what a message is to the layers that replicate, fence and retry
@@ -254,16 +259,10 @@ const (
 )
 
 func (*Error) Type() MsgType { return TError }
-func (m *Error) encode(e *Encoder) {
-	e.U64(uint64(m.Code))
-	e.U64(m.Aux)
-	e.Str(m.Msg)
-}
-func (m *Error) decode(d *Decoder) error {
-	m.Code = uint32(d.U64())
-	m.Aux = d.U64()
-	m.Msg = d.Str()
-	return d.Err()
+func (m *Error) codec(c Codec) {
+	c.U32(&m.Code)
+	c.U64(&m.Aux)
+	c.Str(&m.Msg)
 }
 
 // Error implements the error interface so responses can flow through Go
@@ -273,9 +272,8 @@ func (m *Error) Error() string { return fmt.Sprintf("server error %d: %s", m.Cod
 // OK is the generic empty success response.
 type OK struct{}
 
-func (*OK) Type() MsgType         { return TOK }
-func (*OK) encode(*Encoder)       {}
-func (*OK) decode(*Decoder) error { return nil }
+func (*OK) Type() MsgType { return TOK }
+func (*OK) codec(Codec)   {}
 
 // StreamConfig is the server-visible stream metadata. The server never sees
 // key material; it needs only the time geometry (epoch, interval), the
@@ -293,29 +291,19 @@ type StreamConfig struct {
 
 // Encode appends the config to an encoder (exported for server-side
 // metadata persistence).
-func (c *StreamConfig) Encode(e *Encoder) { c.encode(e) }
+func (s *StreamConfig) Encode(e *Encoder) { s.codec(Codec{e: e}) }
 
 // Decode reads the config from a decoder; check d.Done or d.Err after.
-func (c *StreamConfig) Decode(d *Decoder) { c.decode(d) }
+func (s *StreamConfig) Decode(d *Decoder) { s.codec(Codec{d: d}) }
 
-func (c *StreamConfig) encode(e *Encoder) {
-	e.I64(c.Epoch)
-	e.I64(c.Interval)
-	e.U64(uint64(c.VectorLen))
-	e.U64(uint64(c.Fanout))
-	e.U8(c.Compression)
-	e.Blob(c.DigestSpec)
-	e.Str(c.Meta)
-}
-
-func (c *StreamConfig) decode(d *Decoder) {
-	c.Epoch = d.I64()
-	c.Interval = d.I64()
-	c.VectorLen = uint32(d.U64())
-	c.Fanout = uint32(d.U64())
-	c.Compression = d.U8()
-	c.DigestSpec = d.Blob()
-	c.Meta = d.Str()
+func (s *StreamConfig) codec(c Codec) {
+	c.I64(&s.Epoch)
+	c.I64(&s.Interval)
+	c.U32(&s.VectorLen)
+	c.U32(&s.Fanout)
+	c.U8(&s.Compression)
+	c.Blob(&s.DigestSpec)
+	c.Str(&s.Meta)
 }
 
 // CreateStream registers a new stream (Table 1 #1).
@@ -326,14 +314,9 @@ type CreateStream struct {
 
 func (*CreateStream) Type() MsgType                { return TCreateStream }
 func (m *CreateStream) routingKey() (string, bool) { return m.UUID, true }
-func (m *CreateStream) encode(e *Encoder) {
-	e.Str(m.UUID)
-	m.Cfg.encode(e)
-}
-func (m *CreateStream) decode(d *Decoder) error {
-	m.UUID = d.Str()
-	m.Cfg.decode(d)
-	return d.Err()
+func (m *CreateStream) codec(c Codec) {
+	c.Str(&m.UUID)
+	m.Cfg.codec(c)
 }
 
 // DeleteStream removes a stream and all associated data (Table 1 #2).
@@ -341,10 +324,8 @@ type DeleteStream struct{ UUID string }
 
 func (*DeleteStream) Type() MsgType                { return TDeleteStream }
 func (m *DeleteStream) routingKey() (string, bool) { return m.UUID, true }
-func (m *DeleteStream) encode(e *Encoder)          { e.Str(m.UUID) }
-func (m *DeleteStream) decode(d *Decoder) error {
-	m.UUID = d.Str()
-	return d.Err()
+func (m *DeleteStream) codec(c Codec) {
+	c.Str(&m.UUID)
 }
 
 // InsertChunk appends one sealed chunk (the wire-level form of Table 1 #4;
@@ -356,14 +337,9 @@ type InsertChunk struct {
 
 func (*InsertChunk) Type() MsgType                { return TInsertChunk }
 func (m *InsertChunk) routingKey() (string, bool) { return m.UUID, true }
-func (m *InsertChunk) encode(e *Encoder) {
-	e.Str(m.UUID)
-	e.Blob(m.Chunk)
-}
-func (m *InsertChunk) decode(d *Decoder) error {
-	m.UUID = d.Str()
-	m.Chunk = d.Blob()
-	return d.Err()
+func (m *InsertChunk) codec(c Codec) {
+	c.Str(&m.UUID)
+	c.Blob(&m.Chunk)
 }
 
 // GetRange retrieves the sealed chunks overlapping [Ts, Te) (Table 1 #5).
@@ -374,38 +350,18 @@ type GetRange struct {
 
 func (*GetRange) Type() MsgType                { return TGetRange }
 func (m *GetRange) routingKey() (string, bool) { return m.UUID, true }
-func (m *GetRange) encode(e *Encoder) {
-	e.Str(m.UUID)
-	e.I64(m.Ts)
-	e.I64(m.Te)
-}
-func (m *GetRange) decode(d *Decoder) error {
-	m.UUID = d.Str()
-	m.Ts = d.I64()
-	m.Te = d.I64()
-	return d.Err()
+func (m *GetRange) codec(c Codec) {
+	c.Str(&m.UUID)
+	c.I64(&m.Ts)
+	c.I64(&m.Te)
 }
 
 // GetRangeResp carries the matching sealed chunks.
 type GetRangeResp struct{ Chunks [][]byte }
 
 func (*GetRangeResp) Type() MsgType { return TGetRangeResp }
-func (m *GetRangeResp) encode(e *Encoder) {
-	e.U64(uint64(len(m.Chunks)))
-	for _, c := range m.Chunks {
-		e.Blob(c)
-	}
-}
-func (m *GetRangeResp) decode(d *Decoder) error {
-	n := d.U64()
-	if n > 1<<24 {
-		return fmt.Errorf("wire: implausible chunk count %d", n)
-	}
-	m.Chunks = make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
-		m.Chunks = append(m.Chunks, d.Blob())
-	}
-	return d.Err()
+func (m *GetRangeResp) codec(c Codec) {
+	c.Blobs(&m.Chunks, maxList, "chunk")
 }
 
 // StatRange is the statistical query (Table 1 #6). With multiple UUIDs the
@@ -421,28 +377,11 @@ type StatRange struct {
 
 func (*StatRange) Type() MsgType                { return TStatRange }
 func (m *StatRange) routingKey() (string, bool) { return soleUUID(m.UUIDs) }
-func (m *StatRange) encode(e *Encoder) {
-	e.U64(uint64(len(m.UUIDs)))
-	for _, u := range m.UUIDs {
-		e.Str(u)
-	}
-	e.I64(m.Ts)
-	e.I64(m.Te)
-	e.U64(m.WindowChunks)
-}
-func (m *StatRange) decode(d *Decoder) error {
-	n := d.U64()
-	if n > 1<<16 {
-		return fmt.Errorf("wire: implausible stream count %d", n)
-	}
-	m.UUIDs = make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		m.UUIDs = append(m.UUIDs, d.Str())
-	}
-	m.Ts = d.I64()
-	m.Te = d.I64()
-	m.WindowChunks = d.U64()
-	return d.Err()
+func (m *StatRange) codec(c Codec) {
+	c.Strs(&m.UUIDs, MaxAggStreams, "stream")
+	c.I64(&m.Ts)
+	c.I64(&m.Te)
+	c.U64(&m.WindowChunks)
 }
 
 // StatRangeResp returns encrypted aggregates. FromChunk/ToChunk report the
@@ -454,26 +393,10 @@ type StatRangeResp struct {
 }
 
 func (*StatRangeResp) Type() MsgType { return TStatRangeResp }
-func (m *StatRangeResp) encode(e *Encoder) {
-	e.U64(m.FromChunk)
-	e.U64(m.ToChunk)
-	e.U64(uint64(len(m.Windows)))
-	for _, w := range m.Windows {
-		e.Vec(w)
-	}
-}
-func (m *StatRangeResp) decode(d *Decoder) error {
-	m.FromChunk = d.U64()
-	m.ToChunk = d.U64()
-	n := d.U64()
-	if n > 1<<24 {
-		return fmt.Errorf("wire: implausible window count %d", n)
-	}
-	m.Windows = make([][]uint64, 0, n)
-	for i := uint64(0); i < n; i++ {
-		m.Windows = append(m.Windows, d.Vec())
-	}
-	return d.Err()
+func (m *StatRangeResp) codec(c Codec) {
+	c.U64(&m.FromChunk)
+	c.U64(&m.ToChunk)
+	c.Vecs(&m.Windows)
 }
 
 // DeleteRange removes chunk payloads in [Ts, Te) while preserving digests
@@ -486,16 +409,10 @@ type DeleteRange struct {
 
 func (*DeleteRange) Type() MsgType                { return TDeleteRange }
 func (m *DeleteRange) routingKey() (string, bool) { return m.UUID, true }
-func (m *DeleteRange) encode(e *Encoder) {
-	e.Str(m.UUID)
-	e.I64(m.Ts)
-	e.I64(m.Te)
-}
-func (m *DeleteRange) decode(d *Decoder) error {
-	m.UUID = d.Str()
-	m.Ts = d.I64()
-	m.Te = d.I64()
-	return d.Err()
+func (m *DeleteRange) codec(c Codec) {
+	c.Str(&m.UUID)
+	c.I64(&m.Ts)
+	c.I64(&m.Te)
 }
 
 // Rollup ages out data (Table 1 #3): chunk payloads and index detail below
@@ -508,18 +425,11 @@ type Rollup struct {
 
 func (*Rollup) Type() MsgType                { return TRollup }
 func (m *Rollup) routingKey() (string, bool) { return m.UUID, true }
-func (m *Rollup) encode(e *Encoder) {
-	e.Str(m.UUID)
-	e.U64(m.Factor)
-	e.I64(m.Ts)
-	e.I64(m.Te)
-}
-func (m *Rollup) decode(d *Decoder) error {
-	m.UUID = d.Str()
-	m.Factor = d.U64()
-	m.Ts = d.I64()
-	m.Te = d.I64()
-	return d.Err()
+func (m *Rollup) codec(c Codec) {
+	c.Str(&m.UUID)
+	c.U64(&m.Factor)
+	c.I64(&m.Ts)
+	c.I64(&m.Te)
 }
 
 // PutGrant stores a hybrid-encrypted access grant in the server key store
@@ -533,18 +443,11 @@ type PutGrant struct {
 
 func (*PutGrant) Type() MsgType                { return TPutGrant }
 func (m *PutGrant) routingKey() (string, bool) { return m.UUID, true }
-func (m *PutGrant) encode(e *Encoder) {
-	e.Str(m.UUID)
-	e.Str(m.Principal)
-	e.Str(m.GrantID)
-	e.Blob(m.Blob)
-}
-func (m *PutGrant) decode(d *Decoder) error {
-	m.UUID = d.Str()
-	m.Principal = d.Str()
-	m.GrantID = d.Str()
-	m.Blob = d.Blob()
-	return d.Err()
+func (m *PutGrant) codec(c Codec) {
+	c.Str(&m.UUID)
+	c.Str(&m.Principal)
+	c.Str(&m.GrantID)
+	c.Blob(&m.Blob)
 }
 
 // GetGrants fetches all grant blobs for a principal on a stream.
@@ -555,36 +458,17 @@ type GetGrants struct {
 
 func (*GetGrants) Type() MsgType                { return TGetGrants }
 func (m *GetGrants) routingKey() (string, bool) { return m.UUID, true }
-func (m *GetGrants) encode(e *Encoder) {
-	e.Str(m.UUID)
-	e.Str(m.Principal)
-}
-func (m *GetGrants) decode(d *Decoder) error {
-	m.UUID = d.Str()
-	m.Principal = d.Str()
-	return d.Err()
+func (m *GetGrants) codec(c Codec) {
+	c.Str(&m.UUID)
+	c.Str(&m.Principal)
 }
 
 // GetGrantsResp carries the grant blobs.
 type GetGrantsResp struct{ Blobs [][]byte }
 
 func (*GetGrantsResp) Type() MsgType { return TGetGrantsResp }
-func (m *GetGrantsResp) encode(e *Encoder) {
-	e.U64(uint64(len(m.Blobs)))
-	for _, b := range m.Blobs {
-		e.Blob(b)
-	}
-}
-func (m *GetGrantsResp) decode(d *Decoder) error {
-	n := d.U64()
-	if n > 1<<20 {
-		return fmt.Errorf("wire: implausible grant count %d", n)
-	}
-	m.Blobs = make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
-		m.Blobs = append(m.Blobs, d.Blob())
-	}
-	return d.Err()
+func (m *GetGrantsResp) codec(c Codec) {
+	c.Blobs(&m.Blobs, 1<<20, "grant")
 }
 
 // DeleteGrant revokes a stored grant (Table 1 #10; forward secrecy comes
@@ -597,22 +481,24 @@ type DeleteGrant struct {
 
 func (*DeleteGrant) Type() MsgType                { return TDeleteGrant }
 func (m *DeleteGrant) routingKey() (string, bool) { return m.UUID, true }
-func (m *DeleteGrant) encode(e *Encoder) {
-	e.Str(m.UUID)
-	e.Str(m.Principal)
-	e.Str(m.GrantID)
-}
-func (m *DeleteGrant) decode(d *Decoder) error {
-	m.UUID = d.Str()
-	m.Principal = d.Str()
-	m.GrantID = d.Str()
-	return d.Err()
+func (m *DeleteGrant) codec(c Codec) {
+	c.Str(&m.UUID)
+	c.Str(&m.Principal)
+	c.Str(&m.GrantID)
 }
 
 // WireEnvelope is a resolution key envelope in transit (§4.4.2).
 type WireEnvelope struct {
 	Index uint64
 	Box   []byte
+}
+
+// envelopes codes the envelope list of PutEnvelopes and GetEnvelopesResp.
+func (c Codec) envelopes(p *[]WireEnvelope) {
+	list(c, p, maxList, "envelope", func(w *WireEnvelope) {
+		c.U64(&w.Index)
+		c.Blob(&w.Box)
+	})
 }
 
 // PutEnvelopes uploads resolution key envelopes for one resolution stream.
@@ -624,27 +510,10 @@ type PutEnvelopes struct {
 
 func (*PutEnvelopes) Type() MsgType                { return TPutEnvelopes }
 func (m *PutEnvelopes) routingKey() (string, bool) { return m.UUID, true }
-func (m *PutEnvelopes) encode(e *Encoder) {
-	e.Str(m.UUID)
-	e.U64(m.Factor)
-	e.U64(uint64(len(m.Envs)))
-	for _, env := range m.Envs {
-		e.U64(env.Index)
-		e.Blob(env.Box)
-	}
-}
-func (m *PutEnvelopes) decode(d *Decoder) error {
-	m.UUID = d.Str()
-	m.Factor = d.U64()
-	n := d.U64()
-	if n > 1<<24 {
-		return fmt.Errorf("wire: implausible envelope count %d", n)
-	}
-	m.Envs = make([]WireEnvelope, 0, n)
-	for i := uint64(0); i < n; i++ {
-		m.Envs = append(m.Envs, WireEnvelope{Index: d.U64(), Box: d.Blob()})
-	}
-	return d.Err()
+func (m *PutEnvelopes) codec(c Codec) {
+	c.Str(&m.UUID)
+	c.U64(&m.Factor)
+	c.envelopes(&m.Envs)
 }
 
 // GetEnvelopes fetches envelopes Lo..Hi (inclusive) for a resolution stream.
@@ -656,41 +525,19 @@ type GetEnvelopes struct {
 
 func (*GetEnvelopes) Type() MsgType                { return TGetEnvelopes }
 func (m *GetEnvelopes) routingKey() (string, bool) { return m.UUID, true }
-func (m *GetEnvelopes) encode(e *Encoder) {
-	e.Str(m.UUID)
-	e.U64(m.Factor)
-	e.U64(m.Lo)
-	e.U64(m.Hi)
-}
-func (m *GetEnvelopes) decode(d *Decoder) error {
-	m.UUID = d.Str()
-	m.Factor = d.U64()
-	m.Lo = d.U64()
-	m.Hi = d.U64()
-	return d.Err()
+func (m *GetEnvelopes) codec(c Codec) {
+	c.Str(&m.UUID)
+	c.U64(&m.Factor)
+	c.U64(&m.Lo)
+	c.U64(&m.Hi)
 }
 
 // GetEnvelopesResp carries the requested envelopes.
 type GetEnvelopesResp struct{ Envs []WireEnvelope }
 
 func (*GetEnvelopesResp) Type() MsgType { return TGetEnvelopesResp }
-func (m *GetEnvelopesResp) encode(e *Encoder) {
-	e.U64(uint64(len(m.Envs)))
-	for _, env := range m.Envs {
-		e.U64(env.Index)
-		e.Blob(env.Box)
-	}
-}
-func (m *GetEnvelopesResp) decode(d *Decoder) error {
-	n := d.U64()
-	if n > 1<<24 {
-		return fmt.Errorf("wire: implausible envelope count %d", n)
-	}
-	m.Envs = make([]WireEnvelope, 0, n)
-	for i := uint64(0); i < n; i++ {
-		m.Envs = append(m.Envs, WireEnvelope{Index: d.U64(), Box: d.Blob()})
-	}
-	return d.Err()
+func (m *GetEnvelopesResp) codec(c Codec) {
+	c.envelopes(&m.Envs)
 }
 
 // StageRecord uploads one encrypted record in real time, ahead of its
@@ -708,18 +555,11 @@ type StageRecord struct {
 
 func (*StageRecord) Type() MsgType                { return TStageRecord }
 func (m *StageRecord) routingKey() (string, bool) { return m.UUID, true }
-func (m *StageRecord) encode(e *Encoder) {
-	e.Str(m.UUID)
-	e.U64(m.ChunkIndex)
-	e.U64(m.Seq)
-	e.Blob(m.Box)
-}
-func (m *StageRecord) decode(d *Decoder) error {
-	m.UUID = d.Str()
-	m.ChunkIndex = d.U64()
-	m.Seq = d.U64()
-	m.Box = d.Blob()
-	return d.Err()
+func (m *StageRecord) codec(c Codec) {
+	c.Str(&m.UUID)
+	c.U64(&m.ChunkIndex)
+	c.U64(&m.Seq)
+	c.Blob(&m.Box)
 }
 
 // GetStaged fetches the staged records of one (usually in-progress) chunk.
@@ -730,36 +570,17 @@ type GetStaged struct {
 
 func (*GetStaged) Type() MsgType                { return TGetStaged }
 func (m *GetStaged) routingKey() (string, bool) { return m.UUID, true }
-func (m *GetStaged) encode(e *Encoder) {
-	e.Str(m.UUID)
-	e.U64(m.ChunkIndex)
-}
-func (m *GetStaged) decode(d *Decoder) error {
-	m.UUID = d.Str()
-	m.ChunkIndex = d.U64()
-	return d.Err()
+func (m *GetStaged) codec(c Codec) {
+	c.Str(&m.UUID)
+	c.U64(&m.ChunkIndex)
 }
 
 // GetStagedResp carries staged record boxes in sequence order.
 type GetStagedResp struct{ Boxes [][]byte }
 
 func (*GetStagedResp) Type() MsgType { return TGetStagedResp }
-func (m *GetStagedResp) encode(e *Encoder) {
-	e.U64(uint64(len(m.Boxes)))
-	for _, b := range m.Boxes {
-		e.Blob(b)
-	}
-}
-func (m *GetStagedResp) decode(d *Decoder) error {
-	n := d.U64()
-	if n > 1<<24 {
-		return fmt.Errorf("wire: implausible staged count %d", n)
-	}
-	m.Boxes = make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
-		m.Boxes = append(m.Boxes, d.Blob())
-	}
-	return d.Err()
+func (m *GetStagedResp) codec(c Codec) {
+	c.Blobs(&m.Boxes, maxList, "staged")
 }
 
 // StreamInfo requests stream metadata.
@@ -767,10 +588,8 @@ type StreamInfo struct{ UUID string }
 
 func (*StreamInfo) Type() MsgType                { return TStreamInfo }
 func (m *StreamInfo) routingKey() (string, bool) { return m.UUID, true }
-func (m *StreamInfo) encode(e *Encoder)          { e.Str(m.UUID) }
-func (m *StreamInfo) decode(d *Decoder) error {
-	m.UUID = d.Str()
-	return d.Err()
+func (m *StreamInfo) codec(c Codec) {
+	c.Str(&m.UUID)
 }
 
 // StreamInfoResp returns stream metadata plus ingest progress.
@@ -780,44 +599,24 @@ type StreamInfoResp struct {
 }
 
 func (*StreamInfoResp) Type() MsgType { return TStreamInfoResp }
-func (m *StreamInfoResp) encode(e *Encoder) {
-	m.Cfg.encode(e)
-	e.U64(m.Count)
-}
-func (m *StreamInfoResp) decode(d *Decoder) error {
-	m.Cfg.decode(d)
-	m.Count = d.U64()
-	return d.Err()
+func (m *StreamInfoResp) codec(c Codec) {
+	m.Cfg.codec(c)
+	c.U64(&m.Count)
 }
 
 // ListStreams requests the UUIDs of all streams an engine (or, through a
 // cluster router, every engine shard) currently serves.
 type ListStreams struct{}
 
-func (*ListStreams) Type() MsgType           { return TListStreams }
-func (m *ListStreams) encode(*Encoder)       {}
-func (m *ListStreams) decode(*Decoder) error { return nil }
+func (*ListStreams) Type() MsgType { return TListStreams }
+func (*ListStreams) codec(Codec)   {}
 
 // ListStreamsResp carries the sorted stream UUIDs.
 type ListStreamsResp struct{ UUIDs []string }
 
 func (*ListStreamsResp) Type() MsgType { return TListStreamsResp }
-func (m *ListStreamsResp) encode(e *Encoder) {
-	e.U64(uint64(len(m.UUIDs)))
-	for _, u := range m.UUIDs {
-		e.Str(u)
-	}
-}
-func (m *ListStreamsResp) decode(d *Decoder) error {
-	n := d.U64()
-	if n > 1<<24 {
-		return fmt.Errorf("wire: implausible stream count %d", n)
-	}
-	m.UUIDs = make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		m.UUIDs = append(m.UUIDs, d.Str())
-	}
-	return d.Err()
+func (m *ListStreamsResp) codec(c Codec) {
+	c.Strs(&m.UUIDs, maxList, "stream")
 }
 
 // MaxPageWindows bounds how many windows one query page may carry: the
@@ -839,24 +638,12 @@ type QueryStream struct {
 
 func (*QueryStream) Type() MsgType                { return TQueryStream }
 func (m *QueryStream) routingKey() (string, bool) { return m.UUID, true }
-func (m *QueryStream) encode(e *Encoder) {
-	e.Str(m.UUID)
-	e.I64(m.Ts)
-	e.I64(m.Te)
-	e.U64(m.WindowChunks)
-	e.U64(uint64(m.PageWindows))
-}
-func (m *QueryStream) decode(d *Decoder) error {
-	m.UUID = d.Str()
-	m.Ts = d.I64()
-	m.Te = d.I64()
-	m.WindowChunks = d.U64()
-	if n := d.U64(); n > MaxPageWindows {
-		m.PageWindows = MaxPageWindows
-	} else {
-		m.PageWindows = uint32(n)
-	}
-	return d.Err()
+func (m *QueryStream) codec(c Codec) {
+	c.Str(&m.UUID)
+	c.I64(&m.Ts)
+	c.I64(&m.Te)
+	c.U64(&m.WindowChunks)
+	c.Clamp32(&m.PageWindows, MaxPageWindows)
 }
 
 // MaxAggStreams bounds the member streams of one AggRange: generous enough
@@ -897,50 +684,13 @@ type AggRange struct {
 
 func (*AggRange) Type() MsgType                { return TAggRange }
 func (m *AggRange) routingKey() (string, bool) { return soleUUID(m.UUIDs) }
-func (m *AggRange) encode(e *Encoder) {
-	e.U64(uint64(len(m.UUIDs)))
-	for _, u := range m.UUIDs {
-		e.Str(u)
-	}
-	e.I64(m.Ts)
-	e.I64(m.Te)
-	e.U64(m.WindowChunks)
-	e.U64(uint64(len(m.Elems)))
-	for _, x := range m.Elems {
-		e.U64(uint64(x))
-	}
-	e.U64(uint64(m.PageWindows))
-}
-func (m *AggRange) decode(d *Decoder) error {
-	n := d.U64()
-	if n > MaxAggStreams {
-		return fmt.Errorf("wire: implausible stream count %d", n)
-	}
-	m.UUIDs = make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		m.UUIDs = append(m.UUIDs, d.Str())
-	}
-	m.Ts = d.I64()
-	m.Te = d.I64()
-	m.WindowChunks = d.U64()
-	k := d.U64()
-	if k > MaxAggElems {
-		return fmt.Errorf("wire: implausible element count %d", k)
-	}
-	m.Elems = make([]uint32, 0, k)
-	for i := uint64(0); i < k; i++ {
-		x := d.U64()
-		if x > 1<<32-1 {
-			return fmt.Errorf("wire: digest element index %d overflows", x)
-		}
-		m.Elems = append(m.Elems, uint32(x))
-	}
-	if n := d.U64(); n > MaxPageWindows {
-		m.PageWindows = MaxPageWindows
-	} else {
-		m.PageWindows = uint32(n)
-	}
-	return d.Err()
+func (m *AggRange) codec(c Codec) {
+	c.Strs(&m.UUIDs, MaxAggStreams, "stream")
+	c.I64(&m.Ts)
+	c.I64(&m.Te)
+	c.U64(&m.WindowChunks)
+	c.Elems(&m.Elems)
+	c.Clamp32(&m.PageWindows, MaxPageWindows)
 }
 
 // AggRangeResp answers an AggRange: encrypted per-window aggregates summed across the
@@ -959,36 +709,13 @@ type AggRangeResp struct {
 }
 
 func (*AggRangeResp) Type() MsgType { return TAggRangeResp }
-func (m *AggRangeResp) encode(e *Encoder) {
-	e.U64(m.FromChunk)
-	e.U64(m.ToChunk)
-	e.I64(m.Epoch)
-	e.I64(m.Interval)
-	e.U64(uint64(m.StreamCount))
-	e.U64(uint64(len(m.Windows)))
-	for _, w := range m.Windows {
-		e.Vec(w)
-	}
-}
-func (m *AggRangeResp) decode(d *Decoder) error {
-	m.FromChunk = d.U64()
-	m.ToChunk = d.U64()
-	m.Epoch = d.I64()
-	m.Interval = d.I64()
-	if n := d.U64(); n > MaxAggStreams {
-		return fmt.Errorf("wire: implausible stream count %d", n)
-	} else {
-		m.StreamCount = uint32(n)
-	}
-	n := d.U64()
-	if n > 1<<24 {
-		return fmt.Errorf("wire: implausible window count %d", n)
-	}
-	m.Windows = make([][]uint64, 0, n)
-	for i := uint64(0); i < n; i++ {
-		m.Windows = append(m.Windows, d.Vec())
-	}
-	return d.Err()
+func (m *AggRangeResp) codec(c Codec) {
+	c.U64(&m.FromChunk)
+	c.U64(&m.ToChunk)
+	c.I64(&m.Epoch)
+	c.I64(&m.Interval)
+	c.Max32(&m.StreamCount, MaxAggStreams, "stream count")
+	c.Vecs(&m.Windows)
 }
 
 // StreamInitialCredit is how many frames of a push stream (a subscription)
@@ -1016,45 +743,19 @@ type StreamCredit struct {
 }
 
 func (*StreamCredit) Type() MsgType { return TStreamCredit }
-func (m *StreamCredit) encode(e *Encoder) {
-	e.U64(m.ID)
-	e.U64(uint64(m.Pages))
-}
-func (m *StreamCredit) decode(d *Decoder) error {
-	m.ID = d.U64()
-	if n := d.U64(); n > MaxStreamCredit {
-		m.Pages = MaxStreamCredit
-	} else {
-		m.Pages = uint32(n)
-	}
-	return d.Err()
+func (m *StreamCredit) codec(c Codec) {
+	c.U64(&m.ID)
+	c.Clamp32(&m.Pages, MaxStreamCredit)
 }
 
 // MaxMembers bounds a topology's member list: far above any plausible
 // shard count, low enough that one frame cannot allocate unbounded strings.
 const MaxMembers = 1 << 12
 
-// encodeMembers/decodeMembers are the shared member-list codec of the
-// topology messages (TopologyInfoResp, TopologyUpdate, Reshard), so the
-// bound and layout cannot diverge between them.
-func encodeMembers(e *Encoder, members []string) {
-	e.U64(uint64(len(members)))
-	for _, s := range members {
-		e.Str(s)
-	}
-}
-
-func decodeMembers(d *Decoder) ([]string, error) {
-	n := d.U64()
-	if n > MaxMembers {
-		return nil, fmt.Errorf("wire: implausible member count %d", n)
-	}
-	members := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		members = append(members, d.Str())
-	}
-	return members, nil
-}
+// members codes the member list of the topology and replication messages
+// (TopologyInfoResp, TopologyUpdate, Reshard, Promote, LeaseInfoResp), so
+// the bound and layout cannot diverge between them.
+func (c Codec) members(p *[]string) { c.Strs(p, MaxMembers, "member") }
 
 // TopologyInfo asks the responder for its current cluster topology. A
 // router answers with its live ring membership; an engine shard answers
@@ -1063,9 +764,8 @@ func decodeMembers(d *Decoder) ([]string, error) {
 // cluster. Stale routers use it to recover from CodeWrongShard.
 type TopologyInfo struct{}
 
-func (*TopologyInfo) Type() MsgType           { return TTopologyInfo }
-func (m *TopologyInfo) encode(*Encoder)       {}
-func (m *TopologyInfo) decode(*Decoder) error { return nil }
+func (*TopologyInfo) Type() MsgType { return TTopologyInfo }
+func (*TopologyInfo) codec(Codec)   {}
 
 // TopologyInfoResp carries a versioned ring membership: the epoch
 // increments on every membership change, and Members lists the shard
@@ -1076,18 +776,9 @@ type TopologyInfoResp struct {
 }
 
 func (*TopologyInfoResp) Type() MsgType { return TTopologyInfoResp }
-func (m *TopologyInfoResp) encode(e *Encoder) {
-	e.U64(m.Epoch)
-	encodeMembers(e, m.Members)
-}
-func (m *TopologyInfoResp) decode(d *Decoder) error {
-	m.Epoch = d.U64()
-	members, err := decodeMembers(d)
-	if err != nil {
-		return err
-	}
-	m.Members = members
-	return d.Err()
+func (m *TopologyInfoResp) codec(c Codec) {
+	c.U64(&m.Epoch)
+	c.members(&m.Members)
 }
 
 // TopologyUpdate publishes a new topology to an engine shard after a
@@ -1101,18 +792,9 @@ type TopologyUpdate struct {
 }
 
 func (*TopologyUpdate) Type() MsgType { return TTopologyUpdate }
-func (m *TopologyUpdate) encode(e *Encoder) {
-	e.U64(m.Epoch)
-	encodeMembers(e, m.Members)
-}
-func (m *TopologyUpdate) decode(d *Decoder) error {
-	m.Epoch = d.U64()
-	members, err := decodeMembers(d)
-	if err != nil {
-		return err
-	}
-	m.Members = members
-	return d.Err()
+func (m *TopologyUpdate) codec(c Codec) {
+	c.U64(&m.Epoch)
+	c.members(&m.Members)
 }
 
 // Reshard asks a router to change the ring membership to exactly Members,
@@ -1134,18 +816,9 @@ type Reshard struct {
 }
 
 func (*Reshard) Type() MsgType { return TReshard }
-func (m *Reshard) encode(e *Encoder) {
-	encodeMembers(e, m.Members)
-	e.U64(m.ExpectEpoch)
-}
-func (m *Reshard) decode(d *Decoder) error {
-	members, err := decodeMembers(d)
-	if err != nil {
-		return err
-	}
-	m.Members = members
-	m.ExpectEpoch = d.U64()
-	return d.Err()
+func (m *Reshard) codec(c Codec) {
+	c.members(&m.Members)
+	c.U64(&m.ExpectEpoch)
 }
 
 // MaxSnapshotItems bounds the key/value pairs in one SnapshotChunk or
@@ -1163,26 +836,13 @@ type KVItem struct {
 	Value []byte
 }
 
-// encodeKVItems/decodeKVItems are the shared item-list codec of the
-// migration messages (SnapshotChunk, IngestSnapshot).
-func encodeKVItems(e *Encoder, items []KVItem) {
-	e.U64(uint64(len(items)))
-	for _, it := range items {
-		e.Str(it.Key)
-		e.Blob(it.Value)
-	}
-}
-
-func decodeKVItems(d *Decoder) ([]KVItem, error) {
-	n := d.U64()
-	if n > MaxSnapshotItems {
-		return nil, fmt.Errorf("wire: implausible snapshot item count %d", n)
-	}
-	items := make([]KVItem, 0, n)
-	for i := uint64(0); i < n; i++ {
-		items = append(items, KVItem{Key: d.Str(), Value: d.Blob()})
-	}
-	return items, nil
+// kvItems codes the item list of the migration and resync messages
+// (SnapshotChunk, IngestSnapshot, ReplSnapshot).
+func (c Codec) kvItems(p *[]KVItem) {
+	list(c, p, MaxSnapshotItems, "snapshot item", func(it *KVItem) {
+		c.Str(&it.Key)
+		c.Blob(&it.Value)
+	})
 }
 
 // StreamSnapshot asks an engine to export one stream's persisted state
@@ -1206,26 +866,13 @@ type StreamSnapshot struct {
 
 func (*StreamSnapshot) Type() MsgType                { return TStreamSnapshot }
 func (m *StreamSnapshot) routingKey() (string, bool) { return m.UUID, true }
-func (m *StreamSnapshot) encode(e *Encoder) {
-	e.Str(m.UUID)
-	e.U64(m.FromChunk)
-	e.Bool(m.WithMeta)
-	e.Str(m.Cursor)
-	e.U64(uint64(m.MaxItems))
-	e.Bool(m.Push)
-}
-func (m *StreamSnapshot) decode(d *Decoder) error {
-	m.UUID = d.Str()
-	m.FromChunk = d.U64()
-	m.WithMeta = d.Bool()
-	m.Cursor = d.Str()
-	if n := d.U64(); n > MaxSnapshotItems {
-		m.MaxItems = MaxSnapshotItems
-	} else {
-		m.MaxItems = uint32(n)
-	}
-	m.Push = d.Bool()
-	return d.Err()
+func (m *StreamSnapshot) codec(c Codec) {
+	c.Str(&m.UUID)
+	c.U64(&m.FromChunk)
+	c.Bool(&m.WithMeta)
+	c.Str(&m.Cursor)
+	c.Clamp32(&m.MaxItems, MaxSnapshotItems)
+	c.Bool(&m.Push)
 }
 
 // SnapshotChunk is one page of a stream export: raw key/value items plus
@@ -1242,30 +889,15 @@ type SnapshotChunk struct {
 }
 
 func (*SnapshotChunk) Type() MsgType { return TSnapshotChunk }
-func (m *SnapshotChunk) encode(e *Encoder) {
-	e.Bool(m.HasCfg)
+func (m *SnapshotChunk) codec(c Codec) {
+	c.Bool(&m.HasCfg)
 	if m.HasCfg {
-		m.Cfg.encode(e)
+		m.Cfg.codec(c)
 	}
-	e.U64(m.Count)
-	encodeKVItems(e, m.Items)
-	e.Str(m.Cursor)
-	e.Bool(m.Done)
-}
-func (m *SnapshotChunk) decode(d *Decoder) error {
-	m.HasCfg = d.Bool()
-	if m.HasCfg {
-		m.Cfg.decode(d)
-	}
-	m.Count = d.U64()
-	items, err := decodeKVItems(d)
-	if err != nil {
-		return err
-	}
-	m.Items = items
-	m.Cursor = d.Str()
-	m.Done = d.Bool()
-	return d.Err()
+	c.U64(&m.Count)
+	c.kvItems(&m.Items)
+	c.Str(&m.Cursor)
+	c.Bool(&m.Done)
 }
 
 // IngestSnapshot imports one page of a migrating stream's exported state
@@ -1280,18 +912,9 @@ type IngestSnapshot struct {
 
 func (*IngestSnapshot) Type() MsgType                { return TIngestSnapshot }
 func (m *IngestSnapshot) routingKey() (string, bool) { return m.UUID, true }
-func (m *IngestSnapshot) encode(e *Encoder) {
-	e.Str(m.UUID)
-	encodeKVItems(e, m.Items)
-}
-func (m *IngestSnapshot) decode(d *Decoder) error {
-	m.UUID = d.Str()
-	items, err := decodeKVItems(d)
-	if err != nil {
-		return err
-	}
-	m.Items = items
-	return d.Err()
+func (m *IngestSnapshot) codec(c Codec) {
+	c.Str(&m.UUID)
+	c.kvItems(&m.Items)
 }
 
 // Handoff actions (HandoffComplete.Action).
@@ -1336,22 +959,10 @@ type HandoffComplete struct {
 
 func (*HandoffComplete) Type() MsgType                { return THandoffComplete }
 func (m *HandoffComplete) routingKey() (string, bool) { return m.UUID, true }
-func (m *HandoffComplete) encode(e *Encoder) {
-	e.Str(m.UUID)
-	e.U64(m.Epoch)
-	e.U8(m.Action)
-}
-func (m *HandoffComplete) decode(d *Decoder) error {
-	m.UUID = d.Str()
-	m.Epoch = d.U64()
-	m.Action = d.U8()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if m.Action < HandoffCommit || m.Action > HandoffFence {
-		return fmt.Errorf("wire: unknown handoff action %d", m.Action)
-	}
-	return nil
+func (m *HandoffComplete) codec(c Codec) {
+	c.Str(&m.UUID)
+	c.U64(&m.Epoch)
+	c.Enum(&m.Action, HandoffCommit, HandoffFence, "handoff action")
 }
 
 // MaxBatch bounds the sub-requests in one Batch envelope: large enough to
@@ -1370,13 +981,8 @@ const MaxBatch = 4096
 type Batch struct{ Reqs []Message }
 
 func (*Batch) Type() MsgType { return TBatch }
-func (m *Batch) encode(e *Encoder) {
-	encodeBatchPayload(e, m.Reqs)
-}
-func (m *Batch) decode(d *Decoder) error {
-	msgs, err := decodeBatchPayload(d, "batch")
-	m.Reqs = msgs
-	return err
+func (m *Batch) codec(c Codec) {
+	c.msgs(&m.Reqs, "batch")
 }
 
 // BatchResp carries one response per Batch sub-request, in request order.
@@ -1384,52 +990,43 @@ func (m *Batch) decode(d *Decoder) error {
 type BatchResp struct{ Resps []Message }
 
 func (*BatchResp) Type() MsgType { return TBatchResp }
-func (m *BatchResp) encode(e *Encoder) {
-	encodeBatchPayload(e, m.Resps)
-}
-func (m *BatchResp) decode(d *Decoder) error {
-	msgs, err := decodeBatchPayload(d, "batch response")
-	m.Resps = msgs
-	return err
+func (m *BatchResp) codec(c Codec) {
+	c.msgs(&m.Resps, "batch response")
 }
 
-// encodeBatchPayload writes the shared element layout of Batch/BatchResp:
-// count, then each element as a fixed 4-byte length followed by the
-// message encoded in place (no per-element intermediate buffer — batches
-// sit on the ingest hot path).
-func encodeBatchPayload(e *Encoder, msgs []Message) {
-	e.U64(uint64(len(msgs)))
-	for _, m := range msgs {
-		e.Msg(m)
-	}
-}
-
-// decodeBatchPayload decodes the element layout, rejecting nested
-// envelopes (recursion depth stays <= 2 even on hostile input). Elements
-// decode from aliased sub-slices of the frame buffer; the per-field
-// decoders copy what they keep.
-func decodeBatchPayload(d *Decoder, what string) ([]Message, error) {
-	n := d.U64()
-	if n > MaxBatch {
-		return nil, fmt.Errorf("wire: %s of %d elements exceeds limit %d", what, n, MaxBatch)
-	}
-	msgs := make([]Message, 0, n)
-	for i := uint64(0); i < n; i++ {
-		view := d.view(uint64(d.FixedU32()))
-		if d.Err() != nil {
-			return nil, d.Err()
+// msgs codes the element list of Batch and BatchResp: the count, then
+// each element as a fixed 4-byte length followed by the message encoded in
+// place (no per-element intermediate buffer — batches sit on the ingest
+// hot path). Decoding refuses nested envelopes, so recursion depth stays
+// at most 2 even on hostile input. Elements decode from aliased views of
+// the frame buffer; each element's codec copies what it keeps.
+func (c Codec) msgs(p *[]Message, what string) {
+	n := c.count(len(*p), MaxBatch, what)
+	if c.d == nil {
+		for _, m := range *p {
+			c.e.Msg(m)
 		}
-		sub, err := Unmarshal(view)
+		return
+	}
+	*p = make([]Message, 0, n)
+	elem := new(Decoder)
+	for i := 0; i < n && c.d.err == nil; i++ {
+		view := c.d.view(uint64(c.d.FixedU32()))
+		if c.d.err != nil {
+			return
+		}
+		sub, err := unmarshal(elem, view)
 		if err != nil {
-			return nil, fmt.Errorf("wire: %s element %d: %w", what, i, err)
+			c.d.refuse("wire: %s element %d: %w", what, i, err)
+			return
 		}
 		switch sub.(type) {
 		case *Batch, *BatchResp:
-			return nil, fmt.Errorf("wire: %s element %d: nested batch envelope", what, i)
+			c.d.refuse("wire: %s element %d: nested batch envelope", what, i)
+			return
 		}
-		msgs = append(msgs, sub)
+		*p = append(*p, sub)
 	}
-	return msgs, d.Err()
 }
 
 // BatchPartition is the routing decomposition of a batch's sub-requests,
@@ -1545,44 +1142,12 @@ type Subscribe struct {
 
 func (*Subscribe) Type() MsgType                { return TSubscribe }
 func (m *Subscribe) routingKey() (string, bool) { return soleUUID(m.UUIDs) }
-func (m *Subscribe) encode(e *Encoder) {
-	e.U64(uint64(len(m.UUIDs)))
-	for _, u := range m.UUIDs {
-		e.Str(u)
-	}
-	e.U64(m.WindowChunks)
-	e.U64(uint64(len(m.Elems)))
-	for _, x := range m.Elems {
-		e.U64(uint64(x))
-	}
-	e.U64(m.FromSeq)
-	e.Bool(m.FromLatest)
-}
-func (m *Subscribe) decode(d *Decoder) error {
-	n := d.U64()
-	if n > MaxAggStreams {
-		return fmt.Errorf("wire: implausible stream count %d", n)
-	}
-	m.UUIDs = make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		m.UUIDs = append(m.UUIDs, d.Str())
-	}
-	m.WindowChunks = d.U64()
-	k := d.U64()
-	if k > MaxAggElems {
-		return fmt.Errorf("wire: implausible element count %d", k)
-	}
-	m.Elems = make([]uint32, 0, k)
-	for i := uint64(0); i < k; i++ {
-		x := d.U64()
-		if x > 1<<32-1 {
-			return fmt.Errorf("wire: digest element index %d overflows", x)
-		}
-		m.Elems = append(m.Elems, uint32(x))
-	}
-	m.FromSeq = d.U64()
-	m.FromLatest = d.Bool()
-	return d.Err()
+func (m *Subscribe) codec(c Codec) {
+	c.Strs(&m.UUIDs, MaxAggStreams, "stream")
+	c.U64(&m.WindowChunks)
+	c.Elems(&m.Elems)
+	c.U64(&m.FromSeq)
+	c.Bool(&m.FromLatest)
 }
 
 // SubscribeResp is the first frame of an accepted subscription: where the
@@ -1601,24 +1166,12 @@ type SubscribeResp struct {
 }
 
 func (*SubscribeResp) Type() MsgType { return TSubscribeResp }
-func (m *SubscribeResp) encode(e *Encoder) {
-	e.U64(m.FirstSeq)
-	e.U64(m.WindowChunks)
-	e.I64(m.Epoch)
-	e.I64(m.Interval)
-	e.U64(uint64(m.StreamCount))
-}
-func (m *SubscribeResp) decode(d *Decoder) error {
-	m.FirstSeq = d.U64()
-	m.WindowChunks = d.U64()
-	m.Epoch = d.I64()
-	m.Interval = d.I64()
-	if n := d.U64(); n > MaxAggStreams {
-		return fmt.Errorf("wire: implausible stream count %d", n)
-	} else {
-		m.StreamCount = uint32(n)
-	}
-	return d.Err()
+func (m *SubscribeResp) codec(c Codec) {
+	c.U64(&m.FirstSeq)
+	c.U64(&m.WindowChunks)
+	c.I64(&m.Epoch)
+	c.I64(&m.Interval)
+	c.Max32(&m.StreamCount, MaxAggStreams, "stream count")
 }
 
 // SubEvent is one committed window delta of a subscription: the encrypted
@@ -1640,20 +1193,12 @@ type SubEvent struct {
 }
 
 func (*SubEvent) Type() MsgType { return TSubEvent }
-func (m *SubEvent) encode(e *Encoder) {
-	e.U64(m.Seq)
-	e.U64(m.FromChunk)
-	e.U64(m.ToChunk)
-	e.Bool(m.Resync)
-	e.Vec(m.Window)
-}
-func (m *SubEvent) decode(d *Decoder) error {
-	m.Seq = d.U64()
-	m.FromChunk = d.U64()
-	m.ToChunk = d.U64()
-	m.Resync = d.Bool()
-	m.Window = d.Vec()
-	return d.Err()
+func (m *SubEvent) codec(c Codec) {
+	c.U64(&m.Seq)
+	c.U64(&m.FromChunk)
+	c.U64(&m.ToChunk)
+	c.Bool(&m.Resync)
+	c.Vec(&m.Window)
 }
 
 // Unsubscribe ends a live subscription. Like StreamCredit it is
@@ -1668,11 +1213,9 @@ type Unsubscribe struct {
 	ID uint64
 }
 
-func (*Unsubscribe) Type() MsgType       { return TUnsubscribe }
-func (m *Unsubscribe) encode(e *Encoder) { e.U64(m.ID) }
-func (m *Unsubscribe) decode(d *Decoder) error {
-	m.ID = d.U64()
-	return d.Err()
+func (*Unsubscribe) Type() MsgType { return TUnsubscribe }
+func (m *Unsubscribe) codec(c Codec) {
+	c.U64(&m.ID)
 }
 
 // Per-shard replication (wire protocol v6).
@@ -1746,28 +1289,11 @@ type ReplAppend struct {
 
 func (*ReplAppend) Type() MsgType              { return TReplAppend }
 func (*ReplAppend) routingKey() (string, bool) { return ReplRoutingKey, true }
-func (m *ReplAppend) encode(e *Encoder) {
-	e.U64(m.Epoch)
-	e.U64(m.FirstSeq)
-	e.U64(uint64(len(m.Records)))
-	for _, r := range m.Records {
-		e.Blob(r)
-	}
-	e.Str(m.Leader)
-}
-func (m *ReplAppend) decode(d *Decoder) error {
-	m.Epoch = d.U64()
-	m.FirstSeq = d.U64()
-	n := d.U64()
-	if n > MaxReplRecords {
-		return fmt.Errorf("wire: implausible replication record count %d", n)
-	}
-	m.Records = make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
-		m.Records = append(m.Records, d.Blob())
-	}
-	m.Leader = d.Str()
-	return d.Err()
+func (m *ReplAppend) codec(c Codec) {
+	c.U64(&m.Epoch)
+	c.U64(&m.FirstSeq)
+	c.Blobs(&m.Records, MaxReplRecords, "replication record")
+	c.Str(&m.Leader)
 }
 
 // ReplAck answers a ReplAppend: the follower's epoch and the watermark
@@ -1783,19 +1309,10 @@ type ReplAck struct {
 }
 
 func (*ReplAck) Type() MsgType { return TReplAck }
-func (m *ReplAck) encode(e *Encoder) {
-	e.U64(m.Epoch)
-	e.U64(m.Watermark)
-	e.U8(m.Mode)
-}
-func (m *ReplAck) decode(d *Decoder) error {
-	m.Epoch = d.U64()
-	m.Watermark = d.U64()
-	m.Mode = d.U8()
-	if m.Mode > ReplModeQuorum {
-		return fmt.Errorf("wire: unknown replication mode %d", m.Mode)
-	}
-	return d.Err()
+func (m *ReplAck) codec(c Codec) {
+	c.U64(&m.Epoch)
+	c.U64(&m.Watermark)
+	c.Enum(&m.Mode, ReplModeAvailability, ReplModeQuorum, "replication mode")
 }
 
 // ReplSnapshot is one page of a full-state resync from leader to follower:
@@ -1821,26 +1338,13 @@ type ReplSnapshot struct {
 
 func (*ReplSnapshot) Type() MsgType              { return TReplSnapshot }
 func (*ReplSnapshot) routingKey() (string, bool) { return ReplRoutingKey, true }
-func (m *ReplSnapshot) encode(e *Encoder) {
-	e.U64(m.Epoch)
-	e.U64(m.Watermark)
-	e.Bool(m.First)
-	e.Bool(m.Done)
-	encodeKVItems(e, m.Items)
-	e.Str(m.Leader)
-}
-func (m *ReplSnapshot) decode(d *Decoder) error {
-	m.Epoch = d.U64()
-	m.Watermark = d.U64()
-	m.First = d.Bool()
-	m.Done = d.Bool()
-	items, err := decodeKVItems(d)
-	if err != nil {
-		return err
-	}
-	m.Items = items
-	m.Leader = d.Str()
-	return d.Err()
+func (m *ReplSnapshot) codec(c Codec) {
+	c.U64(&m.Epoch)
+	c.U64(&m.Watermark)
+	c.Bool(&m.First)
+	c.Bool(&m.Done)
+	c.kvItems(&m.Items)
+	c.Str(&m.Leader)
 }
 
 // Promote makes the recipient the replication group's leader at Epoch
@@ -1858,20 +1362,10 @@ type Promote struct {
 }
 
 func (*Promote) Type() MsgType { return TPromote }
-func (m *Promote) encode(e *Encoder) {
-	e.U64(m.Epoch)
-	e.Str(m.Leader)
-	encodeMembers(e, m.Members)
-}
-func (m *Promote) decode(d *Decoder) error {
-	m.Epoch = d.U64()
-	m.Leader = d.Str()
-	members, err := decodeMembers(d)
-	if err != nil {
-		return err
-	}
-	m.Members = members
-	return d.Err()
+func (m *Promote) codec(c Codec) {
+	c.U64(&m.Epoch)
+	c.Str(&m.Leader)
+	c.members(&m.Members)
 }
 
 // LeaseInfo asks a node for its replication status. It is read-only and
@@ -1879,9 +1373,8 @@ func (m *Promote) decode(d *Decoder) error {
 // advanced follower during failover, and stick clients to the leader.
 type LeaseInfo struct{}
 
-func (*LeaseInfo) Type() MsgType         { return TLeaseInfo }
-func (*LeaseInfo) encode(*Encoder)       {}
-func (*LeaseInfo) decode(*Decoder) error { return nil }
+func (*LeaseInfo) Type() MsgType { return TLeaseInfo }
+func (*LeaseInfo) codec(Codec)   {}
 
 // LeaseInfoResp reports a node's replication status: its role, lease
 // epoch, replication watermark (records applied), the durable store's
@@ -1907,43 +1400,14 @@ type LeaseInfoResp struct {
 }
 
 func (*LeaseInfoResp) Type() MsgType { return TLeaseInfoResp }
-func (m *LeaseInfoResp) encode(e *Encoder) {
-	e.U8(m.Role)
-	e.U64(m.Epoch)
-	e.U64(m.Watermark)
-	e.U64(m.StoreSeq)
-	e.I64(m.LeaseMS)
-	e.Str(m.Leader)
-	encodeMembers(e, m.Members)
-	e.U8(m.Mode)
-	e.U64(uint64(m.Quorum))
-}
-func (m *LeaseInfoResp) decode(d *Decoder) error {
-	m.Role = d.U8()
-	if m.Role > ReplDeposed {
-		return fmt.Errorf("wire: unknown replication role %d", m.Role)
-	}
-	m.Epoch = d.U64()
-	m.Watermark = d.U64()
-	m.StoreSeq = d.U64()
-	m.LeaseMS = d.I64()
-	if m.LeaseMS < 0 {
-		return fmt.Errorf("wire: negative lease duration %d", m.LeaseMS)
-	}
-	m.Leader = d.Str()
-	members, err := decodeMembers(d)
-	if err != nil {
-		return err
-	}
-	m.Members = members
-	m.Mode = d.U8()
-	if m.Mode > ReplModeQuorum {
-		return fmt.Errorf("wire: unknown replication mode %d", m.Mode)
-	}
-	quorum := d.U64()
-	if quorum > MaxMembers {
-		return fmt.Errorf("wire: implausible quorum size %d", quorum)
-	}
-	m.Quorum = uint32(quorum)
-	return d.Err()
+func (m *LeaseInfoResp) codec(c Codec) {
+	c.Enum(&m.Role, ReplStandalone, ReplDeposed, "replication role")
+	c.U64(&m.Epoch)
+	c.U64(&m.Watermark)
+	c.U64(&m.StoreSeq)
+	c.NonNeg(&m.LeaseMS, "lease duration")
+	c.Str(&m.Leader)
+	c.members(&m.Members)
+	c.Enum(&m.Mode, ReplModeAvailability, ReplModeQuorum, "replication mode")
+	c.Max32(&m.Quorum, MaxMembers, "quorum size")
 }

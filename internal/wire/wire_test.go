@@ -72,6 +72,54 @@ func TestDecoderTrailingBytes(t *testing.T) {
 	}
 }
 
+// TestDecoderRefusesNonCanonical holds the decoder to the one encoding
+// Encoder writes: an overlong varint (a multi-byte varint whose last byte
+// is zero) and a bool byte other than 0 and 1 are refused, so no value has
+// two byte forms. Canonical neighbours still decode.
+func TestDecoderRefusesNonCanonical(t *testing.T) {
+	u64 := func(d *Decoder) { d.U64() }
+	i64 := func(d *Decoder) { d.I64() }
+	boolean := func(d *Decoder) { d.Bool() }
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		read func(*Decoder)
+		ok   bool
+	}{
+		{"u64 0", []byte{0x00}, u64, true},
+		{"u64 128", []byte{0x80, 0x01}, u64, true},
+		{"u64 max", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, u64, true},
+		{"u64 0 in two bytes", []byte{0x80, 0x00}, u64, false},
+		{"u64 1 in two bytes", []byte{0x81, 0x00}, u64, false},
+		{"u64 128 in three bytes", []byte{0x80, 0x81, 0x00}, u64, false},
+		{"i64 -1", []byte{0x01}, i64, true},
+		{"i64 0 in two bytes", []byte{0x80, 0x00}, i64, false},
+		{"i64 -1 in three bytes", []byte{0x81, 0x80, 0x00}, i64, false},
+		{"bool 0", []byte{0}, boolean, true},
+		{"bool 1", []byte{1}, boolean, true},
+		{"bool 2", []byte{2}, boolean, false},
+		{"bool 7", []byte{7}, boolean, false},
+		{"bool 255", []byte{255}, boolean, false},
+	} {
+		d := NewDecoder(tc.in)
+		tc.read(d)
+		if err := d.Done(); (err == nil) != tc.ok {
+			t.Errorf("%s (% x): err = %v, want ok = %v", tc.name, tc.in, err, tc.ok)
+		}
+	}
+	// The same holds inside messages: a flag byte of 2, or a field written
+	// in an overlong varint, fails the whole message.
+	snap := Marshal(&StreamSnapshot{UUID: "s", WithMeta: true})
+	snap[len(snap)-4] = 2 // WithMeta, before the empty Cursor and the 1-byte MaxItems and Push
+	if _, err := Unmarshal(snap); err == nil {
+		t.Error("StreamSnapshot with WithMeta byte 2 accepted")
+	}
+	overlong := append([]byte{uint8(TGetRange), 1, 's', 0x80, 0x00}, 0x02)
+	if _, err := Unmarshal(overlong); err == nil {
+		t.Error("GetRange with an overlong Ts accepted")
+	}
+}
+
 func TestDecoderOversizeClaims(t *testing.T) {
 	var e Encoder
 	e.U64(1 << 40) // claim a huge blob
@@ -84,6 +132,13 @@ func TestDecoderOversizeClaims(t *testing.T) {
 	d2 := NewDecoder(e2.Bytes())
 	if d2.Vec() != nil || d2.Err() == nil {
 		t.Error("oversized vec claim accepted")
+	}
+	// 2^61 words are 2^64 bytes: a size check that multiplies wraps to 0.
+	var e3 Encoder
+	e3.U64(1 << 61)
+	d3 := NewDecoder(e3.Bytes())
+	if d3.Vec() != nil || d3.Err() == nil {
+		t.Error("vec claim of 2^61 words accepted")
 	}
 }
 
@@ -329,7 +384,7 @@ func TestRequestEnvelopeRoundTrip(t *testing.T) {
 	if err := WriteRequestEpoch(&buf, 42, 1500, 7, &StreamInfo{UUID: "s"}); err != nil {
 		t.Fatal(err)
 	}
-	id, timeout, epoch, m, err := ReadRequest(&buf)
+	id, timeout, epoch, m, err := readRequest(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +404,7 @@ func TestResponseEnvelopeRoundTrip(t *testing.T) {
 	if err := WriteResponse(&buf, 7, false, &OK{}); err != nil {
 		t.Fatal(err)
 	}
-	id, more, m, err := ReadResponse(&buf)
+	id, more, m, err := readResponse(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +414,7 @@ func TestResponseEnvelopeRoundTrip(t *testing.T) {
 	if sr, ok := m.(*StatRangeResp); !ok || sr.Windows[0][0] != 9 {
 		t.Errorf("page = %#v", m)
 	}
-	id, more, m, err = ReadResponse(&buf)
+	id, more, m, err = readResponse(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,4 +530,22 @@ func TestSnapshotMessagesRouteByUUID(t *testing.T) {
 			t.Errorf("%T reported a routing key", m)
 		}
 	}
+}
+
+// readRequest reads one framed request envelope.
+func readRequest(r io.Reader) (uint64, int64, uint64, Message, error) {
+	payload, err := ReadFrame(r)
+	if err != nil {
+		return 0, 0, 0, nil, err
+	}
+	return DecodeRequest(payload)
+}
+
+// readResponse reads one framed response envelope.
+func readResponse(r io.Reader) (uint64, bool, Message, error) {
+	payload, err := ReadFrame(r)
+	if err != nil {
+		return 0, false, nil, err
+	}
+	return DecodeResponse(payload)
 }
