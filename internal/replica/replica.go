@@ -124,9 +124,10 @@ type Node struct {
 	cfg   server.Config
 	opts  Options
 
-	// applyMu is held shared by a leader's mutation that the engine's
-	// stream order lock orders (see streamOrdered), exclusively by any
-	// other mutation and by snapshotDump's freeze.
+	// applyMu is held shared by a leader's mutation that names one stream,
+	// and so takes that stream's order lock in the engine, migration
+	// messages included; exclusively by a mutation naming no one stream
+	// (TopologyUpdate, a mixed-stream Batch) and by snapshotDump's freeze.
 	applyMu sync.RWMutex
 
 	mu         sync.Mutex

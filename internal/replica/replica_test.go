@@ -603,10 +603,10 @@ func TestDeposeDuringApplyDoesNotDeadlock(t *testing.T) {
 
 // TestMigrationMessagesLogInApplyOrder: a failed migration's HandoffAbort
 // can reach the destination leader while its IngestSnapshot is still being
-// applied, and neither has an order lock to take: the stream has no entry
-// there yet. The abort must wait for the ingest, so the log replays them
-// in the order the leader applied them and followers discard the partial
-// import too.
+// applied, though the stream is not served there yet: both take the order
+// lock of the UUID's bare table entry. The abort must wait for the ingest,
+// so the log replays them in the order the leader applied them and
+// followers discard the partial import too.
 func TestMigrationMessagesLogInApplyOrder(t *testing.T) {
 	store := &parkingStore{Store: kv.NewMemStore(), key: "m/s",
 		parked: make(chan struct{}), release: make(chan struct{})}

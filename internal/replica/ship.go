@@ -24,9 +24,12 @@ const maxSnapshotPageBytes = 1 << 20
 // availability mode, a write quorum in quorum mode. The log append runs
 // inside the engine's apply, under the stream's order lock (Engine.Apply),
 // so the log's order matches the engine's per-stream apply order (followers
-// replay single-threaded). A mutation no order lock orders holds applyMu
-// exclusively instead, and so is ordered against everything (see
-// streamOrdered).
+// replay single-threaded). Every mutation naming one stream takes that
+// lock, a migration message for a stream this shard does not serve
+// included (on a bare table entry), and holds applyMu shared. A mutation
+// naming no one stream (TopologyUpdate, a mixed-stream Batch) takes no
+// order lock, so it holds applyMu exclusively and is ordered against
+// everything.
 //
 // Error semantics the clients lean on: a CodeBusy from the quorum gate
 // is returned BEFORE anything is applied (retry freely); a CodeCanceled
@@ -38,7 +41,7 @@ func (n *Node) leaderApply(ctx context.Context, req wire.Message, epoch uint64) 
 		return busy
 	}
 	unlock := n.applyMu.RUnlock
-	if streamOrdered(req) {
+	if _, keyed := wire.RoutingUUID(req); keyed {
 		n.applyMu.RLock()
 	} else {
 		n.applyMu.Lock()
@@ -71,27 +74,6 @@ func (n *Node) leaderApply(ctx context.Context, req wire.Message, epoch uint64) 
 	n.mu.Unlock()
 	n.log.trimTo(min)
 	return resp
-}
-
-// streamOrdered reports whether the engine's order lock for req's stream
-// orders req against the stream's other mutations. It does not for a
-// request that names no stream (TopologyUpdate, a mixed-stream Batch), nor
-// for the migration messages IngestSnapshot and HandoffComplete: they act
-// on a stream this shard may have no entry for, and so no order lock, and
-// a failed migration's abort can race the ingest it cleans up after.
-func streamOrdered(req wire.Message) bool {
-	switch m := req.(type) {
-	case *wire.IngestSnapshot, *wire.HandoffComplete:
-		return false
-	case *wire.Batch:
-		for _, sub := range m.Reqs {
-			if !streamOrdered(sub) {
-				return false
-			}
-		}
-	}
-	_, keyed := wire.RoutingUUID(req)
-	return keyed
 }
 
 func (n *Node) notifyShippers() {

@@ -46,7 +46,11 @@ type Config struct {
 // The in-memory stream table is lock-striped: stream UUIDs hash (FNV-1a)
 // onto a fixed power-of-two number of stripes, each with its own RWMutex,
 // so concurrent ingest and queries on different streams never contend on a
-// global lock.
+// global lock. A UUID's table entry is all the per-stream state the engine
+// holds in memory: its order lock, its live stream, its write fence and its
+// migration tombstone. Every mutation naming a stream takes the entry's
+// order lock, migration messages for a UUID this shard does not serve
+// included: they get a bare entry, which goes again once it guards nothing.
 type Engine struct {
 	store kv.Store
 	cfg   Config
@@ -54,41 +58,22 @@ type Engine struct {
 	stripes []streamStripe
 	mask    uint32
 
-	// moved records streams migrated away during a reshard: UUID ->
-	// topology epoch of the move. Requests for a moved stream answer
-	// wire.CodeWrongShard with that epoch so a caller holding a stale
-	// ring refreshes its topology instead of treating the stream as
-	// gone. Persisted under "mv/" keys; hit only on lookup misses.
-	movedMu sync.RWMutex
-	moved   map[string]uint64
-
 	// topo is the last cluster topology a reshard coordinator published
 	// to this shard (TopologyUpdate); stale routers recover it through
 	// TopologyInfo. Persisted under the "topo" key.
 	topoMu sync.Mutex
-	topo   topology
+	topo   wire.TopologyInfoResp
 
 	// subs is the live-subscription broker: materialized window
 	// aggregates updated on every ingest and fanned out to watchers.
 	// Publish calls cost one atomic load while nothing is subscribed.
 	subs *sub.Broker
-
-	// fences are armed write fences: UUID -> the epoch below which
-	// mutations are rejected (see fence.go); in-memory only by design.
-	fenceMu sync.RWMutex
-	fences  map[string]uint64
-}
-
-// topology is the engine's stored copy of the cluster membership.
-type topology struct {
-	epoch   uint64
-	members []string
 }
 
 type streamStripe struct {
-	mu      sync.RWMutex       // 24 bytes
-	streams map[string]*stream // 8 bytes
-	_       [32]byte           // pad to one 64-byte cache line per stripe
+	mu      sync.RWMutex      // 24 bytes
+	entries map[string]*entry // 8 bytes
+	_       [32]byte          // pad to one 64-byte cache line per stripe
 }
 
 // stripeHash is the FNV-1a hash that maps a stream UUID onto its
@@ -107,20 +92,35 @@ func (e *Engine) stripeFor(uuid string) *streamStripe {
 	return &e.stripes[stripeHash(uuid)&e.mask]
 }
 
+// entry is a UUID's one slot in the stream table.
+type entry struct {
+	// mu is the order lock: every mutation naming the UUID holds it from
+	// its fence check through its store write (see Apply).
+	mu sync.Mutex
+	// live is the stream served under the UUID; nil while the entry is
+	// bare. It is published whole and read without mu, because reads take
+	// no order lock: a delete or handoff release clears it before its
+	// retiring store write, so a read from then on answers as a miss.
+	live atomic.Pointer[stream]
+	// fence is the armed write fence's epoch, 0 when none (see fence.go).
+	// Guarded by mu; in memory only by design.
+	fence uint64
+	// moved is the topology epoch at which the stream migrated away, 0 when
+	// it did not. Requests for a moved stream answer wire.CodeWrongShard
+	// with it so a caller holding a stale ring refreshes its topology
+	// instead of treating the stream as gone. Persisted under "mv/" keys;
+	// read without mu on a lookup miss.
+	moved atomic.Uint64
+	// gone marks an entry taken out of the table; a request that waited
+	// for mu on it looks the UUID up again. Guarded by mu.
+	gone bool
+}
+
+// stream is one incarnation of a live stream.
 type stream struct {
+	mu   *sync.Mutex // its entry's order lock, which guards the staged-record index
 	cfg  wire.StreamConfig
 	tree *index.Tree
-
-	// mu is the order lock: every mutation of the stream holds it from its
-	// fence check through its store write (see Apply). It guards the
-	// staged-record index below.
-	mu sync.Mutex
-	// dead marks an entry a delete or handoff release is retiring: lookup
-	// treats it as a miss from before the retiring store write on (reads
-	// take no order lock), and a mutation that waited for mu on it answers
-	// as a lookup miss would. It stays registered until the retiring
-	// request lets go of mu, so the UUID's next incarnation orders after it.
-	dead atomic.Bool
 
 	// Staged-record index: chunk index -> staged sequence numbers. It
 	// names the exact store keys a sealed chunk must garbage-collect,
@@ -131,39 +131,48 @@ type stream struct {
 	stagedLoaded bool
 }
 
-// held is one request's hold on a stream's order lock: the entry it
-// locked, nil when no stream was registered under uuid.
+// held is one request's hold on a UUID's order lock.
 type held struct {
 	uuid string
-	s    *stream
+	en   *entry
 }
 
-// lockOrder takes uuid's order lock, if a stream is registered under it.
+// lockOrder takes uuid's order lock, entering a bare entry for it if the
+// table has none.
 func (e *Engine) lockOrder(uuid string) held {
 	st := e.stripeFor(uuid)
-	st.mu.RLock()
-	s := st.streams[uuid]
-	st.mu.RUnlock()
-	if s != nil {
-		s.mu.Lock()
+	for {
+		st.mu.RLock()
+		en := st.entries[uuid]
+		st.mu.RUnlock()
+		if en == nil {
+			st.mu.Lock()
+			if en = st.entries[uuid]; en == nil {
+				en = new(entry)
+				st.entries[uuid] = en
+			}
+			st.mu.Unlock()
+		}
+		en.mu.Lock()
+		if !en.gone {
+			return held{uuid: uuid, en: en}
+		}
+		en.mu.Unlock() // taken out while this request waited
 	}
-	return held{uuid: uuid, s: s}
 }
 
-// unlockOrder releases h, first unregistering the entry if h retired it.
+// unlockOrder releases h, first taking its entry out of the table if it
+// guards nothing: no live stream, no fence, no tombstone.
 func (e *Engine) unlockOrder(h *held) {
-	if h.s == nil {
-		return
-	}
-	if h.s.dead.Load() {
+	en := h.en
+	if en.live.Load() == nil && en.fence == 0 && en.moved.Load() == 0 {
 		st := e.stripeFor(h.uuid)
 		st.mu.Lock()
-		if st.streams[h.uuid] == h.s {
-			delete(st.streams, h.uuid)
-		}
+		delete(st.entries, h.uuid)
 		st.mu.Unlock()
+		en.gone = true
 	}
-	h.s.mu.Unlock()
+	en.mu.Unlock()
 }
 
 // ordered runs fn under uuid's order lock: the exported mutations' locking.
@@ -173,13 +182,20 @@ func (e *Engine) ordered(uuid string, fn func(h *held) error) error {
 	return fn(&h)
 }
 
-// live returns the held stream, or the error a lookup miss gives when none
-// is registered or the held one was retired while h waited for its lock.
-func (e *Engine) live(h *held) (*stream, error) {
-	if h.s == nil || h.s.dead.Load() {
-		return nil, e.missing(h.uuid)
+// live returns the stream served under h's UUID, or the error for a UUID
+// with none: not found, or CodeWrongShard with the topology epoch of the
+// move if it migrated away, so a caller holding a stale ring refreshes it.
+// h.en is nil for a UUID with no table entry.
+func (h held) live() (*stream, error) {
+	if h.en != nil {
+		if s := h.en.live.Load(); s != nil {
+			return s, nil
+		}
+		if epoch := h.en.moved.Load(); epoch != 0 {
+			return nil, &movedError{uuid: h.uuid, epoch: epoch}
+		}
 	}
-	return h.s, nil
+	return nil, fmt.Errorf("server: stream %q: %w", h.uuid, errStreamNotFound)
 }
 
 // New creates an engine over the given store.
@@ -194,10 +210,9 @@ func New(store kv.Store, cfg Config) (*Engine, error) {
 	for n&(n-1) != 0 { // round up to a power of two
 		n++
 	}
-	e := &Engine{store: store, cfg: cfg, stripes: make([]streamStripe, n), mask: uint32(n - 1),
-		moved: make(map[string]uint64), subs: sub.NewBroker(), fences: make(map[string]uint64)}
+	e := &Engine{store: store, cfg: cfg, stripes: make([]streamStripe, n), mask: uint32(n - 1), subs: sub.NewBroker()}
 	for i := range e.stripes {
-		e.stripes[i].streams = make(map[string]*stream)
+		e.stripes[i].entries = make(map[string]*entry)
 	}
 	// Recover migration tombstones and the published topology persisted
 	// by a previous instance.
@@ -210,12 +225,12 @@ func New(store kv.Store, cfg Config) (*Engine, error) {
 	// Recover stream metadata persisted by a previous instance.
 	var loadErr error
 	err := store.Scan("m/", func(key string, value []byte) bool {
-		h := held{uuid: key[len("m/"):]}
+		h := e.lockOrder(key[len("m/"):])
+		defer e.unlockOrder(&h)
 		if _, err := e.openStream(&h, value); err != nil {
 			loadErr = fmt.Errorf("server: recovering stream %q: %w", h.uuid, err)
 			return false
 		}
-		e.unlockOrder(&h)
 		return true
 	})
 	if err != nil {
@@ -291,9 +306,11 @@ func decodeStreamConfig(data []byte) (wire.StreamConfig, error) {
 }
 
 // openStream builds the in-memory handle for a stream whose meta is known
-// and registers it with its order lock held, in h: in place of h's entry
-// if h retired it, failing if another entry is registered.
+// and publishes it on h's entry, failing if the entry already serves one.
 func (e *Engine) openStream(h *held, meta []byte) (*stream, error) {
+	if h.en.live.Load() != nil {
+		return nil, fmt.Errorf("server: stream %q already exists", h.uuid)
+	}
 	cfg, err := decodeStreamConfig(meta)
 	if err != nil {
 		return nil, err
@@ -306,42 +323,17 @@ func (e *Engine) openStream(h *held, meta []byte) (*stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &stream{cfg: cfg, tree: tree}
-	s.mu.Lock()
-	st := e.stripeFor(h.uuid)
-	st.mu.Lock()
-	if cur, ok := st.streams[h.uuid]; ok && (cur != h.s || !cur.dead.Load()) {
-		st.mu.Unlock()
-		return nil, fmt.Errorf("server: stream %q already exists", h.uuid)
-	}
-	st.streams[h.uuid] = s
-	st.mu.Unlock()
-	if h.s != nil {
-		h.s.mu.Unlock() // the retired entry this one replaces
-	}
-	h.s = s
+	s := &stream{mu: &h.en.mu, cfg: cfg, tree: tree}
+	h.en.live.Store(s)
 	return s, nil
 }
 
 func (e *Engine) lookup(uuid string) (*stream, error) {
 	st := e.stripeFor(uuid)
 	st.mu.RLock()
-	s, ok := st.streams[uuid]
+	en := st.entries[uuid]
 	st.mu.RUnlock()
-	if !ok || s.dead.Load() {
-		return nil, e.missing(uuid)
-	}
-	return s, nil
-}
-
-// missing is the error for a UUID with no live stream: not found, or
-// CodeWrongShard with the topology epoch of the move if it migrated away,
-// so a caller holding a stale ring refreshes it.
-func (e *Engine) missing(uuid string) error {
-	if epoch, moved := e.movedEpoch(uuid); moved {
-		return &movedError{uuid: uuid, epoch: epoch}
-	}
-	return fmt.Errorf("server: stream %q: %w", uuid, errStreamNotFound)
+	return held{uuid: uuid, en: en}.live()
 }
 
 var errStreamNotFound = errors.New("stream not found")
@@ -368,7 +360,7 @@ func (e *Engine) createStream(h *held, cfg wire.StreamConfig) error {
 	if uuid == "" {
 		return errors.New("server: empty stream UUID")
 	}
-	if epoch, moved := e.movedEpoch(uuid); moved {
+	if epoch := h.en.moved.Load(); epoch != 0 {
 		// The UUID migrated away: re-creating it here would shadow the
 		// live copy on its current owner.
 		return &movedError{uuid: uuid, epoch: epoch}
@@ -382,11 +374,10 @@ func (e *Engine) createStream(h *held, cfg wire.StreamConfig) error {
 	if cfg.Fanout == 0 {
 		cfg.Fanout = index.DefaultFanout
 	}
-	// Register first (openStream inserts under the stripe write lock, so
-	// concurrent duplicate creates yield exactly one winner), then let
-	// only the winner persist the stream meta — a loser must never
-	// clobber the winner's persisted config. The entry is registered with
-	// its order lock held, so no mutation of it runs before the meta is in.
+	// Publish first (duplicate creates meet on the entry's order lock, so
+	// exactly one wins), then let only the winner persist the stream meta —
+	// a loser must never clobber the winner's persisted config. The order
+	// lock is held throughout, so no mutation runs before the meta is in.
 	s, err := e.openStream(h, encodeStreamConfig(&cfg))
 	if err != nil {
 		return err
@@ -397,7 +388,7 @@ func (e *Engine) createStream(h *held, cfg wire.StreamConfig) error {
 	s.staged = make(map[uint64]map[uint64]struct{})
 	s.stagedLoaded = true
 	if err := e.store.Put(metaKey(uuid), encodeStreamConfig(&cfg)); err != nil {
-		s.dead.Store(true) // unregistered when h is released
+		h.en.live.Store(nil)
 		return err
 	}
 	return nil
@@ -409,8 +400,8 @@ func (e *Engine) ListStreams() []string {
 	for i := range e.stripes {
 		st := &e.stripes[i]
 		st.mu.RLock()
-		for uuid, s := range st.streams {
-			if !s.dead.Load() {
+		for uuid, en := range st.entries {
+			if en.live.Load() != nil {
 				uuids = append(uuids, uuid)
 			}
 		}
@@ -426,17 +417,17 @@ func (e *Engine) DeleteStream(uuid string) error { return e.ordered(uuid, e.dele
 
 // deleteStream deletes the stream's keys while it still holds the order
 // lock every other mutation of the stream takes, so none of them lands
-// after the delete. The entry is retired first, so a read that starts
+// after the delete. The stream is retired first, so a read that starts
 // while the keys go answers not found rather than from a half-deleted
 // stream; it comes back if the delete fails.
 func (e *Engine) deleteStream(h *held) error {
-	s, err := e.live(h)
+	s, err := h.live()
 	if err != nil {
 		return err
 	}
-	s.dead.Store(true)
+	h.en.live.Store(nil)
 	if err := e.store.Batch(e.deleteStreamOps(h.uuid)); err != nil {
-		s.dead.Store(false)
+		h.en.live.Store(s)
 		return err
 	}
 	e.subs.DropStream(h.uuid, fmt.Errorf("server: stream %q deleted: %w", h.uuid, errStreamNotFound))
@@ -481,7 +472,7 @@ func (e *Engine) InsertChunkBatch(uuid string, sealedBlobs [][]byte) []error {
 func (e *Engine) insertChunks(h *held, sealedBlobs [][]byte) []error {
 	uuid := h.uuid
 	errs := make([]error, len(sealedBlobs))
-	s, err := e.live(h)
+	s, err := h.live()
 	if err != nil {
 		for i := range errs {
 			errs[i] = err
@@ -634,7 +625,7 @@ func (e *Engine) StageRecord(uuid string, chunkIndex, seq uint64, box []byte) er
 
 func (e *Engine) stageRecord(h *held, chunkIndex, seq uint64, box []byte) error {
 	uuid := h.uuid
-	s, err := e.live(h)
+	s, err := h.live()
 	if err != nil {
 		return err
 	}
@@ -875,7 +866,7 @@ func (e *Engine) DeleteRange(ctx context.Context, uuid string, ts, te int64) err
 }
 
 func (e *Engine) deleteRange(ctx context.Context, h *held, ts, te int64) error {
-	s, err := e.live(h)
+	s, err := h.live()
 	if err != nil {
 		return err
 	}
@@ -923,7 +914,7 @@ func (e *Engine) rollup(ctx context.Context, h *held, factor uint64, ts, te int6
 	if factor < 1 {
 		return errors.New("server: rollup factor must be >= 1")
 	}
-	s, err := e.live(h)
+	s, err := h.live()
 	if err != nil {
 		return err
 	}
@@ -960,7 +951,7 @@ func (e *Engine) PutGrant(uuid, principal, grantID string, blob []byte) error {
 }
 
 func (e *Engine) putGrant(h *held, principal, grantID string, blob []byte) error {
-	if _, err := e.live(h); err != nil {
+	if _, err := h.live(); err != nil {
 		return err
 	}
 	if principal == "" || grantID == "" {
@@ -989,7 +980,7 @@ func (e *Engine) DeleteGrant(uuid, principal, grantID string) error {
 }
 
 func (e *Engine) deleteGrant(h *held, principal, grantID string) error {
-	if _, err := e.live(h); err != nil {
+	if _, err := h.live(); err != nil {
 		return err
 	}
 	if grantID != "" {
@@ -1009,7 +1000,7 @@ func (e *Engine) PutEnvelopes(uuid string, factor uint64, envs []wire.WireEnvelo
 }
 
 func (e *Engine) putEnvelopes(h *held, factor uint64, envs []wire.WireEnvelope) error {
-	if _, err := e.live(h); err != nil {
+	if _, err := h.live(); err != nil {
 		return err
 	}
 	if factor < 1 {

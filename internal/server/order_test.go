@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -235,5 +237,158 @@ func TestFailedReleaseKeepsTheStreamFenced(t *testing.T) {
 	resp, ok = e.Handle(context.Background(), &wire.StreamInfo{UUID: "s"}).(*wire.Error)
 	if !ok || resp.Code != wire.CodeWrongShard || resp.Aux != 5 {
 		t.Fatalf("released stream -> %#v, want CodeWrongShard aux 5", resp)
+	}
+}
+
+// TestMigrationMessagesOrderOnBareEngine: a failed migration's HandoffAbort
+// can reach the destination while its IngestSnapshot's store write is in
+// flight, though the stream is not served there yet. Both take the order
+// lock of the UUID's bare table entry, so the abort waits for the ingest
+// and discards the partial import instead of applying first and leaving
+// it behind. The unreplicated twin of the replica's
+// TestMigrationMessagesLogInApplyOrder.
+func TestMigrationMessagesOrderOnBareEngine(t *testing.T) {
+	store := newParkingStore("c/s/")
+	e, err := New(store, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	ingest := &wire.IngestSnapshot{UUID: "s", Items: []wire.KVItem{
+		{Key: chunkKey("s", 0), Value: []byte("chunk")},
+		{Key: metaKey("s"), Value: []byte("meta")},
+	}}
+	ingested := make(chan wire.Message, 1)
+	go func() { ingested <- e.Handle(ctx, ingest) }()
+	<-store.parked
+	aborted := make(chan wire.Message, 1)
+	go func() { aborted <- e.Handle(ctx, &wire.HandoffComplete{UUID: "s", Action: wire.HandoffAbort}) }()
+	time.Sleep(20 * time.Millisecond) // an unordered abort applies now
+	close(store.release)
+	for _, ch := range []chan wire.Message{ingested, aborted} {
+		if resp, ok := (<-ch).(*wire.OK); !ok {
+			t.Fatalf("%#v", resp)
+		}
+	}
+	store.Scan("", func(key string, _ []byte) bool {
+		t.Errorf("key %q outlived the aborted import", key)
+		return true
+	})
+}
+
+// tableEntries copies the engine's stream table.
+func tableEntries(e *Engine) map[string]*entry {
+	all := make(map[string]*entry)
+	for i := range e.stripes {
+		st := &e.stripes[i]
+		st.mu.RLock()
+		for uuid, en := range st.entries {
+			all[uuid] = en
+		}
+		st.mu.RUnlock()
+	}
+	return all
+}
+
+// TestBareEntriesDoNotAccumulate: a mutation naming a UUID the engine does
+// not serve takes the order lock of a bare table entry, which goes again
+// once it guards nothing. Thousands of unknown UUIDs, each hit by several
+// writers at once with inserts, deletes, grants, import aborts and a fence
+// armed then lifted, leave no entry behind; a fenced UUID and a tombstoned
+// one keep theirs, and ListStreams lists neither.
+func TestBareEntriesDoNotAccumulate(t *testing.T) {
+	h := newHarness(t)
+	e := h.engine
+	h.createStream(t, "live")
+	blob := sealBlobs(t, h, 1)[0]
+	ctx := context.Background()
+	wantOK := func(what string, resp wire.Message) {
+		t.Helper()
+		if _, ok := resp.(*wire.OK); !ok {
+			t.Fatalf("%s: %#v", what, resp)
+		}
+	}
+	wantOK("fence", e.Handle(ctx, &wire.HandoffComplete{UUID: "fenced", Epoch: 3, Action: wire.HandoffFence}))
+	h.createStream(t, "moved")
+	wantOK("release", e.Handle(ctx, &wire.HandoffComplete{UUID: "moved", Epoch: 4, Action: wire.HandoffRelease}))
+
+	const unknown, writers = 2000, 4
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < unknown; i++ {
+				uuid := fmt.Sprintf("unknown-%d", i)
+				for _, req := range []wire.Message{
+					&wire.InsertChunk{UUID: uuid, Chunk: blob},
+					&wire.DeleteStream{UUID: uuid},
+					&wire.PutGrant{UUID: uuid, Principal: "p", GrantID: "g", Blob: []byte("x")},
+				} {
+					// Another writer's fence may be armed: either miss answer will do.
+					if resp, ok := e.Handle(ctx, req).(*wire.Error); !ok || (resp.Code != wire.CodeNotFound && resp.Code != wire.CodeWrongShard) {
+						t.Errorf("%T on an unknown stream -> %#v", req, resp)
+						return
+					}
+				}
+				for _, req := range []*wire.HandoffComplete{
+					{UUID: uuid, Action: wire.HandoffAbort},
+					{UUID: uuid, Epoch: 5, Action: wire.HandoffFence},
+					{UUID: uuid, Action: wire.HandoffFence},
+				} {
+					if resp, ok := e.Handle(ctx, req).(*wire.OK); !ok {
+						t.Errorf("handoff action %d on an unknown stream -> %#v", req.Action, resp)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	all := tableEntries(e)
+	for _, uuid := range []string{"live", "fenced", "moved"} {
+		if all[uuid] == nil {
+			t.Errorf("%q has no table entry", uuid)
+		}
+		delete(all, uuid)
+	}
+	if len(all) > 0 {
+		t.Errorf("%d bare entries left behind", len(all))
+	}
+	if got := e.ListStreams(); !reflect.DeepEqual(got, []string{"live"}) {
+		t.Errorf("ListStreams = %q, want only the live stream", got)
+	}
+	stale := wire.ContextWithEpoch(ctx, 2)
+	if resp, ok := e.Handle(stale, &wire.PutGrant{UUID: "fenced", Principal: "p", GrantID: "g", Blob: []byte("x")}).(*wire.Error); !ok || resp.Code != wire.CodeWrongShard || resp.Aux != 3 {
+		t.Errorf("stale write to the fenced UUID -> %#v, want CodeWrongShard aux 3", resp)
+	}
+	if resp, ok := e.Handle(ctx, &wire.StreamInfo{UUID: "moved"}).(*wire.Error); !ok || resp.Code != wire.CodeWrongShard || resp.Aux != 4 {
+		t.Errorf("read of the moved UUID -> %#v, want CodeWrongShard aux 4", resp)
+	}
+}
+
+// TestFenceArmedOnARemovedEntryHolds: a fence request that waits on a bare
+// entry's order lock while the holder lets go, taking the entry out of the
+// table, must arm the fence on the UUID's entry in the table, not on the
+// one it waited for; otherwise the UUID has two order locks and a stale
+// write passes the fence.
+func TestFenceArmedOnARemovedEntryHolds(t *testing.T) {
+	e := newHarness(t).engine
+	ctx := context.Background()
+	bare := e.lockOrder("s")
+	fenced := make(chan wire.Message, 1)
+	go func() {
+		fenced <- e.Handle(ctx, &wire.HandoffComplete{UUID: "s", Epoch: 5, Action: wire.HandoffFence})
+	}()
+	time.Sleep(10 * time.Millisecond) // let the fence wait on the lock
+	e.unlockOrder(&bare)
+	if resp, ok := (<-fenced).(*wire.OK); !ok {
+		t.Fatalf("fence: %#v", resp)
+	}
+	stale := wire.ContextWithEpoch(ctx, 4)
+	resp, ok := e.Handle(stale, &wire.PutGrant{UUID: "s", Principal: "p", GrantID: "g", Blob: []byte("x")}).(*wire.Error)
+	if !ok || resp.Code != wire.CodeWrongShard || resp.Aux != 5 {
+		t.Fatalf("stale write after the fence -> %#v, want CodeWrongShard aux 5", resp)
 	}
 }

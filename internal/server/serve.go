@@ -40,10 +40,12 @@ func (e *Engine) Handle(ctx context.Context, req wire.Message) wire.Message {
 }
 
 // Apply is Handle that exposes the engine's per-stream order. A mutation
-// that names a stream runs under the stream's order lock, from its fence
-// check through its store write, and if it succeeds (its response is not a
-// *wire.Error) then runs before the lock is let go: what then records is
-// ordered as the stream's mutations applied. A batch of one stream holds
+// that names a stream runs under the order lock of the UUID's table entry
+// (a bare one if this shard serves no such stream, as for most migration
+// messages), from its fence check through its store write, and if it
+// succeeds (its response is not a *wire.Error) then runs before the lock
+// is let go: what then records is ordered as the stream's mutations
+// applied. A batch of one stream holds
 // that lock across the batch and then; any other batch, like a mutation
 // naming no stream, runs then after everything, under no stream's lock.
 func (e *Engine) Apply(ctx context.Context, req wire.Message, then func()) wire.Message {
@@ -71,8 +73,8 @@ func (e *Engine) dispatch(ctx context.Context, h *held, req wire.Message) wire.M
 	if err := ctx.Err(); err != nil {
 		return toError(err)
 	}
-	if uuid, ok := wire.FencedUUID(req); ok {
-		if errMsg := e.checkFence(ctx, uuid); errMsg != nil {
+	if _, fenced := wire.FencedUUID(req); fenced {
+		if errMsg := checkFence(ctx, h); errMsg != nil {
 			return errMsg
 		}
 	}
@@ -203,7 +205,11 @@ func (e *Engine) handleBatch(ctx context.Context, b *wire.Batch, then func()) wi
 		run(uuid, p.Groups[uuid])
 	}
 	for _, i := range p.Singles {
-		run("", []int{i}) // keyless: no order lock, a goroutine each
+		wg.Add(1)
+		go func() { // keyless: no order lock, a goroutine each
+			defer wg.Done()
+			resps[i] = e.dispatch(ctx, &held{}, b.Reqs[i])
+		}()
 	}
 	wg.Wait()
 	if then != nil {
@@ -241,7 +247,7 @@ func (e *Engine) runGroup(ctx context.Context, uuid string, reqs []wire.Message,
 			}
 			blobs = append(blobs, ic.Chunk)
 		}
-		if errMsg := e.checkFence(ctx, uuid); errMsg != nil {
+		if errMsg := checkFence(ctx, &h); errMsg != nil {
 			for k := range blobs {
 				resps[idxs[x+k]] = errMsg
 			}
@@ -303,16 +309,15 @@ func toError(err error) *wire.Error { return WireError(err) }
 // always finds the slot that response held.
 const DefaultMaxConnInFlight = 64
 
-// Server is the TCP front end (wire protocol v3): per connection, a read
-// loop dispatches each decoded request frame to a bounded worker pool and
-// a write pump serializes the response frames back, so many requests
-// execute concurrently on one connection and responses return out of
-// order, each tagged with its request's correlation ID. Requests sharing a
-// routing key (stream UUID) preserve arrival order — chunk inserts must
-// stay ordered — while everything else overlaps. Every request gets one
-// response frame except wire.Subscribe, whose events are pushed under its
-// correlation ID. It serves any Handler — a single engine or a cluster
-// router.
+// Server is the TCP front end: per connection, a read loop dispatches each
+// decoded request frame to a bounded worker pool and a write pump
+// serializes the response frames back, so many requests execute
+// concurrently on one connection and responses return out of order, each
+// tagged with its request's correlation ID. Requests sharing a routing key
+// (stream UUID) preserve arrival order — chunk inserts must stay ordered —
+// while everything else overlaps. Every request gets one response frame
+// except wire.Subscribe, whose events are pushed under its correlation ID.
+// It serves any Handler — a single engine or a cluster router.
 type Server struct {
 	handler Handler
 	logf    func(format string, args ...any)

@@ -238,7 +238,7 @@ func (e *Engine) ingestSnapshot(h *held, items []wire.KVItem) error {
 	if uuid == "" {
 		return errors.New("server: empty stream UUID")
 	}
-	if _, err := e.live(h); err == nil {
+	if _, err := h.live(); err == nil {
 		return fmt.Errorf("server: stream %q is live on this shard; refusing snapshot import", uuid)
 	}
 	ops := make([]kv.Op, 0, len(items))
@@ -271,7 +271,7 @@ func (e *Engine) handoffComplete(h *held, epoch uint64, action uint8) error {
 		if h.uuid == "" {
 			return fmt.Errorf("server: fence needs a stream uuid")
 		}
-		e.setFence(h.uuid, epoch)
+		h.en.fence = epoch
 		return nil
 	default:
 		return fmt.Errorf("server: unknown handoff action %d", action)
@@ -283,10 +283,10 @@ func (e *Engine) handoffComplete(h *held, epoch uint64, action uint8) error {
 // owner, and ring ownership later returned to this shard). Refused for a
 // live stream — a registered stream has no tombstone to reclaim.
 func (e *Engine) handoffReclaim(h *held) error {
-	if _, err := e.live(h); err == nil {
+	if _, err := h.live(); err == nil {
 		return fmt.Errorf("server: stream %q is live on this shard; nothing to reclaim", h.uuid)
 	}
-	return e.clearMoved(h.uuid)
+	return e.clearTombstone(h)
 }
 
 // handoffCommit registers an imported stream: the destination side of a
@@ -303,11 +303,11 @@ func (e *Engine) handoffCommit(h *held) error {
 	if _, err := e.openStream(h, meta); err != nil {
 		return err
 	}
-	return e.clearMoved(h.uuid)
+	return e.clearTombstone(h)
 }
 
 // handoffRelease retires a migrated stream on the source, under its order
-// lock. The tombstone goes up in memory and the entry is retired before
+// lock. The tombstone goes up in memory and the stream is retired before
 // the persisted data is deleted and the tombstone written, so no request
 // window sees "neither side": a read that starts from then on, and a
 // mutation that waited for the lock, answer CodeWrongShard. If that batch
@@ -316,26 +316,27 @@ func (e *Engine) handoffCommit(h *held) error {
 // the same epoch is a no-op, so a retry after a lost response converges.
 func (e *Engine) handoffRelease(h *held, epoch uint64) error {
 	uuid := h.uuid
-	s, err := e.live(h)
+	s, err := h.live()
 	if err != nil {
-		e.setFence(uuid, 0) // nothing here for a fence to guard
-		if prev, moved := e.movedEpoch(uuid); moved && prev == epoch {
+		h.en.fence = 0 // nothing here for a fence to guard
+		if epoch != 0 && h.en.moved.Load() == epoch {
 			return nil // idempotent retry
 		}
 		return fmt.Errorf("server: stream %q: %w", uuid, errStreamNotFound)
 	}
-	e.setMoved(uuid, epoch)
-	s.dead.Store(true)
+	if epoch == 0 {
+		return fmt.Errorf("server: stream %q: release needs the topology epoch of the move", uuid)
+	}
+	h.en.moved.Store(epoch)
+	h.en.live.Store(nil)
 	ops := append(e.deleteStreamOps(uuid), kv.Op{Kind: kv.OpPut, Key: movedKey(uuid), Value: encodeMovedEpoch(epoch)})
 	if err := e.store.Batch(ops); err != nil {
-		s.dead.Store(false)
-		e.movedMu.Lock()
-		delete(e.moved, uuid) // a live stream has no tombstone
-		e.movedMu.Unlock()
+		h.en.live.Store(s)
+		h.en.moved.Store(0) // a live stream has no tombstone
 		return err
 	}
 	// The tombstone takes over rejection duty from any armed drain fence.
-	e.setFence(uuid, 0)
+	h.en.fence = 0
 	// Live views on the departing stream die with the move; their
 	// subscribers see CodeWrongShard (epoch attached) and resubscribe on
 	// the new owner.
@@ -346,7 +347,7 @@ func (e *Engine) handoffRelease(h *held, epoch uint64) error {
 // handoffAbort discards a partial import: the migration failed before
 // commit and the stream stays with the source. Refused for a live stream.
 func (e *Engine) handoffAbort(h *held) error {
-	if _, err := e.live(h); err == nil {
+	if _, err := h.live(); err == nil {
 		return fmt.Errorf("server: stream %q is live on this shard; refusing import abort", h.uuid)
 	}
 	return e.store.Batch(e.deleteStreamOps(h.uuid))
@@ -376,40 +377,32 @@ func encodeMovedEpoch(epoch uint64) []byte {
 	return enc.Bytes()
 }
 
-func (e *Engine) movedEpoch(uuid string) (uint64, bool) {
-	e.movedMu.RLock()
-	defer e.movedMu.RUnlock()
-	epoch, ok := e.moved[uuid]
-	return epoch, ok
-}
-
-func (e *Engine) setMoved(uuid string, epoch uint64) {
-	e.movedMu.Lock()
-	e.moved[uuid] = epoch
-	e.movedMu.Unlock()
-}
-
-func (e *Engine) clearMoved(uuid string) error {
-	e.movedMu.Lock()
-	_, had := e.moved[uuid]
-	delete(e.moved, uuid)
-	e.movedMu.Unlock()
-	if !had {
+// clearTombstone deletes h's migration tombstone, if it has one.
+func (e *Engine) clearTombstone(h *held) error {
+	if h.en.moved.Load() == 0 {
 		return nil
 	}
-	return e.store.Delete(movedKey(uuid))
+	if err := e.store.Delete(movedKey(h.uuid)); err != nil {
+		return err
+	}
+	h.en.moved.Store(0)
+	return nil
 }
 
+// loadMoved recovers the persisted migration tombstones, each onto a bare
+// table entry.
 func (e *Engine) loadMoved() error {
 	var loadErr error
 	err := e.store.Scan("mv/", func(key string, value []byte) bool {
 		d := wire.NewDecoder(value)
 		epoch := d.U64()
-		if d.Done() != nil {
+		if d.Done() != nil || epoch == 0 {
 			loadErr = fmt.Errorf("server: corrupt migration tombstone %q", key)
 			return false
 		}
-		e.moved[key[len("mv/"):]] = epoch
+		h := e.lockOrder(key[len("mv/"):])
+		h.en.moved.Store(epoch)
+		e.unlockOrder(&h)
 		return true
 	})
 	if err != nil {
@@ -427,27 +420,25 @@ const topoKey = "topo"
 func (e *Engine) Topology() (uint64, []string) {
 	e.topoMu.Lock()
 	defer e.topoMu.Unlock()
-	return e.topo.epoch, append([]string(nil), e.topo.members...)
+	return e.topo.Epoch, append([]string(nil), e.topo.Members...)
 }
 
 // SetTopology stores a published topology if it is newer than the one
-// held; stale updates (epoch at or below the stored one) are ignored.
+// held; stale updates (epoch at or below the stored one) are ignored. The
+// stored value is TopologyInfoResp's encoding.
 func (e *Engine) SetTopology(epoch uint64, members []string) error {
 	e.topoMu.Lock()
 	defer e.topoMu.Unlock()
-	if epoch <= e.topo.epoch {
+	if epoch <= e.topo.Epoch {
 		return nil
 	}
+	topo := wire.TopologyInfoResp{Epoch: epoch, Members: append([]string(nil), members...)}
 	var enc wire.Encoder
-	enc.U64(epoch)
-	enc.U64(uint64(len(members)))
-	for _, m := range members {
-		enc.Str(m)
-	}
+	topo.Encode(&enc)
 	if err := e.store.Put(topoKey, enc.Bytes()); err != nil {
 		return err
 	}
-	e.topo = topology{epoch: epoch, members: append([]string(nil), members...)}
+	e.topo = topo
 	return nil
 }
 
@@ -460,18 +451,9 @@ func (e *Engine) loadTopology() error {
 		return err
 	}
 	d := wire.NewDecoder(value)
-	epoch := d.U64()
-	n := d.U64()
-	if d.Err() != nil || n > wire.MaxMembers {
-		return errors.New("server: corrupt stored topology")
+	e.topo.Decode(d)
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("server: corrupt stored topology: %w", err)
 	}
-	members := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		members = append(members, d.Str())
-	}
-	if d.Done() != nil {
-		return errors.New("server: corrupt stored topology")
-	}
-	e.topo = topology{epoch: epoch, members: members}
 	return nil
 }

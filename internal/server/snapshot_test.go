@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"encoding/hex"
+	"reflect"
 	"testing"
 
 	"repro/internal/chunk"
@@ -299,5 +301,38 @@ func TestEngineTopologyStore(t *testing.T) {
 	}
 	if epoch, members := e2.Topology(); epoch != 2 || len(members) != 2 {
 		t.Fatalf("restarted topology = %d/%v", epoch, members)
+	}
+	// The stored layout is pinned: uvarint epoch, member count, then each
+	// member length-prefixed. A value written in it loads; a truncated one
+	// is refused.
+	if err := e2.SetTopology(300, []string{"a", "b"}); err != nil {
+		t.Fatal(err)
+	}
+	const stored = "ac020201610162" // epoch 300, members [a b]
+	if got, err := store.Get(topoKey); err != nil || hex.EncodeToString(got) != stored {
+		t.Fatalf("stored topology = %x, %v; want %s", got, err, stored)
+	}
+	for _, c := range []struct {
+		value string
+		ok    bool
+	}{{stored, true}, {"ac0202016101", false}, {"ac02", false}} {
+		value, _ := hex.DecodeString(c.value)
+		s := kv.NewMemStore()
+		if err := s.Put(topoKey, value); err != nil {
+			t.Fatal(err)
+		}
+		e3, err := New(s, Config{})
+		if !c.ok {
+			if err == nil {
+				t.Errorf("stored topology %s loaded; want it refused", c.value)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("stored topology %s: %v", c.value, err)
+		}
+		if epoch, members := e3.Topology(); epoch != 300 || !reflect.DeepEqual(members, []string{"a", "b"}) {
+			t.Errorf("stored topology %s loads as %d/%v, want 300/[a b]", c.value, epoch, members)
+		}
 	}
 }

@@ -776,6 +776,14 @@ type TopologyInfoResp struct {
 }
 
 func (*TopologyInfoResp) Type() MsgType { return TTopologyInfoResp }
+
+// Encode appends the topology to an encoder (exported for server-side
+// topology persistence).
+func (m *TopologyInfoResp) Encode(e *Encoder) { m.codec(Codec{e: e}) }
+
+// Decode reads the topology from a decoder; check d.Done or d.Err after.
+func (m *TopologyInfoResp) Decode(d *Decoder) { m.codec(Codec{d: d}) }
+
 func (m *TopologyInfoResp) codec(c Codec) {
 	c.U64(&m.Epoch)
 	c.members(&m.Members)
