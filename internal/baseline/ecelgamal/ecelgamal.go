@@ -67,9 +67,9 @@ type Ciphertext struct {
 	c1, c2 point
 }
 
-// Bytes reports the serialized size (two compressed points), the source of
-// the strawman's 21x index expansion in Table 2.
-func (c *Ciphertext) Bytes() int { return 2 * 33 }
+// CiphertextBytes is a ciphertext's serialized size (two compressed
+// points), the source of the strawman's 21x index expansion in Table 2.
+const CiphertextBytes = 2 * 33
 
 // PrivateKey is the decryption key d with public Q = d·G.
 type PrivateKey struct {

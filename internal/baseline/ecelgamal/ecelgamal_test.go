@@ -1,6 +1,7 @@
 package ecelgamal
 
 import (
+	"crypto/elliptic"
 	"testing"
 )
 
@@ -114,8 +115,12 @@ func TestWrongKeyFailsOrWrongValue(t *testing.T) {
 func TestCiphertextBytes(t *testing.T) {
 	key, _ := testSetup(t)
 	c, _ := key.Encrypt(1)
-	if c.Bytes() != 66 {
-		t.Errorf("ciphertext size %d, want 66", c.Bytes())
+	size := 0
+	for _, p := range []point{c.c1, c.c2} {
+		size += len(elliptic.MarshalCompressed(curve, p.x, p.y))
+	}
+	if size != CiphertextBytes {
+		t.Errorf("ciphertext size %d, want %d", size, CiphertextBytes)
 	}
 }
 

@@ -148,13 +148,8 @@ func (pub *PublicKey) EncryptUint64(m uint64) (*big.Int, error) {
 	return pub.Encrypt(new(big.Int).SetUint64(m))
 }
 
-// Add homomorphically adds two ciphertexts: Dec(Add(c1,c2)) = m1 + m2 mod n.
-func (pub *PublicKey) Add(c1, c2 *big.Int) *big.Int {
-	c := new(big.Int).Mul(c1, c2)
-	return c.Mod(c, pub.N2)
-}
-
-// AddInto accumulates src into dst in place, avoiding an allocation.
+// AddInto homomorphically accumulates src into dst in place:
+// Dec(AddInto(c1, c2)) = m1 + m2 mod n.
 func (pub *PublicKey) AddInto(dst, src *big.Int) *big.Int {
 	dst.Mul(dst, src)
 	return dst.Mod(dst, pub.N2)

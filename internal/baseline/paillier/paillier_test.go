@@ -55,7 +55,7 @@ func TestAdditiveHomomorphism(t *testing.T) {
 	key := testKey(t)
 	c1, _ := key.EncryptUint64(1234)
 	c2, _ := key.EncryptUint64(8766)
-	sum := key.Add(c1, c2)
+	sum := key.AddInto(c1, c2)
 	got, err := key.Decrypt(sum)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestHomomorphismProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := key.DecryptCRT(key.Add(c1, c2))
+		got, err := key.DecryptCRT(key.AddInto(c1, c2))
 		if err != nil {
 			return false
 		}

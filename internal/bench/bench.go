@@ -11,8 +11,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
-	"strconv"
 	"sync"
 	"time"
 
@@ -78,17 +76,6 @@ func reportMetrics(experiment, name string, r workload.Report) []Metric {
 		{Experiment: experiment, Name: name + "/query", OpsPerSec: r.QueryOpsPS,
 			P50Ms: ms(r.Query.P50), P99Ms: ms(r.Query.P99)},
 	}
-}
-
-// FromEnv reads TIMECRYPT_SCALE (default 1.0).
-func FromEnv() Options {
-	opts := Options{Scale: 1.0}
-	if s := os.Getenv("TIMECRYPT_SCALE"); s != "" {
-		if v, err := strconv.ParseFloat(s, 64); err == nil && v > 0 {
-			opts.Scale = v
-		}
-	}
-	return opts
 }
 
 func (o Options) scaled(base int) int {

@@ -282,7 +282,7 @@ func (b *ecBench) BytesPerChunk() float64 {
 	if b.tree.count == 0 {
 		return 0
 	}
-	return 66 * float64(b.tree.nodeCount()) / float64(b.tree.count)
+	return ecelgamal.CiphertextBytes * float64(b.tree.nodeCount()) / float64(b.tree.count)
 }
 
 func cloneBig(x *big.Int) *big.Int { return new(big.Int).Set(x) }

@@ -26,12 +26,6 @@ func NewBuilder(t0, interval int64) (*Builder, error) {
 	return &Builder{t0: t0, interval: interval}, nil
 }
 
-// Epoch returns the stream start time t0.
-func (b *Builder) Epoch() int64 { return b.t0 }
-
-// Interval returns Δ.
-func (b *Builder) Interval() int64 { return b.interval }
-
 // NextIndex returns the index of the chunk currently being filled.
 func (b *Builder) NextIndex() uint64 { return b.next }
 

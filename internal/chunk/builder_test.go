@@ -93,7 +93,7 @@ func TestBuilderValidation(t *testing.T) {
 
 func TestBuilderAccessors(t *testing.T) {
 	b, _ := NewBuilder(500, 250)
-	if b.Epoch() != 500 || b.Interval() != 250 || b.NextIndex() != 0 {
+	if b.t0 != 500 || b.interval != 250 || b.NextIndex() != 0 {
 		t.Error("accessors wrong on fresh builder")
 	}
 	b.Add(Point{TS: 800, Val: 1}) // chunk 1; chunk 0 emitted empty

@@ -14,7 +14,7 @@ import (
 // varint delta encoding in MarshalPoints already acts as a domain-specific
 // pre-pass. As a stream's setting it names the codec its chunks may use —
 // Seal records per chunk the one it did use (see encodePoints); as a
-// Sealed's field, and for Compress/Decompress, it names exactly one codec.
+// Sealed's field, and for Compress, it names exactly one codec.
 type Compression uint8
 
 const (
@@ -37,17 +37,6 @@ func (c Compression) String() string {
 	default:
 		return fmt.Sprintf("Compression(%d)", uint8(c))
 	}
-}
-
-// ParseCompression converts a canonical codec name into a Compression.
-func ParseCompression(s string) (Compression, error) {
-	switch s {
-	case "none":
-		return CompressionNone, nil
-	case "zlib":
-		return CompressionZlib, nil
-	}
-	return 0, fmt.Errorf("chunk: unknown compression %q", s)
 }
 
 // maxDecompressed bounds decompression output to defend against
@@ -275,11 +264,4 @@ func Compress(c Compression, data []byte) ([]byte, error) {
 	d := deflaters.Get().(*deflater)
 	defer deflaters.Put(d)
 	return owned(d.encode(c, data))
-}
-
-// Decompress reverses Compress. The result is the caller's.
-func Decompress(c Compression, data []byte) ([]byte, error) {
-	in := inflaters.Get().(*inflater)
-	defer in.release()
-	return owned(in.decode(c, data))
 }

@@ -98,7 +98,7 @@ func TestCompressionRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c, err)
 		}
-		dec, err := Decompress(c, enc)
+		dec, err := decompress(c, enc)
 		if err != nil {
 			t.Fatalf("%s: %v", c, err)
 		}
@@ -112,23 +112,11 @@ func TestCompressionUnknownCodec(t *testing.T) {
 	if _, err := Compress(Compression(99), []byte("x")); err == nil {
 		t.Error("unknown codec accepted in Compress")
 	}
-	if _, err := Decompress(Compression(99), []byte("x")); err == nil {
-		t.Error("unknown codec accepted in Decompress")
+	if _, err := decompress(Compression(99), []byte("x")); err == nil {
+		t.Error("unknown codec accepted in decompress")
 	}
-	if _, err := Decompress(CompressionZlib, []byte("not zlib")); err == nil {
+	if _, err := decompress(CompressionZlib, []byte("not zlib")); err == nil {
 		t.Error("invalid zlib stream accepted")
-	}
-}
-
-func TestParseCompression(t *testing.T) {
-	for _, c := range []Compression{CompressionNone, CompressionZlib} {
-		got, err := ParseCompression(c.String())
-		if err != nil || got != c {
-			t.Errorf("round trip %v failed: %v", c, err)
-		}
-	}
-	if _, err := ParseCompression("lz4"); err == nil {
-		t.Error("unknown name accepted")
 	}
 }
 

@@ -51,7 +51,6 @@ const virtualNodes = 128
 // concurrent use.
 type Ring struct {
 	points []ringPoint // sorted by hash
-	nodes  []string
 }
 
 type ringPoint struct {
@@ -83,7 +82,7 @@ func NewRing(nodes []string) (*Ring, error) {
 		return nil, errors.New("cluster: ring needs at least one node")
 	}
 	seen := make(map[string]bool, len(nodes))
-	r := &Ring{points: make([]ringPoint, 0, len(nodes)*virtualNodes), nodes: append([]string(nil), nodes...)}
+	r := &Ring{points: make([]ringPoint, 0, len(nodes)*virtualNodes)}
 	for _, node := range nodes {
 		if node == "" {
 			return nil, errors.New("cluster: empty node name")
@@ -115,6 +114,3 @@ func (r *Ring) Owner(key string) string {
 	}
 	return r.points[i].node
 }
-
-// Nodes returns the ring membership in construction order.
-func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }

@@ -116,17 +116,6 @@ func AddVec(dst, src []uint64) {
 	}
 }
 
-// SubVec homomorphically removes src from dst (used by range-delete to keep
-// ancestor digests consistent).
-func SubVec(dst, src []uint64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("core: SubVec length mismatch %d != %d", len(dst), len(src)))
-	}
-	for e := range src {
-		dst[e] -= src[e]
-	}
-}
-
 // ChunkKeySize is the AES key length used for raw chunk payload encryption
 // (AES-GCM-128, paper §4.1).
 const ChunkKeySize = 16

@@ -130,9 +130,14 @@ func TestAddSubVec(t *testing.T) {
 	if a[0] != 11 || a[1] != 22 || a[2] != 0 {
 		t.Errorf("AddVec wrong: %v", a)
 	}
-	SubVec(a, b)
+	// Subtracting is adding the negation mod 2^64.
+	neg := make([]uint64, len(b))
+	for i, v := range b {
+		neg[i] = -v
+	}
+	AddVec(a, neg)
 	if a[0] != 1 || a[1] != 2 || a[2] != ^uint64(0) {
-		t.Errorf("SubVec wrong: %v", a)
+		t.Errorf("AddVec of the negation wrong: %v", a)
 	}
 }
 

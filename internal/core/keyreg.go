@@ -176,29 +176,6 @@ type DualToken struct {
 	S2     Node // secondary chain state at index Lo
 }
 
-// Keys enumerates all keys in the token's interval in ascending order.
-// It costs O(Hi−Lo) hash evaluations total.
-func (t DualToken) Keys() []Node {
-	n := t.Hi - t.Lo + 1
-	// Derive primary states downward into a buffer, secondary upward on
-	// the fly.
-	prim := make([]Node, n)
-	s1 := t.S1
-	for i := int(n) - 1; i >= 0; i-- {
-		prim[i] = s1
-		if i > 0 {
-			s1 = krStep(s1)
-		}
-	}
-	keys := make([]Node, n)
-	s2 := t.S2
-	for i := uint64(0); i < n; i++ {
-		keys[i] = krKey(prim[i], s2)
-		s2 = krStep(s2)
-	}
-	return keys
-}
-
 // KeyAt derives the single key j from the token; j must be within [Lo, Hi].
 func (t DualToken) KeyAt(j uint64) (Node, error) {
 	if j < t.Lo || j > t.Hi {

@@ -225,9 +225,6 @@ func NewKeySet(prg PRG, height int, tokens []Token) (*KeySet, error) {
 	return &KeySet{prg: prg, height: height, tokens: ts}, nil
 }
 
-// Height returns the underlying tree height.
-func (ks *KeySet) Height() int { return ks.height }
-
 // Tokens returns the key set's tokens sorted by first covered leaf.
 func (ks *KeySet) Tokens() []Token {
 	out := make([]Token, len(ks.tokens))
@@ -243,27 +240,6 @@ func (ks *KeySet) Add(tokens []Token) error {
 	}
 	ks.tokens = merged.tokens
 	return nil
-}
-
-// Covers reports whether the key set can derive leaf i.
-func (ks *KeySet) Covers(i uint64) bool {
-	_, ok := ks.find(i)
-	return ok
-}
-
-// CoversRange reports whether every leaf in [first, last] is derivable.
-func (ks *KeySet) CoversRange(first, last uint64) bool {
-	for i := first; ; {
-		tk, ok := ks.find(i)
-		if !ok {
-			return false
-		}
-		end := tk.LastLeaf(ks.height)
-		if end >= last {
-			return true
-		}
-		i = end + 1
-	}
 }
 
 func (ks *KeySet) find(i uint64) (Token, bool) {

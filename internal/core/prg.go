@@ -74,20 +74,6 @@ func (k PRGKind) String() string {
 	}
 }
 
-// ParsePRGKind converts a canonical PRG name ("aes", "sha256", "hmac") into
-// its PRGKind.
-func ParsePRGKind(s string) (PRGKind, error) {
-	switch s {
-	case "aes":
-		return PRGAES, nil
-	case "sha256":
-		return PRGSHA256, nil
-	case "hmac":
-		return PRGHMAC, nil
-	}
-	return 0, fmt.Errorf("core: unknown PRG %q", s)
-}
-
 type aesPRG struct{}
 
 func (aesPRG) Name() string { return "aes" }

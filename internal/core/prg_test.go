@@ -46,21 +46,6 @@ func TestPRGDistinctInputsDistinctOutputs(t *testing.T) {
 	}
 }
 
-func TestParsePRGKind(t *testing.T) {
-	for _, kind := range []PRGKind{PRGAES, PRGSHA256, PRGHMAC} {
-		got, err := ParsePRGKind(kind.String())
-		if err != nil {
-			t.Fatalf("ParsePRGKind(%q): %v", kind.String(), err)
-		}
-		if got != kind {
-			t.Errorf("round trip %v -> %v", kind, got)
-		}
-	}
-	if _, err := ParsePRGKind("md5"); err == nil {
-		t.Error("expected error for unknown PRG name")
-	}
-}
-
 func TestPRGKindStringUnknown(t *testing.T) {
 	if s := PRGKind(99).String(); s != "PRGKind(99)" {
 		t.Errorf("got %q", s)

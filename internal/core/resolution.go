@@ -161,9 +161,6 @@ func (rt ResolutionToken) OpenAll(envs []Envelope) (*ResolutionKeySet, error) {
 	return ks, nil
 }
 
-// Factor returns the key set's aggregation factor.
-func (ks *ResolutionKeySet) Factor() uint64 { return ks.factor }
-
 // Merge folds another key set of the same factor into ks (used when a
 // principal holds several grants at one resolution).
 func (ks *ResolutionKeySet) Merge(other *ResolutionKeySet) {

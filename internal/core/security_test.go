@@ -158,7 +158,7 @@ func TestDualKeyRegressionChainsOneWay(t *testing.T) {
 		t.Fatal(err)
 	}
 	inside := make(map[Node]bool)
-	for _, k := range tok.Keys() {
+	for _, k := range tokenKeys(t, tok) {
 		inside[k] = true
 	}
 	for j := uint64(0); j < 256; j++ {
@@ -183,7 +183,7 @@ func TestEnvelopeKeysUnlinkable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := tok.Token.Keys()
+	keys := tokenKeys(t, tok.Token)
 	seen := make(map[Node]bool)
 	for _, k := range keys {
 		if seen[k] {

@@ -18,12 +18,12 @@ const (
 	levelBits = 8
 	idxBits   = 64 - levelBits
 	// maxLevel and maxIdx are the largest level and node index a key can
-	// hold, maxChunks the number of leaf positions. The derived height
-	// stays far below maxLevel even at fanout 2; Open and Append refuse
-	// counts past maxChunks.
+	// hold, MaxChunks the number of leaf positions a stream can hold. The
+	// derived height stays far below maxLevel even at fanout 2; Open and
+	// Append refuse counts past MaxChunks.
 	maxLevel  = 1<<levelBits - 1
 	maxIdx    = 1<<idxBits - 1
-	maxChunks = 1 << idxBits
+	MaxChunks = 1 << idxBits
 )
 
 func cacheKey(level int, idx uint64) uint64 { return uint64(level)<<idxBits | idx }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -84,7 +85,7 @@ func Open(store kv.Store, streamID string, cfg Config) (*Tree, error) {
 			return nil, fmt.Errorf("index: corrupt meta for stream %q", streamID)
 		}
 		t.count = binary.BigEndian.Uint64(meta)
-		if t.count > maxChunks {
+		if t.count > MaxChunks {
 			return nil, fmt.Errorf("index: corrupt meta for stream %q: %d chunks", streamID, t.count)
 		}
 	case errors.Is(err, kv.ErrNotFound):
@@ -101,9 +102,6 @@ func (t *Tree) Count() uint64 {
 	defer t.mu.RUnlock()
 	return t.count
 }
-
-// Fanout returns the tree arity.
-func (t *Tree) Fanout() int { return t.cfg.Fanout }
 
 func (t *Tree) metaKey() string { return "i/" + t.streamID + "/meta" }
 
@@ -188,8 +186,8 @@ func (t *Tree) checkAppend(pos, n uint64) error {
 	if pos != t.count {
 		return fmt.Errorf("index: append at position %d, expected %d", pos, t.count)
 	}
-	if n > maxChunks-pos {
-		return fmt.Errorf("index: stream is full at %d chunks", uint64(maxChunks))
+	if n > MaxChunks-pos {
+		return fmt.Errorf("index: stream is full at %d chunks", uint64(MaxChunks))
 	}
 	return nil
 }
@@ -428,24 +426,20 @@ func (t *Tree) QueryWindows(a, b, f uint64) ([][]uint64, error) {
 	return out, nil
 }
 
-// Prune removes index nodes below the given level for chunk positions
+// PruneWith removes index nodes below the given level for chunk positions
 // [a, b): TimeCrypt's data decay / rollup support (§4.5 "Data decay").
 // Coarser statistics (level and above) remain queryable; finer granularity
 // in the pruned range is gone. a and b should be aligned to k^level or the
-// adjacent partially-covered nodes are preserved.
-func (t *Tree) Prune(level int, a, b uint64) error {
-	return t.PruneWith(level, a, b, nil)
-}
-
-// PruneWith is Prune with the caller's own ops (a rollup's chunk deletes)
-// committed in the same store batch as the node deletes; the cache drops
-// the nodes only after that batch returned nil.
+// adjacent partially-covered nodes are preserved. The caller's own ops (a
+// rollup's chunk deletes) are committed in the same store batch as the
+// node deletes; the cache drops the nodes only after that batch returned
+// nil.
 func (t *Tree) PruneWith(level int, a, b uint64, extra []kv.Op) error {
 	if level < 1 || level > t.levels {
 		return fmt.Errorf("index: prune level %d out of range [1,%d]", level, t.levels)
 	}
-	if b > maxChunks {
-		return fmt.Errorf("index: prune range [%d,%d) beyond the %d chunks a stream can hold", a, b, uint64(maxChunks))
+	if b > MaxChunks {
+		return fmt.Errorf("index: prune range [%d,%d) beyond the %d chunks a stream can hold", a, b, uint64(MaxChunks))
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -477,10 +471,14 @@ func (t *Tree) CacheStats() (hits, misses uint64, usedBytes int64, entries int) 
 }
 
 // LevelSpan returns k^level, the number of chunk positions one node at the
-// given level covers; callers use it to align rollups.
+// given level covers, saturating at math.MaxUint64; callers use it to
+// align rollups.
 func (t *Tree) LevelSpan(level int) uint64 {
 	span := uint64(1)
 	for l := 0; l < level; l++ {
+		if span > math.MaxUint64/uint64(t.cfg.Fanout) {
+			return math.MaxUint64
+		}
 		span *= uint64(t.cfg.Fanout)
 	}
 	return span

@@ -3,6 +3,7 @@ package index
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -225,7 +226,7 @@ func TestPruneRemovesFineLevelsKeepsCoarse(t *testing.T) {
 	fill(t, tree, 64)
 	before := store.Len()
 	// Prune level-0 nodes for the first 16 chunks (one level-2 node span).
-	if err := tree.Prune(2, 0, 16); err != nil {
+	if err := tree.PruneWith(2, 0, 16, nil); err != nil {
 		t.Fatal(err)
 	}
 	if store.Len() >= before {
@@ -248,7 +249,7 @@ func TestPruneRemovesFineLevelsKeepsCoarse(t *testing.T) {
 	if err != nil || got[0] != rangeSum(17, 23) {
 		t.Errorf("unpruned range broken: %v %v", got, err)
 	}
-	if err := tree.Prune(0, 0, 4); err == nil {
+	if err := tree.PruneWith(0, 0, 4, nil); err == nil {
 		t.Error("prune level 0 accepted")
 	}
 }
@@ -308,6 +309,10 @@ func TestLevelSpan(t *testing.T) {
 	tree, _ := newTestTree(t, Config{Fanout: 4, VectorLen: 1})
 	if tree.LevelSpan(0) != 1 || tree.LevelSpan(1) != 4 || tree.LevelSpan(3) != 64 {
 		t.Error("LevelSpan wrong")
+	}
+	// 4^31 is the last power that fits; past it the span saturates.
+	if tree.LevelSpan(31) != 1<<62 || tree.LevelSpan(32) != math.MaxUint64 || tree.LevelSpan(200) != math.MaxUint64 {
+		t.Errorf("LevelSpan(31, 32, 200) = %d, %d, %d; want 2^62 then saturated", tree.LevelSpan(31), tree.LevelSpan(32), tree.LevelSpan(200))
 	}
 }
 
@@ -467,24 +472,24 @@ func TestKeyPackingBounds(t *testing.T) {
 	// A stream whose recorded count is past the largest packable index is
 	// corrupt; one exactly at it is full and refuses the next append.
 	var meta [8]byte
-	binary.BigEndian.PutUint64(meta[:], maxChunks+1)
+	binary.BigEndian.PutUint64(meta[:], MaxChunks+1)
 	store.Put("i/over/meta", meta[:])
 	if _, err := Open(store, "over", Config{VectorLen: 1}); err == nil {
 		t.Error("count beyond the packable index range accepted")
 	}
-	binary.BigEndian.PutUint64(meta[:], maxChunks)
+	binary.BigEndian.PutUint64(meta[:], MaxChunks)
 	store.Put("i/full/meta", meta[:])
 	full, err := Open(store, "full", Config{VectorLen: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := full.Append(maxChunks, []uint64{1}); err == nil {
+	if err := full.Append(MaxChunks, []uint64{1}); err == nil {
 		t.Error("append past the packable index range accepted")
 	}
-	if err := full.AppendBatch(maxChunks, [][]uint64{{1}}); err == nil {
+	if err := full.AppendBatch(MaxChunks, [][]uint64{{1}}); err == nil {
 		t.Error("batch append past the packable index range accepted")
 	}
-	if err := full.Prune(1, 0, maxChunks+1); err == nil {
+	if err := full.PruneWith(1, 0, MaxChunks+1, nil); err == nil {
 		t.Error("prune past the packable index range accepted")
 	}
 	if cacheKey(maxLevel, maxIdx) != ^uint64(0) || keyLevel(cacheKey(maxLevel, 0)) != maxLevel {
@@ -659,7 +664,7 @@ func TestFailedAppendLeavesTreeUntouched(t *testing.T) {
 	if err := tree.Append(21, []uint64{22}); !errors.Is(err, errStoreDown) {
 		t.Fatalf("single append on a refusing store: %v", err)
 	}
-	if err := tree.Prune(1, 0, 4); !errors.Is(err, errStoreDown) {
+	if err := tree.PruneWith(1, 0, 4, nil); !errors.Is(err, errStoreDown) {
 		t.Fatalf("prune on a refusing store: %v", err)
 	}
 	if got := tree.Count(); got != 21 {
@@ -713,7 +718,7 @@ func TestAppendIsOneStoreCall(t *testing.T) {
 	if err := tree.AppendBatch(1, [][]uint64{{2}, {3}, {4}, {5}, {6}, {7}, {8}, {9}, {10}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.Prune(1, 0, 8); err != nil {
+	if err := tree.PruneWith(1, 0, 8, nil); err != nil {
 		t.Fatal(err)
 	}
 	if calls.batches != 3 || calls.singles != 0 {
@@ -757,7 +762,7 @@ func TestQueryReadsTheShorterSide(t *testing.T) {
 func TestQueryBesidePrunedNodes(t *testing.T) {
 	tree, _ := newTestTree(t, Config{Fanout: 4, VectorLen: 1})
 	fill(t, tree, 32)
-	if err := tree.Prune(1, 4, 5); err != nil { // removes leaf 4 only
+	if err := tree.PruneWith(1, 4, 5, nil); err != nil { // removes leaf 4 only
 		t.Fatal(err)
 	}
 	got, err := tree.Query(5, 8) // node (1,1) minus leaf 4 would be shorter

@@ -417,16 +417,21 @@ func (e *Engine) DeleteStream(uuid string) error { return e.ordered(uuid, e.dele
 
 // deleteStream deletes the stream's keys while it still holds the order
 // lock every other mutation of the stream takes, so none of them lands
-// after the delete. The stream is retired first, so a read that starts
-// while the keys go answers not found rather than from a half-deleted
-// stream; it comes back if the delete fails.
+// after the delete. The keys are collected while the stream still
+// serves, so a failed scan changes nothing; then the stream is retired,
+// so a read that starts while the keys go answers not found rather than
+// from a half-deleted stream; it comes back if the delete fails.
 func (e *Engine) deleteStream(h *held) error {
 	s, err := h.live()
 	if err != nil {
 		return err
 	}
+	ops, err := e.deleteStreamOps(h.uuid)
+	if err != nil {
+		return err
+	}
 	h.en.live.Store(nil)
-	if err := e.store.Batch(e.deleteStreamOps(h.uuid)); err != nil {
+	if err := e.store.Batch(ops); err != nil {
 		h.en.live.Store(s)
 		return err
 	}
@@ -914,6 +919,9 @@ func (e *Engine) rollup(ctx context.Context, h *held, factor uint64, ts, te int6
 	if factor < 1 {
 		return errors.New("server: rollup factor must be >= 1")
 	}
+	if factor > index.MaxChunks {
+		return fmt.Errorf("server: rollup factor %d exceeds the %d chunks a stream can hold", factor, uint64(index.MaxChunks))
+	}
 	s, err := h.live()
 	if err != nil {
 		return err
@@ -986,11 +994,10 @@ func (e *Engine) deleteGrant(h *held, principal, grantID string) error {
 	if grantID != "" {
 		return e.store.Delete(grantKey(h.uuid, principal, grantID))
 	}
-	var ops []kv.Op
-	e.store.Scan("g/"+h.uuid+"/"+principal+"/", func(key string, _ []byte) bool {
-		ops = append(ops, kv.Op{Kind: kv.OpDelete, Key: key})
-		return true
-	})
+	ops, err := appendDeletes(nil, e.store, "g/"+h.uuid+"/"+principal+"/")
+	if err != nil {
+		return err
+	}
 	return e.store.Batch(ops)
 }
 
@@ -1013,7 +1020,9 @@ func (e *Engine) putEnvelopes(h *held, factor uint64, envs []wire.WireEnvelope) 
 	return e.store.Batch(ops)
 }
 
-// GetEnvelopes fetches envelopes lo..hi (inclusive) for one resolution.
+// GetEnvelopes fetches the stored envelopes lo..hi (inclusive) for one
+// resolution, in index order. It scans the resolution's keys rather than
+// probing every index, so its cost follows what is stored, not hi-lo.
 func (e *Engine) GetEnvelopes(uuid string, factor, lo, hi uint64) ([]wire.WireEnvelope, error) {
 	if _, err := e.lookup(uuid); err != nil {
 		return nil, err
@@ -1021,16 +1030,21 @@ func (e *Engine) GetEnvelopes(uuid string, factor, lo, hi uint64) ([]wire.WireEn
 	if hi < lo {
 		return nil, fmt.Errorf("server: invalid envelope range [%d,%d]", lo, hi)
 	}
-	envs := make([]wire.WireEnvelope, 0, hi-lo+1)
-	for j := lo; j <= hi; j++ {
-		box, err := e.store.Get(envKey(uuid, factor, j))
-		if errors.Is(err, kv.ErrNotFound) {
-			continue
+	prefix := envKey(uuid, factor, 0)
+	prefix = prefix[:len(prefix)-1] // the resolution's keys, without index 0
+	var envs []wire.WireEnvelope
+	err := e.store.Scan(prefix, func(key string, box []byte) bool {
+		// The prefix also matches keys of a UUID that extends this one
+		// with a slash; their rest holds a slash and does not parse.
+		j, err := strconv.ParseUint(key[len(prefix):], 16, 64)
+		if err == nil && j >= lo && j <= hi {
+			envs = append(envs, wire.WireEnvelope{Index: j, Box: box})
 		}
-		if err != nil {
-			return nil, err
-		}
-		envs = append(envs, wire.WireEnvelope{Index: j, Box: box})
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
+	sort.Slice(envs, func(a, b int) bool { return envs[a].Index < envs[b].Index })
 	return envs, nil
 }

@@ -307,7 +307,8 @@ func (e *Engine) handoffCommit(h *held) error {
 }
 
 // handoffRelease retires a migrated stream on the source, under its order
-// lock. The tombstone goes up in memory and the stream is retired before
+// lock. Its keys are collected first, so a failed scan leaves it serving.
+// The tombstone goes up in memory and the stream is retired before
 // the persisted data is deleted and the tombstone written, so no request
 // window sees "neither side": a read that starts from then on, and a
 // mutation that waited for the lock, answer CodeWrongShard. If that batch
@@ -327,9 +328,13 @@ func (e *Engine) handoffRelease(h *held, epoch uint64) error {
 	if epoch == 0 {
 		return fmt.Errorf("server: stream %q: release needs the topology epoch of the move", uuid)
 	}
+	ops, err := e.deleteStreamOps(uuid)
+	if err != nil {
+		return err
+	}
+	ops = append(ops, kv.Op{Kind: kv.OpPut, Key: movedKey(uuid), Value: encodeMovedEpoch(epoch)})
 	h.en.moved.Store(epoch)
 	h.en.live.Store(nil)
-	ops := append(e.deleteStreamOps(uuid), kv.Op{Kind: kv.OpPut, Key: movedKey(uuid), Value: encodeMovedEpoch(epoch)})
 	if err := e.store.Batch(ops); err != nil {
 		h.en.live.Store(s)
 		h.en.moved.Store(0) // a live stream has no tombstone
@@ -350,21 +355,34 @@ func (e *Engine) handoffAbort(h *held) error {
 	if _, err := h.live(); err == nil {
 		return fmt.Errorf("server: stream %q is live on this shard; refusing import abort", h.uuid)
 	}
-	return e.store.Batch(e.deleteStreamOps(h.uuid))
+	ops, err := e.deleteStreamOps(h.uuid)
+	if err != nil {
+		return err
+	}
+	return e.store.Batch(ops)
 }
 
 // deleteStreamOps collects the store deletions removing every persisted
 // trace of a stream (chunks, index nodes, grants, envelopes, staged
 // records, meta) — shared by DeleteStream, handoff release, and abort.
-func (e *Engine) deleteStreamOps(uuid string) []kv.Op {
+func (e *Engine) deleteStreamOps(uuid string) ([]kv.Op, error) {
 	var ops []kv.Op
 	for _, prefix := range []string{"c/" + uuid + "/", "i/" + uuid + "/", "g/" + uuid + "/", "e/" + uuid + "/", "r/" + uuid + "/"} {
-		e.store.Scan(prefix, func(key string, _ []byte) bool {
-			ops = append(ops, kv.Op{Kind: kv.OpDelete, Key: key})
-			return true
-		})
+		var err error
+		if ops, err = appendDeletes(ops, e.store, prefix); err != nil {
+			return nil, err
+		}
 	}
-	return append(ops, kv.Op{Kind: kv.OpDelete, Key: metaKey(uuid)})
+	return append(ops, kv.Op{Kind: kv.OpDelete, Key: metaKey(uuid)}), nil
+}
+
+// appendDeletes appends a delete of every key under prefix to ops.
+func appendDeletes(ops []kv.Op, store kv.Store, prefix string) ([]kv.Op, error) {
+	err := store.Scan(prefix, func(key string, _ []byte) bool {
+		ops = append(ops, kv.Op{Kind: kv.OpDelete, Key: key})
+		return true
+	})
+	return ops, err
 }
 
 // Migration tombstones.

@@ -19,18 +19,6 @@ type Encoder struct {
 // Bytes returns the encoded buffer.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Grow reserves capacity for at least n more bytes, so a caller that knows
-// a message's rough size (e.g. a digest vector's 8·len payload) encodes it
-// with a single allocation instead of append-doubling.
-func (e *Encoder) Grow(n int) {
-	if cap(e.buf)-len(e.buf) >= n {
-		return
-	}
-	nb := make([]byte, len(e.buf), len(e.buf)+n)
-	copy(nb, e.buf)
-	e.buf = nb
-}
-
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
 

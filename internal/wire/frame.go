@@ -89,21 +89,6 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// WriteMessage marshals and frames a bare message (no envelope; used by
-// tooling and tests that need raw frames).
-func WriteMessage(w io.Writer, m Message) error {
-	return WriteFrame(w, Marshal(m))
-}
-
-// ReadMessage reads and unmarshals one bare framed message.
-func ReadMessage(r io.Reader) (Message, error) {
-	payload, err := ReadFrame(r)
-	if err != nil {
-		return nil, err
-	}
-	return Unmarshal(payload)
-}
-
 // WriteRequest frames one request with its envelope header: protocol
 // version, the caller-assigned correlation ID, and the caller's remaining
 // time budget in milliseconds (0 = none). The correlation ID lets many

@@ -366,10 +366,14 @@ func TestFrameLimits(t *testing.T) {
 func TestWriteReadMessage(t *testing.T) {
 	var buf bytes.Buffer
 	want := &StatRange{UUIDs: []string{"x"}, Ts: 1, Te: 2, WindowChunks: 3}
-	if err := WriteMessage(&buf, want); err != nil {
+	if err := WriteFrame(&buf, Marshal(want)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadMessage(&buf)
+	payload, err := ReadFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Unmarshal(payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -38,37 +40,10 @@ var optionAllowlist = map[string]string{
 // package filling its own struct's zero values (an assignment under an
 // if that tests the same field) does not count.
 func TestEveryOptionIsSet(t *testing.T) {
-	c := newCensus()
-	for _, root := range []struct{ dir, path string }{{".", "repro"}, {"benchmark", "repro/benchmark"}} {
-		err := filepath.WalkDir(root.dir, func(dir string, d fs.DirEntry, err error) error {
-			if err != nil || !d.IsDir() {
-				return err
-			}
-			name := d.Name()
-			if dir != root.dir && (strings.HasPrefix(name, ".") || name == "testdata" || name == "benchmark") {
-				return filepath.SkipDir
-			}
-			rel, err := filepath.Rel(root.dir, dir)
-			if err != nil {
-				return err
-			}
-			path := root.path
-			if rel != "." {
-				path += "/" + filepath.ToSlash(rel)
-			}
-			c.dirs[path] = dir
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	c, err := moduleCensus()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for path := range c.dirs {
-		if _, err := c.Import(path); err != nil {
-			t.Fatalf("type-checking %s: %v", path, err)
-		}
-	}
-
 	var unset []string
 	for key, set := range c.set {
 		if !set && optionAllowlist[key] == "" {
@@ -94,25 +69,218 @@ func TestEveryOptionIsSet(t *testing.T) {
 	t.Logf("%d exported option fields, %d allowlisted", len(c.set), len(optionAllowlist))
 }
 
-var testName = regexp.MustCompile(`\bTest[A-Z]\w*`)
-
-// census type-checks packages on demand (it is their importer) and
-// records option fields and the fields non-test code sets.
-type census struct {
-	fset *token.FileSet
-	std  types.Importer
-	dirs map[string]string         // import path -> directory
-	pkgs map[string]*types.Package // checked packages
-	keys map[*types.Var]string     // option field -> "pkg.Type.Field"
-	set  map[string]bool           // "pkg.Type.Field" -> set by non-test code
+// exportAllowlist names the exported functions under internal/ that only
+// tests call. Each reason names the test that calls the function; a
+// function no non-test code references and not listed here fails
+// TestEveryExportHasACaller, and so does an entry whose function is gone
+// or is now referenced by non-test code.
+var exportAllowlist = map[string]string{
+	"core.EncryptVec":                   "TestSchedPoolConcurrentStreams checks the pooled EncryptDigest path against this unpooled reference",
+	"core.NewResolutionStreamFromSeeds": "TestResolutionStreamSeedsRebuild rebuilds an owner's resolution keystream from its two seeds, the whole of its secret state",
+	"core.ResolutionStream.Seeds":       "TestResolutionStreamSeedsRebuild reads the two seeds that rebuild the keystream",
+	"hybrid.KeyPairFromBytes":           "TestKeyPairPersistence restores a key pair from the public KeyPair.PrivateBytes encoding",
+	"paillier.PrivateKey.Decrypt":       "TestEncryptDecryptRoundTrip checks DecryptCRT against this textbook decryption",
+	"replica.Node.Installs":             "TestDeposedMinorityLeaderResyncsAndDiscardsTail counts snapshot installs; the partition suite's watermark monitor exempts them",
+	"sub.Broker.Views":                  "TestAcquireShareAndReplace counts the broker's live views",
+	"sub.Subscription.Dropped":          "TestBoundedQueueDropsAndCounts counts the events the bounded queue dropped",
+	"wire.ReadFrame":                    "TestFrameRoundTrip pins the framing ReadFrameBuf reads; client, server and netchaos tests read raw frames with it",
+	"wire.WriteFrame":                   "TestFrameRoundTrip pins the framing the pooled request and response writers emit; client, server and netchaos tests write raw frames with it",
 }
 
-func newCensus() *census {
+// TestEveryExportHasACaller is the API census. Over the same packages as
+// TestEveryOptionIsSet, it collects every exported function and method
+// declared under internal/ (outside the test-support packages kvtest and
+// netchaos) and requires non-test code to reference each one. A method
+// also counts as used when its type implements an interface declared in a
+// checked package or one of stdInterfaces with it, or when the root
+// package re-exports its type as an alias (the public API).
+func TestEveryExportHasACaller(t *testing.T) {
+	c, err := moduleCensus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range c.uncalled() {
+		if exportAllowlist[key] == "" {
+			t.Errorf("%s is referenced by no non-test code: delete it, unexport it, or allowlist it with the test that calls it", key)
+		}
+	}
+	testNames := c.testFuncs(t)
+	for key, reason := range exportAllowlist {
+		switch called, ok := c.called[key]; {
+		case !ok:
+			t.Errorf("allowlist entry %s names no exported function under internal/", key)
+		case called:
+			t.Errorf("allowlist entry %s is stale: non-test code references it", key)
+		}
+		if name := testName.FindString(reason); !testNames[name] {
+			t.Errorf("allowlist entry %s: reason %q names no test of this module", key, reason)
+		}
+	}
+	t.Logf("%d exported functions under internal/, %d allowlisted", len(c.called), len(exportAllowlist))
+}
+
+// TestExportCensusFixture runs the API census over testdata/census, whose
+// uncalled exports are lib.OnlyTested (called only from lib_test.go) and
+// lib.Recursive (referenced only by itself). The fixture's other exports
+// are a method implementing a fixture interface, one implementing
+// fmt.Stringer, and one on a type the root package re-exports, so a
+// census that drops any rule, or passes everything, reports a different
+// list.
+func TestExportCensusFixture(t *testing.T) {
+	c := newCensus("fixture")
+	if err := c.load("testdata/census"); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(c.uncalled(), " ")
+	if want := "lib.OnlyTested lib.Recursive"; got != want {
+		t.Errorf("uncalled = %q, want %q", got, want)
+	}
+}
+
+var testName = regexp.MustCompile(`\bTest[A-Z]\w*`)
+
+// moduleCensus type-checks this module and benchmark/ once, for both
+// censuses.
+var moduleCensus = sync.OnceValues(func() (*census, error) {
+	c := newCensus("repro")
+	return c, c.load(".", "benchmark")
+})
+
+// stdInterfaces are the standard-library interfaces whose methods the API
+// census counts as used, besides error and the module's own interfaces.
+var stdInterfaces = []struct{ path, name string }{
+	{"fmt", "Stringer"}, {"io", "Reader"}, {"io", "Writer"}, {"io", "Closer"},
+	{"net", "Conn"}, {"net", "Listener"}, {"sort", "Interface"}, {"container/heap", "Interface"},
+}
+
+// census type-checks packages on demand (it is their importer) and
+// records option fields and the fields non-test code sets, and exported
+// functions and the functions non-test code references.
+type census struct {
+	root   string // import path of the public package
+	fset   *token.FileSet
+	std    types.Importer
+	dirs   map[string]string         // import path -> directory
+	pkgs   map[string]*types.Package // checked packages
+	keys   map[*types.Var]string     // option field -> "pkg.Type.Field"
+	set    map[string]bool           // "pkg.Type.Field" -> set by non-test code
+	funcs  map[*types.Func]string    // exported function under internal/ -> "pkg.Func" or "pkg.Type.Method"
+	used   map[*types.Func]bool      // referenced by non-test code
+	ifaces []*types.Interface
+	called map[string]bool // "pkg.Func" or "pkg.Type.Method" -> counts as used
+}
+
+func newCensus(root string) *census {
 	return &census{
-		fset: token.NewFileSet(), std: importer.Default(),
+		root: root, fset: token.NewFileSet(), std: importer.Default(),
 		dirs: map[string]string{}, pkgs: map[string]*types.Package{},
 		keys: map[*types.Var]string{}, set: map[string]bool{},
+		funcs: map[*types.Func]string{}, used: map[*types.Func]bool{},
+		called: map[string]bool{},
 	}
+}
+
+// load type-checks every package under the root directory and each
+// extra directory (a nested module whose import paths extend the
+// root's), then resolves which exports count as used.
+func (c *census) load(rootDir string, extra ...string) error {
+	if err := c.walk(rootDir, c.root, extra); err != nil {
+		return err
+	}
+	for _, dir := range extra {
+		if err := c.walk(dir, c.root+"/"+filepath.ToSlash(dir), nil); err != nil {
+			return err
+		}
+	}
+	for path := range c.dirs {
+		if _, err := c.Import(path); err != nil {
+			return fmt.Errorf("type-checking %s: %v", path, err)
+		}
+	}
+	for _, std := range stdInterfaces {
+		pkg, err := c.std.Import(std.path)
+		if err != nil {
+			return err
+		}
+		c.ifaces = append(c.ifaces, pkg.Scope().Lookup(std.name).Type().Underlying().(*types.Interface))
+	}
+	c.ifaces = append(c.ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	for fn, key := range c.funcs {
+		c.called[key] = c.used[fn] || c.implements(fn)
+	}
+	for _, name := range c.pkgs[c.root].Scope().Names() {
+		tn, ok := c.pkgs[c.root].Scope().Lookup(name).(*types.TypeName)
+		if !ok || !tn.IsAlias() {
+			continue
+		}
+		if named, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+			for i := 0; i < named.NumMethods(); i++ {
+				if key, ok := c.funcs[named.Method(i)]; ok {
+					c.called[key] = true
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// walk records the package directories under dir, skipping hidden
+// directories, testdata and the nested modules named in skip.
+func (c *census) walk(dir, path string, skip []string) error {
+	return filepath.WalkDir(dir, func(sub string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if sub != dir && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || slices.Contains(skip, sub)) {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(dir, sub)
+		if err != nil {
+			return err
+		}
+		p := path
+		if rel != "." {
+			p += "/" + filepath.ToSlash(rel)
+		}
+		c.dirs[p] = sub
+		return nil
+	})
+}
+
+// implements reports whether fn is a method that its type, or a pointer
+// to it, implements a census interface with.
+func (c *census) implements(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	typ := recv.Type()
+	if ptr, ok := typ.(*types.Pointer); ok {
+		typ = ptr.Elem()
+	}
+	if named, ok := typ.(*types.Named); !ok || named.TypeParams().Len() > 0 {
+		return false
+	}
+	for _, iface := range c.ifaces {
+		for i := 0; i < iface.NumMethods(); i++ {
+			if iface.Method(i).Name() == fn.Name() && (types.Implements(typ, iface) || types.Implements(types.NewPointer(typ), iface)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// uncalled returns, sorted, the exports no non-test code uses.
+func (c *census) uncalled() []string {
+	var keys []string
+	for key, called := range c.called {
+		if !called {
+			keys = append(keys, key)
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func (c *census) Import(path string) (*types.Package, error) {
@@ -137,7 +305,7 @@ func (c *census) Import(path string) (*types.Package, error) {
 			files = append(files, f)
 		}
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
 	conf := types.Config{Importer: c}
 	pkg, err := conf.Check(path, c.fset, files, info)
 	if err != nil {
@@ -145,8 +313,10 @@ func (c *census) Import(path string) (*types.Package, error) {
 	}
 	c.pkgs[path] = pkg
 	c.declare(pkg)
+	c.declareFuncs(pkg)
 	for _, f := range files {
 		c.visit(pkg, info, f)
+		c.refer(info, f)
 	}
 	return pkg, nil
 }
@@ -176,6 +346,55 @@ func (c *census) declare(pkg *types.Package) {
 				c.keys[f], c.set[key] = key, false
 			}
 		}
+	}
+}
+
+// declareFuncs records pkg's interfaces and, under internal/ outside the
+// test-support packages, its exported functions and methods.
+func (c *census) declareFuncs(pkg *types.Package) {
+	internal := strings.Contains(pkg.Path(), "/internal/")
+	if strings.HasSuffix(pkg.Path(), "internal/kv/kvtest") || strings.HasSuffix(pkg.Path(), "internal/netchaos") {
+		internal = false
+	}
+	for _, name := range pkg.Scope().Names() {
+		switch obj := pkg.Scope().Lookup(name).(type) {
+		case *types.Func:
+			if internal && obj.Exported() {
+				c.funcs[obj] = pkg.Name() + "." + name
+			}
+		case *types.TypeName:
+			named, ok := obj.Type().(*types.Named)
+			if !ok || obj.IsAlias() {
+				continue
+			}
+			if iface, ok := named.Underlying().(*types.Interface); ok && iface.IsMethodSet() && named.TypeParams().Len() == 0 {
+				c.ifaces = append(c.ifaces, iface)
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); internal && m.Exported() {
+					c.funcs[m] = pkg.Name() + "." + name + "." + m.Name()
+				}
+			}
+		}
+	}
+}
+
+// refer marks the functions f references, except a function's
+// references to itself.
+func (c *census) refer(info *types.Info, f *ast.File) {
+	for _, d := range f.Decls {
+		var self types.Object
+		if fd, ok := d.(*ast.FuncDecl); ok {
+			self = info.Defs[fd.Name]
+		}
+		ast.Inspect(d, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if fn, ok := info.Uses[id].(*types.Func); ok && fn.Origin() != self {
+					c.used[fn.Origin()] = true
+				}
+			}
+			return true
+		})
 	}
 }
 
