@@ -543,16 +543,16 @@ func BenchmarkAblationLeafCache(b *testing.B) {
 func BenchmarkAblationCompression(b *testing.B) {
 	gen := workload.NewMHealth(3)
 	pts := gen.Chunk(0, 0, 10_000)
-	raw := chunk.MarshalPoints(pts)
+	spec := chunk.DigestSpec{Sum: true, Count: true}
 	for _, comp := range []chunk.Compression{chunk.CompressionNone, chunk.CompressionZlib} {
 		b.Run(comp.String(), func(b *testing.B) {
 			var size int
 			for i := 0; i < b.N; i++ {
-				out, err := chunk.Compress(comp, raw)
+				sealed, err := chunk.SealPlain(spec, comp, 0, 0, 10_000, pts)
 				if err != nil {
 					b.Fatal(err)
 				}
-				size = len(out)
+				size = len(sealed.Payload)
 			}
 			b.ReportMetric(float64(size), "payload-bytes")
 		})

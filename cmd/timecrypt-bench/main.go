@@ -5,11 +5,10 @@
 //
 //	timecrypt-bench -run all -scale 1.0
 //	timecrypt-bench -run table2,fig5
-//	timecrypt-bench -run batch -json BENCH_results.json
+//	timecrypt-bench -run durable -json BENCH_results.json
 //
-// Experiments: table2, table3, fig5, fig6, fig7, fig8, access, devops,
-// cluster, batch, pipeline, aggregate, reshard, hotpath, durable,
-// subscribe. Scale > 1 approaches the paper's sizes (and run times).
+// `timecrypt-bench -h` lists the experiments under -run. Scale > 1
+// approaches the paper's sizes (and run times).
 //
 // Alongside the human-readable tables, machine-readable metrics
 // (experiment, ops/sec, p50/p99 latency) are written to the -json file so
@@ -35,8 +34,31 @@ func wrap[T any](f func(io.Writer, bench.Options) ([]T, error)) func(io.Writer, 
 	return func(w io.Writer, o bench.Options) error { _, err := f(w, o); return err }
 }
 
+// experiments is every experiment -run can name, in the order "all" runs them.
+var experiments = []struct {
+	name string
+	run  func(io.Writer, bench.Options) error
+}{
+	{"table2", wrap(bench.Table2)},
+	{"table3", wrap(bench.Table3)},
+	{"fig5", wrap(bench.Fig5)},
+	{"fig6", wrap(bench.Fig6)},
+	{"fig7", wrap(bench.Fig7)},
+	{"fig8", wrap(bench.Fig8)},
+	{"access", wrap(bench.AccessControl)},
+	{"devops", wrap(bench.DevOps)},
+	{"reshard", wrap(bench.Reshard)},
+	{"durable", wrap(bench.DurableIngest)},
+	{"subscribe", wrap(bench.Subscribe)},
+	{"failover", wrap(bench.Failover)},
+}
+
 func main() {
-	runList := flag.String("run", "all", "comma-separated experiments (table2,table3,fig5,fig6,fig7,fig8,access,devops,cluster,batch,pipeline,aggregate,reshard,hotpath,durable,subscribe,failover) or 'all'")
+	names := make([]string, len(experiments))
+	for i, exp := range experiments {
+		names[i] = exp.name
+	}
+	runList := flag.String("run", "all", "comma-separated experiments ("+strings.Join(names, ",")+") or 'all'")
 	scale := flag.Float64("scale", 1.0, "experiment scale factor (1.0 = laptop-sized defaults)")
 	jsonPath := flag.String("json", "BENCH_results.json", "machine-readable results file ('' disables)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
@@ -70,29 +92,6 @@ func main() {
 
 	results := &bench.Results{}
 	opts := bench.Options{Scale: *scale, Results: results}
-	type experiment struct {
-		name string
-		run  func(io.Writer, bench.Options) error
-	}
-	experiments := []experiment{
-		{"table2", wrap(bench.Table2)},
-		{"table3", wrap(bench.Table3)},
-		{"fig5", wrap(bench.Fig5)},
-		{"fig6", wrap(bench.Fig6)},
-		{"fig7", wrap(bench.Fig7)},
-		{"fig8", wrap(bench.Fig8)},
-		{"access", wrap(bench.AccessControl)},
-		{"devops", wrap(bench.DevOps)},
-		{"cluster", wrap(bench.Cluster)},
-		{"batch", wrap(bench.BatchIngest)},
-		{"pipeline", wrap(bench.Pipeline)},
-		{"aggregate", wrap(bench.Aggregate)},
-		{"reshard", wrap(bench.Reshard)},
-		{"hotpath", wrap(bench.HotPath)},
-		{"durable", wrap(bench.DurableIngest)},
-		{"subscribe", wrap(bench.Subscribe)},
-		{"failover", wrap(bench.Failover)},
-	}
 
 	want := map[string]bool{}
 	all := *runList == "all"
@@ -132,7 +131,7 @@ func main() {
 
 // mergeMetrics folds this run's metrics into an existing results file:
 // experiments that ran are replaced wholesale, experiments that did not
-// run keep their previous numbers — so partial runs (-run pipeline) stop
+// run keep their previous numbers — so partial runs (-run durable) stop
 // clobbering the rest of the tracked trajectory.
 func mergeMetrics(path string, fresh []bench.Metric) []bench.Metric {
 	prev, err := os.ReadFile(path)

@@ -34,9 +34,6 @@ type Metric struct {
 	OpsPerSec  float64 `json:"ops_per_sec"`
 	P50Ms      float64 `json:"p50_ms"`
 	P99Ms      float64 `json:"p99_ms"`
-	// BytesPerOp is the mean heap bytes allocated per operation, recorded
-	// by allocation-sensitive experiments (hotpath); 0 elsewhere.
-	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
 }
 
 // Results collects metrics across experiments; safe for concurrent use.

@@ -184,6 +184,70 @@ func TestFig7Runs(t *testing.T) {
 	}
 }
 
+func TestReshardRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second benchmark harness")
+	}
+	results, err := Reshard(io.Discard, tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 2 {
+		t.Fatalf("got %d phases, want steady/grow", len(results))
+	}
+	for _, r := range results {
+		if r.Ingest.Count != r.Inserts {
+			t.Errorf("%s: %d inserts, %d latencies", r.Phase, r.Inserts, r.Ingest.Count)
+		}
+	}
+	// At this scale the grow can finish before its first insert, so only
+	// the steady phase must have ingested.
+	if results[0].Inserts == 0 {
+		t.Error("the steady phase inserted nothing")
+	}
+	if results[1].Moved == 0 {
+		t.Error("the 4->5 grow moved no stream")
+	}
+}
+
+func TestSubscribeRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second benchmark harness")
+	}
+	results, err := Subscribe(io.Discard, tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 3 {
+		t.Fatalf("got %d modes, want live/drain/poll", len(results))
+	}
+	for _, r := range results {
+		if r.Deltas <= 0 || r.PerSec <= 0 || r.Latency.Count == 0 {
+			t.Errorf("%s: %d deltas at %.0f/s, %d latencies", r.Mode, r.Deltas, r.PerSec, r.Latency.Count)
+		}
+	}
+	// The drain >= 2x polling claim is asserted by the full-scale run; at
+	// tiny scale only the harness shape is checked.
+}
+
+func TestFailoverRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second benchmark harness")
+	}
+	results, err := Failover(io.Discard, tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 6 {
+		t.Fatalf("got %d facets, want 4 ingest rows and 2 recovery rows", len(results))
+	}
+	for _, r := range results {
+		if r.Ops <= 0 || r.Latency.Count != r.Ops {
+			t.Errorf("%s: %d ops, %d latencies", r.Name, r.Ops, r.Latency.Count)
+		}
+	}
+}
+
 func TestFig8Runs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second benchmark harness")
@@ -260,44 +324,6 @@ func TestFig5Runs(t *testing.T) {
 	}
 }
 
-func TestBatchIngestRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second benchmark harness")
-	}
-	results := &Results{}
-	opts := tiny
-	opts.Results = results
-	var sb strings.Builder
-	rows, err := BatchIngest(&sb, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d modes, want per-op/batched/writer", len(rows))
-	}
-	for _, r := range rows {
-		if r.RecordsPS <= 0 {
-			t.Errorf("%s: no throughput", r.Mode)
-		}
-	}
-	if !strings.Contains(sb.String(), "target >= 2x") {
-		t.Error("missing ratio summary")
-	}
-	// Machine-readable metrics flow into the collector.
-	metrics := results.Metrics()
-	if len(metrics) != 3 {
-		t.Fatalf("got %d metrics", len(metrics))
-	}
-	for _, m := range metrics {
-		if m.Experiment != "batch" || m.OpsPerSec <= 0 {
-			t.Errorf("bad metric %+v", m)
-		}
-	}
-	// The >= 2x scale-out claim is asserted by the full-scale run recorded
-	// in BENCH_results.json; at tiny scale only the harness shape is
-	// checked (matching TestClusterRuns).
-}
-
 func TestFormattingHelpers(t *testing.T) {
 	if fmtDur(500*time.Nanosecond) != "500ns" {
 		t.Error(fmtDur(500 * time.Nanosecond))
@@ -338,92 +364,6 @@ func TestOptionsScaled(t *testing.T) {
 	o = Options{Scale: 2}
 	if o.scaled(100) != 200 {
 		t.Error("scaled multiply broken")
-	}
-}
-
-func TestClusterRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second benchmark harness")
-	}
-	results, err := Cluster(io.Discard, tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 4 {
-		t.Fatalf("got %d configs", len(results))
-	}
-	for _, r := range results {
-		if r.Report.IngestRecordsPS <= 0 || r.Report.QueryOpsPS <= 0 {
-			t.Errorf("%s: no throughput", r.Config)
-		}
-	}
-	if results[0].Shards != 1 || results[2].Shards != 4 {
-		t.Errorf("unexpected shard counts: %+v", results)
-	}
-	// The scale-out claim (sharded >= 1.5x single-lock) is asserted by
-	// the full-scale run; at tiny scale only the harness shape is
-	// checked.
-}
-
-func TestPipelineRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second benchmark harness")
-	}
-	results, err := Pipeline(io.Discard, tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("got %d modes", len(results))
-	}
-	for _, r := range results {
-		if r.OpsPS <= 0 || r.PerOp.Count != r.Ops {
-			t.Errorf("%s: ops/s %.0f, %d/%d latencies", r.Mode, r.OpsPS, r.PerOp.Count, r.Ops)
-		}
-	}
-	// The window >= 4 > serialized claim is asserted by the full-scale
-	// run; at tiny scale only the harness shape is checked.
-}
-
-// BenchmarkPipelineWindow drives the windowed session transport end to
-// end (one connection, real sockets) so bench-smoke keeps the
-// multiplexing path compiling and running.
-func BenchmarkPipelineWindow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Pipeline(io.Discard, Options{Scale: 0.01}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestAggregateRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second benchmark harness")
-	}
-	results, err := Aggregate(io.Discard, tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d modes", len(results))
-	}
-	for _, r := range results {
-		if r.OpsPS <= 0 || r.PerOp.Count != r.Queries {
-			t.Errorf("%s: ops/s %.0f, %d/%d latencies", r.Mode, r.OpsPS, r.PerOp.Count, r.Queries)
-		}
-	}
-	// The server-agg >= 2x client-merge claim is asserted by the
-	// full-scale run; at tiny scale only the harness shape is checked.
-}
-
-// BenchmarkAggFanIn drives the server-side fan-in end to end (real
-// sockets, 4-shard router, 16-stream AggRange) so bench-smoke keeps the
-// typed-plan aggregation path compiling and running.
-func BenchmarkAggFanIn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Aggregate(io.Discard, Options{Scale: 0.01}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -248,20 +248,3 @@ func decodePoints(c Compression, payload []byte) ([]Point, error) {
 	}
 	return UnmarshalPoints(raw)
 }
-
-// owned copies a codec's result out of pooled (or caller) memory.
-func owned(b []byte, err error) ([]byte, error) {
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out, nil
-}
-
-// Compress encodes data with the codec. The result is the caller's.
-func Compress(c Compression, data []byte) ([]byte, error) {
-	d := deflaters.Get().(*deflater)
-	defer deflaters.Put(d)
-	return owned(d.encode(c, data))
-}

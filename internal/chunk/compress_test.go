@@ -10,6 +10,24 @@ import (
 	"testing"
 )
 
+// owned copies a codec's result out of pooled (or caller) memory.
+func owned(b []byte, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out, nil
+}
+
+// Compress encodes data with the codec through the pooled deflaters, as
+// Seal does, and copies the result out of the deflater's buffer.
+func Compress(c Compression, data []byte) ([]byte, error) {
+	d := deflaters.Get().(*deflater)
+	defer deflaters.Put(d)
+	return owned(d.encode(c, data))
+}
+
 // decompress reverses Compress through the pooled inflaters, as Open
 // does, and copies the result out of the inflater's buffer.
 func decompress(c Compression, data []byte) ([]byte, error) {

@@ -13,7 +13,7 @@ import (
 )
 
 // benchIngest drives concurrent multi-stream ingest (with the paper's 4:1
-// query ratio) against any handler: the head-to-head for one single-lock
+// query ratio) against any handler: the head-to-head for one striped
 // engine vs a sharded router. Run with:
 //
 //	go test ./internal/cluster -bench BenchmarkIngest -benchtime 2x
@@ -59,14 +59,6 @@ func benchIngest(b *testing.B, handler server.Handler) {
 		wg.Wait()
 	}
 	b.ReportMetric(float64(b.N*streams*chunksPerStream), "chunks")
-}
-
-func BenchmarkIngestSingleLockEngine(b *testing.B) {
-	engine, err := server.New(kv.NewMemStore(), server.Config{Stripes: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchIngest(b, engine)
 }
 
 func BenchmarkIngestStripedEngine(b *testing.B) {

@@ -22,20 +22,16 @@ import (
 	"repro/internal/wire"
 )
 
-// DefaultStripes is the default stream-table stripe count. 64 stripes keep
-// stripe-lock contention negligible under the paper's 100-thread load
+// stripeCount is the stream-table stripe count, a power of two. 64 stripes
+// keep stripe-lock contention negligible under the paper's 100-thread load
 // generator while costing a few KB of empty maps.
-const DefaultStripes = 64
+const stripeCount = 64
 
 // Config parameterizes an engine instance.
 type Config struct {
 	// CacheBytes is the per-stream index node cache budget; <= 0 means
 	// unbounded. The paper's Fig. 7 "S" experiments set this to 1 MB.
 	CacheBytes int64
-	// Stripes is the stream-table stripe count, rounded up to a power of
-	// two; 0 means DefaultStripes. 1 reproduces the old single-lock
-	// engine (useful as a benchmark baseline).
-	Stripes int
 }
 
 // Engine is a stateless (all state in the KV store) TimeCrypt server. It is
@@ -56,7 +52,6 @@ type Engine struct {
 	cfg   Config
 
 	stripes []streamStripe
-	mask    uint32
 
 	// topo is the last cluster topology a reshard coordinator published
 	// to this shard (TopologyUpdate); stale routers recover it through
@@ -89,7 +84,7 @@ func stripeHash(uuid string) uint32 {
 }
 
 func (e *Engine) stripeFor(uuid string) *streamStripe {
-	return &e.stripes[stripeHash(uuid)&e.mask]
+	return &e.stripes[stripeHash(uuid)%stripeCount]
 }
 
 // entry is a UUID's one slot in the stream table.
@@ -203,14 +198,7 @@ func New(store kv.Store, cfg Config) (*Engine, error) {
 	if store == nil {
 		return nil, errors.New("server: nil store")
 	}
-	n := cfg.Stripes
-	if n <= 0 {
-		n = DefaultStripes
-	}
-	for n&(n-1) != 0 { // round up to a power of two
-		n++
-	}
-	e := &Engine{store: store, cfg: cfg, stripes: make([]streamStripe, n), mask: uint32(n - 1), subs: sub.NewBroker()}
+	e := &Engine{store: store, cfg: cfg, stripes: make([]streamStripe, stripeCount), subs: sub.NewBroker()}
 	for i := range e.stripes {
 		e.stripes[i].entries = make(map[string]*entry)
 	}

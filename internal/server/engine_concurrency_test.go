@@ -145,26 +145,6 @@ func TestEngineDuplicateCreateRace(t *testing.T) {
 	}
 }
 
-// TestEngineStripesConfig covers stripe-count rounding and the single-lock
-// compatibility mode.
-func TestEngineStripesConfig(t *testing.T) {
-	for _, stripes := range []int{0, 1, 3, 64} {
-		engine, err := New(kv.NewMemStore(), Config{Stripes: stripes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := len(engine.stripes); n&(n-1) != 0 || n == 0 {
-			t.Errorf("Stripes=%d -> %d stripes, not a power of two", stripes, n)
-		}
-		if err := engine.CreateStream("s", wireStreamCfg()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := engine.lookup("s"); err != nil {
-			t.Errorf("Stripes=%d: lookup failed: %v", stripes, err)
-		}
-	}
-}
-
 func wireStreamCfg() wire.StreamConfig {
 	spec := chunk.DigestSpec{Sum: true, Count: true}
 	specBytes, _ := spec.MarshalBinary()
@@ -183,7 +163,7 @@ func TestEngineRecoveryAcrossStripes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reopened, err := New(store, Config{Stripes: 4})
+	reopened, err := New(store, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

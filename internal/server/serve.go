@@ -404,9 +404,10 @@ type respFrame struct {
 	id   uint64
 	more bool
 	msg  wire.Message
-	// slot is set on a unary response: the scheduler whose in-flight slot
-	// the request still holds while the response waits in the queue. The
-	// write pump frees it before writing the frame. Freeing it only when
+	// slot is set on a request's last frame (a unary response, or a
+	// subscription's final frame): the scheduler whose in-flight slot the
+	// request still holds while the frame waits in the queue. The write
+	// pump frees it before writing the frame. Freeing it only when
 	// the worker returns — after the queue send — lets the client see the
 	// response, reuse its window slot and get the next request refused
 	// CodeBusy before the worker has run on; freeing it before the queue
@@ -515,7 +516,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 			sched.runReleasing(key, func(release func()) {
 				defer cancel()
 				defer flows.unregister(id)
-				s.streamSubscription(reqCtx, id, flow, subReq, out, release)
+				s.streamSubscription(reqCtx, id, flow, subReq, out, sched, release)
 			})
 			continue
 		}
@@ -605,7 +606,7 @@ func (cs *connSched) free() { <-cs.sem }
 // slot, and the slot stays claimed when fn returns: fn hands it on with its
 // response (respFrame.slot) for the write pump to free.
 func (cs *connSched) runHolding(key string, fn func()) {
-	cs.start(key, true, func(func()) { fn() })
+	cs.runReleasing(key, func(func()) { fn() })
 }
 
 // runReleasing is for workers that can retire their ordering-chain link
@@ -614,13 +615,9 @@ func (cs *connSched) runHolding(key string, fn func()) {
 // order after same-stream writes that arrived first, but once registered,
 // later same-stream requests have nothing to wait for (a flow-controlled
 // stream may otherwise park for as long as its consumer feels like).
-// release is idempotent and also runs when fn returns, which is also when
-// the in-flight slot is freed.
+// release is idempotent and also runs when fn returns. As under runHolding,
+// fn hands the in-flight slot on with its final frame.
 func (cs *connSched) runReleasing(key string, fn func(release func())) {
-	cs.start(key, false, fn)
-}
-
-func (cs *connSched) start(key string, holdSlot bool, fn func(release func())) {
 	var prev, done chan struct{}
 	release := func() {}
 	if key != "" {
@@ -644,9 +641,6 @@ func (cs *connSched) start(key string, holdSlot bool, fn func(release func())) {
 	cs.wg.Add(1)
 	go func() {
 		defer cs.wg.Done()
-		if !holdSlot {
-			defer cs.free()
-		}
 		defer release()
 		if prev != nil {
 			<-prev
@@ -685,8 +679,8 @@ func FoldStreamInfos(uuids []string, infos []*wire.StreamInfoResp) (epoch, inter
 // with an Error frame when the consumer unsubscribes, the view dies
 // (resubscribe — possibly on another shard after a migration), or the
 // connection's context ends; subscriptions have no natural OK.
-func (s *Server) streamSubscription(ctx context.Context, id uint64, flow *streamFlow, req *wire.Subscribe, out chan<- respFrame, release func()) {
-	final := func(m wire.Message) { out <- respFrame{id: id, msg: m} }
+func (s *Server) streamSubscription(ctx context.Context, id uint64, flow *streamFlow, req *wire.Subscribe, out chan<- respFrame, slot *connSched, release func()) {
+	final := func(m wire.Message) { out <- respFrame{id: id, msg: m, slot: slot} }
 	sb, ok := s.handler.(Subscriber)
 	if !ok {
 		release()

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/chunk"
 	"repro/internal/core"
+	"repro/internal/sub"
 	"repro/internal/wire"
 )
 
@@ -417,6 +418,72 @@ func TestUnarySlotFreeBeforeResponseWritten(t *testing.T) {
 	<-done
 	if heldAtWrite != 0 {
 		t.Fatalf("%d slot(s) held when the response reached the connection, want 0", heldAtWrite)
+	}
+}
+
+// closeGateHandler serves subscriptions whose handles park in Close until
+// gate closes, and answers every unary request with OK.
+type closeGateHandler struct{ gate chan struct{} }
+
+func (*closeGateHandler) Handle(context.Context, wire.Message) wire.Message { return &wire.OK{} }
+
+func (h *closeGateHandler) Subscribe(context.Context, *wire.Subscribe) (sub.Handle, error) {
+	return gatedHandle{h.gate}, nil
+}
+
+type gatedHandle struct{ gate chan struct{} }
+
+func (gatedHandle) Resp() *wire.SubscribeResp { return &wire.SubscribeResp{} }
+func (gatedHandle) Recv(ctx context.Context) (*wire.SubEvent, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+func (h gatedHandle) Close() error { <-h.gate; return nil }
+
+// TestSubscriptionSlotFreeBeforeFinalFrame extends the unary slot rule to
+// push streams: once a subscription's final frame reaches the client, the
+// client's window slot is free, so the server's must be too. With a cap of
+// one, the request sent on reading the final frame must run, not get
+// CodeBusy while the worker is still closing its handle.
+func TestSubscriptionSlotFreeBeforeFinalFrame(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &closeGateHandler{gate: make(chan struct{})}
+	srv := NewServer(h, func(string, ...any) {})
+	srv.MaxConnInFlight = 1
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); srv.Serve(ctx, lis) }()
+	defer func() { close(h.gate); cancel(); srv.Close(); <-done }()
+
+	conn, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteRequest(conn, 1, 0, &wire.Subscribe{UUIDs: []string{"s"}, WindowChunks: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if id, more, resp, err := readResponse(conn); err != nil || id != 1 || !more {
+		t.Fatalf("opening frame: id=%d more=%v %#v %v", id, more, resp, err)
+	}
+	if err := wire.WriteRequest(conn, 0, 0, &wire.Unsubscribe{ID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if id, more, resp, err := readResponse(conn); err != nil || id != 1 || more {
+		t.Fatalf("final frame: id=%d more=%v %#v %v", id, more, resp, err)
+	}
+	if err := wire.WriteRequest(conn, 2, 0, &wire.ListStreams{}); err != nil {
+		t.Fatal(err)
+	}
+	id, _, resp, err := readResponse(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := resp.(*wire.OK); id != 2 || !ok {
+		t.Fatalf("request after the final frame: id=%d %#v, want OK for 2", id, resp)
 	}
 }
 

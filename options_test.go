@@ -75,10 +75,10 @@ func TestEveryOptionIsSet(t *testing.T) {
 // TestEveryExportHasACaller, and so does an entry whose function is gone
 // or is now referenced by non-test code.
 var exportAllowlist = map[string]string{
+	"core.AddVec":                       "TestKeyCancelingRangeAggregation sums ciphertext runs with it and checks they decrypt with the two outer leaves",
 	"core.EncryptVec":                   "TestSchedPoolConcurrentStreams checks the pooled EncryptDigest path against this unpooled reference",
 	"core.NewResolutionStreamFromSeeds": "TestResolutionStreamSeedsRebuild rebuilds an owner's resolution keystream from its two seeds, the whole of its secret state",
 	"core.ResolutionStream.Seeds":       "TestResolutionStreamSeedsRebuild reads the two seeds that rebuild the keystream",
-	"hybrid.KeyPairFromBytes":           "TestKeyPairPersistence restores a key pair from the public KeyPair.PrivateBytes encoding",
 	"paillier.PrivateKey.Decrypt":       "TestEncryptDecryptRoundTrip checks DecryptCRT against this textbook decryption",
 	"replica.Node.Installs":             "TestDeposedMinorityLeaderResyncsAndDiscardsTail counts snapshot installs; the partition suite's watermark monitor exempts them",
 	"sub.Broker.Views":                  "TestAcquireShareAndReplace counts the broker's live views",

@@ -242,6 +242,9 @@ func NewConsumer(t Transport, kp *KeyPair) *Consumer { return client.NewConsumer
 // GenerateKeyPair creates a principal identity key pair.
 func GenerateKeyPair() (*KeyPair, error) { return hybrid.GenerateKeyPair() }
 
+// KeyPairFromBytes restores a key pair saved with KeyPair.PrivateBytes.
+func KeyPairFromBytes(priv []byte) (*KeyPair, error) { return hybrid.KeyPairFromBytes(priv) }
+
 // DefaultSpec returns the digest configuration supporting the paper's
 // default query set (sum, count, mean, var, freq, min/max).
 func DefaultSpec() DigestSpec { return chunk.DefaultSpec() }

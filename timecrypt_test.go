@@ -1,6 +1,7 @@
 package timecrypt_test
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -73,6 +74,66 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 	if timecrypt.PrincipalID(kp.PublicBytes()) == "" {
 		t.Error("empty principal id")
+	}
+}
+
+// TestPublicAPIRestoredKeyPair reloads a consumer identity saved with
+// PrivateBytes: the restored pair has the same public key and opens a
+// grant made for the original, and bytes that are no P-256 scalar are
+// refused.
+func TestPublicAPIRestoredKeyPair(t *testing.T) {
+	ctx := context.Background()
+	engine, err := timecrypt.NewEngine(timecrypt.NewMemStore(), timecrypt.EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := timecrypt.NewInProcTransport(engine)
+	epoch := int64(1_700_000_000_000)
+	s, err := timecrypt.NewOwner(tr).CreateStream(ctx, timecrypt.StreamOptions{
+		UUID: "restore-test", Epoch: epoch, Interval: 10_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		if err := s.Append(ctx, timecrypt.Point{TS: epoch + int64(i)*10_000, Val: int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	kp, err := timecrypt.GenerateKeyPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Grant(ctx, kp.PublicBytes(), epoch, epoch+120_000, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	restored, err := timecrypt.KeyPairFromBytes(kp.PrivateBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(restored.PublicBytes(), kp.PublicBytes()) {
+		t.Fatal("restored key pair has a different public key")
+	}
+	view, err := timecrypt.NewConsumer(tr, restored).OpenStream(ctx, "restore-test")
+	if err != nil {
+		t.Fatalf("restored key pair cannot open the original's grant: %v", err)
+	}
+	res, err := view.StatRange(ctx, epoch, epoch+120_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Count != 12 || res.Sum != 66 {
+		t.Errorf("count %d, sum %v; want 12 and 66", res.Count, res.Sum)
+	}
+
+	for _, bad := range [][]byte{nil, {1, 2, 3}, bytes.Repeat([]byte{0xff}, 32)} {
+		if _, err := timecrypt.KeyPairFromBytes(bad); err == nil {
+			t.Errorf("KeyPairFromBytes(%x) accepted garbage", bad)
+		}
 	}
 }
 
