@@ -6,15 +6,19 @@
 //   - TestMarkdownLinks: every relative link in README.md and docs/*.md
 //     resolves to a file that exists (and intra-document #anchors to a
 //     heading that exists), so the docs suite cannot rot silently.
+//   - TestCIRunPatternsMatchTests: every test a CI step names with -run
+//     exists, so a rename cannot drop it from its step.
 package timecrypt
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -182,4 +186,92 @@ func TestDocsSuitePresent(t *testing.T) {
 			t.Errorf("README does not link %s", want)
 		}
 	}
+}
+
+// ciRun matches a `go test` command in the CI workflow that selects tests
+// with -run: the pattern, then the rest of the line (flags and packages).
+var ciRun = regexp.MustCompile(`go test\b[^\n]*?-run '([^']*)'([^\n]*)`)
+
+// TestCIRunPatternsMatchTests: `go test -run 'A|B'` stays green when B
+// matches no test, so a renamed test would silently drop out of the CI
+// step that names it. Every |-alternative of every -run pattern in the
+// workflow must match a Test, Benchmark or Fuzz function in that
+// command's own packages.
+func TestCIRunPatternsMatchTests(t *testing.T) {
+	data, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	commands, alternatives := 0, 0
+	for _, m := range ciRun.FindAllStringSubmatch(string(data), -1) {
+		pattern, rest := m[1], m[2]
+		if pattern == "^$" {
+			continue
+		}
+		commands++
+		var names []string
+		for _, arg := range strings.Fields(rest) {
+			if strings.HasPrefix(arg, ".") {
+				names = append(names, ciTestFuncs(t, arg)...)
+			}
+		}
+		for _, alt := range strings.Split(pattern, "|") {
+			alternatives++
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("-run %q: alternative %q: %v", pattern, alt, err)
+				continue
+			}
+			if !slices.ContainsFunc(names, re.MatchString) {
+				t.Errorf("-run %q%s: %q matches no test in those packages", pattern, rest, alt)
+			}
+		}
+	}
+	if commands == 0 {
+		t.Fatal("found no go test -run command in the CI workflow")
+	}
+	t.Logf("%d -run commands, %d alternatives", commands, alternatives)
+}
+
+// ciTestFuncs returns the Test, Benchmark and Fuzz functions in the
+// packages a go test argument names: one directory, or with /... every
+// directory under it in this module.
+func ciTestFuncs(t *testing.T, pkg string) []string {
+	t.Helper()
+	root, recursive := strings.CutSuffix(pkg, "/...")
+	var names []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			_, err := os.Stat(filepath.Join(path, "go.mod")) // a nested module
+			if !recursive || err == nil || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				if n := fn.Name.Name; strings.HasPrefix(n, "Test") || strings.HasPrefix(n, "Benchmark") || strings.HasPrefix(n, "Fuzz") {
+					names = append(names, n)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("go test package %s: %v", pkg, err)
+	}
+	return names
 }

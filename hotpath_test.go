@@ -485,7 +485,7 @@ func BenchmarkHotPath(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := engine.InsertChunk("hot", chunk.MarshalSealed(sealed)); err != nil {
+			if err := engine.InsertChunkBatch("hot", [][]byte{chunk.MarshalSealed(sealed)})[0]; err != nil {
 				b.Fatal(err)
 			}
 		}

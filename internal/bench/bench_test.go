@@ -200,10 +200,11 @@ func TestReshardRuns(t *testing.T) {
 			t.Errorf("%s: %d inserts, %d latencies", r.Phase, r.Inserts, r.Ingest.Count)
 		}
 	}
-	// At this scale the grow can finish before its first insert, so only
-	// the steady phase must have ingested.
 	if results[0].Inserts == 0 {
 		t.Error("the steady phase inserted nothing")
+	}
+	if results[1].Inserts < results[0].Inserts {
+		t.Errorf("the grow phase inserted %d chunks, fewer than the steady phase's %d", results[1].Inserts, results[0].Inserts)
 	}
 	if results[1].Moved == 0 {
 		t.Error("the 4->5 grow moved no stream")

@@ -99,9 +99,9 @@ func Reshard(w io.Writer, opts Options) ([]ReshardResult, error) {
 	steady := steadyRec.Summarize()
 
 	// Phase 2: the same load while the ring grows 4 -> 5. The ingest loop
-	// runs until the rebalance finishes (and at least as many inserts as
-	// the steady phase would allow, by re-running the loop if the grow
-	// outlasts it).
+	// runs until the rebalance has finished and the phase has inserted at
+	// least as many chunks as the steady phase, so a grow that finishes
+	// fast still yields a sample the size of the steady one.
 	fifthEngine, err := server.New(kv.NewMemStore(), server.Config{})
 	if err != nil {
 		return nil, err
@@ -124,8 +124,8 @@ func Reshard(w io.Writer, opts Options) ([]ReshardResult, error) {
 	}()
 	growRec := &workload.LatencyRecorder{}
 	growInserts := 0
-	for {
-		n, err := runPhaseInto(growRec, uuids, next, seal, router, done)
+	for stop := (<-chan struct{})(done); ; {
+		n, err := runPhaseInto(growRec, uuids, next, seal, router, stop)
 		growInserts += n
 		if err != nil {
 			wg.Wait()
@@ -133,10 +133,13 @@ func Reshard(w io.Writer, opts Options) ([]ReshardResult, error) {
 		}
 		select {
 		case <-done:
+			stop = nil // the grow is over: each further pass runs whole
 		default:
 			continue
 		}
-		break
+		if growInserts >= steadyInserts {
+			break
+		}
 	}
 	wg.Wait()
 	if rerr != nil {

@@ -63,8 +63,8 @@ func TestEngineSurvivesWALCutAnywhere(t *testing.T) {
 	for round, size := range []int{1, 3, 4, 7, 16, 2, 9} {
 		for s, uuid := range streams {
 			if (round+s)%3 == 0 {
-				if err := engine.StageRecord(uuid, next[uuid], 1, []byte("box")); err != nil {
-					t.Fatal(err)
+				if resp, ok := engine.Handle(ctx, &wire.StageRecord{UUID: uuid, ChunkIndex: next[uuid], Seq: 1, Box: []byte("box")}).(*wire.Error); ok {
+					t.Fatal(resp)
 				}
 			}
 			blobs := make([][]byte, size+s)

@@ -65,7 +65,7 @@ func TestAggRangeMultiStreamSumsAndProjects(t *testing.T) {
 		start := int64(i) * 100
 		sealed, _ := chunk.Seal(enc2, h.spec, chunk.CompressionNone, i, start, start+100,
 			[]chunk.Point{{TS: start, Val: 7}})
-		if err := h.engine.InsertChunk("b", chunk.MarshalSealed(sealed)); err != nil {
+		if err := errOf(h.engine.Handle(context.Background(), &wire.InsertChunk{UUID: "b", Chunk: chunk.MarshalSealed(sealed)})); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -88,7 +88,7 @@ func TestStagedIndexRebuiltAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(0); seq < 3; seq++ {
-		if err := engine1.StageRecord("s", 0, seq, []byte{byte(seq)}); err != nil {
+		if err := errOf(engine1.Handle(context.Background(), &wire.StageRecord{UUID: "s", ChunkIndex: 0, Seq: seq, Box: []byte{byte(seq)}})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,7 +110,7 @@ func TestStagedIndexRebuiltAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := engine2.InsertChunk("s", chunk.MarshalSealed(sealed)); err != nil {
+	if err := errOf(engine2.Handle(context.Background(), &wire.InsertChunk{UUID: "s", Chunk: chunk.MarshalSealed(sealed)})); err != nil {
 		t.Fatal(err)
 	}
 	if boxes, _ := engine2.GetStaged("s", 0); len(boxes) != 0 {
@@ -138,7 +138,7 @@ func TestStagedIndexNoScanOnInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.engine.InsertChunk("s", chunk.MarshalSealed(sealed)); err != nil {
+	if err := errOf(h.engine.Handle(context.Background(), &wire.InsertChunk{UUID: "s", Chunk: chunk.MarshalSealed(sealed)})); err != nil {
 		t.Fatal(err)
 	}
 	if after := h.store.Stats().Scans; after != before {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/kv"
+	"repro/internal/wire"
 )
 
 // crashingStore lets a fixed number of write calls through to the store
@@ -78,7 +79,7 @@ func TestInsertCrashPoints(t *testing.T) {
 			}
 		}
 		for _, idx := range []uint64{before, before + 3} {
-			if err := e.StageRecord("s", idx, 7, []byte("box")); err != nil {
+			if err := errOf(e.Handle(context.Background(), &wire.StageRecord{UUID: "s", ChunkIndex: idx, Seq: 7, Box: []byte("box")})); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -171,11 +172,11 @@ func TestMutationsAreOneStoreCall(t *testing.T) {
 			t.Errorf("%s made %d store write calls, want 1", what, counted.calls)
 		}
 	}
-	calls("InsertChunk", func() error { return e.InsertChunk("s", blobs[0]) })
-	if err := e.StageRecord("s", 1, 1, []byte("box")); err != nil {
+	calls("InsertChunk", func() error { return errOf(e.Handle(ctx, &wire.InsertChunk{UUID: "s", Chunk: blobs[0]})) })
+	if err := errOf(e.Handle(ctx, &wire.StageRecord{UUID: "s", ChunkIndex: 1, Seq: 1, Box: []byte("box")})); err != nil {
 		t.Fatal(err)
 	}
-	calls("InsertChunk over a staged record", func() error { return e.InsertChunk("s", blobs[1]) })
+	calls("InsertChunk over a staged record", func() error { return errOf(e.Handle(ctx, &wire.InsertChunk{UUID: "s", Chunk: blobs[1]})) })
 	if boxes, err := e.GetStaged("s", 1); err != nil || len(boxes) != 0 {
 		t.Fatalf("staged record survived its chunk: %d boxes, %v", len(boxes), err)
 	}
@@ -187,8 +188,8 @@ func TestMutationsAreOneStoreCall(t *testing.T) {
 		}
 		return nil
 	})
-	calls("DeleteRange", func() error { return e.DeleteRange(ctx, "s", 0, 1600) })
-	calls("Rollup", func() error { return e.Rollup(ctx, "s", 8, 0, 3200) })
+	calls("DeleteRange", func() error { return errOf(e.Handle(ctx, &wire.DeleteRange{UUID: "s", Ts: 0, Te: 1600})) })
+	calls("Rollup", func() error { return errOf(e.Handle(ctx, &wire.Rollup{UUID: "s", Factor: 8, Ts: 0, Te: 3200})) })
 	if chunks, err := e.GetRange(ctx, "s", 0, 3200); err != nil || len(chunks) != 0 {
 		t.Errorf("%d chunks survived the rollup (%v)", len(chunks), err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kv"
 	"repro/internal/kv/durable"
+	"repro/internal/wire"
 )
 
 // TestEngineOverDurableRestart runs the full engine over the durable
@@ -17,6 +18,7 @@ import (
 // the in-process half of the crash story; the cmd/timecrypt-server e2e
 // covers the kill -9 half.
 func TestEngineOverDurableRestart(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	ds, err := durable.Open(dir, durable.Options{Logf: t.Logf})
 	if err != nil {
@@ -38,14 +40,14 @@ func TestEngineOverDurableRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := engine.InsertChunk("s", chunk.MarshalSealed(sealed)); err != nil {
+		if err := errOf(engine.Handle(ctx, &wire.InsertChunk{UUID: "s", Chunk: chunk.MarshalSealed(sealed)})); err != nil {
 			t.Fatalf("chunk %d: %v", i, err)
 		}
 	}
-	if err := engine.StageRecord("s", 30, 7, []byte{1, 2, 3}); err != nil {
+	if err := errOf(engine.Handle(ctx, &wire.StageRecord{UUID: "s", ChunkIndex: 30, Seq: 7, Box: []byte{1, 2, 3}})); err != nil {
 		t.Fatal(err)
 	}
-	if err := engine.PutGrant("s", "doc", "g1", []byte{9, 9}); err != nil {
+	if err := errOf(engine.Handle(ctx, &wire.PutGrant{UUID: "s", Principal: "doc", GrantID: "g1", Blob: []byte{9, 9}})); err != nil {
 		t.Fatal(err)
 	}
 	_, _, wantWindows, err := engine.StatRange(context.Background(), []string{"s"}, 0, 3000, 0)
@@ -82,7 +84,7 @@ func TestEngineOverDurableRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := engine2.InsertChunk("s", chunk.MarshalSealed(sealed)); err != nil {
+	if err := errOf(engine2.Handle(ctx, &wire.InsertChunk{UUID: "s", Chunk: chunk.MarshalSealed(sealed)})); err != nil {
 		t.Fatalf("insert after recovery: %v", err)
 	}
 }
@@ -111,7 +113,7 @@ func TestShardedPartitionsOverDurableRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.InsertChunk(uuid, chunk.MarshalSealed(sealed)); err != nil {
+		if err := errOf(eng.Handle(context.Background(), &wire.InsertChunk{UUID: uuid, Chunk: chunk.MarshalSealed(sealed)})); err != nil {
 			t.Fatal(err)
 		}
 	}

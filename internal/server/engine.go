@@ -170,13 +170,6 @@ func (e *Engine) unlockOrder(h *held) {
 	en.mu.Unlock()
 }
 
-// ordered runs fn under uuid's order lock: the exported mutations' locking.
-func (e *Engine) ordered(uuid string, fn func(h *held) error) error {
-	h := e.lockOrder(uuid)
-	defer e.unlockOrder(&h)
-	return fn(&h)
-}
-
 // live returns the stream served under h's UUID, or the error for a UUID
 // with none: not found, or CodeWrongShard with the topology epoch of the
 // move if it migrated away, so a caller holding a stale ring refreshes it.
@@ -229,9 +222,6 @@ func New(store kv.Store, cfg Config) (*Engine, error) {
 	}
 	return e, nil
 }
-
-// Store exposes the backing store (benchmarks report its size).
-func (e *Engine) Store() kv.Store { return e.store }
 
 func metaKey(uuid string) string { return "m/" + uuid }
 
@@ -340,7 +330,9 @@ func (e *movedError) Error() string {
 
 // CreateStream registers a stream; it fails if the UUID exists.
 func (e *Engine) CreateStream(uuid string, cfg wire.StreamConfig) error {
-	return e.ordered(uuid, func(h *held) error { return e.createStream(h, cfg) })
+	h := e.lockOrder(uuid)
+	defer e.unlockOrder(&h)
+	return e.createStream(&h, cfg)
 }
 
 func (e *Engine) createStream(h *held, cfg wire.StreamConfig) error {
@@ -399,10 +391,6 @@ func (e *Engine) ListStreams() []string {
 	return uuids
 }
 
-// DeleteStream removes a stream with all chunks, index nodes, grants, and
-// envelopes.
-func (e *Engine) DeleteStream(uuid string) error { return e.ordered(uuid, e.deleteStream) }
-
 // deleteStream deletes the stream's keys while it still holds the order
 // lock every other mutation of the stream takes, so none of them lands
 // after the delete. The keys are collected while the stream still
@@ -434,12 +422,6 @@ func (e *Engine) StreamInfo(uuid string) (wire.StreamConfig, uint64, error) {
 		return wire.StreamConfig{}, 0, err
 	}
 	return s.cfg, s.tree.Count(), nil
-}
-
-// InsertChunk ingests one sealed chunk: an InsertChunkBatch of one. Chunks
-// must arrive in order (append-only streams, §4.5).
-func (e *Engine) InsertChunk(uuid string, sealedBytes []byte) error {
-	return e.InsertChunkBatch(uuid, [][]byte{sealedBytes})[0]
 }
 
 // InsertChunkBatch ingests several sealed chunks for one stream under a
@@ -608,12 +590,6 @@ func (s *stream) forgetStaged(lo, hi uint64) {
 	for idx := lo; idx < hi && len(s.staged) > 0; idx++ {
 		delete(s.staged, idx)
 	}
-}
-
-// StageRecord stores one real-time encrypted record ahead of its chunk.
-// Staged records live only until the sealed chunk arrives.
-func (e *Engine) StageRecord(uuid string, chunkIndex, seq uint64, box []byte) error {
-	return e.ordered(uuid, func(h *held) error { return e.stageRecord(h, chunkIndex, seq, box) })
 }
 
 func (e *Engine) stageRecord(h *held, chunkIndex, seq uint64, box []byte) error {
@@ -851,13 +827,6 @@ func (e *Engine) aggregate(ctx context.Context, uuids []string, ts, te int64, wi
 	return a, b, windows, nil
 }
 
-// DeleteRange drops chunk payloads in [ts, te) while keeping digests and
-// the index intact (Table 1 #7). The rewritten chunks go to the store as
-// one batch.
-func (e *Engine) DeleteRange(ctx context.Context, uuid string, ts, te int64) error {
-	return e.ordered(uuid, func(h *held) error { return e.deleteRange(ctx, h, ts, te) })
-}
-
 func (e *Engine) deleteRange(ctx context.Context, h *held, ts, te int64) error {
 	s, err := h.live()
 	if err != nil {
@@ -893,14 +862,6 @@ func (e *Engine) deleteRange(ctx context.Context, h *held, ts, te int64) error {
 		ops = append(ops, kv.Op{Kind: kv.OpPut, Key: key, Value: chunk.MarshalSealed(sealed)})
 	}
 	return e.store.Batch(ops)
-}
-
-// Rollup ages out [ts, te) to an aggregation granularity of factor chunks:
-// raw chunk ciphertexts are removed and index levels finer than factor are
-// pruned (§4.5 "Data decay"), in one store batch. Statistics at factor
-// granularity and coarser remain queryable.
-func (e *Engine) Rollup(ctx context.Context, uuid string, factor uint64, ts, te int64) error {
-	return e.ordered(uuid, func(h *held) error { return e.rollup(ctx, h, factor, ts, te) })
 }
 
 func (e *Engine) rollup(ctx context.Context, h *held, factor uint64, ts, te int64) error {
@@ -941,11 +902,6 @@ func (e *Engine) rollup(ctx context.Context, h *held, factor uint64, ts, te int6
 	return e.store.Batch(ops)
 }
 
-// PutGrant stores a wrapped access grant.
-func (e *Engine) PutGrant(uuid, principal, grantID string, blob []byte) error {
-	return e.ordered(uuid, func(h *held) error { return e.putGrant(h, principal, grantID, blob) })
-}
-
 func (e *Engine) putGrant(h *held, principal, grantID string, blob []byte) error {
 	if _, err := h.live(); err != nil {
 		return err
@@ -969,12 +925,6 @@ func (e *Engine) GetGrants(uuid, principal string) ([][]byte, error) {
 	return blobs, err
 }
 
-// DeleteGrant removes one grant, or all of a principal's grants when
-// grantID is empty.
-func (e *Engine) DeleteGrant(uuid, principal, grantID string) error {
-	return e.ordered(uuid, func(h *held) error { return e.deleteGrant(h, principal, grantID) })
-}
-
 func (e *Engine) deleteGrant(h *held, principal, grantID string) error {
 	if _, err := h.live(); err != nil {
 		return err
@@ -987,11 +937,6 @@ func (e *Engine) deleteGrant(h *held, principal, grantID string) error {
 		return err
 	}
 	return e.store.Batch(ops)
-}
-
-// PutEnvelopes stores resolution key envelopes.
-func (e *Engine) PutEnvelopes(uuid string, factor uint64, envs []wire.WireEnvelope) error {
-	return e.ordered(uuid, func(h *held) error { return e.putEnvelopes(h, factor, envs) })
 }
 
 func (e *Engine) putEnvelopes(h *held, factor uint64, envs []wire.WireEnvelope) error {

@@ -61,7 +61,7 @@ func TestEngineConcurrentStreams(t *testing.T) {
 			defer wg.Done()
 			ss := newStreamSealer(t, seed)
 			for c := uint64(0); c < chunks; c++ {
-				if err := h.engine.InsertChunk(uuid, ss.sealed(t, c)); err != nil {
+				if err := errOf(h.engine.Handle(context.Background(), &wire.InsertChunk{UUID: uuid, Chunk: ss.sealed(t, c)})); err != nil {
 					t.Errorf("insert %s/%d: %v", uuid, c, err)
 					return
 				}
@@ -98,7 +98,7 @@ func TestEngineConcurrentStreams(t *testing.T) {
 					t.Errorf("create %s: %v", uuid, err)
 					return
 				}
-				if err := h.engine.DeleteStream(uuid); err != nil {
+				if err := errOf(h.engine.Handle(context.Background(), &wire.DeleteStream{UUID: uuid})); err != nil {
 					t.Errorf("delete %s: %v", uuid, err)
 					return
 				}

@@ -45,6 +45,14 @@ func newHarness(t *testing.T) *testHarness {
 	}
 }
 
+// errOf returns the *wire.Error an engine response carries, or nil.
+func errOf(resp wire.Message) error {
+	if e, ok := resp.(*wire.Error); ok {
+		return e
+	}
+	return nil
+}
+
 func (h *testHarness) createStream(t *testing.T, uuid string) {
 	t.Helper()
 	if err := h.engine.CreateStream(uuid, h.cfg); err != nil {
@@ -69,7 +77,7 @@ func (h *testHarness) ingestFrom(t *testing.T, uuid string, from, n uint64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.engine.InsertChunk(uuid, chunk.MarshalSealed(sealed)); err != nil {
+		if err := errOf(h.engine.Handle(context.Background(), &wire.InsertChunk{UUID: uuid, Chunk: chunk.MarshalSealed(sealed)})); err != nil {
 			t.Fatalf("chunk %d: %v", i, err)
 		}
 	}
@@ -97,30 +105,31 @@ func TestCreateStreamValidation(t *testing.T) {
 }
 
 func TestInsertChunkValidation(t *testing.T) {
+	ctx := context.Background()
 	h := newHarness(t)
 	h.createStream(t, "s")
-	if err := h.engine.InsertChunk("nope", []byte{1}); err == nil {
+	if err := errOf(h.engine.Handle(ctx, &wire.InsertChunk{UUID: "nope", Chunk: []byte{1}})); err == nil {
 		t.Error("unknown stream accepted")
 	}
-	if err := h.engine.InsertChunk("s", []byte{0xff, 0xff}); err == nil {
+	if err := errOf(h.engine.Handle(ctx, &wire.InsertChunk{UUID: "s", Chunk: []byte{0xff, 0xff}})); err == nil {
 		t.Error("garbage chunk accepted")
 	}
 	// Out-of-order chunk index.
 	sealed, _ := chunk.Seal(h.enc, h.spec, chunk.CompressionNone, 5, 500, 600, nil)
-	if err := h.engine.InsertChunk("s", chunk.MarshalSealed(sealed)); err == nil {
+	if err := errOf(h.engine.Handle(ctx, &wire.InsertChunk{UUID: "s", Chunk: chunk.MarshalSealed(sealed)})); err == nil {
 		t.Error("out-of-order chunk accepted")
 	}
 	// Wrong geometry: interval mismatch.
 	enc2 := core.NewEncryptor(h.tree.NewWalker())
 	sealed, _ = chunk.Seal(enc2, h.spec, chunk.CompressionNone, 0, 0, 50, nil)
-	if err := h.engine.InsertChunk("s", chunk.MarshalSealed(sealed)); err == nil {
+	if err := errOf(h.engine.Handle(ctx, &wire.InsertChunk{UUID: "s", Chunk: chunk.MarshalSealed(sealed)})); err == nil {
 		t.Error("geometry-mismatched chunk accepted")
 	}
 	// Wrong digest width.
 	otherSpec := chunk.SumOnlySpec()
 	enc3 := core.NewEncryptor(h.tree.NewWalker())
 	sealed, _ = chunk.Seal(enc3, otherSpec, chunk.CompressionNone, 0, 0, 100, nil)
-	if err := h.engine.InsertChunk("s", chunk.MarshalSealed(sealed)); err == nil {
+	if err := errOf(h.engine.Handle(ctx, &wire.InsertChunk{UUID: "s", Chunk: chunk.MarshalSealed(sealed)})); err == nil {
 		t.Error("wrong-width digest accepted")
 	}
 }
@@ -223,7 +232,7 @@ func TestStatRangeMultiStream(t *testing.T) {
 		start := int64(i) * 100
 		sealed, _ := chunk.Seal(enc2, h.spec, chunk.CompressionNone, i, start, start+100,
 			[]chunk.Point{{TS: start, Val: 100}})
-		if err := h.engine.InsertChunk("b", chunk.MarshalSealed(sealed)); err != nil {
+		if err := errOf(h.engine.Handle(context.Background(), &wire.InsertChunk{UUID: "b", Chunk: chunk.MarshalSealed(sealed)})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -283,7 +292,7 @@ func TestDeleteRangeKeepsDigests(t *testing.T) {
 	h := newHarness(t)
 	h.createStream(t, "s")
 	h.ingest(t, "s", 10)
-	if err := h.engine.DeleteRange(context.Background(), "s", 0, 500); err != nil {
+	if err := errOf(h.engine.Handle(context.Background(), &wire.DeleteRange{UUID: "s", Ts: 0, Te: 500})); err != nil {
 		t.Fatal(err)
 	}
 	chunks, err := h.engine.GetRange(context.Background(), "s", 0, 1000)
@@ -309,7 +318,7 @@ func TestRollupDropsChunksAndFineIndex(t *testing.T) {
 	h := newHarness(t)
 	h.createStream(t, "s")
 	h.ingest(t, "s", 64)
-	if err := h.engine.Rollup(context.Background(), "s", 8, 0, 6400); err != nil {
+	if err := errOf(h.engine.Handle(context.Background(), &wire.Rollup{UUID: "s", Factor: 8, Ts: 0, Te: 6400})); err != nil {
 		t.Fatal(err)
 	}
 	chunks, err := h.engine.GetRange(context.Background(), "s", 0, 6400)
@@ -330,36 +339,38 @@ func TestRollupDropsChunksAndFineIndex(t *testing.T) {
 }
 
 func TestDeleteStreamRemovesEverything(t *testing.T) {
+	ctx := context.Background()
 	h := newHarness(t)
 	h.createStream(t, "s")
 	h.ingest(t, "s", 10)
-	h.engine.PutGrant("s", "p", "g1", []byte{1})
-	h.engine.PutEnvelopes("s", 6, []wire.WireEnvelope{{Index: 0, Box: []byte{2}}})
-	if err := h.engine.DeleteStream("s"); err != nil {
+	h.engine.Handle(ctx, &wire.PutGrant{UUID: "s", Principal: "p", GrantID: "g1", Blob: []byte{1}})
+	h.engine.Handle(ctx, &wire.PutEnvelopes{UUID: "s", Factor: 6, Envs: []wire.WireEnvelope{{Index: 0, Box: []byte{2}}}})
+	if err := errOf(h.engine.Handle(ctx, &wire.DeleteStream{UUID: "s"})); err != nil {
 		t.Fatal(err)
 	}
 	if h.store.Len() != 0 {
 		t.Errorf("%d keys survived stream deletion", h.store.Len())
 	}
-	if err := h.engine.DeleteStream("s"); err == nil {
+	if err := errOf(h.engine.Handle(ctx, &wire.DeleteStream{UUID: "s"})); err == nil {
 		t.Error("double delete accepted")
 	}
 }
 
 func TestGrantStorage(t *testing.T) {
+	ctx := context.Background()
 	h := newHarness(t)
 	h.createStream(t, "s")
-	if err := h.engine.PutGrant("s", "", "g", []byte{1}); err == nil {
+	if err := errOf(h.engine.Handle(ctx, &wire.PutGrant{UUID: "s", Principal: "", GrantID: "g", Blob: []byte{1}})); err == nil {
 		t.Error("empty principal accepted")
 	}
-	h.engine.PutGrant("s", "alice", "g1", []byte{1})
-	h.engine.PutGrant("s", "alice", "g2", []byte{2})
-	h.engine.PutGrant("s", "bob", "g3", []byte{3})
+	h.engine.Handle(ctx, &wire.PutGrant{UUID: "s", Principal: "alice", GrantID: "g1", Blob: []byte{1}})
+	h.engine.Handle(ctx, &wire.PutGrant{UUID: "s", Principal: "alice", GrantID: "g2", Blob: []byte{2}})
+	h.engine.Handle(ctx, &wire.PutGrant{UUID: "s", Principal: "bob", GrantID: "g3", Blob: []byte{3}})
 	blobs, err := h.engine.GetGrants("s", "alice")
 	if err != nil || len(blobs) != 2 {
 		t.Fatalf("alice has %d grants, want 2 (%v)", len(blobs), err)
 	}
-	if err := h.engine.DeleteGrant("s", "alice", "g1"); err != nil {
+	if err := errOf(h.engine.Handle(ctx, &wire.DeleteGrant{UUID: "s", Principal: "alice", GrantID: "g1"})); err != nil {
 		t.Fatal(err)
 	}
 	blobs, _ = h.engine.GetGrants("s", "alice")
@@ -367,7 +378,7 @@ func TestGrantStorage(t *testing.T) {
 		t.Errorf("alice has %d grants after revoke, want 1", len(blobs))
 	}
 	// Delete all.
-	if err := h.engine.DeleteGrant("s", "alice", ""); err != nil {
+	if err := errOf(h.engine.Handle(ctx, &wire.DeleteGrant{UUID: "s", Principal: "alice", GrantID: ""})); err != nil {
 		t.Fatal(err)
 	}
 	blobs, _ = h.engine.GetGrants("s", "alice")
@@ -384,7 +395,7 @@ func TestEnvelopeStorage(t *testing.T) {
 	h := newHarness(t)
 	h.createStream(t, "s")
 	envs := []wire.WireEnvelope{{Index: 0, Box: []byte{1}}, {Index: 1, Box: []byte{2}}, {Index: 5, Box: []byte{3}}}
-	if err := h.engine.PutEnvelopes("s", 6, envs); err != nil {
+	if err := errOf(h.engine.Handle(context.Background(), &wire.PutEnvelopes{UUID: "s", Factor: 6, Envs: envs})); err != nil {
 		t.Fatal(err)
 	}
 	got, err := h.engine.GetEnvelopes("s", 6, 0, 10)
@@ -406,7 +417,7 @@ func TestEnvelopeStorage(t *testing.T) {
 	if _, err := h.engine.GetEnvelopes("s", 6, 5, 2); err == nil {
 		t.Error("reversed envelope range accepted")
 	}
-	if err := h.engine.PutEnvelopes("s", 0, envs); err == nil {
+	if err := errOf(h.engine.Handle(context.Background(), &wire.PutEnvelopes{UUID: "s", Factor: 0, Envs: envs})); err == nil {
 		t.Error("zero factor accepted")
 	}
 }

@@ -67,7 +67,7 @@ func TestGetEnvelopesHostileRange(t *testing.T) {
 			envs = append(envs, wire.WireEnvelope{Index: j, Box: []byte{byte(j)}})
 		}
 		for _, uuid := range []string{"s", "s/6"} {
-			if err := h.engine.PutEnvelopes(uuid, 6, envs); err != nil {
+			if err := errOf(h.engine.Handle(context.Background(), &wire.PutEnvelopes{UUID: uuid, Factor: 6, Envs: envs})); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -109,12 +109,12 @@ func TestRollupHugeFactorReturns(t *testing.T) {
 		h.createStream(t, "s")
 		h.ingest(t, "s", 16)
 		for _, factor := range []uint64{1 << 63, math.MaxUint64} {
-			if err := h.engine.Rollup(context.Background(), "s", factor, 0, 1600); err == nil {
+			if err := errOf(h.engine.Handle(context.Background(), &wire.Rollup{UUID: "s", Factor: factor, Ts: 0, Te: 1600})); err == nil {
 				t.Errorf("rollup factor %d accepted", factor)
 			}
 		}
 		h.ingestFrom(t, "s", 16, 1)
-		if err := h.engine.Rollup(context.Background(), "s", 8, 0, 800); err != nil {
+		if err := errOf(h.engine.Handle(context.Background(), &wire.Rollup{UUID: "s", Factor: 8, Ts: 0, Te: 800})); err != nil {
 			t.Fatal(err)
 		}
 	})

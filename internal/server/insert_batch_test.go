@@ -1,11 +1,13 @@
 package server
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/chunk"
 	"repro/internal/kv"
+	"repro/internal/wire"
 )
 
 // sealBlobs seals chunks [0, n) and returns their marshalled bytes.
@@ -47,7 +49,7 @@ func TestInsertChunkBatchMatchesSequential(t *testing.T) {
 	seq.createStream(t, "s")
 	blobs := sealBlobs(t, seq, n)
 	for i, blob := range blobs {
-		if err := seq.engine.InsertChunk("s", blob); err != nil {
+		if err := errOf(seq.engine.Handle(context.Background(), &wire.InsertChunk{UUID: "s", Chunk: blob})); err != nil {
 			t.Fatalf("sequential chunk %d: %v", i, err)
 		}
 	}
@@ -110,7 +112,7 @@ func TestInsertChunkBatchPartialFailure(t *testing.T) {
 		t.Fatalf("after mixed batch: count %d err %v, want 3", count, err)
 	}
 	// The stream continues where the valid run left off.
-	if err := h.engine.InsertChunk("s", blobs[3]); err != nil {
+	if err := errOf(h.engine.Handle(context.Background(), &wire.InsertChunk{UUID: "s", Chunk: blobs[3]})); err != nil {
 		t.Fatalf("follow-up insert: %v", err)
 	}
 }

@@ -201,6 +201,7 @@ func TestReadDuringRetirementIsAMiss(t *testing.T) {
 // CodeWrongShard rather than landing on a source the destination has
 // already taken over from. The coordinator's retry then goes through.
 func TestFailedReleaseKeepsTheStreamFenced(t *testing.T) {
+	ctx := context.Background()
 	h := newHarness(t)
 	store := newParkingStore(metaKey("s"))
 	store.fail = errors.New("store unavailable")
@@ -213,14 +214,14 @@ func TestFailedReleaseKeepsTheStreamFenced(t *testing.T) {
 	h.createStream(t, "s")
 	blobs := sealBlobs(t, h, 3)
 	for _, blob := range blobs[:2] {
-		if err := e.InsertChunk("s", blob); err != nil {
+		if err := errOf(e.Handle(ctx, &wire.InsertChunk{UUID: "s", Chunk: blob})); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.HandoffComplete("s", 5, wire.HandoffFence); err != nil {
+	if err := errOf(e.Handle(ctx, &wire.HandoffComplete{UUID: "s", Epoch: 5, Action: wire.HandoffFence})); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.HandoffComplete("s", 5, wire.HandoffRelease); err == nil {
+	if err := errOf(e.Handle(ctx, &wire.HandoffComplete{UUID: "s", Epoch: 5, Action: wire.HandoffRelease})); err == nil {
 		t.Fatal("release over a failing store succeeded")
 	}
 	stale := wire.ContextWithEpoch(context.Background(), 4)
@@ -231,10 +232,10 @@ func TestFailedReleaseKeepsTheStreamFenced(t *testing.T) {
 	if _, count, err := e.StreamInfo("s"); err != nil || count != 2 {
 		t.Fatalf("source stream after a failed release: count %d, %v", count, err)
 	}
-	if err := e.HandoffComplete("s", 5, wire.HandoffRelease); err != nil {
+	if err := errOf(e.Handle(ctx, &wire.HandoffComplete{UUID: "s", Epoch: 5, Action: wire.HandoffRelease})); err != nil {
 		t.Fatalf("retried release: %v", err)
 	}
-	resp, ok = e.Handle(context.Background(), &wire.StreamInfo{UUID: "s"}).(*wire.Error)
+	resp, ok = e.Handle(ctx, &wire.StreamInfo{UUID: "s"}).(*wire.Error)
 	if !ok || resp.Code != wire.CodeWrongShard || resp.Aux != 5 {
 		t.Fatalf("released stream -> %#v, want CodeWrongShard aux 5", resp)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"maps"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -27,22 +28,11 @@ func (s *scanFailStore) Scan(prefix string, fn func(key string, value []byte) bo
 	return s.MemStore.Scan(prefix, fn)
 }
 
-func storeImage(t *testing.T, s kv.Store) map[string]string {
-	t.Helper()
-	img := map[string]string{}
-	if err := s.Scan("", func(key string, value []byte) bool {
-		img[key] = string(value)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return img
-}
-
 // A delete that cannot list the keys it must remove answers the scan's
 // error and changes nothing: no meta-only delete that strands the
 // stream's chunk, index and grant keys, and the stream keeps serving.
 func TestDeletesReturnScanErrors(t *testing.T) {
+	ctx := context.Background()
 	h := newHarness(t)
 	store := &scanFailStore{MemStore: h.store}
 	engine, err := New(store, Config{})
@@ -53,7 +43,7 @@ func TestDeletesReturnScanErrors(t *testing.T) {
 	h.createStream(t, "s")
 	h.ingest(t, "s", 4)
 	for _, g := range []string{"g1", "g2"} {
-		if err := engine.PutGrant("s", "alice", g, []byte(g)); err != nil {
+		if err := errOf(engine.Handle(ctx, &wire.PutGrant{UUID: "s", Principal: "alice", GrantID: g, Blob: []byte(g)})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,28 +51,28 @@ func TestDeletesReturnScanErrors(t *testing.T) {
 	if err := store.Put("c/x/0", []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	before := storeImage(t, store)
+	before := storeDump(t, store)
 
 	store.fail.Store(true)
 	for _, c := range []struct {
 		name string
-		op   func() error
+		req  wire.Message
 	}{
-		{"DeleteStream", func() error { return engine.DeleteStream("s") }},
-		{"HandoffComplete{Abort}", func() error { return engine.HandoffComplete("x", 0, wire.HandoffAbort) }},
-		{"HandoffComplete{Release}", func() error { return engine.HandoffComplete("s", 9, wire.HandoffRelease) }},
-		{"DeleteGrant", func() error { return engine.DeleteGrant("s", "alice", "") }},
+		{"DeleteStream", &wire.DeleteStream{UUID: "s"}},
+		{"HandoffComplete{Abort}", &wire.HandoffComplete{UUID: "x", Action: wire.HandoffAbort}},
+		{"HandoffComplete{Release}", &wire.HandoffComplete{UUID: "s", Epoch: 9, Action: wire.HandoffRelease}},
+		{"DeleteGrant", &wire.DeleteGrant{UUID: "s", Principal: "alice"}},
 	} {
-		if err := c.op(); !errors.Is(err, errScanDown) {
+		if err := errOf(engine.Handle(ctx, c.req)); err == nil || !strings.Contains(err.Error(), errScanDown.Error()) {
 			t.Errorf("%s with a failing scan: err = %v, want the scan's error", c.name, err)
 		}
 	}
 	store.fail.Store(false)
 
-	if after := storeImage(t, store); !maps.Equal(before, after) {
+	if after := storeDump(t, store); !maps.Equal(before, after) {
 		t.Errorf("store changed: %d keys before, %d after", len(before), len(after))
 	}
-	if _, _, _, err := engine.StatRange(context.Background(), []string{"s"}, 0, 400, 0); err != nil {
+	if _, _, _, err := engine.StatRange(ctx, []string{"s"}, 0, 400, 0); err != nil {
 		t.Errorf("stream stopped serving: %v", err)
 	}
 	if blobs, err := engine.GetGrants("s", "alice"); err != nil || len(blobs) != 2 {

@@ -224,15 +224,12 @@ func snapshotKeyAllowed(uuid, key string) bool {
 	return false
 }
 
-// IngestSnapshot imports one page of a migrating stream's exported state.
-// The raw key/value pairs land in the store but the stream is NOT
-// registered — it stays invisible to queries until HandoffComplete
-// commits it, so a half-copied stream is never served. Refused while the
-// stream is live on this shard (that would corrupt a serving stream).
-func (e *Engine) IngestSnapshot(uuid string, items []wire.KVItem) error {
-	return e.ordered(uuid, func(h *held) error { return e.ingestSnapshot(h, items) })
-}
-
+// ingestSnapshot imports one page of a migrating stream's exported state
+// (wire.IngestSnapshot). The raw key/value pairs land in the store but the
+// stream is NOT registered — it stays invisible to queries until a
+// HandoffComplete commits it, so a half-copied stream is never served.
+// Refused while the stream is live on this shard (that would corrupt a
+// serving stream).
 func (e *Engine) ingestSnapshot(h *held, items []wire.KVItem) error {
 	uuid := h.uuid
 	if uuid == "" {
@@ -251,12 +248,8 @@ func (e *Engine) ingestSnapshot(h *held, items []wire.KVItem) error {
 	return e.store.Batch(ops)
 }
 
-// HandoffComplete finishes (or aborts) one stream's migration on this
+// handoffComplete finishes (or aborts) one stream's migration on this
 // shard; see the wire.Handoff* action docs.
-func (e *Engine) HandoffComplete(uuid string, epoch uint64, action uint8) error {
-	return e.ordered(uuid, func(h *held) error { return e.handoffComplete(h, epoch, action) })
-}
-
 func (e *Engine) handoffComplete(h *held, epoch uint64, action uint8) error {
 	switch action {
 	case wire.HandoffCommit:

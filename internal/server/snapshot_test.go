@@ -44,19 +44,20 @@ func exportAll(t *testing.T, src *Engine, req wire.StreamSnapshot) (wire.StreamC
 // migrate runs a full engine-level migration of uuid from src to dst:
 // live chunk round, frozen meta round, commit, release.
 func migrate(t *testing.T, src, dst *Engine, uuid string, epoch uint64) {
+	ctx := context.Background()
 	t.Helper()
 	_, count, items := exportAll(t, src, wire.StreamSnapshot{UUID: uuid, MaxItems: 3})
-	if err := dst.IngestSnapshot(uuid, items); err != nil {
+	if err := errOf(dst.Handle(ctx, &wire.IngestSnapshot{UUID: uuid, Items: items})); err != nil {
 		t.Fatal(err)
 	}
 	_, _, items = exportAll(t, src, wire.StreamSnapshot{UUID: uuid, FromChunk: count, WithMeta: true, MaxItems: 3})
-	if err := dst.IngestSnapshot(uuid, items); err != nil {
+	if err := errOf(dst.Handle(ctx, &wire.IngestSnapshot{UUID: uuid, Items: items})); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.HandoffComplete(uuid, epoch, wire.HandoffCommit); err != nil {
+	if err := errOf(dst.Handle(ctx, &wire.HandoffComplete{UUID: uuid, Epoch: epoch, Action: wire.HandoffCommit})); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
-	if err := src.HandoffComplete(uuid, epoch, wire.HandoffRelease); err != nil {
+	if err := errOf(src.Handle(ctx, &wire.HandoffComplete{UUID: uuid, Epoch: epoch, Action: wire.HandoffRelease})); err != nil {
 		t.Fatalf("release: %v", err)
 	}
 }
@@ -71,17 +72,18 @@ func statWindows(t *testing.T, e *Engine, uuid string, ts, te int64) [][]uint64 
 }
 
 func TestStreamMigrationRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	h := newHarness(t)
 	h.createStream(t, "s")
 	h.ingest(t, "s", 25)
 	// Staged records, grants, and envelopes must all travel.
-	if err := h.engine.StageRecord("s", 25, 0, []byte{9, 9}); err != nil {
+	if err := errOf(h.engine.Handle(ctx, &wire.StageRecord{UUID: "s", ChunkIndex: 25, Seq: 0, Box: []byte{9, 9}})); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.engine.PutGrant("s", "doc", "g1", []byte{1, 2}); err != nil {
+	if err := errOf(h.engine.Handle(ctx, &wire.PutGrant{UUID: "s", Principal: "doc", GrantID: "g1", Blob: []byte{1, 2}})); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.engine.PutEnvelopes("s", 6, []wire.WireEnvelope{{Index: 0, Box: []byte{7}}}); err != nil {
+	if err := errOf(h.engine.Handle(ctx, &wire.PutEnvelopes{UUID: "s", Factor: 6, Envs: []wire.WireEnvelope{{Index: 0, Box: []byte{7}}}})); err != nil {
 		t.Fatal(err)
 	}
 	want := statWindows(t, h.engine, "s", 0, 2500)
@@ -115,7 +117,7 @@ func TestStreamMigrationRoundTrip(t *testing.T) {
 	// Ingest continues on the destination where the source left off.
 	sealed, _ := chunk.Seal(h.enc, h.spec, chunk.CompressionNone, 25, 2500, 2600,
 		[]chunk.Point{{TS: 2500, Val: 1}})
-	if err := dst.InsertChunk("s", chunk.MarshalSealed(sealed)); err != nil {
+	if err := errOf(dst.Handle(ctx, &wire.InsertChunk{UUID: "s", Chunk: chunk.MarshalSealed(sealed)})); err != nil {
 		t.Fatalf("post-migration ingest: %v", err)
 	}
 
@@ -129,18 +131,19 @@ func TestStreamMigrationRoundTrip(t *testing.T) {
 		t.Error("re-creating a moved stream on the source accepted")
 	}
 	// Release retry at the same epoch converges.
-	if err := h.engine.HandoffComplete("s", 3, wire.HandoffRelease); err != nil {
+	if err := errOf(h.engine.Handle(ctx, &wire.HandoffComplete{UUID: "s", Epoch: 3, Action: wire.HandoffRelease})); err != nil {
 		t.Errorf("idempotent release retry: %v", err)
 	}
 	// The source store kept nothing of the stream but the tombstone.
 	left := 0
-	h.engine.Store().Scan("", func(key string, _ []byte) bool { left++; return true })
+	h.engine.store.Scan("", func(key string, _ []byte) bool { left++; return true })
 	if left != 1 {
 		t.Errorf("source store still holds %d keys, want only the tombstone", left)
 	}
 }
 
 func TestMigrationCatchUpRound(t *testing.T) {
+	ctx := context.Background()
 	h := newHarness(t)
 	h.createStream(t, "s")
 	h.ingest(t, "s", 10)
@@ -153,7 +156,7 @@ func TestMigrationCatchUpRound(t *testing.T) {
 	if count != 10 {
 		t.Fatalf("pinned count %d, want 10", count)
 	}
-	if err := dst.IngestSnapshot("s", items); err != nil {
+	if err := errOf(dst.Handle(ctx, &wire.IngestSnapshot{UUID: "s", Items: items})); err != nil {
 		t.Fatal(err)
 	}
 	// A write lands mid-migration, after the live round.
@@ -164,10 +167,10 @@ func TestMigrationCatchUpRound(t *testing.T) {
 	if count2 != 13 {
 		t.Fatalf("catch-up pinned count %d, want 13", count2)
 	}
-	if err := dst.IngestSnapshot("s", items2); err != nil {
+	if err := errOf(dst.Handle(ctx, &wire.IngestSnapshot{UUID: "s", Items: items2})); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.HandoffComplete("s", 1, wire.HandoffCommit); err != nil {
+	if err := errOf(dst.Handle(ctx, &wire.HandoffComplete{UUID: "s", Epoch: 1, Action: wire.HandoffCommit})); err != nil {
 		t.Fatal(err)
 	}
 	if _, dstCount, err := dst.StreamInfo("s"); err != nil || dstCount != 13 {
@@ -191,7 +194,7 @@ func TestImportInvisibleUntilCommitAndAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, items := exportAll(t, h.engine, wire.StreamSnapshot{UUID: "s", WithMeta: true})
-	if err := dst.IngestSnapshot("s", items); err != nil {
+	if err := errOf(dst.Handle(context.Background(), &wire.IngestSnapshot{UUID: "s", Items: items})); err != nil {
 		t.Fatal(err)
 	}
 	// Invisible before commit: not listed, not queryable.
@@ -202,10 +205,10 @@ func TestImportInvisibleUntilCommitAndAbort(t *testing.T) {
 		t.Fatal("uncommitted import served StreamInfo")
 	}
 	// Abort wipes the partial copy.
-	if err := dst.HandoffComplete("s", 1, wire.HandoffAbort); err != nil {
+	if err := errOf(dst.Handle(context.Background(), &wire.HandoffComplete{UUID: "s", Epoch: 1, Action: wire.HandoffAbort})); err != nil {
 		t.Fatal(err)
 	}
-	if n := dst.Store().Len(); n != 0 {
+	if n := dst.store.Len(); n != 0 {
 		t.Fatalf("abort left %d keys behind", n)
 	}
 	// The source never stopped serving.
@@ -215,10 +218,11 @@ func TestImportInvisibleUntilCommitAndAbort(t *testing.T) {
 }
 
 func TestIngestSnapshotRejectsHostileKeysAndLiveStreams(t *testing.T) {
+	ctx := context.Background()
 	h := newHarness(t)
 	h.createStream(t, "live")
 	dst := h.engine
-	if err := dst.IngestSnapshot("live", nil); err == nil {
+	if err := errOf(dst.Handle(ctx, &wire.IngestSnapshot{UUID: "live"})); err == nil {
 		t.Error("import over a live stream accepted")
 	}
 	for _, key := range []string{
@@ -229,16 +233,16 @@ func TestIngestSnapshotRejectsHostileKeysAndLiveStreams(t *testing.T) {
 		"s0/c/victim/0",  // a partition prefix escape
 		"c/victimextra/", // prefix that only starts with the uuid
 	} {
-		if err := dst.IngestSnapshot("victim", []wire.KVItem{{Key: key, Value: []byte{1}}}); err == nil {
+		if err := errOf(dst.Handle(ctx, &wire.IngestSnapshot{UUID: "victim", Items: []wire.KVItem{{Key: key, Value: []byte{1}}}})); err == nil {
 			t.Errorf("hostile snapshot key %q accepted", key)
 		}
 	}
 	// Keys properly scoped to the stream are accepted.
-	if err := dst.IngestSnapshot("victim", []wire.KVItem{
+	if err := errOf(dst.Handle(ctx, &wire.IngestSnapshot{UUID: "victim", Items: []wire.KVItem{
 		{Key: "m/victim", Value: []byte{1}},
 		{Key: "c/victim/0", Value: []byte{2}},
 		{Key: "i/victim/meta", Value: []byte{3}},
-	}); err != nil {
+	}})); err != nil {
 		t.Errorf("scoped snapshot keys rejected: %v", err)
 	}
 }
@@ -264,10 +268,10 @@ func TestMovedTombstoneSurvivesRestart(t *testing.T) {
 	}
 	// A later move back to this shard clears the tombstone on commit.
 	_, _, items := exportAll(t, dst, wire.StreamSnapshot{UUID: "s", WithMeta: true})
-	if err := restarted.IngestSnapshot("s", items); err != nil {
+	if err := errOf(restarted.Handle(context.Background(), &wire.IngestSnapshot{UUID: "s", Items: items})); err != nil {
 		t.Fatal(err)
 	}
-	if err := restarted.HandoffComplete("s", 10, wire.HandoffCommit); err != nil {
+	if err := errOf(restarted.Handle(context.Background(), &wire.HandoffComplete{UUID: "s", Epoch: 10, Action: wire.HandoffCommit})); err != nil {
 		t.Fatal(err)
 	}
 	if _, count, err := restarted.StreamInfo("s"); err != nil || count != 3 {

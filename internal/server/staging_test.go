@@ -11,16 +11,17 @@ import (
 )
 
 func TestStagedRecordLifecycle(t *testing.T) {
+	ctx := context.Background()
 	h := newHarness(t)
 	h.createStream(t, "s")
-	if err := h.engine.StageRecord("nope", 0, 0, []byte{1}); err == nil {
+	if err := errOf(h.engine.Handle(ctx, &wire.StageRecord{UUID: "nope", ChunkIndex: 0, Seq: 0, Box: []byte{1}})); err == nil {
 		t.Error("staging on unknown stream accepted")
 	}
 	// Stage three records for chunk 0 out of order; GetStaged must
 	// return them in sequence order.
-	h.engine.StageRecord("s", 0, 2, []byte{2})
-	h.engine.StageRecord("s", 0, 0, []byte{0})
-	h.engine.StageRecord("s", 0, 1, []byte{1})
+	h.engine.Handle(ctx, &wire.StageRecord{UUID: "s", ChunkIndex: 0, Seq: 2, Box: []byte{2}})
+	h.engine.Handle(ctx, &wire.StageRecord{UUID: "s", ChunkIndex: 0, Seq: 0, Box: []byte{0}})
+	h.engine.Handle(ctx, &wire.StageRecord{UUID: "s", ChunkIndex: 0, Seq: 1, Box: []byte{1}})
 	boxes, err := h.engine.GetStaged("s", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -43,11 +44,11 @@ func TestStagedRecordLifecycle(t *testing.T) {
 		t.Errorf("%d staged records survived seal", len(boxes))
 	}
 	// Staging for a sealed chunk is rejected.
-	if err := h.engine.StageRecord("s", 0, 9, []byte{9}); err == nil {
+	if err := errOf(h.engine.Handle(ctx, &wire.StageRecord{UUID: "s", ChunkIndex: 0, Seq: 9, Box: []byte{9}})); err == nil {
 		t.Error("staging for sealed chunk accepted")
 	}
 	// Staging for a future chunk is fine.
-	if err := h.engine.StageRecord("s", 5, 0, []byte{5}); err != nil {
+	if err := errOf(h.engine.Handle(ctx, &wire.StageRecord{UUID: "s", ChunkIndex: 5, Seq: 0, Box: []byte{5}})); err != nil {
 		t.Errorf("future staging rejected: %v", err)
 	}
 }
@@ -69,8 +70,8 @@ func TestHandleStagingMessages(t *testing.T) {
 func TestDeleteStreamRemovesStaged(t *testing.T) {
 	h := newHarness(t)
 	h.createStream(t, "s")
-	h.engine.StageRecord("s", 3, 0, []byte{1})
-	if err := h.engine.DeleteStream("s"); err != nil {
+	h.engine.Handle(context.Background(), &wire.StageRecord{UUID: "s", ChunkIndex: 3, Seq: 0, Box: []byte{1}})
+	if err := errOf(h.engine.Handle(context.Background(), &wire.DeleteStream{UUID: "s"})); err != nil {
 		t.Fatal(err)
 	}
 	if h.store.Len() != 0 {
@@ -81,6 +82,7 @@ func TestDeleteStreamRemovesStaged(t *testing.T) {
 // TestConcurrentMixedLoad stresses the engine with parallel ingest,
 // queries, staging, and grant traffic across multiple streams.
 func TestConcurrentMixedLoad(t *testing.T) {
+	ctx := context.Background()
 	h := newHarness(t)
 	const streams = 4
 	for i := 0; i < streams; i++ {
@@ -103,7 +105,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 					errCh <- err
 					return
 				}
-				if err := h.engine.InsertChunk(uuid, chunk.MarshalSealed(sealed)); err != nil {
+				if err := errOf(h.engine.Handle(ctx, &wire.InsertChunk{UUID: uuid, Chunk: chunk.MarshalSealed(sealed)})); err != nil {
 					errCh <- err
 					return
 				}
@@ -127,7 +129,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 			defer wg.Done()
 			for g := 0; g < 50; g++ {
 				id := fmt.Sprintf("g%d", g)
-				if err := h.engine.PutGrant(uuid, "p", id, []byte{byte(g)}); err != nil {
+				if err := errOf(h.engine.Handle(ctx, &wire.PutGrant{UUID: uuid, Principal: "p", GrantID: id, Blob: []byte{byte(g)}})); err != nil {
 					errCh <- err
 					return
 				}
@@ -136,7 +138,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 					return
 				}
 				if g%2 == 0 {
-					h.engine.DeleteGrant(uuid, "p", id)
+					h.engine.Handle(ctx, &wire.DeleteGrant{UUID: uuid, Principal: "p", GrantID: id})
 				}
 			}
 		}()

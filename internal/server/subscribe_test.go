@@ -152,7 +152,7 @@ func TestEngineSubscribeDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if err := h.engine.DeleteStream("s"); err != nil {
+	if err := errOf(h.engine.Handle(context.Background(), &wire.DeleteStream{UUID: "s"})); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

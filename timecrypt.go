@@ -133,7 +133,8 @@ type (
 	SessionOptions = client.SessionOptions
 	// Call is an awaitable in-flight request on a Session.
 	Call = client.Call
-	// Engine is the untrusted server engine.
+	// Engine is the untrusted server engine. Its entry point is Handle,
+	// which answers one wire request: the protocol is its API.
 	Engine = server.Engine
 	// EngineConfig parameterizes the server engine.
 	EngineConfig = server.Config
