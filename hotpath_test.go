@@ -7,6 +7,7 @@ package timecrypt_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
@@ -280,6 +281,83 @@ func TestHotPathAllocBudgets(t *testing.T) {
 			t.Errorf("pooled frame read: %.1f allocs/frame, want 0", allocs)
 		}
 	})
+}
+
+// TestStreamFootprintBudgets pins what a stream costs the server's heap
+// before its data: bytes per created, empty stream, and bytes that one
+// InsertChunk adds to it (MemStore's copy of the chunk and index nodes
+// included). A stream's state is its table entry, its index tree and the
+// tree's node cache, none of which may grow with the host's core count, so
+// the figures at GOMAXPROCS 2 and 32 must agree within 10 %. Measured on a
+// 2 vCPU Xeon (go1.24.0) over 10,000 streams, a created stream costs
+// 655-660 B at both core counts and one chunk adds 3,420-3,450 B. With the
+// node cache split into one lock-striped segment per core, a created stream
+// cost 879 B at GOMAXPROCS 2 and 6,406 B at 32.
+func TestStreamFootprintBudgets(t *testing.T) {
+	const (
+		streams     = 10_000
+		createdMax  = 730   // bytes per created stream
+		oneChunkMax = 3_800 // bytes one chunk adds per stream
+		agreeWithin = 0.10
+	)
+	spec := chunk.DefaultSpec()
+	specBytes, _ := spec.MarshalBinary()
+	cfg := wire.StreamConfig{Epoch: 0, Interval: 100, VectorLen: uint32(spec.VectorLen()),
+		Fanout: index.DefaultFanout, DigestSpec: specBytes}
+	blob := hotBlobs(t, hotEncryptor(t), spec, 0, 1)[0]
+	uuids := make([]string, streams)
+	for i := range uuids {
+		uuids[i] = fmt.Sprintf("stream-%05d", i)
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	measure := func(procs int) (created, oneChunk float64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		ctx := context.Background()
+		engine, err := server.New(kv.NewMemStore(), server.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h0 := heap()
+		for _, uuid := range uuids {
+			if resp := engine.Handle(ctx, &wire.CreateStream{UUID: uuid, Cfg: cfg}); resp.Type() != wire.TOK {
+				t.Fatalf("CreateStream %s: %#v", uuid, resp)
+			}
+		}
+		h1 := heap()
+		for _, uuid := range uuids {
+			if resp := engine.Handle(ctx, &wire.InsertChunk{UUID: uuid, Chunk: blob}); resp.Type() != wire.TOK {
+				t.Fatalf("InsertChunk %s: %#v", uuid, resp)
+			}
+		}
+		h2 := heap()
+		runtime.KeepAlive(engine)
+		return (float64(h1) - float64(h0)) / streams, (float64(h2) - float64(h1)) / streams
+	}
+	created2, chunk2 := measure(2)
+	created32, chunk32 := measure(32)
+	t.Logf("created stream: %.0f B at GOMAXPROCS 2, %.0f B at 32; one chunk adds %.0f B and %.0f B",
+		created2, created32, chunk2, chunk32)
+	for _, c := range []struct {
+		what      string
+		at2, at32 float64
+		max       float64
+	}{
+		{"a created stream", created2, created32, createdMax},
+		{"one chunk", chunk2, chunk32, oneChunkMax},
+	} {
+		if c.at2 > c.max || c.at32 > c.max {
+			t.Errorf("%s costs %.0f B at GOMAXPROCS 2 and %.0f B at 32, want <= %.0f", c.what, c.at2, c.at32, c.max)
+		}
+		if lo, hi := min(c.at2, c.at32), max(c.at2, c.at32); hi > lo*(1+agreeWithin) {
+			t.Errorf("%s costs %.0f B at GOMAXPROCS 2 and %.0f B at 32: the core count moves it by more than %.0f %%",
+				c.what, c.at2, c.at32, agreeWithin*100)
+		}
+	}
 }
 
 // sealBudget seals gen's chunks under the product default (a zlib stream)

@@ -46,9 +46,9 @@ func hexLen(x uint64) int { return max(1, (bits.Len64(x)+3)/4) }
 //
 // No entry holds a Go pointer. A node lives in a slot: its vector in a
 // slab's vecs, its key and recency links in the slab's meta, and the map
-// names it by slot id. The collector marks a segment's slabs, not its
+// names it by slot id. The collector marks the cache's slabs, not its
 // entries, though an ingest caches a leaf and its ancestors per chunk.
-// Vectors are copied in by put and out by get under the segment's lock,
+// Vectors are copied in by put and out by get under the cache's lock,
 // so no reference escapes and a slot is reused as soon as it is freed.
 type lruCache struct {
 	mu      sync.Mutex
@@ -69,7 +69,7 @@ type lruCache struct {
 // A slot id is its slab's number above slotBits and its offset in the slab
 // below. A new slab holds a sixteenth of the slots so far, between minSlab
 // and 1<<slotBits: as with MemStore's pages, the unfilled slab costs at
-// most ~6 % over the cached nodes, and a segment of a few hundred nodes (a
+// most ~6 % over the cached nodes, and a cache of a few hundred nodes (a
 // query-range or mixed-fig7 stream) does not pay for a full-size slab.
 // docs/PERFORMANCE.md has the sizings measured against this one.
 const (

@@ -84,11 +84,11 @@ func (m *cacheModel) remove(key uint64) {
 	}
 }
 
-// TestSlotCacheMatchesModel drives one segment and the model with the same
+// TestSlotCacheMatchesModel drives one cache and the model with the same
 // seeded puts, gets and removes over levels 0-3: every hit or miss, every
 // vector copied out and the counters after every operation must agree, so
 // eviction order, entry sizes and slot reuse are exactly the model's. The
-// unbounded case first fills the segment past 100,000 entries, so slabs
+// unbounded case first fills the cache past 100,000 entries, so slabs
 // reach their cap and the slab count passes 64.
 func TestSlotCacheMatchesModel(t *testing.T) {
 	const (
@@ -174,9 +174,9 @@ func TestSlotCacheMatchesModel(t *testing.T) {
 }
 
 // TestPointerFreeCacheEntries is the fence around the cache's point: what a
-// segment holds per entry (the map's key and element, a slot's metadata and
+// cache holds per entry (the map's key and element, a slot's metadata and
 // the slabs' vector elements) contains no Go pointer, so the collector
-// marks a segment's slabs and map, never its entries. A field that brings
+// marks the cache's slabs and map, never its entries. A field that brings
 // a string, slice, map or pointer back into them fails here.
 func TestPointerFreeCacheEntries(t *testing.T) {
 	field := func(typ reflect.Type, name string, kind reflect.Kind) reflect.Type {
@@ -288,5 +288,54 @@ func TestQueriesDuringSlotReuse(t *testing.T) {
 	wg.Wait()
 	if _, _, _, entries := tree.CacheStats(); entries > 5 {
 		t.Errorf("the cache holds %d nodes: the test needs it to hold a few", entries)
+	}
+}
+
+// The hammer: concurrent get/put/remove over a shared key space, run under
+// -race. A tree's readers put their misses into its one cache under the
+// tree's read lock, so the cache's own lock is what keeps them apart; a
+// vector copied out must never mix two puts (a put writes x and ^x).
+func TestNodeCacheConcurrentHammer(t *testing.T) {
+	c := newLRUCache(256<<10, 0, 2)
+	const (
+		workers = 8
+		keys    = 512
+		ops     = 4000
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b9))
+			vec := make([]uint64, 2)
+			for i := 0; i < ops; i++ {
+				idx := rng.Uint64N(keys)
+				k := cacheKey(int(idx%5), idx)
+				switch rng.Uint64N(10) {
+				case 0:
+					c.remove(k)
+				case 1, 2, 3:
+					x := rng.Uint64()
+					c.put(k, []uint64{x, ^x})
+				default:
+					if c.get(k, vec) && vec[1] != ^vec[0] {
+						t.Errorf("key %#x: cached vector %x mixes two puts", k, vec)
+						return
+					}
+				}
+			}
+		}(uint64(w + 1))
+	}
+	wg.Wait()
+	hits, misses, used, entries := c.stats()
+	if hits+misses == 0 {
+		t.Fatal("hammer recorded no cache traffic")
+	}
+	if used < 0 {
+		t.Fatalf("negative used bytes %d (accounting race)", used)
+	}
+	if entries < 0 || entries > keys {
+		t.Fatalf("implausible entry count %d", entries)
 	}
 }

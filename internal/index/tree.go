@@ -62,7 +62,7 @@ type Tree struct {
 	streamID string
 	cfg      Config
 	levels   int // treeLevels(cfg.Fanout)
-	cache    *stripedCache
+	cache    *lruCache
 
 	mu    sync.RWMutex
 	count uint64 // number of leaf digests appended
@@ -77,7 +77,7 @@ func Open(store kv.Store, streamID string, cfg Config) (*Tree, error) {
 		return nil, err
 	}
 	t := &Tree{store: store, streamID: streamID, cfg: cfg, levels: treeLevels(cfg.Fanout)}
-	t.cache = newStripedCache(cfg.CacheBytes, len("i/")+len(streamID)+len("//"), cfg.VectorLen)
+	t.cache = newLRUCache(cfg.CacheBytes, len("i/")+len(streamID)+len("//"), cfg.VectorLen)
 	meta, err := store.Get(t.metaKey())
 	switch {
 	case err == nil:

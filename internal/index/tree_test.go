@@ -419,13 +419,13 @@ func TestCacheBudgetEquivalence(t *testing.T) {
 		t.Errorf("cache accounts %d bytes for the tree's nodes, the string-keyed cache accounted %d", used, want)
 	}
 
-	// A 48 KiB segment filled with leaves 0..1023 keeps the most recent
+	// A 48 KiB cache filled with leaves 0..1023 keeps the most recent
 	// ones, all with three-digit indexes: 49152 / (len("i/s/0/3ff")+152+64).
 	const parentHeld = 218
 	if got := (48 << 10) / oldSize("i/s/0/3ff"); got != parentHeld {
 		t.Fatalf("test constant is off: old formula holds %d", got)
 	}
-	c := newStripedCacheN(48<<10, len("i/s//"), vecLen, 1)
+	c := newLRUCache(48<<10, len("i/s//"), vecLen)
 	for i := uint64(0); i < 1024; i++ {
 		c.put(leafKey(i), make([]uint64, vecLen))
 	}

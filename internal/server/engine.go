@@ -438,9 +438,19 @@ func (e *Engine) StreamInfo(uuid string) (wire.StreamConfig, uint64, error) {
 // A chunk that fails validation gets its own error and does not advance
 // the expected position, so the chunks after it are judged exactly as a
 // loop of single inserts would judge them.
+//
+// It writes as topology epoch 0, so a stream fenced for migration refuses
+// every chunk with the fence's CodeWrongShard error, as Handle would.
 func (e *Engine) InsertChunkBatch(uuid string, sealedBlobs [][]byte) []error {
 	h := e.lockOrder(uuid)
 	defer e.unlockOrder(&h)
+	if werr := checkFence(context.TODO(), &h); werr != nil {
+		errs := make([]error, len(sealedBlobs))
+		for i := range errs {
+			errs[i] = werr
+		}
+		return errs
+	}
 	return e.insertChunks(&h, sealedBlobs)
 }
 

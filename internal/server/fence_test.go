@@ -11,9 +11,10 @@ import (
 
 // TestEveryFencedMutationRefusesAStaleEpoch: with the write fence armed at
 // epoch 5, each fenced request type, sent alone or inside a batch at
-// epoch 4, answers CodeWrongShard with aux 5 and leaves the store as it
-// was; at epoch 5 each is admitted. The list names exactly the types the
-// message table fences, so neither can drift from the other.
+// epoch 4, and InsertChunkBatch answer CodeWrongShard with aux 5 and leave
+// the store as it was; at epoch 5 each request is admitted. The list names
+// exactly the types the message table fences, so neither can drift from
+// the other.
 func TestEveryFencedMutationRefusesAStaleEpoch(t *testing.T) {
 	ctx := context.Background()
 	h := newHarness(t)
@@ -62,6 +63,15 @@ func TestEveryFencedMutationRefusesAStaleEpoch(t *testing.T) {
 		if after := storeDump(t, h.store); !maps.Equal(before, after) {
 			t.Fatalf("%s at epoch 4 changed the store: %d keys before, %d after", name, len(before), len(after))
 		}
+	}
+	// InsertChunkBatch takes no context: it writes as epoch 0, below the fence.
+	for i, err := range h.engine.InsertChunkBatch("s", blobs[16:]) {
+		if e, ok := err.(*wire.Error); !ok || e.Code != wire.CodeWrongShard || e.Aux != 5 {
+			t.Errorf("InsertChunkBatch chunk %d past the fence -> %v, want CodeWrongShard aux 5", i, err)
+		}
+	}
+	if after := storeDump(t, h.store); !maps.Equal(before, after) {
+		t.Fatalf("InsertChunkBatch past the fence changed the store: %d keys before, %d after", len(before), len(after))
 	}
 
 	// Every type the message table fences is listed. A type's zero message

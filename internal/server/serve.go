@@ -50,7 +50,7 @@ func (e *Engine) Handle(ctx context.Context, req wire.Message) wire.Message {
 // naming no stream, runs then after everything, under no stream's lock.
 func (e *Engine) Apply(ctx context.Context, req wire.Message, then func()) wire.Message {
 	if err := ctx.Err(); err != nil {
-		return toError(err)
+		return WireError(err)
 	}
 	if b, ok := req.(*wire.Batch); ok {
 		return e.handleBatch(ctx, b, then)
@@ -71,7 +71,7 @@ func (e *Engine) Apply(ctx context.Context, req wire.Message, then func()) wire.
 // with h holding that stream's order lock.
 func (e *Engine) dispatch(ctx context.Context, h *held, req wire.Message) wire.Message {
 	if err := ctx.Err(); err != nil {
-		return toError(err)
+		return WireError(err)
 	}
 	if _, fenced := wire.FencedUUID(req); fenced {
 		if errMsg := checkFence(ctx, h); errMsg != nil {
@@ -88,19 +88,19 @@ func (e *Engine) dispatch(ctx context.Context, h *held, req wire.Message) wire.M
 	case *wire.GetRange:
 		chunks, err := e.GetRange(ctx, m.UUID, m.Ts, m.Te)
 		if err != nil {
-			return toError(err)
+			return WireError(err)
 		}
 		return &wire.GetRangeResp{Chunks: chunks}
 	case *wire.StatRange:
 		from, to, windows, err := e.StatRange(ctx, m.UUIDs, m.Ts, m.Te, m.WindowChunks)
 		if err != nil {
-			return toError(err)
+			return WireError(err)
 		}
 		return &wire.StatRangeResp{FromChunk: from, ToChunk: to, Windows: windows}
 	case *wire.AggRange:
 		resp, err := e.AggRange(ctx, m.UUIDs, m.Ts, m.Te, m.WindowChunks, m.Elems)
 		if err != nil {
-			return toError(err)
+			return WireError(err)
 		}
 		return resp
 	case *wire.StreamCredit:
@@ -122,7 +122,7 @@ func (e *Engine) dispatch(ctx context.Context, h *held, req wire.Message) wire.M
 	case *wire.GetGrants:
 		blobs, err := e.GetGrants(m.UUID, m.Principal)
 		if err != nil {
-			return toError(err)
+			return WireError(err)
 		}
 		return &wire.GetGrantsResp{Blobs: blobs}
 	case *wire.DeleteGrant:
@@ -132,7 +132,7 @@ func (e *Engine) dispatch(ctx context.Context, h *held, req wire.Message) wire.M
 	case *wire.GetEnvelopes:
 		envs, err := e.GetEnvelopes(m.UUID, m.Factor, m.Lo, m.Hi)
 		if err != nil {
-			return toError(err)
+			return WireError(err)
 		}
 		return &wire.GetEnvelopesResp{Envs: envs}
 	case *wire.StageRecord:
@@ -140,13 +140,13 @@ func (e *Engine) dispatch(ctx context.Context, h *held, req wire.Message) wire.M
 	case *wire.GetStaged:
 		boxes, err := e.GetStaged(m.UUID, m.ChunkIndex)
 		if err != nil {
-			return toError(err)
+			return WireError(err)
 		}
 		return &wire.GetStagedResp{Boxes: boxes}
 	case *wire.StreamInfo:
 		cfg, count, err := e.StreamInfo(m.UUID)
 		if err != nil {
-			return toError(err)
+			return WireError(err)
 		}
 		return &wire.StreamInfoResp{Cfg: cfg, Count: count}
 	case *wire.ListStreams:
@@ -154,7 +154,7 @@ func (e *Engine) dispatch(ctx context.Context, h *held, req wire.Message) wire.M
 	case *wire.StreamSnapshot:
 		page, err := e.SnapshotStream(ctx, m)
 		if err != nil {
-			return toError(err)
+			return WireError(err)
 		}
 		return page
 	case *wire.IngestSnapshot:
@@ -265,7 +265,7 @@ func (e *Engine) runGroup(ctx context.Context, uuid string, reqs []wire.Message,
 
 func respond(err error) wire.Message {
 	if err != nil {
-		return toError(err)
+		return WireError(err)
 	}
 	return &wire.OK{}
 }
@@ -298,8 +298,6 @@ func WireError(err error) *wire.Error {
 	}
 	return &wire.Error{Code: code, Msg: msg}
 }
-
-func toError(err error) *wire.Error { return WireError(err) }
 
 // DefaultMaxConnInFlight is the default per-connection bound on
 // concurrently executing requests. It matches the client session's default
@@ -702,7 +700,7 @@ func (s *Server) streamSubscription(ctx context.Context, id uint64, flow *stream
 	h, err := sb.Subscribe(subCtx, req)
 	if err != nil {
 		release()
-		final(toError(err))
+		final(WireError(err))
 		return
 	}
 	defer h.Close()
@@ -711,18 +709,18 @@ func (s *Server) streamSubscription(ctx context.Context, id uint64, flow *stream
 	// must not hold the ordering chain.
 	release()
 	if err := flow.acquire(subCtx); err != nil {
-		final(toError(err))
+		final(WireError(err))
 		return
 	}
 	out <- respFrame{id: id, more: true, msg: h.Resp()}
 	for {
 		if err := flow.acquire(subCtx); err != nil {
-			final(toError(err))
+			final(WireError(err))
 			return
 		}
 		ev, err := h.Recv(subCtx)
 		if err != nil {
-			final(toError(err))
+			final(WireError(err))
 			return
 		}
 		out <- respFrame{id: id, more: true, msg: ev}
