@@ -58,8 +58,9 @@ func hotPoints(i uint64) []chunk.Point {
 	return pts
 }
 
-// hotQueryTree is a fanout-64 tree of 400 chunks with every node cached;
-// Query(hotQueryLo, hotQueryHi) decomposes into 66 of them (leaves 33..63,
+// hotQueryTree is a fanout-64 tree of 400 chunks without a node cache, as
+// the server runs it by default; Query(hotQueryLo, hotQueryHi) decomposes
+// into 66 of its nodes (leaves 33..63,
 // level-1 nodes 1..4, leaves 320..350) — runs of 31 siblings, the longest
 // that are not shorter read as their parent minus the rest — about what a
 // random StatRange reads on two levels.
@@ -116,6 +117,19 @@ func hotBlobs(tb testing.TB, enc *core.Encryptor, spec chunk.DigestSpec, from, n
 	return blobs
 }
 
+// overBudget reports a measurement over its budget: a test failure, except
+// under the race detector, whose sync.Pool drops Puts on purpose so that
+// every pooled path allocates again. There the budgets still run and the
+// measurement is logged, so `go test -race .` shows the counts and passes.
+func overBudget(t *testing.T, format string, args ...any) {
+	t.Helper()
+	if raceEnabled {
+		t.Logf("over budget, not asserted under -race: "+format, args...)
+		return
+	}
+	t.Errorf(format, args...)
+}
+
 // TestHotPathAllocBudgets pins per-layer allocations/op. The core keystream
 // budget is the PR's acceptance criterion (zero after warm-up); the others
 // are regression fences at the measured steady state.
@@ -141,7 +155,7 @@ func TestHotPathAllocBudgets(t *testing.T) {
 			pos++
 		})
 		if allocs != 0 {
-			t.Errorf("core keystream derivation: %.1f allocs/chunk, want 0", allocs)
+			overBudget(t, "core keystream derivation: %.1f allocs/chunk, want 0", allocs)
 		}
 	})
 	// The product default codec on a payload that deflates (an mHealth
@@ -183,7 +197,7 @@ func TestHotPathAllocBudgets(t *testing.T) {
 		}
 		decrypt()
 		if allocs := testing.AllocsPerRun(50, decrypt); allocs != 0 {
-			t.Errorf("64-window page: %.1f allocs, want 0", allocs)
+			overBudget(t, "64-window page: %.1f allocs, want 0", allocs)
 		}
 	})
 	// One client batch as the engine sees it: 16 chunks, one store batch.
@@ -195,7 +209,9 @@ func TestHotPathAllocBudgets(t *testing.T) {
 	// The index cache copies vectors into slot slabs instead of keeping a
 	// boxed entry and a vector per node: 134-135 allocs and 21,548-24,375 B
 	// over 190 runs (the spread is the cache map's growth, which depends on
-	// the hash seed).
+	// the hash seed). Without a node cache, and with each node key built
+	// by one allocation instead of two: 110 allocs and 17,213-19,876 B over
+	// 40 runs.
 	t.Run("engine-insert-batch", func(t *testing.T) {
 		spec := hotSpec(t)
 		engine := hotEngine(t, spec)
@@ -213,8 +229,8 @@ func TestHotPathAllocBudgets(t *testing.T) {
 		defer debug.SetGCPercent(debug.SetGCPercent(-1)) // keep the stage pooled
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		insert()
-		if allocs := testing.AllocsPerRun(runs/2-1, insert); allocs > 135 {
-			t.Errorf("16-chunk InsertChunkBatch: %.1f allocs, want <= 135", allocs)
+		if allocs := testing.AllocsPerRun(runs/2-1, insert); allocs > 110 {
+			overBudget(t, "16-chunk InsertChunkBatch: %.1f allocs, want <= 110", allocs)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -223,21 +239,22 @@ func TestHotPathAllocBudgets(t *testing.T) {
 			insert()
 		}
 		runtime.ReadMemStats(&after)
-		if perOp := (after.TotalAlloc - before.TotalAlloc) / uint64((next-start)/batch); perOp > 25000 {
-			t.Errorf("16-chunk InsertChunkBatch: %d B, want <= 25000", perOp)
+		if perOp := (after.TotalAlloc - before.TotalAlloc) / uint64((next-start)/batch); perOp > 20500 {
+			overBudget(t, "16-chunk InsertChunkBatch: %d B, want <= 20500", perOp)
 		}
 	})
-	t.Run("index-query-hit", func(t *testing.T) {
+	t.Run("index-query", func(t *testing.T) {
 		tree := hotQueryTree(t)
-		// The result vector and the closure over it are all a hit-only
-		// query may allocate, however many nodes it reads.
+		// The result vector and the node-key scratch are all a query may
+		// allocate, however many nodes it reads: each node is decoded
+		// from the store's own bytes, its key built in the scratch.
 		allocs := testing.AllocsPerRun(200, func() {
 			if _, err := tree.Query(hotQueryLo, hotQueryHi); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs > 2 {
-			t.Errorf("cached 66-node Query: %.1f allocs, want <= 2", allocs)
+			overBudget(t, "uncached 66-node Query: %.1f allocs, want <= 2", allocs)
 		}
 	})
 	t.Run("wire-write", func(t *testing.T) {
@@ -254,7 +271,7 @@ func TestHotPathAllocBudgets(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("WriteRequest: %.1f allocs/frame, want 0", allocs)
+			overBudget(t, "WriteRequest: %.1f allocs/frame, want 0", allocs)
 		}
 	})
 	t.Run("wire-read-frame", func(t *testing.T) {
@@ -278,7 +295,7 @@ func TestHotPathAllocBudgets(t *testing.T) {
 			fb.Release()
 		})
 		if allocs != 0 {
-			t.Errorf("pooled frame read: %.1f allocs/frame, want 0", allocs)
+			overBudget(t, "pooled frame read: %.1f allocs/frame, want 0", allocs)
 		}
 	})
 }
@@ -286,18 +303,19 @@ func TestHotPathAllocBudgets(t *testing.T) {
 // TestStreamFootprintBudgets pins what a stream costs the server's heap
 // before its data: bytes per created, empty stream, and bytes that one
 // InsertChunk adds to it (MemStore's copy of the chunk and index nodes
-// included). A stream's state is its table entry, its index tree and the
-// tree's node cache, none of which may grow with the host's core count, so
-// the figures at GOMAXPROCS 2 and 32 must agree within 10 %. Measured on a
-// 2 vCPU Xeon (go1.24.0) over 10,000 streams, a created stream costs
-// 655-660 B at both core counts and one chunk adds 3,420-3,450 B. With the
-// node cache split into one lock-striped segment per core, a created stream
-// cost 879 B at GOMAXPROCS 2 and 6,406 B at 32.
+// included). A stream's state is its table entry and its index tree, none
+// of which may grow with the host's core count, so the figures at
+// GOMAXPROCS 2 and 32 must agree within 10 %. Measured on a 2 vCPU Xeon
+// (go1.24.0) over 10,000 streams, a created stream costs 491-500 B at both
+// core counts and one chunk adds 1,821-1,848 B. With the default unbounded
+// node cache, which held a second copy of every node, they were 655-660 B
+// and 3,420-3,450 B; with that cache split into one lock-striped segment
+// per core, a created stream cost 879 B at GOMAXPROCS 2 and 6,406 B at 32.
 func TestStreamFootprintBudgets(t *testing.T) {
 	const (
 		streams     = 10_000
-		createdMax  = 730   // bytes per created stream
-		oneChunkMax = 3_800 // bytes one chunk adds per stream
+		createdMax  = 530   // bytes per created stream
+		oneChunkMax = 2_050 // bytes one chunk adds per stream
 		agreeWithin = 0.10
 	)
 	spec := chunk.DefaultSpec()
@@ -351,7 +369,7 @@ func TestStreamFootprintBudgets(t *testing.T) {
 		{"one chunk", chunk2, chunk32, oneChunkMax},
 	} {
 		if c.at2 > c.max || c.at32 > c.max {
-			t.Errorf("%s costs %.0f B at GOMAXPROCS 2 and %.0f B at 32, want <= %.0f", c.what, c.at2, c.at32, c.max)
+			overBudget(t, "%s costs %.0f B at GOMAXPROCS 2 and %.0f B at 32, want <= %.0f", c.what, c.at2, c.at32, c.max)
 		}
 		if lo, hi := min(c.at2, c.at32), max(c.at2, c.at32); hi > lo*(1+agreeWithin) {
 			t.Errorf("%s costs %.0f B at GOMAXPROCS 2 and %.0f B at 32: the core count moves it by more than %.0f %%",
@@ -390,7 +408,7 @@ func sealBudget(t *testing.T, gen workload.Generator, interval int64, codec chun
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	if allocs := testing.AllocsPerRun(runs, seal); allocs > maxAllocs {
-		t.Errorf("%s seal: %.1f allocs/chunk, want <= %.0f", gen.Name(), allocs, maxAllocs)
+		overBudget(t, "%s seal: %.1f allocs/chunk, want <= %.0f", gen.Name(), allocs, maxAllocs)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -399,7 +417,7 @@ func sealBudget(t *testing.T, gen workload.Generator, interval int64, codec chun
 	}
 	runtime.ReadMemStats(&after)
 	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > maxBytes {
-		t.Errorf("%s seal: %d B/chunk, want <= %d", gen.Name(), perOp, maxBytes)
+		overBudget(t, "%s seal: %d B/chunk, want <= %d", gen.Name(), perOp, maxBytes)
 	}
 }
 
@@ -520,7 +538,7 @@ func BenchmarkHotPath(b *testing.B) {
 		}
 	})
 
-	b.Run("index/query-hit", func(b *testing.B) {
+	b.Run("index/query", func(b *testing.B) {
 		tree := hotQueryTree(b)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -21,8 +21,9 @@ type Fig7Result struct {
 
 // Fig7 reproduces the end-to-end mHealth experiment (paper Fig. 7):
 // closed-loop load with a 4:1 read:write ratio over many streams, for
-// plaintext vs TimeCrypt, each with the default (unbounded) index cache
-// and with the paper's extremely small 1 MB cache ("S" variants). The
+// plaintext vs TimeCrypt, each with the default index (no node cache:
+// nodes are read in place from the in-memory store) and with the paper's
+// extremely small 1 MB cache ("S" variants). The
 // strawman E2E rows are estimated from their measured per-chunk costs
 // (running Paillier E2E for real would take hours, as in the paper where
 // it is 3500x slower).

@@ -30,12 +30,24 @@ func cacheKey(level int, idx uint64) uint64 { return uint64(level)<<idxBits | id
 
 func keyLevel(key uint64) int { return int(key >> idxBits) }
 
-// hexLen is the number of digits strconv.AppendUint(_, x, 16) writes.
+// hexLen is the number of digits appendHex writes for x.
 func hexLen(x uint64) int { return max(1, (bits.Len64(x)+3)/4) }
+
+// appendHex appends x in lower-case hexadecimal without leading zeros,
+// the digits strconv.AppendUint(b, x, 16) appends. It runs in a small
+// frame: strconv's 65-byte digit buffer made a node read grow the stack of
+// the fresh goroutine each request runs on.
+func appendHex(b []byte, x uint64) []byte {
+	for shift := 4 * (hexLen(x) - 1); shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[x>>shift&0xf])
+	}
+	return b
+}
 
 // lruCache is a byte-budgeted, level-aware cache for index nodes (the
 // paper's in-memory index with an explicit cache size; the Fig. 7 "S"
-// experiments shrink it to 1 MB). A budget <= 0 means unbounded.
+// experiments shrink it to 1 MB). The budget is positive: a tree without
+// one reads its nodes in place from the store and has no cache.
 //
 // Eviction is by tree level first, LRU within a level: low-level nodes
 // (leaves and near-leaves) go before high-level nodes. High-level nodes are
@@ -56,7 +68,7 @@ type lruCache struct {
 	used    int64
 	keyBase int       // store-key bytes shared by every node: "i/<stream>//"
 	vecLen  int       // elements per node vector
-	levels  []lruList // per-level LRU list, indexed by level; bounded only
+	levels  []lruList // per-level LRU list, indexed by level
 	items   map[uint64]int32
 	slabs   []slab
 	slots   int   // slots in all slabs
@@ -180,9 +192,7 @@ func (c *lruCache) get(key uint64, dst []uint64) bool {
 		return false
 	}
 	c.hits++
-	if c.budget > 0 {
-		c.moveToFront(&c.levels[keyLevel(key)], id)
-	}
+	c.moveToFront(&c.levels[keyLevel(key)], id)
 	copy(dst, c.vec(id))
 	return true
 }
@@ -200,9 +210,6 @@ func (c *lruCache) put(key uint64, vec []uint64) {
 		c.used += c.entrySize(key)
 	}
 	copy(c.vec(id), vec)
-	if c.budget <= 0 {
-		return // unbounded: never evicts, so it keeps no recency order
-	}
 	level := keyLevel(key)
 	for len(c.levels) <= level {
 		c.levels = append(c.levels, lruList{noSlot, noSlot})
@@ -231,9 +238,7 @@ func (c *lruCache) evictOne() {
 // the free list.
 func (c *lruCache) drop(id int32) {
 	m := c.meta(id)
-	if c.budget > 0 {
-		c.unlink(&c.levels[keyLevel(m.key)], id)
-	}
+	c.unlink(&c.levels[keyLevel(m.key)], id)
 	delete(c.items, m.key)
 	c.used -= c.entrySize(m.key)
 	m.next = c.free

@@ -43,9 +43,7 @@ func (m *cacheModel) get(key uint64) ([]uint64, bool) {
 		return nil, false
 	}
 	m.hits++
-	if m.budget > 0 {
-		m.touch(key)
-	}
+	m.touch(key)
 	return vec, true
 }
 
@@ -55,7 +53,7 @@ func (m *cacheModel) put(key uint64, vec []uint64) {
 	}
 	m.vecs[key] = append([]uint64(nil), vec...)
 	m.touch(key)
-	for m.budget > 0 && m.used > m.budget && len(m.vecs) > 0 {
+	for m.used > m.budget && len(m.vecs) > 0 {
 		m.evict()
 	}
 }
@@ -88,21 +86,21 @@ func (m *cacheModel) remove(key uint64) {
 // seeded puts, gets and removes over levels 0-3: every hit or miss, every
 // vector copied out and the counters after every operation must agree, so
 // eviction order, entry sizes and slot reuse are exactly the model's. The
-// unbounded case first fills the cache past 100,000 entries, so slabs
-// reach their cap and the slab count passes 64.
+// 1 GiB case first fills the cache past 100,000 entries without evicting,
+// so slabs reach their cap and the slab count passes 64.
 func TestSlotCacheMatchesModel(t *testing.T) {
 	const (
 		vecLen  = 3
 		keyBase = len("i/s//")
 	)
-	oneEntry := newLRUCache(0, keyBase, vecLen).entrySize(cacheKey(0, 0))
+	oneEntry := newLRUCache(1, keyBase, vecLen).entrySize(cacheKey(0, 0))
 	for _, tc := range []struct {
 		budget int64
 		fill   uint64 // distinct keys put before the random operations
 		keys   uint64 // node indexes the random operations draw from
 		ops    int
 	}{
-		{budget: 0, fill: 110_000, keys: 256, ops: 20_000},
+		{budget: 1 << 30, fill: 110_000, keys: 256, ops: 20_000},
 		{budget: oneEntry, keys: 32, ops: 20_000},
 		{budget: 300, keys: 64, ops: 20_000},
 		{budget: 48 << 10, keys: 256, ops: 50_000},

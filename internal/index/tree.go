@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 	"sync"
+	"unsafe"
 
 	"repro/internal/kv"
 )
@@ -22,7 +22,12 @@ type Config struct {
 	Fanout int
 	// VectorLen is the digest vector length (elements per node).
 	VectorLen int
-	// CacheBytes is the LRU node-cache budget; <= 0 means unbounded.
+	// CacheBytes is the node cache's budget. <= 0 means no cache: every
+	// node is read in place from the store, which serves reads from memory
+	// (MemStore, and durable.Store through its mirror), so a cache would
+	// only hold a second copy. A positive budget puts a level-aware LRU of
+	// that many bytes in front of the store, as the paper's Fig. 7 "S"
+	// experiments do.
 	CacheBytes int64
 }
 
@@ -50,7 +55,10 @@ func treeLevels(fanout int) int {
 }
 
 // Tree is one stream's time-partitioned aggregation tree, persisted in a KV
-// store behind an LRU cache. Level 0 holds per-chunk digests; node
+// store and read where the store keeps it: on a kv.ShallowGetter a node is
+// decoded straight from the store's own bytes, and only a tree with a
+// positive CacheBytes keeps copies of nodes in a cache of its own. Level 0
+// holds per-chunk digests; node
 // (level, idx) holds the homomorphic sum over chunk positions
 // [idx·k^level, (idx+1)·k^level). Ingest is append-only (time series are
 // in-order), so updating the tree is a root-path read-modify-write.
@@ -59,10 +67,11 @@ func treeLevels(fanout int) int {
 // queries run concurrently.
 type Tree struct {
 	store    kv.Store
+	shallow  kv.ShallowGetter // store's copy-free read, or nil
 	streamID string
 	cfg      Config
-	levels   int // treeLevels(cfg.Fanout)
-	cache    *lruCache
+	levels   int       // treeLevels(cfg.Fanout)
+	cache    *lruCache // nil when cfg.CacheBytes <= 0
 
 	mu    sync.RWMutex
 	count uint64 // number of leaf digests appended
@@ -77,7 +86,10 @@ func Open(store kv.Store, streamID string, cfg Config) (*Tree, error) {
 		return nil, err
 	}
 	t := &Tree{store: store, streamID: streamID, cfg: cfg, levels: treeLevels(cfg.Fanout)}
-	t.cache = newLRUCache(cfg.CacheBytes, len("i/")+len(streamID)+len("//"), cfg.VectorLen)
+	t.shallow, _ = store.(kv.ShallowGetter)
+	if cfg.CacheBytes > 0 {
+		t.cache = newLRUCache(cfg.CacheBytes, len("i/")+len(streamID)+len("//"), cfg.VectorLen)
+	}
 	meta, err := store.Get(t.metaKey())
 	switch {
 	case err == nil:
@@ -105,30 +117,44 @@ func (t *Tree) Count() uint64 {
 
 func (t *Tree) metaKey() string { return "i/" + t.streamID + "/meta" }
 
-// nodeKey builds the storage key for node (level, idx). Identifiers are
-// computed from the node's position alone, so no references are stored
-// (paper §4.6 "we compute the identifier of a node/chunk on-the-fly"). The
-// cache is keyed by the position itself (cacheKey), so a node's string is
-// only built when the store is involved: a cache miss or a write.
-func (t *Tree) nodeKey(level int, idx uint64) string {
-	b := make([]byte, 0, len(t.streamID)+24)
+// appendNodeKey appends the storage key of node (level, idx) to b:
+// "i/<stream>/<level>/<idx>", both numbers in hex. Identifiers are computed
+// from the node's position alone, so no references are stored (paper §4.6
+// "we compute the identifier of a node/chunk on-the-fly").
+func (t *Tree) appendNodeKey(b []byte, level int, idx uint64) []byte {
 	b = append(b, 'i', '/')
 	b = append(b, t.streamID...)
 	b = append(b, '/')
-	b = strconv.AppendUint(b, uint64(level), 16)
+	b = appendHex(b, uint64(level))
 	b = append(b, '/')
-	b = strconv.AppendUint(b, idx, 16)
-	return string(b)
+	return appendHex(b, idx)
 }
 
-// loadNode reads node (level, idx) into dst (VectorLen elements) through
-// the cache, decoding a miss from the store straight into dst.
-func (t *Tree) loadNode(level int, idx uint64, dst []uint64) error {
-	key := cacheKey(level, idx)
-	if t.cache.get(key, dst) {
+// nodeKey is node (level, idx)'s storage key as a string of its own, for
+// the store to keep (a write or a delete).
+func (t *Tree) nodeKey(level int, idx uint64) string {
+	var buf [64]byte
+	return string(t.appendNodeKey(buf[:0], level, idx))
+}
+
+// loadNode reads node (level, idx) into dst (VectorLen elements): a cache
+// hit if the tree has a cache, else decoded from the store's bytes. key is
+// the caller's scratch for the node's store key, kept across reads so one
+// call's reads build their keys in one buffer.
+func (t *Tree) loadNode(level int, idx uint64, dst []uint64, key *[]byte) error {
+	if t.cache != nil && t.cache.get(cacheKey(level, idx), dst) {
 		return nil
 	}
-	data, err := t.store.Get(t.nodeKey(level, idx))
+	*key = t.appendNodeKey((*key)[:0], level, idx)
+	var data []byte
+	var err error
+	if t.shallow != nil {
+		// The store keeps no reference to the key (ShallowGetter's
+		// contract), so it may be the scratch bytes themselves.
+		data, err = t.shallow.GetShallow(unsafe.String(unsafe.SliceData(*key), len(*key)))
+	} else {
+		data, err = t.store.Get(string(*key))
+	}
 	if err != nil {
 		return err
 	}
@@ -138,15 +164,17 @@ func (t *Tree) loadNode(level int, idx uint64, dst []uint64) error {
 	for i := range dst {
 		dst[i] = binary.BigEndian.Uint64(data[i*8:])
 	}
-	t.cache.put(key, dst)
+	if t.cache != nil {
+		t.cache.put(cacheKey(level, idx), dst)
+	}
 	return nil
 }
 
 // stage is the scratch one append builds its store batch in: the ops, the
-// encoded node values the ops point into, and the ancestor sums the cache
-// copies once the batch is in the store. Stages are pooled per process —
-// an open stream owns none — and an op's Value is only valid until
-// release.
+// encoded node values the ops point into, the ancestor sums (which a
+// tree's cache copies once the batch is in the store) and the key of the
+// node being read. Stages are pooled per process — an open stream owns
+// none — and an op's Value is only valid until release.
 type stage struct {
 	ops   []kv.Op
 	buf   []byte
@@ -154,6 +182,7 @@ type stage struct {
 	vecs  []uint64 // the staged ancestors' vectors, back to back
 	idxs  []uint64
 	delta []uint64
+	key   []byte
 }
 
 type stagedNode struct {
@@ -275,7 +304,7 @@ func (t *Tree) AppendBatchWith(pos uint64, digests [][]uint64, extra []kv.Op) er
 			off := len(st.vecs)
 			st.vecs = slices.Grow(st.vecs, v)[:off+v]
 			next := st.vecs[off:]
-			switch err := t.loadNode(level, idxs[i], next); {
+			switch err := t.loadNode(level, idxs[i], next, &st.key); {
 			case err == nil:
 				for e := range next {
 					next[e] += delta[e]
@@ -286,7 +315,9 @@ func (t *Tree) AppendBatchWith(pos uint64, digests [][]uint64, extra []kv.Op) er
 				return err
 			}
 			st.put(t, level, idxs[i], next)
-			st.nodes = append(st.nodes, stagedNode{cacheKey(level, idxs[i]), off})
+			if t.cache != nil {
+				st.nodes = append(st.nodes, stagedNode{cacheKey(level, idxs[i]), off})
+			}
 			i = j
 		}
 	}
@@ -296,11 +327,13 @@ func (t *Tree) AppendBatchWith(pos uint64, digests [][]uint64, extra []kv.Op) er
 	if err := t.store.Batch(st.ops); err != nil {
 		return err
 	}
-	for i, digest := range digests {
-		t.cache.put(cacheKey(0, pos+uint64(i)), digest)
-	}
-	for _, nd := range st.nodes {
-		t.cache.put(nd.key, st.vecs[nd.off:nd.off+v])
+	if t.cache != nil {
+		for i, digest := range digests {
+			t.cache.put(cacheKey(0, pos+uint64(i)), digest)
+		}
+		for _, nd := range st.nodes {
+			t.cache.put(nd.key, st.vecs[nd.off:nd.off+v])
+		}
 	}
 	t.count = pos + n
 	return nil
@@ -325,6 +358,7 @@ func (t *Tree) Query(a, b uint64) ([]uint64, error) {
 	v := t.cfg.VectorLen
 	buf := make([]uint64, 3*v)
 	agg, scratch, node := buf[:v:v], buf[v:2*v:2*v], buf[2*v:]
+	key := make([]byte, 0, len("i//ff/ffffffffffffff")+len(t.streamID)) // the longest level and index
 	k := uint64(t.cfg.Fanout)
 	// full is the number of nodes of the current level whose whole span is
 	// below count. Appends only ever touch nodes past that, so every node
@@ -334,14 +368,14 @@ func (t *Tree) Query(a, b uint64) ([]uint64, error) {
 	full := count
 	// addRun adds the sibling nodes [x, y) of one level.
 	addRun := func(level int, x, y uint64) error {
-		if level < t.levels && x/k < full/k && k-(y-x)+1 < y-x && t.aroundRun(scratch, node, level, x, y) {
+		if level < t.levels && x/k < full/k && k-(y-x)+1 < y-x && t.aroundRun(scratch, node, &key, level, x, y) {
 			for e := range agg {
 				agg[e] += scratch[e]
 			}
 			return nil
 		}
 		for i := x; i < y; i++ {
-			if err := t.loadNode(level, i, node); err != nil {
+			if err := t.loadNode(level, i, node, &key); err != nil {
 				return fmt.Errorf("index: node (%d,%d): %w", level, i, err)
 			}
 			for e := range agg {
@@ -381,12 +415,13 @@ func (t *Tree) Query(a, b uint64) ([]uint64, error) {
 
 // aroundRun computes the sum of the sibling nodes [x, y) of one level into
 // dst as their parent minus the siblings outside the run, reading each
-// sibling into node. It reports false when a node it needs is missing (a
-// rollup pruned it), leaving the caller to read the run itself.
-func (t *Tree) aroundRun(dst, node []uint64, level int, x, y uint64) bool {
+// sibling into node (key is loadNode's scratch). It reports false when a
+// node it needs is missing (a rollup pruned it), leaving the caller to
+// read the run itself.
+func (t *Tree) aroundRun(dst, node []uint64, key *[]byte, level int, x, y uint64) bool {
 	k := uint64(t.cfg.Fanout)
 	p := x / k
-	if t.loadNode(level+1, p, dst) != nil {
+	if t.loadNode(level+1, p, dst, key) != nil {
 		return false
 	}
 	for i := p * k; i < (p+1)*k; i++ {
@@ -394,7 +429,7 @@ func (t *Tree) aroundRun(dst, node []uint64, level int, x, y uint64) bool {
 			i = y - 1 // skip the run
 			continue
 		}
-		if t.loadNode(level, i, node) != nil {
+		if t.loadNode(level, i, node, key) != nil {
 			return false
 		}
 		for e := range dst {
@@ -432,8 +467,8 @@ func (t *Tree) QueryWindows(a, b, f uint64) ([][]uint64, error) {
 // in the pruned range is gone. a and b should be aligned to k^level or the
 // adjacent partially-covered nodes are preserved. The caller's own ops (a
 // rollup's chunk deletes) are committed in the same store batch as the
-// node deletes; the cache drops the nodes only after that batch returned
-// nil.
+// node deletes; a tree's cache drops the nodes only after that batch
+// returned nil.
 func (t *Tree) PruneWith(level int, a, b uint64, extra []kv.Op) error {
 	if level < 1 || level > t.levels {
 		return fmt.Errorf("index: prune level %d out of range [1,%d]", level, t.levels)
@@ -461,12 +496,18 @@ func (t *Tree) PruneWith(level int, a, b uint64, extra []kv.Op) error {
 	if err := t.store.Batch(ops); err != nil {
 		return err
 	}
-	pruned(func(l int, idx uint64) { t.cache.remove(cacheKey(l, idx)) })
+	if t.cache != nil {
+		pruned(func(l int, idx uint64) { t.cache.remove(cacheKey(l, idx)) })
+	}
 	return nil
 }
 
-// CacheStats reports LRU cache effectiveness for benchmarks.
+// CacheStats reports the node cache's effectiveness for benchmarks; a tree
+// without a cache reads zero.
 func (t *Tree) CacheStats() (hits, misses uint64, usedBytes int64, entries int) {
+	if t.cache == nil {
+		return 0, 0, 0, 0
+	}
 	return t.cache.stats()
 }
 

@@ -3,6 +3,7 @@ package index
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"sync"
@@ -292,6 +293,93 @@ func TestConcurrentQueriesDuringAppends(t *testing.T) {
 	wg.Wait()
 }
 
+// TestUncachedQueriesDuringAppends: on a tree without a cache a query
+// decodes every node from the store's own bytes while appends overwrite
+// the ancestors it reads, and a writer overwrites 1 KiB values in the
+// directories of the tree's lowest levels, so their MemStore shards
+// reclaim pages under the readers. A slice that changed after GetShallow
+// handed it out would show as a wrong sum (every answer is checked against
+// plaintext prefix sums) and, under -race, as a race.
+func TestUncachedQueriesDuringAppends(t *testing.T) {
+	const (
+		n      = 3000
+		vecLen = 3
+	)
+	tree, store := newTestTree(t, Config{Fanout: 4, VectorLen: vecLen})
+	digest := func(i uint64) []uint64 { return []uint64{i + 1, (i + 1) * (i + 1), ^i} }
+	prefix := make([][vecLen]uint64, n+1) // prefix[i]: the sum of digests [0, i)
+	for i := uint64(0); i < n; i++ {
+		d := digest(i)
+		for e := range prefix[i] {
+			prefix[i+1][e] = prefix[i][e] + d[e]
+		}
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	for g := uint64(0); g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(g, 9))
+			for !stopped() {
+				count := tree.Count()
+				if count == 0 {
+					continue
+				}
+				a := rng.Uint64N(count)
+				b := a + 1 + rng.Uint64N(count-a)
+				got, err := tree.Query(a, b)
+				if err != nil {
+					t.Errorf("Query(%d,%d): %v", a, b, err)
+					return
+				}
+				for e := range got {
+					if want := prefix[b][e] - prefix[a][e]; got[e] != want {
+						t.Errorf("Query(%d,%d)[%d] = %d, want %d", a, b, e, got[e], want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		value := make([]byte, 1<<10)
+		for round := 0; !stopped(); round++ {
+			// "x" is no hex number, so no node key is overwritten.
+			if err := store.Put(fmt.Sprintf("i/s1/%x/x", round%4), value); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	rng := rand.New(rand.NewPCG(3, 4))
+	for pos := uint64(0); pos < n; {
+		batch := make([][]uint64, min(1+rng.Uint64N(6), n-pos))
+		for i := range batch {
+			batch[i] = digest(pos + uint64(i))
+		}
+		if err := tree.AppendBatch(pos, batch); err != nil {
+			t.Fatal(err)
+		}
+		pos += uint64(len(batch))
+	}
+	close(stop)
+	wg.Wait()
+	if hits, misses, used, entries := tree.CacheStats(); hits|misses|uint64(used)|uint64(entries) != 0 {
+		t.Errorf("an uncached tree reports cache stats %d %d %d %d", hits, misses, used, entries)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	store := kv.NewMemStore()
 	if _, err := Open(store, "s", Config{Fanout: 1, VectorLen: 1}); err == nil {
@@ -340,22 +428,11 @@ func TestLRUCacheEviction(t *testing.T) {
 	}
 }
 
-func TestLRUCacheUnbounded(t *testing.T) {
-	c := newLRUCache(0, 0, 1)
-	for i := 0; i < 1000; i++ {
-		c.put(cacheKey(i%3, uint64(i%260)), []uint64{uint64(i)})
-	}
-	_, _, _, entries := c.stats()
-	if entries == 0 {
-		t.Error("unbounded cache evicted everything")
-	}
-}
-
 // Every vector has the cache's length, so a replacement costs what the
 // entry cost: the accounting neither grows nor shrinks, and the new vector
 // is what a get copies out.
 func TestLRUCacheReplaceUpdatesSize(t *testing.T) {
-	c := newLRUCache(0, 0, 4)
+	c := newLRUCache(1<<20, 0, 4)
 	c.put(leafKey(7), []uint64{1, 1, 1, 1})
 	_, _, used1, _ := c.stats()
 	c.put(leafKey(7), []uint64{1, 2, 3, 4})
@@ -396,10 +473,10 @@ func TestCacheBudgetEquivalence(t *testing.T) {
 	const vecLen = 19 // chunk.DefaultSpec
 	oldSize := func(storeKey string) int64 { return int64(len(storeKey)) + 8*vecLen + 64 }
 
-	// Through a Tree: the bytes in use are the old formula summed over
-	// the node keys actually in the store.
+	// Through a Tree whose budget holds every node: the bytes in use are
+	// the old formula summed over the node keys actually in the store.
 	store := kv.NewMemStore()
-	tree, err := Open(store, "bench-stream-07", Config{VectorLen: vecLen})
+	tree, err := Open(store, "bench-stream-07", Config{VectorLen: vecLen, CacheBytes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,10 +514,11 @@ func TestCacheBudgetEquivalence(t *testing.T) {
 // A query whose nodes are all cached must not allocate per node: no key
 // string, no boxed entry. At fanout 64, [1, 383) decomposes into leaves
 // 33..63, level-1 nodes 1..4 and leaves 320..350 — 66 nodes, neither run
-// shorter by way of its parent — and [0, 2) into two; both cost the same few allocations (the result vector and the
-// closure over it).
+// shorter by way of its parent — and [0, 2) into two; both cost the same
+// few allocations (the result vector and the key scratch). The uncached
+// read of the same nodes is root TestHotPathAllocBudgets' index-query.
 func TestQueryHitAllocsIndependentOfNodes(t *testing.T) {
-	tree, _ := newTestTree(t, Config{VectorLen: 19})
+	tree, _ := newTestTree(t, Config{VectorLen: 19, CacheBytes: 1 << 20})
 	for i := uint64(0); i < 400; i++ {
 		if err := tree.Append(i, make([]uint64, 19)); err != nil {
 			t.Fatal(err)
@@ -636,10 +714,12 @@ func (f *testStore) Batch(ops []kv.Op) error {
 // TestFailedAppendLeavesTreeUntouched: an append is one store batch, and
 // when the store refuses it the tree is exactly as before the call — same
 // Count, same cache, same answers — so the retry folds every digest once.
+// The tree has a cache, so that "same cache" is checked; an uncached tree
+// keeps nothing of a node but the store's copy.
 func TestFailedAppendLeavesTreeUntouched(t *testing.T) {
 	mem := kv.NewMemStore()
 	store := &testStore{Store: mem}
-	tree, err := Open(store, "s1", Config{Fanout: 4, VectorLen: 1})
+	tree, err := Open(store, "s1", Config{Fanout: 4, VectorLen: 1, CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -728,19 +808,19 @@ func TestAppendIsOneStoreCall(t *testing.T) {
 
 // TestQueryReadsTheShorterSide: a run of siblings is read directly or as
 // its parent minus the rest, whichever touches fewer nodes, with the same
-// answer either way.
+// answer either way. The tree has no cache, so every node read is a store
+// read.
 func TestQueryReadsTheShorterSide(t *testing.T) {
-	tree, _ := newTestTree(t, Config{Fanout: 64, VectorLen: 1})
+	tree, store := newTestTree(t, Config{Fanout: 64, VectorLen: 1})
 	fill(t, tree, 200)
 	reads := func(a, b uint64) uint64 {
 		t.Helper()
-		h0, m0, _, _ := tree.CacheStats()
+		before := store.Stats().Gets
 		got, err := tree.Query(a, b)
 		if err != nil || got[0] != rangeSum(a, b) {
 			t.Fatalf("Query(%d,%d) = %v, %v; want %d", a, b, got, err, rangeSum(a, b))
 		}
-		h1, m1, _, _ := tree.CacheStats()
-		return h1 + m1 - h0 - m0
+		return store.Stats().Gets - before
 	}
 	for _, c := range []struct{ a, b, nodes uint64 }{
 		{1, 64, 2},     // node (1,0) minus leaf 0, not 63 leaves

@@ -230,6 +230,9 @@ func removeStaleTemps(dir string, logf func(string, ...any)) {
 // Get implements kv.Store from the in-memory read path.
 func (s *Store) Get(key string) ([]byte, error) { return s.mem.Get(key) }
 
+// GetShallow implements kv.ShallowGetter from the in-memory read path.
+func (s *Store) GetShallow(key string) ([]byte, error) { return s.mem.GetShallow(key) }
+
 // Scan implements kv.Store from the in-memory read path.
 func (s *Store) Scan(prefix string, fn func(key string, value []byte) bool) error {
 	return s.mem.Scan(prefix, fn)

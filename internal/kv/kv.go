@@ -72,6 +72,17 @@ type ShallowScanner interface {
 	ScanShallow(prefix string, fn func(key string, value []byte) bool) error
 }
 
+// ShallowGetter is an optional Store capability: GetShallow is Get without
+// the copy, under ShallowScanner's contract. The returned slice is the
+// store's own memory and is never written again, so the caller may read it
+// for as long as it likes but must not write it. The store does not keep
+// key past the call, so a caller may build it in a scratch buffer. The
+// index reads its nodes this way: a query decodes each node straight from
+// the store instead of from a private copy.
+type ShallowGetter interface {
+	GetShallow(key string) ([]byte, error)
+}
+
 // Stats aggregates operation counters for observability.
 type Stats struct {
 	Gets      uint64

@@ -30,6 +30,8 @@ func Conformance(t *testing.T, open func(t *testing.T) kv.Store) {
 		{"empty-value-is-present", emptyValueIsPresent},
 		{"len-and-size-exact", lenAndSizeExact},
 		{"shallow-scan-immutable", shallowScanImmutable},
+		{"get-shallow-matches-get", getShallowMatchesGet},
+		{"get-shallow-immutable", getShallowImmutable},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -333,6 +335,150 @@ func shallowScanImmutable(t *testing.T, s kv.Store) {
 		}
 		if len(caps) < 4096 {
 			take("churn/")
+		}
+	}
+	wg.Wait()
+	verify("after churn")
+}
+
+// getShallowMatchesGet: a ShallowGetter's GetShallow answers what Get
+// answers, for present keys, empty values, overwritten, deleted and
+// missing keys, and keys with and without a directory; and it does not
+// keep the key, so a caller may reuse the key's bytes at once.
+func getShallowMatchesGet(t *testing.T, s kv.Store) {
+	sg, ok := s.(kv.ShallowGetter)
+	if !ok {
+		t.Skip("store is not a ShallowGetter")
+	}
+	keys := []string{"plain", "dir/", "dir/a", "dir/sub/b", "empty", "over", "gone", "never", "a/b/c/d"}
+	mustBatch(t, s, []kv.Op{
+		{Kind: kv.OpPut, Key: "plain", Value: []byte("1")},
+		{Kind: kv.OpPut, Key: "dir/", Value: []byte("2")},
+		{Kind: kv.OpPut, Key: "dir/a", Value: []byte("3")},
+		{Kind: kv.OpPut, Key: "dir/sub/b", Value: bytes.Repeat([]byte("4"), 300)},
+		{Kind: kv.OpPut, Key: "empty", Value: nil},
+		{Kind: kv.OpPut, Key: "over", Value: []byte("old")},
+		{Kind: kv.OpPut, Key: "gone", Value: []byte("x")},
+		{Kind: kv.OpPut, Key: "a/b/c/d", Value: []byte("5")},
+	})
+	mustPut(t, s, "over", []byte("new"))
+	if err := s.Delete("gone"); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		want, wantErr := s.Get(k)
+		// The key is handed over in a buffer that is overwritten right
+		// after the call: a store that kept it would have a different
+		// key (or a data race) afterwards.
+		buf := []byte(k)
+		got, err := sg.GetShallow(string(buf))
+		for i := range buf {
+			buf[i] = '#'
+		}
+		if !errors.Is(err, wantErr) || !bytes.Equal(got, want) {
+			t.Fatalf("GetShallow(%q) = %q, %v; Get = %q, %v", k, got, err, want, wantErr)
+		}
+		if err == nil && got == nil && want != nil {
+			t.Fatalf("GetShallow(%q) = nil, Get = an empty value", k)
+		}
+	}
+	wantValue(t, s, "over", []byte("new"))
+	wantMissing(t, s, "gone")
+}
+
+// getShallowImmutable: the slices GetShallow hands out are never written
+// again. They stay byte-identical while a concurrent writer overwrites and
+// deletes their keys and churns through enough other bytes that a store
+// reclaiming dead space must have done so; under -race, a store that
+// reused a handed-out buffer is a reported race.
+func getShallowImmutable(t *testing.T, s kv.Store) {
+	sg, ok := s.(kv.ShallowGetter)
+	if !ok {
+		t.Skip("store is not a ShallowGetter")
+	}
+	const keys, churnKeys, rounds, valueLen = 64, 256, 24, 768
+	value := func(key string, round, n int) []byte {
+		v := bytes.Repeat([]byte{byte(round)}, n)
+		copy(v, key)
+		return v
+	}
+	for i := 0; i < keys; i++ {
+		k := spread("shallow", i)
+		mustPut(t, s, k, value(k, 0, 16+i))
+	}
+	type capture struct{ got, want []byte }
+	var caps []capture
+	take := func() {
+		for i := 0; i < keys; i++ {
+			v, err := sg.GetShallow(spread("shallow", i))
+			if errors.Is(err, kv.ErrNotFound) {
+				continue // the writer deleted it this round
+			}
+			if err != nil {
+				t.Errorf("GetShallow: %v", err)
+				return
+			}
+			caps = append(caps, capture{got: v, want: bytes.Clone(v)})
+		}
+	}
+	verify := func(when string) bool {
+		t.Helper()
+		for i, c := range caps {
+			if !bytes.Equal(c.got, c.want) {
+				t.Errorf("%s: shallow value %d changed: %q, was %q", when, i, c.got, c.want)
+				return false
+			}
+		}
+		return true
+	}
+	take()
+	if len(caps) != keys {
+		t.Fatalf("GetShallow found %d keys, want %d", len(caps), keys)
+	}
+
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for round := 1; round <= rounds && !stop.Load(); round++ {
+			for i := 0; i < keys; i++ {
+				k := spread("shallow", i)
+				if err := s.Put(k, value(k, round, 16+i)); err != nil {
+					t.Errorf("Put(%q): %v", k, err)
+					return
+				}
+				if (i+round)%3 == 0 {
+					s.Delete(k)
+				}
+			}
+			for i := 0; i < churnKeys; i++ {
+				k := spread("churn", i)
+				if (i+round)%4 == 0 {
+					s.Delete(k)
+					continue
+				}
+				if err := s.Put(k, value(k, round, valueLen+i)); err != nil {
+					t.Errorf("Put(%q): %v", k, err)
+					return
+				}
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if !verify("during churn") {
+			stop.Store(true)
+			break
+		}
+		if len(caps) < 4096 {
+			take()
 		}
 	}
 	wg.Wait()

@@ -124,6 +124,30 @@ func (s *frameStore) Get(key string) ([]byte, error) {
 	return s.Store.Get(key)
 }
 
+// GetShallow implements kv.ShallowGetter like Get, without the copies: a
+// pending value lies in its frame's own block, which is never written
+// again, and anything else is the real store's (its GetShallow if it has
+// one, else its Get). Without this method the engine's index would find no
+// ShallowGetter behind a node's store, because the embedded kv.Store does
+// not carry the real store's other methods.
+func (s *frameStore) GetShallow(key string) ([]byte, error) {
+	if s.buffering.Load() {
+		s.mu.RLock()
+		v, pending := s.overlay[key]
+		s.mu.RUnlock()
+		if pending {
+			if v == nil {
+				return nil, kv.ErrNotFound
+			}
+			return v, nil
+		}
+	}
+	if sg, ok := s.Store.(kv.ShallowGetter); ok {
+		return sg.GetShallow(key)
+	}
+	return s.Store.Get(key)
+}
+
 // Put implements kv.Store.
 func (s *frameStore) Put(key string, value []byte) error {
 	if s.buffer([]kv.Op{{Kind: kv.OpPut, Key: key, Value: value}}) {

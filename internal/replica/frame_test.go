@@ -274,3 +274,50 @@ func TestFrameStoreConformance(t *testing.T) {
 		})
 	})
 }
+
+// TestFrameGetShallow: a frameStore is a kv.ShallowGetter over any store,
+// so the engine's index reads nodes in place on a node too. An open
+// frame's pending value comes from the frame's own block and stays as it
+// was after the frame commits and the key is overwritten; a pending delete
+// reads as missing; with no frame open the read is the real store's
+// GetShallow, or its Get on a store without one.
+func TestFrameGetShallow(t *testing.T) {
+	mem := kv.NewMemStore()
+	f := &frameStore{Store: mem}
+	var sg kv.ShallowGetter = f
+	f.begin()
+	if err := f.Put("k", []byte("pending")); err != nil {
+		t.Fatal(err)
+	}
+	gets := mem.Stats().Gets
+	pending, err := sg.GetShallow("k")
+	if err != nil || string(pending) != "pending" || mem.Stats().Gets != gets {
+		t.Fatalf("GetShallow in a frame = %q, %v, %d store reads; want the overlay's value", pending, err, mem.Stats().Gets-gets)
+	}
+	if err := f.end(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Put("k", []byte("overwritten")); err != nil {
+		t.Fatal(err)
+	}
+	if string(pending) != "pending" {
+		t.Fatalf("a pending value handed out changed to %q after its frame committed", pending)
+	}
+	if v, err := sg.GetShallow("k"); err != nil || string(v) != "overwritten" || mem.Stats().Gets != gets+1 {
+		t.Fatalf("GetShallow with no frame = %q, %v; want the store's value, read once", v, err)
+	}
+	f.begin()
+	f.Delete("k")
+	if v, err := sg.GetShallow("k"); !errors.Is(err, kv.ErrNotFound) {
+		t.Fatalf("GetShallow of a pending delete = %q, %v; want ErrNotFound", v, err)
+	}
+	if err := f.end(); err != nil {
+		t.Fatal(err)
+	}
+
+	plain := &frameStore{Store: &failingStore{Store: kv.NewMemStore()}}
+	plain.Put("k", []byte("v"))
+	if v, err := plain.GetShallow("k"); err != nil || string(v) != "v" {
+		t.Fatalf("GetShallow over a store without it = %q, %v", v, err)
+	}
+}

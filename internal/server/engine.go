@@ -29,8 +29,9 @@ const stripeCount = 64
 
 // Config parameterizes an engine instance.
 type Config struct {
-	// CacheBytes is the per-stream index node cache budget; <= 0 means
-	// unbounded. The paper's Fig. 7 "S" experiments set this to 1 MB.
+	// CacheBytes is the per-stream index node cache budget; <= 0 means no
+	// cache: nodes are read in place from the store (index.Config). The
+	// paper's Fig. 7 "S" experiments set this to 1 MB.
 	CacheBytes int64
 }
 
