@@ -74,7 +74,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":7733", "listen address")
-	cache := flag.Int64("cache", 0, "index node cache budget in bytes per stream (0 = no cache: nodes are read in place from the store)")
+	cache := flag.Int64("cache", 0, "index node cache budget in bytes per stream (0 = no cache: nodes are read in place from the store, complete inner nodes kept in per-level arrays)")
 	dataDir := flag.String("data-dir", "", "directory for the durable store (WAL + snapshots); empty = in-memory only")
 	fsync := flag.String("fsync", "always", "WAL sync policy: always, never, or a duration like 500ms (acks may lose up to that much on power loss)")
 	shards := flag.Int("shards", 1, "engine shards hosted in this process, each over its own store partition (stable across restarts)")

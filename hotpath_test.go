@@ -246,8 +246,9 @@ func TestHotPathAllocBudgets(t *testing.T) {
 	t.Run("index-query", func(t *testing.T) {
 		tree := hotQueryTree(t)
 		// The result vector and the node-key scratch are all a query may
-		// allocate, however many nodes it reads: each node is decoded
-		// from the store's own bytes, its key built in the scratch.
+		// allocate, however many nodes it reads: each leaf is decoded
+		// from the store's own bytes, its key built in the scratch, and
+		// each complete inner node copied from the tree's arrays.
 		allocs := testing.AllocsPerRun(200, func() {
 			if _, err := tree.Query(hotQueryLo, hotQueryHi); err != nil {
 				t.Fatal(err)

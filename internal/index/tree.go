@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/kv"
@@ -22,12 +23,13 @@ type Config struct {
 	Fanout int
 	// VectorLen is the digest vector length (elements per node).
 	VectorLen int
-	// CacheBytes is the node cache's budget. <= 0 means no cache: every
-	// node is read in place from the store, which serves reads from memory
-	// (MemStore, and durable.Store through its mirror), so a cache would
-	// only hold a second copy. A positive budget puts a level-aware LRU of
-	// that many bytes in front of the store, as the paper's Fig. 7 "S"
-	// experiments do.
+	// CacheBytes is the node cache's budget. <= 0 means no cache: the
+	// leaves are read in place from the store, which serves reads from
+	// memory (MemStore, and durable.Store through its mirror), so a cache
+	// would only hold a second copy; the complete nodes above them, one in
+	// k−1 of the tree, are kept in per-level arrays (innerNodes). A
+	// positive budget puts a level-aware LRU of that many bytes in front of
+	// the store instead, as the paper's Fig. 7 "S" experiments do.
 	CacheBytes int64
 }
 
@@ -55,9 +57,10 @@ func treeLevels(fanout int) int {
 }
 
 // Tree is one stream's time-partitioned aggregation tree, persisted in a KV
-// store and read where the store keeps it: on a kv.ShallowGetter a node is
-// decoded straight from the store's own bytes, and only a tree with a
-// positive CacheBytes keeps copies of nodes in a cache of its own. Level 0
+// store and read where the store keeps it: on a kv.ShallowGetter a leaf is
+// decoded straight from the store's own bytes. A tree without a cache keeps
+// its complete inner nodes in arrays of its own (innerNodes); one with a
+// positive CacheBytes keeps copies of nodes in an LRU instead. Level 0
 // holds per-chunk digests; node
 // (level, idx) holds the homomorphic sum over chunk positions
 // [idx·k^level, (idx+1)·k^level). Ingest is append-only (time series are
@@ -72,6 +75,9 @@ type Tree struct {
 	cfg      Config
 	levels   int       // treeLevels(cfg.Fanout)
 	cache    *lruCache // nil when cfg.CacheBytes <= 0
+	// inner is the complete inner nodes of a tree without a cache: nil
+	// until one is complete, and always with a cache.
+	inner atomic.Pointer[innerNodes]
 
 	mu    sync.RWMutex
 	count uint64 // number of leaf digests appended
@@ -138,13 +144,35 @@ func (t *Tree) nodeKey(level int, idx uint64) string {
 }
 
 // loadNode reads node (level, idx) into dst (VectorLen elements): a cache
-// hit if the tree has a cache, else decoded from the store's bytes. key is
-// the caller's scratch for the node's store key, kept across reads so one
-// call's reads build their keys in one buffer.
+// hit if the tree has a cache, else the node decoded from the store's
+// bytes. key is the caller's scratch for the node's store key, kept across
+// reads so one call's reads build their keys in one buffer.
 func (t *Tree) loadNode(level int, idx uint64, dst []uint64, key *[]byte) error {
 	if t.cache != nil && t.cache.get(cacheKey(level, idx), dst) {
 		return nil
 	}
+	if err := t.readNode(level, idx, dst, key); err != nil {
+		return err
+	}
+	if t.cache != nil {
+		t.cache.put(cacheKey(level, idx), dst)
+	}
+	return nil
+}
+
+// loadComplete is loadNode for a complete node, the only kind a query
+// reads: a tree without a cache holds it in memory if an append completed
+// it since the tree was opened.
+func (t *Tree) loadComplete(level int, idx uint64, dst []uint64, key *[]byte) error {
+	if vec, ok := t.inner.Load().get(level, idx, len(dst)); ok {
+		copy(dst, vec)
+		return nil
+	}
+	return t.loadNode(level, idx, dst, key)
+}
+
+// readNode decodes node (level, idx) from the store into dst.
+func (t *Tree) readNode(level int, idx uint64, dst []uint64, key *[]byte) error {
 	*key = t.appendNodeKey((*key)[:0], level, idx)
 	var data []byte
 	var err error
@@ -164,17 +192,15 @@ func (t *Tree) loadNode(level int, idx uint64, dst []uint64, key *[]byte) error 
 	for i := range dst {
 		dst[i] = binary.BigEndian.Uint64(data[i*8:])
 	}
-	if t.cache != nil {
-		t.cache.put(cacheKey(level, idx), dst)
-	}
 	return nil
 }
 
 // stage is the scratch one append builds its store batch in: the ops, the
-// encoded node values the ops point into, the ancestor sums (which a
-// tree's cache copies once the batch is in the store) and the key of the
-// node being read. Stages are pooled per process — an open stream owns
-// none — and an op's Value is only valid until release.
+// encoded node values the ops point into, the ancestor sums (which the
+// tree copies into its cache, or its complete inner nodes, once the batch
+// is in the store) and the key of the node being read. Stages are pooled
+// per process — an open stream owns none — and an op's Value is only valid
+// until release.
 type stage struct {
 	ops   []kv.Op
 	buf   []byte
@@ -186,8 +212,9 @@ type stage struct {
 }
 
 type stagedNode struct {
-	key uint64 // cache key
-	off int    // the vector's offset in vecs
+	level int
+	idx   uint64
+	off   int // the vector's offset in vecs
 }
 
 var stagePool = sync.Pool{New: func() any { return new(stage) }}
@@ -315,9 +342,7 @@ func (t *Tree) AppendBatchWith(pos uint64, digests [][]uint64, extra []kv.Op) er
 				return err
 			}
 			st.put(t, level, idxs[i], next)
-			if t.cache != nil {
-				st.nodes = append(st.nodes, stagedNode{cacheKey(level, idxs[i]), off})
-			}
+			st.nodes = append(st.nodes, stagedNode{level, idxs[i], off})
 			i = j
 		}
 	}
@@ -332,11 +357,42 @@ func (t *Tree) AppendBatchWith(pos uint64, digests [][]uint64, extra []kv.Op) er
 			t.cache.put(cacheKey(0, pos+uint64(i)), digest)
 		}
 		for _, nd := range st.nodes {
-			t.cache.put(nd.key, st.vecs[nd.off:nd.off+v])
+			t.cache.put(cacheKey(nd.level, nd.idx), st.vecs[nd.off:nd.off+v])
 		}
+	} else {
+		t.addComplete(st, pos+n)
 	}
 	t.count = pos + n
 	return nil
+}
+
+// addComplete adds the staged ancestors that count chunks complete to the
+// tree's complete inner nodes. Caller holds t.mu.
+func (t *Tree) addComplete(st *stage, count uint64) {
+	in := t.inner.Load()
+	published := true // in is the published version
+	v := t.cfg.VectorLen
+	full, level := count, 0
+	for _, nd := range st.nodes {
+		for ; level < nd.level; level++ {
+			full /= uint64(t.cfg.Fanout)
+		}
+		if nd.idx >= full {
+			continue
+		}
+		slot := in.slot(nd.level, nd.idx, v)
+		if slot == nil {
+			if published {
+				in, published = in.clone(), false
+			}
+			in.grow(nd.level, nd.idx, v)
+			slot = in.slot(nd.level, nd.idx, v)
+		}
+		copy(slot, st.vecs[nd.off:nd.off+v])
+	}
+	if !published {
+		t.inner.Store(in)
+	}
 }
 
 // Query returns the homomorphic aggregate over chunk positions [a, b). It
@@ -375,7 +431,7 @@ func (t *Tree) Query(a, b uint64) ([]uint64, error) {
 			return nil
 		}
 		for i := x; i < y; i++ {
-			if err := t.loadNode(level, i, node, &key); err != nil {
+			if err := t.loadComplete(level, i, node, &key); err != nil {
 				return fmt.Errorf("index: node (%d,%d): %w", level, i, err)
 			}
 			for e := range agg {
@@ -421,7 +477,7 @@ func (t *Tree) Query(a, b uint64) ([]uint64, error) {
 func (t *Tree) aroundRun(dst, node []uint64, key *[]byte, level int, x, y uint64) bool {
 	k := uint64(t.cfg.Fanout)
 	p := x / k
-	if t.loadNode(level+1, p, dst, key) != nil {
+	if t.loadComplete(level+1, p, dst, key) != nil {
 		return false
 	}
 	for i := p * k; i < (p+1)*k; i++ {
@@ -429,7 +485,7 @@ func (t *Tree) aroundRun(dst, node []uint64, key *[]byte, level int, x, y uint64
 			i = y - 1 // skip the run
 			continue
 		}
-		if t.loadNode(level, i, node, key) != nil {
+		if t.loadComplete(level, i, node, key) != nil {
 			return false
 		}
 		for e := range dst {
@@ -498,6 +554,14 @@ func (t *Tree) PruneWith(level int, a, b uint64, extra []kv.Op) error {
 	}
 	if t.cache != nil {
 		pruned(func(l int, idx uint64) { t.cache.remove(cacheKey(l, idx)) })
+	} else if level > 1 {
+		in := t.inner.Load().clone()
+		pruned(func(l int, idx uint64) {
+			if l > 0 {
+				in.prune(l, idx)
+			}
+		})
+		t.inner.Store(in)
 	}
 	return nil
 }

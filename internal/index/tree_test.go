@@ -255,6 +255,68 @@ func TestPruneRemovesFineLevelsKeepsCoarse(t *testing.T) {
 	}
 }
 
+// TestCompleteInnerNodes: a tree without a cache reads the complete nodes
+// above its leaves from memory and only its leaves (and nodes still
+// filling) from the store. A reopened tree reads the nodes completed before
+// it from the store and keeps those completed after, and a rollup's pruned
+// nodes are never served from memory.
+func TestCompleteInnerNodes(t *testing.T) {
+	tree, store := newTestTree(t, Config{Fanout: 4, VectorLen: 1})
+	fill(t, tree, 40) // nodes (1,0..9) and (2,0..1) complete, (2,2) filling
+	reads := func(tree *Tree, a, b uint64) uint64 {
+		t.Helper()
+		before := store.Stats().Gets
+		got, err := tree.Query(a, b)
+		if err != nil || got[0] != rangeSum(a, b) {
+			t.Fatalf("Query(%d,%d) = %v, %v; want %d", a, b, got, err, rangeSum(a, b))
+		}
+		return store.Stats().Gets - before
+	}
+	for _, c := range []struct{ a, b, gets uint64 }{
+		{0, 32, 0},  // nodes (2,0) and (2,1)
+		{32, 40, 0}, // nodes (1,8) and (1,9)
+		{33, 40, 1}, // (1,8) minus leaf 32, then (1,9)
+		{2, 3, 1},   // leaf 2
+	} {
+		if got := reads(tree, c.a, c.b); got != c.gets {
+			t.Errorf("Query(%d,%d) made %d store reads, want %d", c.a, c.b, got, c.gets)
+		}
+	}
+
+	reopened, err := Open(store, "s1", tree.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(40); i < 48; i++ { // completes (1,10), (1,11) and (2,2)
+		if err := reopened.Append(i, []uint64{i + 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct{ a, b, gets uint64 }{
+		{0, 32, 2},  // (2,0) and (2,1) were complete before the reopen
+		{32, 48, 0}, // (2,2) completed after it
+		{0, 48, 2},
+		{36, 44, 1}, // (1,9) from the store, (1,10) from memory
+	} {
+		if got := reads(reopened, c.a, c.b); got != c.gets {
+			t.Errorf("reopened: Query(%d,%d) made %d store reads, want %d", c.a, c.b, got, c.gets)
+		}
+	}
+
+	// Levels 0 and 1 of [32,48) go; (2,2) stays.
+	if err := reopened.PruneWith(2, 32, 48, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := reads(reopened, 32, 48); got != 0 {
+		t.Errorf("Query(32,48) after the rollup made %d store reads, want 0", got)
+	}
+	for _, r := range [][2]uint64{{36, 40}, {40, 44}, {40, 48}} {
+		if _, err := reopened.Query(r[0], r[1]); err == nil {
+			t.Errorf("Query(%d,%d) answered from a pruned node", r[0], r[1])
+		}
+	}
+}
+
 func TestConcurrentQueriesDuringAppends(t *testing.T) {
 	tree, _ := newTestTree(t, Config{Fanout: 8, VectorLen: 1})
 	fill(t, tree, 100)
@@ -808,11 +870,16 @@ func TestAppendIsOneStoreCall(t *testing.T) {
 
 // TestQueryReadsTheShorterSide: a run of siblings is read directly or as
 // its parent minus the rest, whichever touches fewer nodes, with the same
-// answer either way. The tree has no cache, so every node read is a store
-// read.
+// answer either way. The tree has no cache and is reopened after the
+// appends, so it holds no complete inner nodes either: every node read is
+// a store read.
 func TestQueryReadsTheShorterSide(t *testing.T) {
 	tree, store := newTestTree(t, Config{Fanout: 64, VectorLen: 1})
 	fill(t, tree, 200)
+	tree, err := Open(store, tree.streamID, tree.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	reads := func(a, b uint64) uint64 {
 		t.Helper()
 		before := store.Stats().Gets

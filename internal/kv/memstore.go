@@ -150,8 +150,7 @@ func (s *MemStore) locate(key string) (uint64, *shard) {
 
 // Get implements Store.
 func (s *MemStore) Get(key string) ([]byte, error) {
-	h, sh := s.locate(key)
-	v, err := s.get(sh, h, "", key)
+	v, err := s.GetShallow(key)
 	if err != nil {
 		return nil, err
 	}
@@ -165,37 +164,10 @@ func (s *MemStore) Get(key string) ([]byte, error) {
 // lies below its page's length, so it never changes, and it keeps its page
 // alive even if the entry is later replaced, deleted or reclaimed.
 func (s *MemStore) GetShallow(key string) ([]byte, error) {
-	h, sh := s.locate(key)
-	return s.get(sh, h, "", key)
-}
-
-// getShallow is GetShallow of the key prefix+key, which it never builds:
-// a maphash.Hash hashes the two pieces as locate hashes the whole (a Hash's
-// value does not depend on how its input was split into writes), and the
-// record's key is compared piece by piece. A PrefixStore reads its
-// partition this way.
-func (s *MemStore) getShallow(prefix, key string) ([]byte, error) {
-	var h maphash.Hash
-	h.SetSeed(s.seed)
-	if i := strings.LastIndexByte(key, '/'); i >= 0 {
-		h.WriteString(prefix)
-		h.WriteString(key[:i+1])
-	} else {
-		h.WriteString(prefix[:strings.LastIndexByte(prefix, '/')+1])
-	}
-	sh := &s.shards[h.Sum64()%uint64(len(s.shards))]
-	h.Reset()
-	h.WriteString(prefix)
-	h.WriteString(key)
-	return s.get(sh, h.Sum64(), prefix, key)
-}
-
-// get returns the page slice holding the value of prefix+key, whose hash
-// is h and whose shard is sh, counting the read.
-func (s *MemStore) get(sh *shard, h uint64, prefix, key string) ([]byte, error) {
 	s.gets.Add(1)
+	h, sh := s.locate(key)
 	sh.mu.RLock()
-	v, ok := sh.get(h, prefix, key)
+	v, ok := sh.get(h, key)
 	sh.mu.RUnlock()
 	if !ok {
 		s.getMisses.Add(1)
@@ -368,11 +340,6 @@ func (sh *shard) is(loc uint64, key string) bool {
 	return string(k) == key
 }
 
-// keyIs reports whether a record's key k is prefix+key.
-func keyIs(k []byte, prefix, key string) bool {
-	return len(k) == len(prefix)+len(key) && string(k[:len(prefix)]) == prefix && string(k[len(prefix):]) == key
-}
-
 // each calls fn with every live record's location.
 func (sh *shard) each(fn func(loc uint64)) {
 	for _, loc := range sh.index {
@@ -399,22 +366,17 @@ func (sh *shard) unspill(i int) {
 	sh.spill = sh.spill[:last]
 }
 
-// get returns the value of the key prefix+key, whose hash is h.
-func (sh *shard) get(h uint64, prefix, key string) ([]byte, bool) {
+func (sh *shard) get(h uint64, key string) ([]byte, bool) {
 	loc, ok := sh.index[h]
 	if !ok {
 		return nil, false
 	}
-	if k, v := sh.record(loc); keyIs(k, prefix, key) {
+	if k, v := sh.record(loc); string(k) == key {
 		return v, true
 	}
-	for _, s := range sh.spill {
-		if s.hash != h {
-			continue
-		}
-		if k, v := sh.record(s.loc); keyIs(k, prefix, key) {
-			return v, true
-		}
+	if i := sh.spilled(h, key); i >= 0 {
+		_, v := sh.record(sh.spill[i].loc)
+		return v, true
 	}
 	return nil, false
 }

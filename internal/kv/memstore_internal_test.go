@@ -63,7 +63,7 @@ func pointerIn(t reflect.Type, path string) string {
 func checkShard(t *testing.T, sh *shard, model map[string][]byte, hash func(string) uint64) {
 	t.Helper()
 	for k, want := range model {
-		got, ok := sh.get(hash(k), "", k)
+		got, ok := sh.get(hash(k), k)
 		if !ok || !bytes.Equal(got, want) {
 			t.Fatalf("get(%q) = %q, %v; want %q", k, got, ok, want)
 		}

@@ -21,14 +21,9 @@ func NewPrefixStore(base Store, prefix string) *PrefixStore {
 func (p *PrefixStore) Get(key string) ([]byte, error) { return p.base.Get(p.prefix + key) }
 
 // GetShallow implements ShallowGetter when the base store does; on any
-// other base it is Get. Over a MemStore the partition's key is never
-// built: the store hashes and compares the prefix and the key in pieces.
-// Over another ShallowGetter (a durable store's mirror) it concatenates.
+// other base it is Get.
 func (p *PrefixStore) GetShallow(key string) ([]byte, error) {
-	switch base := p.base.(type) {
-	case *MemStore:
-		return base.getShallow(p.prefix, key)
-	case ShallowGetter:
+	if base, ok := p.base.(ShallowGetter); ok {
 		return base.GetShallow(p.prefix + key)
 	}
 	return p.Get(key)

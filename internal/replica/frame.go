@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 
@@ -107,27 +108,19 @@ func (s *frameStore) buffer(ops []kv.Op) bool {
 	return true
 }
 
-// Get implements kv.Store: the open frame's pending write of key, if any,
-// else the real store's.
+// Get implements kv.Store: a copy of GetShallow's value.
 func (s *frameStore) Get(key string) ([]byte, error) {
-	if s.buffering.Load() {
-		s.mu.RLock()
-		v, pending := s.overlay[key]
-		s.mu.RUnlock()
-		if pending {
-			if v == nil {
-				return nil, kv.ErrNotFound
-			}
-			return append([]byte(nil), v...), nil
-		}
+	v, err := s.GetShallow(key)
+	if err != nil {
+		return nil, err
 	}
-	return s.Store.Get(key)
+	return bytes.Clone(v), nil
 }
 
-// GetShallow implements kv.ShallowGetter like Get, without the copies: a
-// pending value lies in its frame's own block, which is never written
-// again, and anything else is the real store's (its GetShallow if it has
-// one, else its Get). Without this method the engine's index would find no
+// GetShallow implements kv.ShallowGetter: the open frame's pending write of
+// key, if any, else the real store's (its GetShallow if it has one, else
+// its Get). A pending value lies in its frame's own block, which is never
+// written again. Without this method the engine's index would find no
 // ShallowGetter behind a node's store, because the embedded kv.Store does
 // not carry the real store's other methods.
 func (s *frameStore) GetShallow(key string) ([]byte, error) {

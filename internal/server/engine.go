@@ -30,8 +30,9 @@ const stripeCount = 64
 // Config parameterizes an engine instance.
 type Config struct {
 	// CacheBytes is the per-stream index node cache budget; <= 0 means no
-	// cache: nodes are read in place from the store (index.Config). The
-	// paper's Fig. 7 "S" experiments set this to 1 MB.
+	// cache: leaves are read in place from the store and complete inner
+	// nodes kept in per-level arrays (index.Config). The paper's Fig. 7 "S"
+	// experiments set this to 1 MB.
 	CacheBytes int64
 }
 
