@@ -24,10 +24,12 @@
 // reshard runs without a deadline unless -timeout is set explicitly — a
 // large migration may take well past the default command timeout.
 //
-// watch subscribes to the streams' live window aggregates (wire v5): the
-// server pushes one encrypted delta per completed -window chunks and the
-// CLI decrypts each as it arrives, until -timeout expires (set -timeout 0
-// to watch until interrupted).
+// The data verbs run on the owner client (internal/client): create is
+// Owner.CreateStream, the others restore the stream from its key file with
+// Owner.OpenStream, and watch is QueryBuilder.Subscribe — the server pushes
+// one encrypted delta per completed -window chunks and the CLI decrypts
+// each as it arrives, until -timeout expires (set -timeout 0 to watch
+// until interrupted).
 //
 // stat/stats/series/watch accept several comma-separated stream UUIDs: the
 // server homomorphically sums the streams' aggregates (one round trip),
@@ -35,7 +37,8 @@
 // file of every member stream.
 //
 // The key file (default ./<stream>.tckeys) stores the stream's secret seed
-// and geometry; protect it like any private key.
+// and geometry; protect it like any private key. The chunk count and the
+// digest spec come from the server.
 package main
 
 import (
@@ -50,21 +53,20 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/chunk"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
-// keyFile is the owner's persisted stream secret.
+// keyFile is the owner's persisted stream secret: the key tree's seed and
+// height, and the geometry queries map their time range onto.
 type keyFile struct {
 	UUID     string `json:"uuid"`
 	Seed     []byte `json:"seed"`
 	Height   int    `json:"height"`
 	Epoch    int64  `json:"epoch"`
 	Interval int64  `json:"interval_ms"`
-	Count    uint64 `json:"chunks_ingested"`
 }
 
 func main() {
@@ -134,25 +136,26 @@ func main() {
 			log.Fatalf("%s takes a single -stream (got %d: %s)", cmd, len(streams), *stream)
 		}
 	}
+	owner := client.NewOwner(tr)
 	switch cmd := flag.Arg(0); cmd {
 	case "create":
 		single(cmd)
-		doCreate(ctx, tr, streams[0], interval.Milliseconds(), *epochMS, keyPaths[0])
+		doCreate(ctx, owner, streams[0], interval.Milliseconds(), *epochMS, keyPaths[0])
 	case "ingest":
 		single(cmd)
-		doIngest(ctx, tr, keyPaths[0], *chunks)
+		doIngest(ctx, owner, keyPaths[0], *chunks)
 	case "stat", "stats":
-		doStats(ctx, tr, keyPaths, 0)
+		doStats(ctx, owner, keyPaths, 0)
 	case "series":
-		doStats(ctx, tr, keyPaths, *window)
+		doStats(ctx, owner, keyPaths, *window)
 	case "watch":
-		doWatch(ctx, tr, keyPaths, *window)
+		doWatch(ctx, owner, keyPaths, *window)
 	case "info":
 		single(cmd)
 		doInfo(ctx, tr, streams[0])
 	case "delete":
 		single(cmd)
-		if err := client.NewOwner(tr).DeleteStream(ctx, streams[0]); err != nil {
+		if err := owner.DeleteStream(ctx, streams[0]); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println("deleted", streams[0])
@@ -325,222 +328,132 @@ func saveKeys(path string, kf keyFile) {
 	}
 }
 
-// rebuildStream reconstructs the owner handle from the key file. The
-// client library generates fresh seeds on CreateStream, so the CLI drives
-// the lower-level pieces directly for persistence.
-func rebuildStream(kf keyFile) (*core.Encryptor, *core.Encryptor, chunk.DigestSpec) {
+// openStream restores the owner handle of a key file's stream: the key
+// tree comes from the file, everything else from the server.
+func openStream(ctx context.Context, owner *client.Owner, path string) (*client.OwnerStream, keyFile) {
+	kf := loadKeys(path)
 	var seed core.Node
 	copy(seed[:], kf.Seed)
-	tree, err := core.NewTree(core.NewPRG(core.PRGAES), kf.Height, seed)
+	s, err := owner.OpenStream(ctx, kf.UUID, seed, kf.Height)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return core.NewEncryptor(tree.NewWalker()), core.NewEncryptor(tree.NewWalker()), chunk.DefaultSpec()
+	return s, kf
 }
 
-func doCreate(ctx context.Context, tr client.Transport, stream string, intervalMS, epoch int64, keyPath string) {
-	tree, err := core.GenerateTree(core.NewPRG(core.PRGAES), core.DefaultTreeHeight)
-	if err != nil {
-		log.Fatal(err)
+// openPlan restores every key file's stream and plans one query over all
+// of them. It returns the first key file and the shortest member's count.
+func openPlan(ctx context.Context, owner *client.Owner, keyPaths []string) (*client.QueryBuilder, keyFile, uint64) {
+	var q *client.QueryBuilder
+	var kf keyFile
+	var count uint64
+	for i, path := range keyPaths {
+		s, k := openStream(ctx, owner, path)
+		if i == 0 {
+			q, kf, count = s.Query(), k, s.Count()
+		} else {
+			q.Streams(s)
+			count = min(count, s.Count())
+		}
 	}
-	spec := chunk.DefaultSpec()
-	specBytes, _ := spec.MarshalBinary()
+	return q, kf, count
+}
+
+func doCreate(ctx context.Context, owner *client.Owner, stream string, intervalMS, epoch int64, keyPath string) {
 	if epoch == 0 {
 		epoch = time.Now().UnixMilli()
 	}
-	cfg := wire.StreamConfig{
-		Epoch: epoch, Interval: intervalMS,
-		VectorLen: uint32(spec.VectorLen()), Fanout: 64,
-		DigestSpec: specBytes, Meta: "timecrypt-cli stream",
-	}
-	resp, err := tr.RoundTrip(ctx, &wire.CreateStream{UUID: stream, Cfg: cfg})
+	s, err := owner.CreateStream(ctx, client.StreamOptions{
+		UUID: stream, Epoch: epoch, Interval: intervalMS, Meta: "timecrypt-cli stream",
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if e, ok := resp.(*wire.Error); ok {
-		log.Fatal(e)
-	}
-	seed := tree.Seed()
+	seed := s.TreeSeed()
 	saveKeys(keyPath, keyFile{
-		UUID: stream, Seed: seed[:], Height: tree.Height(),
+		UUID: stream, Seed: seed[:], Height: core.DefaultTreeHeight,
 		Epoch: epoch, Interval: intervalMS,
 	})
 	fmt.Printf("created stream %q (Δ=%dms); keys in %s\n", stream, intervalMS, keyPath)
 }
 
-func doIngest(ctx context.Context, tr client.Transport, keyPath string, n int) {
-	kf := loadKeys(keyPath)
-	enc, _, spec := rebuildStream(kf)
+// doIngest appends n synthetic chunks after the last one the server holds.
+func doIngest(ctx context.Context, owner *client.Owner, keyPath string, n int) {
+	s, kf := openStream(ctx, owner, keyPath)
 	gen := workload.NewMHealth(42)
 	// Chunks ship in Batch envelopes: one round trip per 64 chunks instead
 	// of one per chunk.
-	const batchSize = 64
-	for base := 0; base < n; base += batchSize {
-		count := min(batchSize, n-base)
-		batch := &wire.Batch{Reqs: make([]wire.Message, 0, count)}
-		for i := 0; i < count; i++ {
-			idx := kf.Count + uint64(base+i)
-			pts := gen.Chunk(idx, kf.Epoch, kf.Interval)
-			start := kf.Epoch + int64(idx)*kf.Interval
-			sealed, err := chunk.Seal(enc, spec, chunk.CompressionZlib, idx, start, start+kf.Interval, pts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			batch.Reqs = append(batch.Reqs, &wire.InsertChunk{UUID: kf.UUID, Chunk: chunk.MarshalSealed(sealed)})
-		}
-		resp, err := tr.RoundTrip(ctx, batch)
-		if err != nil {
-			log.Fatal(err)
-		}
-		br, ok := resp.(*wire.BatchResp)
-		if !ok {
-			fatalResp(resp)
-		}
-		for _, sub := range br.Resps {
-			if e, bad := sub.(*wire.Error); bad {
-				log.Fatal(e)
-			}
+	w, err := s.Writer(ctx, client.WriterOptions{BatchChunks: 64})
+	if err != nil {
+		log.Fatal(err)
+	}
+	first := s.Count()
+	for i := range uint64(n) {
+		if err := w.AppendChunk(gen.Chunk(first+i, kf.Epoch, kf.Interval)); err != nil {
+			log.Fatal(errors.Join(err, w.Close()))
 		}
 	}
-	kf.Count += uint64(n)
-	saveKeys(keyPath, kf)
+	if err := w.Close(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("ingested %d chunks (%d records); stream at %d chunks\n",
-		n, n*gen.PointsPerChunk(), kf.Count)
+		n, n*gen.PointsPerChunk(), s.Count())
 }
 
 // doStats queries one or many streams: with several key files the server
-// returns the homomorphically combined aggregate (one wire.AggRange round
-// trip) and decryption peels each stream's keystream in turn.
-func doStats(ctx context.Context, tr client.Transport, keyPaths []string, window uint64) {
-	kfs := make([]keyFile, len(keyPaths))
-	uuids := make([]string, len(keyPaths))
-	decs := make([]*core.Encryptor, len(keyPaths))
-	var spec chunk.DigestSpec
-	minCount := uint64(0)
-	for i, path := range keyPaths {
-		kfs[i] = loadKeys(path)
-		uuids[i] = kfs[i].UUID
-		_, decs[i], spec = rebuildStream(kfs[i])
-		if kfs[i].Epoch != kfs[0].Epoch || kfs[i].Interval != kfs[0].Interval {
-			log.Fatalf("stream %q geometry differs from %q (combined queries need matching epoch/interval)",
-				kfs[i].UUID, kfs[0].UUID)
-		}
-		if i == 0 || kfs[i].Count < minCount {
-			minCount = kfs[i].Count
-		}
-	}
-	kf := kfs[0]
-	te := kf.Epoch + int64(minCount)*kf.Interval
-	resp, err := tr.RoundTrip(ctx, &wire.AggRange{
-		UUIDs: uuids, Ts: kf.Epoch, Te: te, WindowChunks: window,
-	})
+// returns the homomorphically combined aggregate and decryption peels
+// each stream's keystream in turn.
+func doStats(ctx context.Context, owner *client.Owner, keyPaths []string, window uint64) {
+	q, kf, count := openPlan(ctx, owner, keyPaths)
+	aggs, err := q.Range(kf.Epoch, kf.Epoch+int64(count)*kf.Interval).Window(window).Aggs(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sr, ok := resp.(*wire.AggRangeResp)
-	if !ok {
-		fatalResp(resp)
-	}
-	if int(sr.StreamCount) != len(uuids) {
-		log.Fatalf("server combined %d of %d streams", sr.StreamCount, len(uuids))
-	}
-	step := window
-	if step == 0 {
-		step = sr.ToChunk - sr.FromChunk
-	}
-	for w, vec := range sr.Windows {
-		i := sr.FromChunk + uint64(w)*step
-		j := i + step
-		pt := vec
-		for _, dec := range decs {
-			if pt, err = dec.DecryptRange(i, j, pt, nil); err != nil {
-				log.Fatal(err)
-			}
-		}
-		r, err := spec.Interpret(pt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		from := time.UnixMilli(kf.Epoch + int64(i)*kf.Interval).Format(time.TimeOnly)
+	for _, a := range aggs {
+		r := a.Result()
 		fmt.Printf("[%s +%d chunks] streams=%d count=%d sum=%d mean=%.2f stdev=%.2f min∈[%d,%d) max∈[%d,%d)\n",
-			from, step, sr.StreamCount, r.Count, r.Sum, r.Mean, r.Stdev, r.MinLo, r.MinHi, r.MaxLo, r.MaxHi)
+			time.UnixMilli(a.Start).Format(time.TimeOnly), a.ToChunk-a.FromChunk, a.StreamCount,
+			r.Count, r.Sum, r.Mean, r.Stdev, r.MinLo, r.MinHi, r.MaxLo, r.MaxHi)
 	}
 }
 
-// doWatch subscribes to the live window aggregates of one or many streams
-// (wire v5 Subscribe): instead of polling like doStats, the server pushes
-// one encrypted delta per completed -window chunks and the CLI peels each
-// stream's keystream as events arrive. The -timeout deadline bounds the
-// watch and expiring it is a clean exit, not an error.
-func doWatch(ctx context.Context, tr *client.TCP, keyPaths []string, window uint64) {
+// doWatch subscribes to the live window aggregates of one or many streams:
+// instead of polling like doStats, the server pushes one encrypted delta
+// per completed -window chunks. The -timeout deadline bounds the watch and
+// expiring it is a clean exit, not an error.
+func doWatch(ctx context.Context, owner *client.Owner, keyPaths []string, window uint64) {
 	if window == 0 {
 		log.Fatal("watch needs -window > 0")
 	}
-	kfs := make([]keyFile, len(keyPaths))
-	uuids := make([]string, len(keyPaths))
-	decs := make([]*core.Encryptor, len(keyPaths))
-	var spec chunk.DigestSpec
-	for i, path := range keyPaths {
-		kfs[i] = loadKeys(path)
-		uuids[i] = kfs[i].UUID
-		_, decs[i], spec = rebuildStream(kfs[i])
-		if kfs[i].Epoch != kfs[0].Epoch || kfs[i].Interval != kfs[0].Interval {
-			log.Fatalf("stream %q geometry differs from %q (combined subscriptions need matching epoch/interval)",
-				kfs[i].UUID, kfs[0].UUID)
-		}
-	}
-	kf := kfs[0]
-
-	st, err := tr.Stream(ctx, &wire.Subscribe{
-		UUIDs: uuids, WindowChunks: window, FromLatest: true,
-	})
+	q, _, _ := openPlan(ctx, owner, keyPaths)
+	sub, err := q.Window(window).Subscribe(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer st.Close()
-	first, err := st.Recv()
-	if err != nil {
-		log.Fatal(err)
-	}
-	resp, ok := first.(*wire.SubscribeResp)
-	if !ok {
-		fatalResp(first)
-	}
+	defer sub.Close()
 	fmt.Printf("watching %d stream(s) from window %d (%d chunks per window; -timeout or Ctrl-C ends)\n",
-		len(uuids), resp.FirstSeq, window)
-	for {
-		msg, err := st.Recv()
-		switch {
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			fmt.Println("watch deadline reached")
-			return
-		case errors.Is(err, io.EOF):
-			fmt.Println("server ended the subscription")
-			return
-		case err != nil:
-			log.Fatal(err)
-		}
-		ev, ok := msg.(*wire.SubEvent)
-		if !ok {
-			fatalResp(msg)
-		}
-		pt := append([]uint64(nil), ev.Window...)
-		for _, dec := range decs {
-			if pt, err = dec.DecryptRange(ev.FromChunk, ev.ToChunk, pt, nil); err != nil {
-				log.Fatal(err)
-			}
-		}
-		r, err := spec.Interpret(pt)
-		if err != nil {
-			log.Fatal(err)
-		}
+		len(keyPaths), sub.FirstSeq(), window)
+	for sub.Next() {
+		d := sub.Delta()
+		r := d.Agg.Result()
 		tag := ""
-		if ev.Resync {
+		if d.Resync {
 			tag = " (resync)"
 		}
-		from := time.UnixMilli(kf.Epoch + int64(ev.FromChunk)*kf.Interval).Format(time.TimeOnly)
 		fmt.Printf("[window %d @ %s] streams=%d count=%d sum=%d mean=%.2f stdev=%.2f%s\n",
-			ev.Seq, from, resp.StreamCount, r.Count, r.Sum, r.Mean, r.Stdev, tag)
+			d.Seq, time.UnixMilli(d.Agg.Start).Format(time.TimeOnly), d.Agg.StreamCount,
+			r.Count, r.Sum, r.Mean, r.Stdev, tag)
+	}
+	// The deadline travels to the server, which may end the subscription
+	// with its own cancellation error before the local context expires.
+	var we *wire.Error
+	switch err := sub.Err(); {
+	case ctx.Err() != nil, errors.As(err, &we) && we.Code == wire.CodeCanceled:
+		fmt.Println("watch deadline reached")
+	case err == nil, errors.Is(err, io.EOF):
+		fmt.Println("server ended the subscription")
+	default:
+		log.Fatal(err)
 	}
 }
 

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"math"
 	"net"
 	"strconv"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/crypto/hybrid"
 	"repro/internal/kv"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 func newEngine(t *testing.T) *server.Engine {
@@ -44,11 +46,10 @@ func defaultOpts(uuid string) StreamOptions {
 // continuing from the stream's current position.
 func fillStream(t *testing.T, s *OwnerStream, n int) {
 	t.Helper()
-	opts := s.opts
 	base := int(s.Count())
 	for j := 0; j < n; j++ {
 		i := base + j
-		start := opts.Epoch + int64(i)*opts.Interval
+		start := s.epoch + int64(i)*s.interval
 		pts := make([]chunk.Point, 5)
 		for p := range pts {
 			pts[p] = chunk.Point{TS: start + int64(p)*2000, Val: int64(60 + i%20)}
@@ -70,7 +71,7 @@ func TestOwnerIngestAndQuery(t *testing.T) {
 	if s.Count() != 30 {
 		t.Fatalf("Count = %d", s.Count())
 	}
-	epoch := s.opts.Epoch
+	epoch := s.epoch
 	res, err := s.StatRange(context.Background(), epoch, epoch+30*10_000)
 	if err != nil {
 		t.Fatal(err)
@@ -90,6 +91,65 @@ func TestOwnerIngestAndQuery(t *testing.T) {
 	}
 	if !res.HasMinMax || res.MinLo != 50 || res.MaxHi != 100 {
 		t.Errorf("min/max bins wrong: %+v", res.Result)
+	}
+}
+
+// TestOwnerOpenStreamResumes: a handle restored from TreeSeed continues
+// the stream where the server says it stands, and decrypts everything the
+// first handle wrote as well as what it writes itself.
+func TestOwnerOpenStreamResumes(t *testing.T) {
+	ctx := context.Background()
+	owner := NewOwner(inproc(t))
+	s, err := owner.CreateStream(ctx, defaultOpts("s1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillStream(t, s, 10)
+
+	r, err := owner.OpenStream(ctx, "s1", s.TreeSeed(), core.DefaultTreeHeight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Count() != 10 || r.epoch != s.epoch || r.interval != s.interval {
+		t.Fatalf("reopened at count %d epoch %d interval %d, want 10, %d, %d", r.Count(), r.epoch, r.interval, s.epoch, s.interval)
+	}
+	w, err := r.Writer(ctx, WriterOptions{BatchChunks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 10; i < 20; i++ {
+		start := r.epoch + int64(i)*r.interval
+		pts := make([]chunk.Point, 5)
+		for p := range pts {
+			pts[p] = chunk.Point{TS: start + int64(p)*2000, Val: int64(60 + i%20)}
+		}
+		if err := w.AppendChunk(pts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Count() != 20 {
+		t.Fatalf("Count after resumed ingest = %d, want 20", r.Count())
+	}
+
+	var wantSum int64
+	for i := 0; i < 20; i++ {
+		wantSum += 5 * int64(60+i%20)
+	}
+	res, err := r.Query().Range(r.epoch, r.epoch+20*r.interval).All(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || res[0].Count != 100 || res[0].Sum != wantSum {
+		t.Fatalf("query over the whole stream = %+v, want count 100 sum %d", res, wantSum)
+	}
+
+	_, err = owner.OpenStream(ctx, "nope", s.TreeSeed(), core.DefaultTreeHeight)
+	var we *wire.Error
+	if !errors.As(err, &we) || we.Code != wire.CodeNotFound {
+		t.Fatalf("OpenStream of an unknown stream = %v, want CodeNotFound", err)
 	}
 }
 
@@ -134,7 +194,7 @@ func TestOwnerPointsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillStream(t, s, 5)
-	epoch := s.opts.Epoch
+	epoch := s.epoch
 	pts, err := s.Points(context.Background(), epoch+10_000, epoch+30_000)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +218,7 @@ func TestConsumerFullResolutionGrant(t *testing.T) {
 	}
 	fillStream(t, s, 30)
 	kp, _ := hybrid.GenerateKeyPair()
-	epoch := s.opts.Epoch
+	epoch := s.epoch
 	// Grant chunks [5, 20).
 	if _, err := s.Grant(context.Background(), kp.PublicBytes(), epoch+5*10_000, epoch+20*10_000, 0); err != nil {
 		t.Fatal(err)
@@ -216,7 +276,7 @@ func TestConsumerResolutionRestrictedGrant(t *testing.T) {
 	}
 	fillStream(t, s, 36)
 	kp, _ := hybrid.GenerateKeyPair()
-	epoch := s.opts.Epoch
+	epoch := s.epoch
 	if _, err := s.Grant(context.Background(), kp.PublicBytes(), epoch, epoch+36*10_000, 6); err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +333,7 @@ func TestResolutionGrantPartialRange(t *testing.T) {
 	}
 	fillStream(t, s, 36)
 	kp, _ := hybrid.GenerateKeyPair()
-	epoch := s.opts.Epoch
+	epoch := s.epoch
 	// Grant only windows 1..3 (chunks [6, 24)).
 	if _, err := s.Grant(context.Background(), kp.PublicBytes(), epoch+6*10_000, epoch+24*10_000, 6); err != nil {
 		t.Fatal(err)
@@ -305,7 +365,7 @@ func TestGrantRequiresEnabledResolution(t *testing.T) {
 	}
 	fillStream(t, s, 12)
 	kp, _ := hybrid.GenerateKeyPair()
-	epoch := s.opts.Epoch
+	epoch := s.epoch
 	if _, err := s.Grant(context.Background(), kp.PublicBytes(), epoch, epoch+12*10_000, 6); err == nil {
 		t.Error("grant at non-enabled resolution accepted")
 	}
@@ -320,7 +380,7 @@ func TestRevocation(t *testing.T) {
 	}
 	fillStream(t, s, 10)
 	kp, _ := hybrid.GenerateKeyPair()
-	epoch := s.opts.Epoch
+	epoch := s.epoch
 	gid, err := s.Grant(context.Background(), kp.PublicBytes(), epoch, epoch+10*10_000, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +406,7 @@ func TestOpenGrantExtension(t *testing.T) {
 	}
 	fillStream(t, s, 10)
 	kp, _ := hybrid.GenerateKeyPair()
-	epoch := s.opts.Epoch
+	epoch := s.epoch
 	gid, err := s.GrantOpen(context.Background(), kp.PublicBytes(), epoch, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +458,7 @@ func TestWrongConsumerCannotUseGrant(t *testing.T) {
 	fillStream(t, s, 5)
 	alice, _ := hybrid.GenerateKeyPair()
 	eve, _ := hybrid.GenerateKeyPair()
-	epoch := s.opts.Epoch
+	epoch := s.epoch
 	if _, err := s.Grant(context.Background(), alice.PublicBytes(), epoch, epoch+5*10_000, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +521,7 @@ func TestDeleteRangeAndRollupViaClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillStream(t, s, 16)
-	epoch := s.opts.Epoch
+	epoch := s.epoch
 	if err := s.DeleteRange(context.Background(), epoch, epoch+8*10_000); err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +568,7 @@ func TestClientOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillStream(t, s, 12)
-	epoch := s.opts.Epoch
+	epoch := s.epoch
 	res, err := s.StatRange(context.Background(), epoch, epoch+12*10_000)
 	if err != nil {
 		t.Fatal(err)
@@ -659,7 +719,7 @@ func TestOpenRejectsFlippedCodecThroughView(t *testing.T) {
 			t.Fatal(err)
 		}
 		fillStream(t, s, 3)
-		epoch := s.opts.Epoch
+		epoch := s.epoch
 		if got, err := s.Points(ctx, epoch, epoch+30_000); err != nil || len(got) != 15 {
 			t.Fatalf("%s: %d points, err %v", tc.uuid, len(got), err)
 		}

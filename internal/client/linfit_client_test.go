@@ -100,7 +100,7 @@ func TestMixedGrants(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillStream(t, s, 36)
-	epoch := s.opts.Epoch
+	epoch := s.epoch
 	kp, err := hybrid.GenerateKeyPair()
 	if err != nil {
 		t.Fatal(err)

@@ -86,7 +86,6 @@ type openGrantState struct {
 // the caller's responsibility (one producer per stream, §4.6).
 type OwnerStream struct {
 	view
-	opts StreamOptions
 
 	mu          sync.Mutex
 	tree        *core.Tree
@@ -146,23 +145,60 @@ func (o *Owner) CreateStream(ctx context.Context, opts StreamOptions) (*OwnerStr
 	if _, err := call[*wire.OK](ctx, o.t, &wire.CreateStream{UUID: opts.UUID, Cfg: cfg}); err != nil {
 		return nil, err
 	}
-	builder, err := chunk.NewBuilder(opts.Epoch, opts.Interval)
+	return newOwnerStream(view{
+		t: o.t, uuid: opts.UUID, epoch: opts.Epoch, interval: opts.Interval,
+		spec: opts.Spec, comp: opts.Compression, plain: opts.Insecure,
+	}, tree, 0)
+}
+
+// OpenStream restores the owner handle of an existing stream from its key
+// tree seed and height (what TreeSeed and StreamOptions.TreeHeight were at
+// CreateStream): the inverse of CreateStream plus TreeSeed. One StreamInfo
+// round trip supplies the stream's geometry, digest spec and compression,
+// and ingest continues at the chunk count the server reports.
+//
+// Only the seed is restored. Resolution keystreams (EnableResolution),
+// open-ended grants, staged-record sequence numbers, points buffered but
+// not yet sealed, and the Insecure flag, which the server does not
+// record, all start afresh.
+func (o *Owner) OpenStream(ctx context.Context, uuid string, seed core.Node, height int) (*OwnerStream, error) {
+	info, err := call[*wire.StreamInfoResp](ctx, o.t, &wire.StreamInfo{UUID: uuid})
 	if err != nil {
 		return nil, err
 	}
+	var spec chunk.DigestSpec
+	if err := spec.UnmarshalBinary(info.Cfg.DigestSpec); err != nil {
+		return nil, fmt.Errorf("client: stream %q digest spec: %w", uuid, err)
+	}
+	tree, err := core.NewTree(core.NewPRG(core.PRGAES), height, seed)
+	if err != nil {
+		return nil, err
+	}
+	return newOwnerStream(view{
+		t: o.t, uuid: uuid, epoch: info.Cfg.Epoch, interval: info.Cfg.Interval,
+		spec: spec, comp: chunk.Compression(info.Cfg.Compression),
+	}, tree, info.Count)
+}
+
+// newOwnerStream assembles an owner handle whose next chunk is count.
+func newOwnerStream(v view, tree *core.Tree, count uint64) (*OwnerStream, error) {
+	builder, err := chunk.NewBuilder(v.epoch, v.interval)
+	if err != nil {
+		return nil, err
+	}
+	if err := builder.SkipTo(count); err != nil {
+		return nil, err
+	}
 	s := &OwnerStream{
-		view: view{
-			t: o.t, uuid: opts.UUID, epoch: opts.Epoch, interval: opts.Interval,
-			spec: opts.Spec, comp: opts.Compression, plain: opts.Insecure,
-		},
-		opts:        opts,
+		view:        v,
 		tree:        tree,
 		enc:         core.NewEncryptor(tree.NewWalker()),
 		builder:     builder,
+		count:       count,
 		resolutions: make(map[uint64]*resolutionState),
 		openGrants:  make(map[string]*openGrantState),
 	}
-	if opts.Insecure {
+	if v.plain {
 		s.dec = identityDecrypter{}
 	} else {
 		s.dec = &encDecrypter{enc: core.NewEncryptor(tree.NewWalker())}

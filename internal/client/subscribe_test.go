@@ -110,7 +110,7 @@ func TestSubscribeMatchesCursorAcrossResubscribe(t *testing.T) {
 	defer sub2.Close()
 	phase2 := collectDeltas(t, sub2, 2)
 
-	epoch := s.opts.Epoch
+	epoch := s.epoch
 	base, err := s.Query().Window(3).Stats(Sum, Count).Range(epoch, epoch+18*10_000).Aggs(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -149,8 +149,8 @@ func TestSlowSubscriberDoesNotStallSession(t *testing.T) {
 	// frame and nothing more: the server parked it with windows pending.
 	parked := wire.StreamInitialCredit - 1
 	waitFor(t, "subscriber parked", func() bool { return len(sub.st.frames) == parked })
-	epoch := s.opts.Epoch
-	te := epoch + windows*3*s.opts.Interval
+	epoch := s.epoch
+	te := epoch + windows*3*s.interval
 	for i := 0; i < 50; i++ {
 		callCtx, cancelCall := context.WithTimeout(ctx, 5*time.Second)
 		_, err := s.StatRange(callCtx, epoch, te)
@@ -194,7 +194,7 @@ func TestSubscribeLiveTail(t *testing.T) {
 	}
 	fillStream(t, s, 5) // completes windows 2,3
 	deltas := collectDeltas(t, sub, 2)
-	epoch := s.opts.Epoch
+	epoch := s.epoch
 	base, err := s.Query().Window(3).Stats(Sum, Count).Range(epoch, epoch+12*10_000).Aggs(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestSubscribeConsumerGrant(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillStream(t, s, 12)
-	epoch := s.opts.Epoch
+	epoch := s.epoch
 	kp, err := hybrid.GenerateKeyPair()
 	if err != nil {
 		t.Fatal(err)

@@ -41,12 +41,18 @@ type Store interface {
 	Put(key string, value []byte) error
 	// Delete removes key; deleting a missing key is not an error.
 	Delete(key string) error
-	// Batch applies ops all-or-nothing across keys: no reader and no
-	// crash image holds some of them without the rest, and once Batch
-	// returns nil a later Get or Scan sees all of them. The engine writes
-	// each mutation (a chunk batch with its index ancestors and meta key)
-	// as one Batch and relies on this to never fold digests twice after a
-	// crash; TestInsertCrashPoints in internal/server depends on it.
+	// Batch applies ops as one unit in three senses: a batch the store
+	// refuses (an oversized value) applies none of them, a crash image
+	// holds all of them or none, and once Batch returns nil a later Get or
+	// Scan sees all of them. A reader running during Batch may see some
+	// ops without the rest: MemStore applies them one shard lock at a
+	// time, and durable.Store applies them to its in-memory mirror the
+	// same way. The engine needs no more. It writes each mutation (a chunk
+	// batch with its index ancestors and meta key) as one Batch, an index
+	// tree publishes its new count only after that Batch returns, and
+	// queries read only below the published count. The crash guarantee is
+	// what keeps digests from being folded twice after a crash;
+	// TestInsertCrashPoints in internal/server depends on it.
 	Batch(ops []Op) error
 	// Scan visits every key with the given prefix in unspecified order
 	// until fn returns false.

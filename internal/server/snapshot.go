@@ -53,19 +53,16 @@ const (
 	snapPhaseDone
 )
 
-// snapshotPrefix returns the store key prefix of a paged phase.
+// streamDirs names the key directories holding a stream's state besides
+// its meta key, each as "<dir><uuid>/...": the chunks, then the directory
+// of each paged export phase in phase order (index nodes, staged records,
+// grants, envelopes).
+var streamDirs = [...]string{"c/", "i/", "r/", "g/", "e/"}
+
+// snapshotPrefix returns the store key prefix of a paged phase
+// (snapPhaseIndex through snapPhaseEnvelopes).
 func snapshotPrefix(uuid string, phase int) string {
-	switch phase {
-	case snapPhaseIndex:
-		return "i/" + uuid + "/"
-	case snapPhaseStaged:
-		return "r/" + uuid + "/"
-	case snapPhaseGrants:
-		return "g/" + uuid + "/"
-	case snapPhaseEnvelopes:
-		return "e/" + uuid + "/"
-	}
-	return ""
+	return streamDirs[1+phase-snapPhaseIndex] + uuid + "/"
 }
 
 // formatSnapshotCursor encodes the resume point of a paged export: the
@@ -216,8 +213,8 @@ func snapshotKeyAllowed(uuid, key string) bool {
 	if key == metaKey(uuid) {
 		return true
 	}
-	for _, p := range [...]string{"c/", "i/", "r/", "g/", "e/"} {
-		if strings.HasPrefix(key, p+uuid+"/") {
+	for _, dir := range streamDirs {
+		if strings.HasPrefix(key, dir+uuid+"/") {
 			return true
 		}
 	}
@@ -360,9 +357,9 @@ func (e *Engine) handoffAbort(h *held) error {
 // records, meta) — shared by DeleteStream, handoff release, and abort.
 func (e *Engine) deleteStreamOps(uuid string) ([]kv.Op, error) {
 	var ops []kv.Op
-	for _, prefix := range []string{"c/" + uuid + "/", "i/" + uuid + "/", "g/" + uuid + "/", "e/" + uuid + "/", "r/" + uuid + "/"} {
+	for _, dir := range streamDirs {
 		var err error
-		if ops, err = appendDeletes(ops, e.store, prefix); err != nil {
+		if ops, err = appendDeletes(ops, e.store, dir+uuid+"/"); err != nil {
 			return nil, err
 		}
 	}
